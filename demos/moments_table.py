@@ -1,36 +1,37 @@
-"""Haar moments of projector overlaps: closed forms, quadrature, MC.
+"""Haar moments of projector overlaps: the exact zonal sum against sampling.
 
-t_moment picks the cheapest exact route first and only falls back to
-Monte Carlo when it has to; every estimate carries an error bar and a
-method label so you can see which route was taken.
+t_exact returns E trace(P_V P_W)^p as a rational for every (k, l, d, p);
+t_moment and t_matrix report it as a float with error 0.  Monte Carlo over
+Haar pairs (method="mc") is an independent check and should land within a
+few standard errors of the exact value.
 """
 import numpy as np
 
-from fusionframes import jacobi_family, t_matrix, t_moment, t_one
+from fusionframes import jacobi_family, t_exact, t_matrix, t_moment, t_one
 
-# p = 1 is pure linear algebra: E tr(P V P W) = kl/d
+# p = 1 is pure linear algebra: E tr(P_V P_W) = kl/d
 print("kl/d checks, d=5:")
 for k in range(1, 5):
-    print("  ", [f"{t_moment(k, l, 5, 1).value:.4f}" for l in range(1, 5)])
+    print("  ", [str(t_exact(k, l, 5, 1)) for l in range(1, 5)])
 
 # one random line against a k-plane has a Pochhammer closed form
 print("\nt_one(2, 4, p) for p = 1..4:", [t_one(2, 4, p) for p in (1, 2, 3, 4)])
 
-# the general table mixes methods; errors are zero for the exact routes
+# the whole table is exact: rationals, every error 0
 table = t_matrix(4, 2)
 for k, l, p, value, error, method in table.rows():
-    print(f"T_{{{k},{l}}}(2) = {value:.10f}  err={error:.1e}  [{method}]")
+    print(f"T_{{{k},{l}}}(2) = {str(t_exact(k, l, 4, p)):>6} = {value:.10f}"
+          f"  err={error:.1e}  [{method}]")
 
-# quadrature and Monte Carlo should agree to a few stderr
+# Monte Carlo should agree with the exact value to a few stderr
 rng = np.random.default_rng(0)
-quad = t_moment(2, 2, 5, 2)
-mc = t_moment(2, 2, 5, 2, method="mc", budget=200_000, rng=rng)
-print(f"\n(2,2,5,2): quad {quad.value:.8f} vs mc {mc.value:.8f} "
-      f"+- {mc.error:.1e}")
-
-# min(k,l) >= 3 with no complement shortcut forces sampling
-big = t_moment(3, 3, 7, 2, rng=rng)
-print(f"(3,3,7,2): {big.value:.6f} +- {big.error:.1e}  [{big.method}]")
+print()
+for k, l, d, p in ((2, 2, 5, 2), (3, 3, 7, 2), (3, 4, 8, 3)):
+    exact = t_exact(k, l, d, p)
+    mc = t_moment(k, l, d, p, method="mc", budget=200_000, rng=rng)
+    print(f"({k},{l},{d},{p}): exact {exact} = {float(exact):.8f}, "
+          f"mc {mc.value:.8f} +- {mc.error:.1e} "
+          f"({abs(mc.value - float(exact)) / mc.error:.1f} stderr)")
 
 # probe polynomials for cubature checks, with their three-term recurrence
 fam = jacobi_family(1, 2, 3)

@@ -33,7 +33,6 @@ from .errors import (
     SingleSubspace,
     SizeGuardExceeded,
     UnknownName,
-    UnsupportedQuadratureDim,
 )
 from .frames import (
     TightnessCertificate,
@@ -71,6 +70,7 @@ from .moments import (
     design_diagnostic,
     jacobi_family,
     size_bounds,
+    t_exact,
     t_matrix,
     t_moment,
     t_one,
@@ -91,7 +91,6 @@ from .potential import (
     ffp_lower_bound_p,
     gram_matrix,
     max_offdiagonal,
-    mixed_bound_error,
     potential_report,
     simplex_bound_rhs,
 )

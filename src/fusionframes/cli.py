@@ -75,8 +75,7 @@ def cmd_check(args) -> int:
         exit_code = 0 if cert.tight else 1
     elif args.mode == "cubature":
         rng = np.random.default_rng(args.seed)
-        cert = certify_cubature(frame, args.p, tol=args.tol,
-                                budget=args.mc_budget, rng=rng)
+        cert = certify_cubature(frame, args.p, tol=args.tol, rng=rng)
         report["results"] = {
             "verdict": cert.verdict,
             "ffp": cert.ffp_value,
@@ -86,7 +85,7 @@ def cmd_check(args) -> int:
             "margin": cert.margin,
             "probe_spread": cert.probe_spread,
         }
-        report["tolerances"] = {"tol": args.tol, "mc_budget": args.mc_budget}
+        report["tolerances"] = {"tol": args.tol}
         exit_code = 0 if cert.verdict == "cubature" else 1
     elif args.mode == "equiangular":
         rep = equiangularity(frame, tol=args.tol)
@@ -170,8 +169,7 @@ def cmd_gen(args) -> int:
 # moments
 
 def cmd_moments(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    table = t_matrix(args.d, args.p, budget=args.mc_budget, rng=rng)
+    table = t_matrix(args.d, args.p)
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
         writer = csv.writer(out)
@@ -247,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness (default 0)")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="worker threads, 0 = auto (current code paths "
-                             "are single-threaded)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_check = sub.add_parser("check", help="certify a frame file")
@@ -258,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--mode", required=True,
                          choices=["tight", "cubature", "equiangular", "bounds"])
     p_check.add_argument("--tol", type=float, default=1e-9)
-    p_check.add_argument("--mc-budget", type=lambda s: int(float(s)),
-                         default=100_000)
     p_check.add_argument("--restarts", type=int, default=32,
                          help="sphere restarts for --mode bounds")
     p_check.set_defaults(func=cmd_check)
@@ -293,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mom = sub.add_parser("moments", help="CSV table of Haar overlap moments")
     p_mom.add_argument("--d", type=int, required=True)
     p_mom.add_argument("--p", type=int, required=True)
-    p_mom.add_argument("--mc-budget", type=lambda s: int(float(s)),
-                       default=100_000)
     p_mom.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
     p_mom.set_defaults(func=cmd_moments)
 

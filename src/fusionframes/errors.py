@@ -37,10 +37,6 @@ class MissingMoment(FusionFrameError):
     """A moment table does not cover a required (k, l) entry or power."""
 
 
-class UnsupportedQuadratureDim(FusionFrameError):
-    """Quadrature is only available when the reduced minimal dimension is <= 2."""
-
-
 class ParameterError(FusionFrameError):
     """Parameters outside the supported range."""
 

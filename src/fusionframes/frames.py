@@ -276,6 +276,8 @@ def frame_from_dict(data: dict) -> WeightedFrame:
             weight = float(ent["weight"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FrameFormatError(f"malformed frame entry: {exc}") from exc
+        if not (np.isfinite(cols).all() and np.isfinite(weight)):
+            raise FrameFormatError("basis entries and weights must be finite")
         if cols.ndim != 2 or cols.shape[0] != d:
             raise FrameFormatError(f"basis columns must have length {d}")
         sub = make_subspace(cols)

@@ -1,20 +1,19 @@
 """Moments of the Haar measure on Grassmannians, and what they certify.
 
-The central quantity is the average of trace(P_V P_W)^p over independent
-uniformly random subspaces V, W of dimensions k and l in R^d.  Three methods
-compute it, in decreasing order of exactness:
+The central quantity is t(k, l, d, p), the average of trace(P_V P_W)^p over
+independent uniformly random subspaces V, W of dimensions k and l in R^d.
+It is an exact rational for every (k, l, d, p).  Expanding the power of
+the trace in zonal polynomials, (tr X)^p = sum_{kappa |- p} C_kappa(X), and
+averaging each term over the orthogonal group (Muirhead 1982, Thm 7.2.5)
+gives
 
-* closed form: p = 1 gives kl/d; k = 1 or l = 1 gives a ratio of Pochhammer
-  symbols.  Both are exact rationals evaluated in floating point.
-* quadrature: the joint density of the squared principal cosines is known in
-  closed form up to normalization.  When the smaller dimension (after
-  complement reduction) is at most 2, the moment is a 1- or 2-dimensional
-  integral handled by Gauss-Jacobi rules.
-* Monte-Carlo: sample Haar pairs, average, report the standard error.
+    t(k, l, d, p) = sum_{kappa |- p, len(kappa) <= min(k, l)}
+                        C_kappa(I_k) C_kappa(I_l) / C_kappa(I_d),
 
-Complement reduction: trace(P_V P_W) = l - trace(P_{V^c} P_W), so any
-dimension above d/2 can be swapped for its complement at the cost of a
-binomial expansion over lower powers.
+with C_kappa(I_m) in closed form (Muirhead 1982, Thm 7.2.7).  ``t_exact``
+evaluates this sum in rational arithmetic; ``t_moment`` and ``t_matrix``
+report it as a float with error 0.  Haar sampling (``method="mc"``) is
+kept as an independent oracle for tests.
 
 Also here: the univariate orthogonal polynomial family attached to the
 squared-cosine distribution of a line against a k-subspace (the per-degree
@@ -25,26 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.special import roots_jacobi
 
-from .errors import (
-    MixedDimensions,
-    ParameterError,
-    UnsupportedQuadratureDim,
-)
+from .errors import MixedDimensions, ParameterError
 from .frames import WeightedFrame, pochhammer_ratio
 from .potential import ffp
 from .subspaces import haar_basis_batch
 
 DEFAULT_MC_BUDGET = 100_000
-# Node counts for the coarse/fine quadrature pair; the difference between the
-# two runs is the reported error estimate.
-QUAD_NODES = (96, 160)
+# The exact sum runs over the partitions of p; past p = 20 it takes seconds
+# per moment and grows quickly, so larger powers are refused.
+P_MAX = 20
 
 
 def t_one(k: int, d: int, p: int) -> float:
@@ -60,138 +54,87 @@ def t_one(k: int, d: int, p: int) -> float:
 class MomentEstimate(NamedTuple):
     value: float
     error: float
-    method: str  # closed-form | quadrature | monte-carlo
+    method: str  # closed-form | monte-carlo
 
 
-def _mc_moment(k: int, l: int, d: int, p: int, budget: int,
-               rng: np.random.Generator) -> MomentEstimate:
-    """Haar sampling with W frozen to the first-l coordinate span; the joint
-    distribution of trace(P_V P_W) is unchanged by invariance."""
-    bases = haar_basis_batch(d, k, budget, rng)
-    s = (bases[:, :l, :] ** 2).sum(axis=(1, 2))
-    vals = s ** p
-    return MomentEstimate(float(vals.mean()),
-                          float(vals.std(ddof=1) / np.sqrt(budget)),
-                          "monte-carlo")
+def _check_moment_args(k: int, l: int, d: int, p: int) -> None:
+    if not (1 <= k <= d - 1 and 1 <= l <= d - 1):
+        raise ParameterError(f"dimensions ({k},{l}) not in [1, {d - 1}]")
+    if not 1 <= p <= P_MAX:
+        raise ParameterError(f"p={p} not in [1, {P_MAX}]")
 
 
-def _quad_m1(k: int, d: int, p: int, nodes: int) -> float:
-    """1-D case: the squared cosine profile has a single entry with density
-    proportional to y^((k-2)/2) (1-y)^((d-k-2)/2)."""
-    alpha = (d - k - 2) / 2.0   # exponent on (1 - y)
-    beta = (k - 2) / 2.0        # exponent on y
-    x, w = roots_jacobi(nodes, alpha, beta)
-    y = (x + 1.0) / 2.0
-    return float((w * y ** p).sum() / w.sum())
+def _partitions(p: int, max_parts: int, max_part: int | None = None):
+    """Partitions of p into at most ``max_parts`` parts, each at most
+    ``max_part``, as non-increasing tuples."""
+    if p == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    for first in range(min(p, max_part or p), 0, -1):
+        for rest in _partitions(p - first, max_parts - 1, first):
+            yield (first,) + rest
 
 
-def _quad_m2(k: int, d: int, p: int, nodes: int) -> float:
-    """2-D case, reduced pair (l=2) <= k <= d/2.
+def _zonal_at_identity(kappa: tuple, m: int) -> Fraction:
+    """C_kappa(I_m) for a partition kappa of p with ell parts:
 
-    Density on [0,1]^2 is proportional to |y1 - y2| y_i^a (1-y_i)^b with
-    a = (k-3)/2, b = (d-k-3)/2.  The integrand is symmetric, so restrict to
-    the ordered region y1 > y2 (dropping the absolute value, factor 2) and
-    substitute y2 = t y1.  Both integrals then carry pure Jacobi weights:
+        2^(2p) p! (m/2)_kappa prod_{i<j} (2 kappa_i - 2 kappa_j - i + j)
+        / prod_i (2 kappa_i + ell - i)!
 
-        2 * int y1^(2a+2) (1-y1)^b [ int t^a (1-t) (1-t y1)^b f dt ] dy1
-
-    with f = (y1 + y2)^p.  The leftover factor (1 - t y1)^b is smooth except
-    at the far corner; the normalization integral (f = 1) goes through the
-    same rule, so the shared error largely cancels in the ratio.
+    where (a)_kappa = prod_i (a - (i - 1)/2)_{kappa_i}.  It vanishes when
+    ell > m.
     """
-    a = (k - 3) / 2.0
-    b = (d - k - 3) / 2.0
-    x_out, w_out = roots_jacobi(nodes, b, 2 * a + 2)
-    y1 = (x_out + 1.0) / 2.0
-    x_in, w_in = roots_jacobi(nodes, 1.0, a)
-    t = (x_in + 1.0) / 2.0
-
-    yy = y1[:, None]
-    tt = t[None, :]
-    smooth = (1.0 - yy * tt) ** b
-    f = (yy * (1.0 + tt)) ** p
-    inner_f = (smooth * f * w_in[None, :]).sum(axis=1)
-    inner_1 = (smooth * w_in[None, :]).sum(axis=1)
-    return float((w_out * inner_f).sum() / (w_out * inner_1).sum())
+    p, ell = sum(kappa), len(kappa)
+    value = Fraction(4 ** p * factorial(p))
+    for i, part in enumerate(kappa, start=1):
+        shift = Fraction(m - i + 1, 2)
+        for s in range(part):
+            value *= shift + s
+        for j in range(i + 1, ell + 1):
+            value *= 2 * part - 2 * kappa[j - 1] - i + j
+        value /= factorial(2 * part + ell - i)
+    return value
 
 
-def _quad_moment(k: int, l: int, d: int, p: int) -> MomentEstimate:
-    """Quadrature at two node counts; the difference is the error estimate."""
-    lo, hi = QUAD_NODES
-    if l == 1:
-        coarse, fine = _quad_m1(k, d, p, lo), _quad_m1(k, d, p, hi)
-    else:
-        coarse, fine = _quad_m2(k, d, p, lo), _quad_m2(k, d, p, hi)
-    return MomentEstimate(fine, abs(fine - coarse) + 1e-14, "quadrature")
+def t_exact(k: int, l: int, d: int, p: int) -> Fraction:
+    """Mean of trace(P_V P_W)^p over independent Haar subspaces of
+    dimensions k and l in R^d, as an exact rational.
+
+    Partitions with more than min(k, l) parts are skipped: their zonal
+    polynomials vanish at I_k or I_l (and the ratio would read 0/0 when
+    they also vanish at I_d)."""
+    _check_moment_args(k, l, d, p)
+    return sum((_zonal_at_identity(kappa, k) * _zonal_at_identity(kappa, l)
+                / _zonal_at_identity(kappa, d)
+                for kappa in _partitions(p, min(k, l))), start=Fraction(0))
 
 
-def t_moment(k: int, l: int, d: int, p: int, method: str = "auto",
+def t_moment(k: int, l: int, d: int, p: int, method: str = "closed",
              budget: int = DEFAULT_MC_BUDGET,
              rng: np.random.Generator | None = None) -> MomentEstimate:
     """Mean of trace(P_V P_W)^p over independent Haar subspaces.
 
-    method "auto" prefers closed form, then quadrature (valid when the
-    smaller dimension after complement reduction is <= 2), then Monte-Carlo
-    with the given sample budget.  Explicit "closed"/"quadrature"/"mc"
-    force one method and raise if it cannot apply.
+    method "closed" (the default) is ``t_exact`` in floating point, with
+    error 0.  method "mc" averages ``budget`` Haar samples drawn from
+    ``rng`` and reports the standard error; it is an independent check on
+    the exact route, not an alternative to it.
     """
-    if not (1 <= k <= d - 1 and 1 <= l <= d - 1):
-        raise ParameterError(f"dimensions ({k},{l}) not in [1, {d - 1}]")
-    if p < 1:
-        raise ParameterError("p must be >= 1")
-    if method not in ("auto", "closed", "quadrature", "mc"):
+    if method == "closed":
+        return MomentEstimate(float(t_exact(k, l, d, p)), 0.0, "closed-form")
+    if method != "mc":
         raise ParameterError(f"unknown method {method!r}")
+    _check_moment_args(k, l, d, p)
     if rng is None:
         rng = np.random.default_rng(0)
-    if method == "mc":
-        return _mc_moment(k, l, d, p, budget, rng)
-    res = _resolve(k, l, d, p, method)
-    if res is not None:
-        return res
-    if method == "auto":
-        return _mc_moment(k, l, d, p, budget, rng)
-    raise UnsupportedQuadratureDim(
-        f"reduced pair of ({k},{l}) in d={d} has min dimension >= 3"
-    )
-
-
-def _resolve(k: int, l: int, d: int, p: int, method: str) -> MomentEstimate | None:
-    """Closed form / quadrature ladder with complement reduction.  Returns
-    None when only Monte-Carlo can handle the entry."""
-    if p == 0:
-        return MomentEstimate(1.0, 0.0, "closed-form")
-    if p == 1:
-        return MomentEstimate(float(Fraction(k * l, d)), 0.0, "closed-form")
-    if min(k, l) == 1:
-        return MomentEstimate(t_one(max(k, l), d, p), 0.0, "closed-form")
-
-    # complement reduction: swap the larger index for d - itself
-    if k > d - k or l > d - l:
-        if k > d - k:
-            kr, fixed = d - k, l
-            sub = lambda q: _resolve(kr, fixed, d, q, method)  # noqa: E731
-        else:
-            kr, fixed = d - l, k
-            sub = lambda q: _resolve(fixed, kr, d, q, method)  # noqa: E731
-        value, error = 0.0, 0.0
-        worst = "closed-form"
-        for q in range(p + 1):
-            part = sub(q)
-            if part is None:
-                return None
-            c = comb(p, q) * fixed ** (p - q)
-            value += c * (-1.0) ** q * part.value
-            error += c * part.error
-            if part.method == "quadrature":
-                worst = "quadrature"
-        return MomentEstimate(value, error, worst)
-
-    if method == "closed":
-        raise ParameterError(f"no closed form for (k,l,d,p)=({k},{l},{d},{p})")
-    small, large = sorted((k, l))
-    if small <= 2:
-        return _quad_moment(large, small, d, p)
-    return None
+    # W is frozen to the first-l coordinate span; by invariance the law of
+    # trace(P_V P_W) is unchanged
+    bases = haar_basis_batch(d, k, budget, rng)
+    vals = (bases[:, :l, :] ** 2).sum(axis=(1, 2)) ** p
+    return MomentEstimate(float(vals.mean()),
+                          float(vals.std(ddof=1) / np.sqrt(budget)),
+                          "monte-carlo")
 
 
 @dataclass(frozen=True)
@@ -221,23 +164,19 @@ class TMatrix:
 
 def t_matrix(d: int, p: int, budget: int = DEFAULT_MC_BUDGET,
              rng: np.random.Generator | None = None) -> TMatrix:
-    """Fill the full moment table, best method per entry."""
+    """Fill the full moment table from ``t_exact``; every error is 0.
+
+    ``budget`` and ``rng`` are accepted for compatibility and ignored: no
+    entry is sampled."""
     if d < 2:
         raise ParameterError("d must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
     values = np.zeros((d - 1, d - 1))
-    errors = np.zeros((d - 1, d - 1))
-    methods = [[""] * (d - 1) for _ in range(d - 1)]
     for k in range(1, d):
         for l in range(k, d):
-            est = t_moment(k, l, d, p, budget=budget, rng=rng)
-            for (i, j) in ((k - 1, l - 1), (l - 1, k - 1)):
-                values[i, j] = est.value
-                errors[i, j] = est.error
-                methods[i][j] = est.method
-    return TMatrix(d=d, p=p, values=values, errors=errors,
-                   methods=tuple(tuple(row) for row in methods))
+            values[k - 1, l - 1] = values[l - 1, k - 1] = float(t_exact(k, l, d, p))
+    methods = tuple(("closed-form",) * (d - 1) for _ in range(d - 1))
+    return TMatrix(d=d, p=p, values=values, errors=np.zeros((d - 1, d - 1)),
+                   methods=methods)
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +303,8 @@ class CubatureCertificate:
     t_value: float
     t_error: float
     t_method: str
-    margin: float            # ffp_value - t_value; >= -(tol+error) always
-    verdict: str             # cubature | not-cubature | inconclusive
+    margin: float            # ffp_value - t_value; >= 0 up to roundoff
+    verdict: str             # cubature | not-cubature
     probe_spread: float      # advisory: max-min of the probe averages
     tol: float
 
@@ -374,15 +313,15 @@ def certify_cubature(frame: WeightedFrame, p: int, tol: float = 1e-9,
                      budget: int = DEFAULT_MC_BUDGET,
                      rng: np.random.Generator | None = None,
                      n_probes: int = 1000) -> CubatureCertificate:
-    """Compare the potential of the weight-normalized frame against the Haar
-    moment; equality (margin within tol plus the moment's own error)
-    certifies a cubature of strength 2p.
+    """Compare the potential of the weight-normalized frame against the
+    exact Haar moment; equality (margin within tol) certifies a cubature of
+    strength 2p.
 
-    The verdict degrades to "inconclusive" when the moment error exceeds tol,
-    since equality can then neither be confirmed nor refuted at the requested
-    tolerance.  A constancy probe over random subspaces W (the averaged
-    p-th power of trace(P_W P_j) should be flat) is attached as a
-    corroborating statistic, not part of the verdict.
+    A constancy probe over ``n_probes`` random subspaces W drawn from
+    ``rng`` (the averaged p-th power of trace(P_W P_j) should be flat) is
+    attached as a corroborating statistic, not part of the verdict.
+    ``budget`` is accepted for compatibility and ignored: the moment is
+    exact.
     """
     if not frame.equal_dims():
         raise MixedDimensions("cubature certification requires one common dimension")
@@ -391,14 +330,9 @@ def certify_cubature(frame: WeightedFrame, p: int, tol: float = 1e-9,
     k, d = int(frame.dims[0]), frame.ambient_dim
     normalized = frame.normalized()
     value = ffp(normalized, p)
-    est = t_moment(k, k, d, p, budget=budget, rng=rng)
+    est = t_moment(k, k, d, p)
     margin = value - est.value
-    if margin > tol + est.error:
-        verdict = "not-cubature"
-    elif est.error <= tol:
-        verdict = "cubature"
-    else:
-        verdict = "inconclusive"
+    verdict = "not-cubature" if margin > tol else "cubature"
 
     probes = haar_basis_batch(d, k, n_probes, rng)
     w = normalized.weights

@@ -154,15 +154,6 @@ def ffp_lower_bound_mixed(frame: WeightedFrame, t_table) -> float:
     return float(m @ t_table.values @ m)
 
 
-def mixed_bound_error(frame: WeightedFrame, t_table) -> float:
-    """Propagated uncertainty of the mixed bound: sum m_k m_l err_{k,l}."""
-    mass = frame.mass_by_dim()
-    m = np.zeros(t_table.d - 1)
-    for k, w in mass.items():
-        m[k - 1] = w
-    return float(m @ t_table.errors @ m)
-
-
 @dataclass(frozen=True)
 class PotentialReport:
     p: int

@@ -32,7 +32,6 @@ from fusionframes import (
     make_subspace,
     max_offdiagonal,
     minimize_ffp,
-    mixed_bound_error,
     mub_lines_c2,
     orbit_frame,
     realify,
@@ -216,9 +215,7 @@ def test_criterion_08_mixed_dimension_bound(capfd):
             frame = _random_mixed_frame(rng, (3, 4, 5))
             for p in (1, 2):
                 table = tables[(frame.ambient_dim, p)]
-                bound = ffp_lower_bound_mixed(frame, table)
-                slack = 3.0 * mixed_bound_error(frame, table)
-                assert ffp(frame, p) >= bound - slack
+                assert ffp(frame, p) >= ffp_lower_bound_mixed(frame, table)
 
 
 def test_criterion_09_optimizer_recovery(capfd):

@@ -230,6 +230,19 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"] == "UnknownName"
 
+    for name, entry in (("inf.json", '{"basis": [[1.0, 0.0]], "weight": 1e400}'),
+                        ("nan.json", '{"basis": [[NaN, 1.0]], "weight": 1.0}')):
+        path = tmp_path / name
+        path.write_text('{"ambient_dim": 2, "entries": [%s]}' % entry)
+        code, out, err = run(["check", str(path), "--p", "1", "--mode", "tight"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "FrameFormatError"
+
+    code, out, err = run(["moments", "--d", "8", "--p", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ParameterError"
+
     with pytest.raises(SystemExit) as exc:
         main(["check", "whatever.json", "--p", "1"])   # --mode is required
     assert exc.value.code == 2

@@ -288,6 +288,13 @@ def test_frame_format_errors(tmp_path):
     with pytest.raises(FrameFormatError):
         frame_from_dict({"ambient_dim": 2,
                          "entries": [{"basis": [[1.0, 0.5]], "weight": 1}]})
+    # non-finite weight (1e400 parses as inf) and NaN basis entry
+    for name, entry in (("inf.json", '{"basis": [[1.0, 0.0]], "weight": 1e400}'),
+                        ("nan.json", '{"basis": [[NaN, 1.0]], "weight": 1.0}')):
+        path = tmp_path / name
+        path.write_text('{"ambient_dim": 2, "entries": [%s]}' % entry)
+        with pytest.raises(FrameFormatError, match="finite"):
+            load_frame(path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(json.JSONDecodeError):

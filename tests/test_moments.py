@@ -1,26 +1,39 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
+import fusionframes
 from fusionframes import (
     MixedDimensions,
+    MomentEstimate,
     ParameterError,
-    UnsupportedQuadratureDim,
     WeightedFrame,
     catalog,
     certify_cubature,
     certify_tight,
+    close_group,
     design_diagnostic,
     haar_random,
     jacobi_family,
+    make_subspace,
+    orbit_frame,
+    pochhammer_ratio,
     size_bounds,
+    t_exact,
     t_matrix,
     t_moment,
     t_one,
 )
 
+from fusionframes.moments import P_MAX, _partitions, _zonal_at_identity
 from test_frames import random_frame
 
 
@@ -75,44 +88,99 @@ def test_t_moment_first_power_exact():
 
 
 def test_t_moment_second_power_against_oracle():
-    for d in range(2, 7):
+    for d in range(2, 9):
         for k in range(1, d):
-            for l in range(k, d):
-                est = t_moment(k, l, d, 2)
-                exact = float(exact_t2(k, l, d))
-                assert abs(est.value - exact) <= 3 * est.error + 1e-10, \
-                    (k, l, d, est, exact)
+            for l in range(1, d):
+                exact = exact_t2(k, l, d)
+                assert t_exact(k, l, d, 2) == exact, (k, l, d)
+                assert t_moment(k, l, d, 2) == (float(exact), 0.0, "closed-form")
 
 
 def test_t_moment_symmetry_and_methods():
-    a = t_moment(2, 3, 5, 2)
-    b = t_moment(3, 2, 5, 2)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
-    # reduction of (3,3,4) bottoms out in the k=1 closed form
-    est = t_moment(3, 3, 4, 2, method="closed")
-    assert est.method == "closed-form"
-    assert est.value == pytest.approx(41 / 8, abs=1e-12)
-    with pytest.raises(ParameterError):
-        t_moment(2, 2, 4, 2, method="closed")
-    with pytest.raises(UnsupportedQuadratureDim):
-        t_moment(3, 3, 7, 2, method="quadrature")
-    with pytest.raises(ParameterError):
-        t_moment(2, 2, 4, 2, method="bogus")
-
-
-def test_t_moment_quadrature_vs_mc(rng):
-    quad = t_moment(2, 2, 5, 2, method="quadrature")
-    mc = t_moment(2, 2, 5, 2, method="mc", budget=200_000, rng=rng)
-    assert abs(quad.value - mc.value) <= 3 * (mc.error + quad.error)
-    assert mc.method == "monte-carlo" and mc.error > 0
+    assert t_moment(2, 3, 5, 2) == t_moment(3, 2, 5, 2)
+    assert t_exact(3, 3, 4, 2) == Fraction(41, 8)
+    assert t_exact(2, 2, 4, 2) == Fraction(10, 9)
+    assert t_exact(2, 2, 4, 3) == Fraction(4, 3)
+    assert t_moment(2, 2, 4, 2) == MomentEstimate(10 / 9, 0.0, "closed-form")
+    assert t_moment(2, 2, 4, 2, method="closed") == t_moment(2, 2, 4, 2)
+    for method in ("auto", "quadrature", "bogus"):
+        with pytest.raises(ParameterError):
+            t_moment(2, 2, 4, 2, method=method)
 
 
 def test_t_moment_mc_path_for_large_dims(rng):
-    # smallest case where neither closed form nor quadrature applies
-    est = t_moment(3, 3, 7, 2, budget=50_000, rng=rng)
-    assert est.method == "monte-carlo"
-    exact = float(exact_t2(3, 3, 7))
-    assert abs(est.value - exact) <= 4 * est.error
+    # Haar sampling stays as an oracle independent of the zonal sum
+    for (k, l, d, p), budget, n_err in (((2, 2, 5, 2), 200_000, 3),
+                                        ((3, 3, 7, 2), 50_000, 4),
+                                        ((3, 4, 8, 3), 50_000, 4)):
+        est = t_moment(k, l, d, p, method="mc", budget=budget, rng=rng)
+        assert est.method == "monte-carlo" and est.error > 0
+        exact = float(t_exact(k, l, d, p))
+        assert abs(est.value - exact) <= n_err * est.error, (k, l, d, p, est)
+
+
+def test_t_moment_power_guard():
+    for d in (2, 5, 8):
+        for k in range(1, d):
+            for l in range(1, d):
+                est = t_moment(k, l, d, P_MAX)
+                assert est.error == 0.0 and est.method == "closed-form"
+    for method in ("closed", "mc"):
+        with pytest.raises(ParameterError):
+            t_moment(2, 2, 4, P_MAX + 1, method=method)
+    with pytest.raises(ParameterError):
+        t_exact(2, 2, 4, 1000)
+    with pytest.raises(ParameterError):
+        t_exact(2, 2, 4, 0)
+    with pytest.raises(ParameterError):
+        t_exact(4, 2, 4, 1)
+
+
+@st.composite
+def moment_args(draw, p_max=5):
+    d = draw(st.integers(2, 9))
+    k = draw(st.integers(1, d - 1))
+    l = draw(st.integers(1, d - 1))
+    return k, l, d, draw(st.integers(1, p_max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(moment_args())
+def test_t_exact_symmetry_and_line_reduction(args):
+    k, l, d, p = args
+    assert t_exact(k, l, d, p) == t_exact(l, k, d, p)
+    assert t_exact(1, l, d, p) == pochhammer_ratio(l, d, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(moment_args(p_max=4))
+def test_t_exact_complement_identity(args):
+    # trace(P_{V^c} P_W) = l - trace(P_V P_W), expanded binomially
+    k, l, d, p = args
+
+    def t(q):
+        return Fraction(1) if q == 0 else t_exact(k, l, d, q)
+
+    expect = sum(comb(p, q) * l ** (p - q) * (-1) ** q * t(q)
+                 for q in range(p + 1))
+    assert t_exact(d - k, l, d, p) == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 8))
+def test_zonal_polynomials_sum_to_trace_power(m, p):
+    # (tr I_m)^p = sum over all partitions of p, vanishing beyond m parts
+    assert sum(_zonal_at_identity(kappa, m) for kappa in _partitions(p, p)) == m ** p
+    assert all(_zonal_at_identity(kappa, m) == 0
+               for kappa in _partitions(p, p) if len(kappa) > m)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(fusionframes.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, fusionframes; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_t_matrix():
@@ -123,13 +191,12 @@ def test_t_matrix():
     assert t2.entry(1, 1).method == "closed-form"
 
     t52 = t_matrix(5, 2)
-    assert np.allclose(t52.values, t52.values.T, atol=1e-12)
+    assert np.array_equal(t52.values, t52.values.T)
     for k in range(1, 5):
         for l in range(1, 5):
             e = t52.entry(k, l)
             assert 0.0 < e.value <= min(k, l) ** 2 + 1e-9
-            if 1 in (k, l):
-                assert e.method == "closed-form" and e.error == 0.0
+            assert e == (float(t_exact(k, l, 5, 2)), 0.0, "closed-form")
     rows = t52.rows()
     assert len(rows) == 10 and rows[0][:3] == (1, 1, 2)
 
@@ -235,7 +302,8 @@ def test_cubature_margin_lower_bound(rng):
     for _ in range(20):
         f = random_frame(rng, d=4, mixed=False)
         cert = certify_cubature(f, 2, rng=rng)
-        assert cert.margin >= -(cert.tol + cert.t_error)
+        assert cert.t_error == 0.0
+        assert cert.margin >= -cert.tol
 
 
 def test_cubature_implies_tight(mub_planes):
@@ -245,6 +313,17 @@ def test_cubature_implies_tight(mub_planes):
         cert = certify_cubature(lines4, p, rng=np.random.default_rng(p))
         assert cert.verdict == "cubature"
         assert certify_tight(lines4, p).tight
+    # 2-planes in R^4: the W(F4) orbit of a generic plane (576 members) sits
+    # on the p=2 floor 10/9 to roundoff, so the exact moment certifies it
+    roots = np.array([[0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1],
+                      [0.5, -0.5, -0.5, -0.5]])
+    f4 = close_group([np.eye(4) - 2 * np.outer(r, r) / (r @ r) for r in roots])
+    seed = make_subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.2], [0.1, -0.7]]))
+    planes = orbit_frame(f4, seed)
+    cert = certify_cubature(planes, 2, rng=np.random.default_rng(0))
+    assert (len(f4), len(planes)) == (1152, 576)
+    assert cert.verdict == "cubature" and cert.t_value == 10 / 9
+    assert certify_tight(planes, 2).tight
     # the realified MUB planes are tight at 2 yet sit strictly above the
     # potential minimum, so they are not a strength-4 cubature
     assert certify_tight(mub_planes, 2).tight
