@@ -69,6 +69,7 @@ def cmd_check(args) -> int:
         report["results"] = {
             "verdict": "tight" if cert.tight else "not-tight",
             "residual": cert.residual,
+            "abs_residual": cert.abs_residual,
             "forced_constant": cert.target_A,
         }
         report["tolerances"] = {"tol": args.tol}
@@ -222,6 +223,7 @@ def cmd_optimize(args) -> int:
             "iterations": len(trace.values) - 1,
             "certified_tight": cert.tight,
             "certify_residual": cert.residual,
+            "certify_abs_residual": cert.abs_residual,
             "frame_file": args.output,
             "trace_file": args.trace,
         },

@@ -20,18 +20,21 @@ from .errors import (
     FrameFormatError,
     GroupTooLarge,
     NotOrthogonal,
+    ParameterError,
     SizeGuardExceeded,
     UnknownName,
 )
 from .frames import WeightedFrame, build_frame
 from .homogeneous import HomogeneousPoly, monomial_count
-from .subspaces import Subspace, make_subspace, projector
+from .subspaces import Subspace, make_subspace
 
 GROUP_DEDUP_TOL = 1e-8
 GROUP_ORTHO_TOL = 1e-10
 ORBIT_DEDUP_TOL = 1e-8
 REYNOLDS_GUARD = 10 ** 5
 DEFAULT_MAX_ORDER = 20_000
+# Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
+CATALOG_ARG_MAX = 1000
 
 
 @dataclass(frozen=True)
@@ -175,15 +178,19 @@ def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
     image (stabilizer duplicates collapse)."""
     if seed.ambient_dim != group.d:
         raise DimensionError("seed ambient dimension differs from the group")
+    images = np.stack(group.elements) @ seed.basis
+    projs = images @ images.transpose(0, 2, 1)
+    # 6-decimal keys (+ 0.0 folds -0.0 into 0.0); a bucket is re-checked at
+    # ORBIT_DEDUP_TOL, and the first image of each projector is kept
+    keys = np.round(projs, 6) + 0.0
+    buckets: dict = {}
     kept: list = []
-    projs: list = []
-    for g in group.elements:
-        cand = Subspace(group.d, g @ seed.basis)
-        pc = projector(cand)
-        if not any(np.abs(pc - q).max() <= ORBIT_DEDUP_TOL for q in projs):
-            kept.append(cand)
-            projs.append(pc)
-    return WeightedFrame(group.d, tuple((s, 1.0) for s in kept))
+    for i, key in enumerate(keys):
+        bucket = buckets.setdefault(key.tobytes(), [])
+        if not any(np.abs(projs[i] - projs[j]).max() <= ORBIT_DEDUP_TOL for j in bucket):
+            bucket.append(i)
+            kept.append(i)
+    return WeightedFrame(group.d, tuple((Subspace(group.d, images[i]), 1.0) for i in kept))
 
 
 def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:
@@ -333,6 +340,8 @@ def catalog(name: str) -> WeightedFrame:
         n = int(arg)
         if n < 2:
             raise UnknownName("equispaced-lines needs n >= 2")
+        if n > CATALOG_ARG_MAX:
+            raise ParameterError(f"equispaced-lines needs n <= {CATALOG_ARG_MAX}")
         return _equispaced_lines(n)
     if base == "mub-planes-r4" and arg is None:
         return realify(mub_lines_c2())
@@ -340,6 +349,8 @@ def catalog(name: str) -> WeightedFrame:
         d = int(arg)
         if d < 2:
             raise UnknownName("cross-polytope-lines needs d >= 2")
+        if d > CATALOG_ARG_MAX:
+            raise ParameterError(f"cross-polytope-lines needs d <= {CATALOG_ARG_MAX}")
         eye = np.eye(d)
         return build_frame([eye[:, [j]] for j in range(d)])
     if base == "weyl-a2-orbit" and arg is not None:

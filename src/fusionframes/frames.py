@@ -3,7 +3,10 @@ certificates, and the weight/subspace transformations that preserve tightness.
 
 Tightness of order p means sum_j w_j ||P_j x||^(2p) = A ||x||^(2p) for every
 x.  Both sides are homogeneous polynomials of degree 2p, so the identity is
-certified exactly by comparing coefficients; no sampling is involved.
+certified exactly by comparing coefficients; no sampling is involved.  The
+left side is expanded for all members at once by the dense coefficient
+engine of ``homogeneous``, and the largest coefficient gap is normalized by
+the largest coefficient of the right side before it meets the tolerance.
 """
 from __future__ import annotations
 
@@ -23,14 +26,14 @@ from .errors import (
 from .homogeneous import (
     HomogeneousPoly,
     check_size_guard,
-    quadratic_form,
-    sum_of_squares_power,
+    sum_of_squares_coeffs,
+    weighted_power_sum,
 )
 from .subspaces import Subspace, complement, make_subspace, projector
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
 POWER_FORM_GUARD = 10 ** 6
-# Default tolerance on the coefficient residual of a certificate.
+# Default tolerance on the normalized coefficient residual of a certificate.
 CERTIFY_TOL = 1e-9
 # Frame files must be orthonormal to this much before re-orthonormalization.
 READ_CORRECTION_TOL = 1e-6
@@ -91,12 +94,18 @@ class WeightedFrame:
 
 @dataclass(frozen=True)
 class TightnessCertificate:
-    """Outcome of an exact order-p tightness check."""
+    """Outcome of an exact order-p tightness check.
+
+    ``abs_residual`` is the largest coefficient gap between
+    sum_j w_j ||P_j x||^(2p) and A ||x||^(2p); ``residual`` is that gap over
+    the largest coefficient of A ||x||^(2p), and the frame is tight when it
+    is at most ``tol``."""
 
     p: int
     target_A: float
     residual: float
     tol: float
+    abs_residual: float
 
     @property
     def tight(self) -> bool:
@@ -160,16 +169,18 @@ def reconstruct(frame: WeightedFrame, fs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tightness certificate
 
-def power_form(frame: WeightedFrame, p: int) -> HomogeneousPoly:
-    """Exact expansion of sum_j w_j (x^T P_j x)^p as a degree-2p polynomial."""
+def _power_coeffs(frame: WeightedFrame, p: int) -> np.ndarray:
+    """Dense coefficients of sum_j w_j (x^T P_j x)^p over the degree-2p
+    monomials, every member at once."""
     if p < 1:
         raise DimensionError("p must be >= 1")
     check_size_guard(frame.ambient_dim, 2 * p, POWER_FORM_GUARD)
-    total = HomogeneousPoly(frame.ambient_dim, 2 * p, {})
-    for sub, w in frame.entries:
-        q = quadratic_form(projector(sub))
-        total = total.add(q.power(p).scaled(w))
-    return total
+    return weighted_power_sum([sub.basis for sub in frame.subspaces], frame.weights, p)
+
+
+def power_form(frame: WeightedFrame, p: int) -> HomogeneousPoly:
+    """Exact expansion of sum_j w_j (x^T P_j x)^p as a degree-2p polynomial."""
+    return HomogeneousPoly.from_dense(frame.ambient_dim, 2 * p, _power_coeffs(frame, p))
 
 
 def pochhammer_ratio(k: int, d: int, p: int) -> Fraction:
@@ -196,12 +207,16 @@ def certify_tight(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL) -> Tig
 
     The forced constant is computed in closed form, never fitted.  Two
     homogeneous polynomials agree on all of R^d iff their coefficients agree,
-    so the residual (max coefficient mismatch) is a complete certificate.
+    so the largest coefficient mismatch is a complete certificate.  It is
+    divided by the largest coefficient of A (x_1^2 + ... + x_d^2)^p before
+    the comparison with ``tol``, so the verdict does not depend on the
+    weight scale.
     """
     a = tightness_constant(frame, p)
-    lhs = power_form(frame, p)
-    rhs = sum_of_squares_power(frame.ambient_dim, p).scaled(a)
-    return TightnessCertificate(p=p, target_A=a, residual=lhs.max_coeff_diff(rhs), tol=tol)
+    rhs = a * sum_of_squares_coeffs(frame.ambient_dim, p)
+    gap = float(np.abs(_power_coeffs(frame, p) - rhs).max())
+    return TightnessCertificate(p=p, target_A=a, residual=gap / float(rhs.max()),
+                                tol=tol, abs_residual=gap)
 
 
 def evaluate_power_form(frame: WeightedFrame, p: int, xs: np.ndarray) -> np.ndarray:

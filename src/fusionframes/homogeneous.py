@@ -1,19 +1,42 @@
-"""Sparse homogeneous polynomials in d real variables.
+"""Homogeneous polynomials in d real variables, and the dense coefficient
+engine behind exact tightness certificates.
 
-Coefficients are stored in a dict keyed by exponent tuples.  Only the small
-set of operations needed for exact tightness certificates is provided:
-products, linear combinations, evaluation, and the expansion of
-(x_1^2 + ... + x_d^2)^p.
+The engine stores a homogeneous polynomial of degree k as a float vector
+over the C(d+k-1, k) monomials of that degree.  A monomial is named by the
+sorted tuple c_0 <= ... <= c_{k-1} of its variable indices (x_0^2 x_2 is
+(0, 0, 2)), and its position in the vector is the colexicographic rank
+
+    sum_i C(c_i + i, i + 1),
+
+so x_0^k comes first, then x_0^(k-1) x_1, x_0^(k-2) x_1^2, ..., and
+x_{d-1}^k last.  The product of two monomials is the sorted concatenation
+of their tuples, so the table that sends a pair of monomials of degrees
+(k-2, 2) to the rank of their product is a few numpy operations.
+``weighted_power_sum`` expands sum_j w_j q_j^p for many quadratic forms
+q_j at once: powers grow by one quadratic factor per step, each step an
+outer product per member summed into monomials by ``np.bincount``, and the
+last step is a single matrix product summed over the members.  Tables are
+built lazily and cached per (d, degree); members are processed in chunks
+of a fixed element budget.
+
+``HomogeneousPoly`` is the sparse form keyed by exponent tuples, kept for
+small products, evaluation and display.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
 from .errors import DimensionError, SizeGuardExceeded
+
+# Elements of the largest temporary array of a chunk of members or of a
+# table build block.
+_CHUNK_ELEMENTS = 1 << 14
 
 
 def monomial_count(d: int, degree: int) -> int:
@@ -29,6 +52,105 @@ def check_size_guard(d: int, degree: int, limit: int) -> None:
         )
 
 
+# ---------------------------------------------------------------------------
+# dense coefficient engine
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=32)
+def _rank_binomials(d: int, degree: int) -> np.ndarray:
+    """C(v + i, i + 1) for positions i < degree and variables v < d."""
+    return _frozen(np.array([[comb(v + i, i + 1) for v in range(d)]
+                             for i in range(degree)], dtype=np.int64).reshape(degree, d))
+
+
+def monomial_rank(indices: np.ndarray, d: int) -> np.ndarray:
+    """Ranks of monomials given as sorted variable-index tuples along the
+    last axis."""
+    degree = indices.shape[-1]
+    return _rank_binomials(d, degree)[np.arange(degree), indices].sum(axis=-1)
+
+
+def monomials(d: int, degree: int) -> np.ndarray:
+    """The degree-``degree`` monomials in rank order, one sorted
+    variable-index tuple per row."""
+    combos = list(combinations_with_replacement(range(d), degree))
+    combos = np.array(combos, dtype=np.intp).reshape(len(combos), degree)
+    out = np.empty_like(combos)
+    out[monomial_rank(combos, d)] = combos
+    return out
+
+
+@lru_cache(maxsize=32)
+def product_table(d: int, degree: int) -> np.ndarray:
+    """(m_{degree-2}, m_2) ranks of the products of a degree-(degree - 2)
+    monomial with a degree-2 monomial, for degree >= 2."""
+    left, right = monomials(d, degree - 2), monomials(d, 2)
+    table = np.empty((len(left), len(right)), dtype=np.intp)
+    block = max(1, _CHUNK_ELEMENTS // (len(right) * degree))
+    for lo in range(0, len(left), block):
+        part = left[lo:lo + block]
+        shape = (len(part), len(right))
+        merged = np.concatenate([np.broadcast_to(part[:, None, :], shape + (degree - 2,)),
+                                 np.broadcast_to(right[None, :, :], shape + (2,))], axis=-1)
+        table[lo:lo + block] = monomial_rank(np.sort(merged, axis=-1), d)
+    return _frozen(table)
+
+
+def quadratic_rows(mats: np.ndarray) -> np.ndarray:
+    """Degree-2 coefficient vectors of x^T M x, one row per matrix in a
+    stack of shape (n, d, d); M need not be symmetric."""
+    mats = np.asarray(mats, dtype=float)
+    b, a = np.tril_indices(mats.shape[-1])     # pairs a <= b in rank order
+    return (mats[:, a, b] + mats[:, b, a]) * np.where(a == b, 0.5, 1.0)
+
+
+def weighted_power_sum(factors, weights, p: int) -> np.ndarray:
+    """Coefficients of sum_j w_j ||F_j^T x||^(2p) over the degree-2p
+    monomials, for a list of d x k_j matrices F_j (k_j may differ)."""
+    if p < 1:
+        raise DimensionError("power must be >= 1")
+    weights = np.asarray(weights, dtype=float)
+    d = factors[0].shape[0]
+    last = product_table(d, 2 * p)
+    top = np.zeros(last.shape)     # sum_j w_j q_j^(p-1) (x) q_j
+    # per member: a projector, q^(p-1), and the outer product of the last
+    # power step
+    step = product_table(d, 2 * p - 2).size if p > 2 else 0
+    chunk = max(1, _CHUNK_ELEMENTS // max(d * d, last.shape[0], step))
+    for lo in range(0, len(factors), chunk):
+        q = quadratic_rows(np.stack([f @ f.T for f in factors[lo:lo + chunk]]))
+        c = len(q)
+        power = q if p > 1 else np.ones((c, 1))     # q^(s-1) entering step s
+        for s in range(2, p):
+            m = monomial_count(d, 2 * s)
+            outer = power[:, :, None] * q[:, None, :]
+            idx = np.arange(0, c * m, m)[:, None, None] + product_table(d, 2 * s)
+            power = np.bincount(idx.ravel(), weights=outer.ravel(),
+                                minlength=c * m).reshape(c, m)
+        top += (weights[lo:lo + chunk, None] * power).T @ q
+    return np.bincount(last.ravel(), weights=top.ravel(),
+                       minlength=monomial_count(d, 2 * p))
+
+
+@lru_cache(maxsize=32)
+def sum_of_squares_coeffs(d: int, p: int) -> np.ndarray:
+    """Coefficients of (x_1^2 + ... + x_d^2)^p over the degree-2p monomials:
+    the multinomial p! / prod_v c_v! at prod_v x_v^(2 c_v), zero elsewhere."""
+    half = monomials(d, p)
+    out = np.zeros(monomial_count(d, 2 * p))
+    out[monomial_rank(np.repeat(half, 2, axis=1), d)] = [
+        float(factorial(p) // prod(factorial(c) for c in Counter(row).values()))
+        for row in half.tolist()]
+    return _frozen(out)
+
+
+# ---------------------------------------------------------------------------
+# sparse form
+
 @dataclass(frozen=True)
 class HomogeneousPoly:
     """Homogeneous polynomial; every exponent tuple has length d and the
@@ -43,6 +165,18 @@ class HomogeneousPoly:
             if len(e) != self.ambient_dim or sum(e) != self.degree:
                 raise DimensionError(f"bad exponent vector {e} for (d={self.ambient_dim}, "
                                      f"degree={self.degree})")
+
+    @classmethod
+    def from_dense(cls, d: int, degree: int, coeffs: np.ndarray) -> "HomogeneousPoly":
+        """The nonzero entries of a coefficient vector in rank order."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        nonzero = np.flatnonzero(coeffs)
+        exps = np.zeros((len(nonzero), d), dtype=np.intp)
+        rows = np.arange(len(nonzero))
+        for col in monomials(d, degree)[nonzero].T:
+            exps[rows, col] += 1
+        return cls(d, degree, dict(zip(map(tuple, exps.tolist()),
+                                       coeffs[nonzero].tolist())))
 
     def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         if self.ambient_dim != other.ambient_dim:
@@ -90,31 +224,11 @@ class HomogeneousPoly:
 
 
 def quadratic_form(mat: np.ndarray) -> HomogeneousPoly:
-    """x^T M x as a degree-2 polynomial, for symmetric M."""
+    """x^T M x as a degree-2 polynomial."""
     m = np.asarray(mat, dtype=float)
-    d = m.shape[0]
-    coeffs: dict = {}
-    for i in range(d):
-        e = [0] * d
-        e[i] = 2
-        coeffs[tuple(e)] = float(m[i, i])
-        for j in range(i + 1, d):
-            e = [0] * d
-            e[i] = 1
-            e[j] = 1
-            coeffs[tuple(e)] = float(m[i, j] + m[j, i])
-    return HomogeneousPoly(d, 2, {e: c for e, c in coeffs.items() if c != 0.0})
+    return HomogeneousPoly.from_dense(m.shape[0], 2, quadratic_rows(m[None])[0])
 
 
 def sum_of_squares_power(d: int, p: int) -> HomogeneousPoly:
     """Multinomial expansion of (x_1^2 + ... + x_d^2)^p."""
-    coeffs: dict = {}
-    for alpha in combinations_with_replacement(range(d), p):
-        counts = [0] * d
-        for i in alpha:
-            counts[i] += 1
-        c = factorial(p)
-        for ci in counts:
-            c //= factorial(ci)
-        coeffs[tuple(2 * ci for ci in counts)] = float(c)
-    return HomogeneousPoly(d, 2 * p, coeffs)
+    return HomogeneousPoly.from_dense(d, 2 * p, sum_of_squares_coeffs(d, p))

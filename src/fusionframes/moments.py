@@ -39,6 +39,8 @@ DEFAULT_MC_BUDGET = 100_000
 # The exact sum runs over the partitions of p; past p = 20 it takes seconds
 # per moment and grows quickly, so larger powers are refused.
 P_MAX = 20
+# Largest d of a moment table, which has (d - 1)^2 entries.
+T_MATRIX_D_MAX = 100
 
 
 def t_one(k: int, d: int, p: int) -> float:
@@ -164,16 +166,23 @@ class TMatrix:
 
 def t_matrix(d: int, p: int, budget: int = DEFAULT_MC_BUDGET,
              rng: np.random.Generator | None = None) -> TMatrix:
-    """Fill the full moment table from ``t_exact``; every error is 0.
+    """Fill the full moment table with the ``t_exact`` sums; every error is 0.
 
-    ``budget`` and ``rng`` are accepted for compatibility and ignored: no
-    entry is sampled."""
-    if d < 2:
-        raise ParameterError("d must be >= 2")
+    Each C_kappa(I_m) is computed once per table.  ``budget`` and ``rng``
+    are accepted for compatibility and ignored: no entry is sampled."""
+    if not 2 <= d <= T_MATRIX_D_MAX:
+        raise ParameterError(f"d={d} not in [2, {T_MATRIX_D_MAX}]")
+    _check_moment_args(1, 1, d, p)
+    kappas = list(_partitions(p, d - 1))
+    # zonal[i][m - 1] = C_kappa_i(I_m) for m = 1..d
+    zonal = [[_zonal_at_identity(kappa, m) for m in range(1, d + 1)] for kappa in kappas]
     values = np.zeros((d - 1, d - 1))
     for k in range(1, d):
+        terms = [(z[k - 1] / z[d - 1], z) for kappa, z in zip(kappas, zonal)
+                 if len(kappa) <= k]
         for l in range(k, d):
-            values[k - 1, l - 1] = values[l - 1, k - 1] = float(t_exact(k, l, d, p))
+            exact = sum((ratio * z[l - 1] for ratio, z in terms), start=Fraction(0))
+            values[k - 1, l - 1] = values[l - 1, k - 1] = float(exact)
     methods = tuple(("closed-form",) * (d - 1) for _ in range(d - 1))
     return TMatrix(d=d, p=p, values=values, errors=np.zeros((d - 1, d - 1)),
                    methods=methods)

@@ -45,6 +45,8 @@ def test_check_tight_verdicts(mercedes_file, capsys):
     assert report["results"]["verdict"] == "tight"
     assert report["results"]["forced_constant"] == pytest.approx(9 / 8)
     assert report["results"]["residual"] < 1e-12
+    assert list(report["results"]) == ["verdict", "residual", "abs_residual",
+                                       "forced_constant"]
     assert list(report)[-1] == "wall_time_s"
 
     code, out, _ = run(["check", mercedes_file, "--p", "3", "--mode", "tight"],
@@ -175,6 +177,7 @@ def test_optimize_success(tmp_path, capsys):
     assert report["results"]["success"] is True
     assert report["results"]["margin"] < 1e-5
     assert report["results"]["certified_tight"] is True
+    assert report["results"]["certify_abs_residual"] >= 0.0
     assert certify_tight(load_frame(frame_path), 2, tol=1e-6).tight
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -239,9 +242,15 @@ def test_error_exit_codes(tmp_path, capsys):
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "FrameFormatError"
 
-    code, out, err = run(["moments", "--d", "8", "--p", "1000"], capsys)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "ParameterError"
+    for argv in (["moments", "--d", "8", "--p", "1000"],
+                 ["moments", "--d", "10000000", "--p", "2"],
+                 ["gen", "catalog", "equispaced-lines(99999999)",
+                  "-o", str(tmp_path / "x.json")],
+                 ["gen", "catalog", "cross-polytope-lines(99999999)",
+                  "-o", str(tmp_path / "x.json")]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"] == "ParameterError"
 
     with pytest.raises(SystemExit) as exc:
         main(["check", "whatever.json", "--p", "1"])   # --mode is required

@@ -10,6 +10,7 @@ from fusionframes import (
     GroupTooLarge,
     MatrixGroup,
     NotOrthogonal,
+    ParameterError,
     SizeGuardExceeded,
     UnknownName,
     catalog,
@@ -32,7 +33,7 @@ from fusionframes import (
     tightness_constant,
     weyl_a2_group,
 )
-from fusionframes.constructions import _reflection
+from fusionframes.constructions import CATALOG_ARG_MAX, ORBIT_DEDUP_TOL, _reflection
 
 
 def rotation(theta):
@@ -112,6 +113,42 @@ def test_orbit_theorem_round_trip(rng):
         not certify_tight(orbit_frame(refl, haar_random(2, 1, rng)), 1).tight
         for _ in range(50))
     assert failures >= 1
+
+
+def coxeter_roots(branches) -> np.ndarray:
+    """Unit simple roots of a linear Coxeter diagram, as rows: the Cholesky
+    factor of the root Gram matrix."""
+    r = len(branches) + 1
+    gram = np.eye(r)
+    for i, m in enumerate(branches):
+        gram[i, i + 1] = gram[i + 1, i] = -np.cos(np.pi / m)
+    return np.linalg.cholesky(gram)
+
+
+@pytest.mark.parametrize("branches, order, sizes", [
+    ((3,), 6, (6, 3)),              # A2: -I is not in the group
+    ((5, 3), 120, (60, 30)),        # H3
+    ((3, 4, 3), 1152, (576, 288)),  # F4
+])
+def test_orbit_sizes_follow_orbit_stabilizer(branches, order, sizes, rng):
+    roots = coxeter_roots(branches)
+    group = close_group([np.eye(len(roots)) - 2 * np.outer(r, r) for r in roots])
+    assert len(group) == order
+    generic = rng.standard_normal(len(roots))
+    on_mirror = generic - (generic @ roots[0]) * roots[0]
+    elements = np.stack(group.elements)
+    for v, size in zip((generic, on_mirror), sizes):
+        v = v / np.linalg.norm(v)
+        stabilizer = int((np.abs(np.abs(elements @ v @ v) - 1) < 1e-9).sum())
+        orbit = orbit_frame(group, make_subspace(v[:, None]))
+        assert len(orbit) == order // stabilizer == size
+        # members come in the order of their first image, as in a linear scan
+        images = elements @ v
+        first = [i for i in range(order)
+                 if not (np.abs(np.abs(images[:i] @ images[i]) - 1)
+                         <= ORBIT_DEDUP_TOL).any()]
+        for i, sub in zip(first, orbit.subspaces):
+            assert np.abs(projector(sub) - np.outer(images[i], images[i])).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +267,13 @@ def test_catalog_unknown_names():
                 "mercedes(3)", "weyl-a2-orbit(2)", "cross-polytope-lines(1)"):
         with pytest.raises(UnknownName):
             catalog(bad)
+
+
+def test_catalog_size_guards():
+    assert len(catalog(f"equispaced-lines({CATALOG_ARG_MAX})")) == CATALOG_ARG_MAX
+    for name in ("equispaced-lines", "cross-polytope-lines"):
+        with pytest.raises(ParameterError):
+            catalog(f"{name}({CATALOG_ARG_MAX + 1})")
 
 
 # ---------------------------------------------------------------------------

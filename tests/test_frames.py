@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionframes import (
     DimensionError,
@@ -9,6 +12,8 @@ from fusionframes import (
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
+    SizeGuardExceeded,
+    Subspace,
     WeightedFrame,
     analysis,
     build_frame,
@@ -16,6 +21,7 @@ from fusionframes import (
     certify_tight,
     complement_frame,
     evaluate_power_form,
+    extend,
     frame_from_dict,
     frame_operator,
     frame_to_dict,
@@ -33,6 +39,8 @@ from fusionframes import (
     tightness_constant,
     union,
 )
+from fusionframes.frames import POWER_FORM_GUARD
+from fusionframes.homogeneous import monomial_count
 
 
 def line(theta):
@@ -190,6 +198,114 @@ def test_certifier_soundness_on_catalog():
         vals = evaluate_power_form(f, p, xs)
         assert abs(vals.max() - cert.target_A) < 1e-8
         assert abs(vals.min() - cert.target_A) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_power_form_matches_sampling(d, p, n, seed):
+    # mixed member dimensions and weights; evaluate_power_form never expands
+    rng = np.random.default_rng(seed)
+    frame = WeightedFrame(d, tuple(
+        (haar_random(d, int(rng.integers(1, d)), rng), float(rng.uniform(0.1, 3.0)))
+        for _ in range(n)))
+    pf = power_form(frame, p)
+    xs = rng.standard_normal((8, d))
+    for x, v in zip(xs, evaluate_power_form(frame, p, xs)):
+        assert abs(pf(x) - v) <= 1e-12 * frame.weights.sum() * (x @ x) ** p
+
+
+def e8_root_lines() -> list:
+    """One unit vector from each of the 120 pairs +-r of E8 roots."""
+    roots = []
+    for i, j in itertools.combinations(range(8), 2):
+        for sj in (1.0, -1.0):
+            v = np.zeros(8)
+            v[i], v[j] = 1.0, sj
+            roots.append(v)
+    for signs in itertools.product((0.5, -0.5), repeat=7):
+        if signs[0] > 0:
+            last = 0.5 if signs.count(-0.5) % 2 == 0 else -0.5
+            roots.append(np.array(signs + (last,)))
+    return [r[:, None] / np.linalg.norm(r) for r in roots]
+
+
+def test_e8_root_lines_tight_through_p3():
+    # the E8 roots form a spherical 7-design and not an 8-design
+    frame = build_frame(e8_root_lines())
+    assert len(frame) == 120
+    for p in (1, 2, 3):
+        assert certify_tight(frame, p).tight, p
+    assert not certify_tight(frame, 4).tight
+
+
+def test_certify_size_guard():
+    # degree-6 monomials in 30 variables exceed the guard
+    assert monomial_count(30, 6) > POWER_FORM_GUARD
+    frame = build_frame([np.eye(30)[:, [0]]])
+    with pytest.raises(SizeGuardExceeded):
+        certify_tight(frame, 3)
+    with pytest.raises(SizeGuardExceeded):
+        power_form(frame, 3)
+
+
+def test_verdict_ignores_weight_scale(mercedes):
+    # an absolute gap of 1.2e-12 passed a 1e-9 tolerance, and 1.2e-7 failed it
+    assert not certify_tight(catalog("cross-polytope-lines(3)").rescaled(1e-12), 2).tight
+    cert = certify_tight(mercedes.rescaled(1e8), 2)
+    assert cert.tight
+    # residual = gap / largest coefficient of A (x^2 + y^2)^2, which is 2A
+    assert cert.abs_residual == pytest.approx(2 * cert.target_A * cert.residual, rel=1e-12)
+
+
+def _mixed_tight_frame():
+    mercedes, mub = catalog("mercedes"), catalog("mub-planes-r4")
+    return union(extend(mercedes, mub), mub)
+
+
+INVARIANCE_CASES = [
+    (lambda: catalog("mercedes"), (2, 3)),
+    (lambda: catalog("mub-planes-r4"), (3, 4)),
+    (lambda: catalog("cross-polytope-lines(3)"), (1, 2)),
+    (lambda: catalog("equispaced-lines(5)"), (4, 5)),
+    (lambda: reweight_down(_mixed_tight_frame(), 2), (2, 3)),
+    (_mixed_tight_frame, (2, 3)),
+]
+
+
+def _rotated_bases(frame, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((frame.ambient_dim,) * 2))
+    return WeightedFrame(frame.ambient_dim, tuple(
+        (Subspace(frame.ambient_dim, q @ s.basis), w) for s, w in frame.entries))
+
+
+def _other_representatives(frame, rng):
+    out = []
+    for s, w in frame.entries:
+        q, _ = np.linalg.qr(rng.standard_normal((s.dim, s.dim)))
+        out.append((Subspace(frame.ambient_dim, s.basis @ q), w))
+    return WeightedFrame(frame.ambient_dim, tuple(out))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(len(INVARIANCE_CASES))), st.floats(-12.0, 8.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_verdict_invariances(case, log_scale, seed):
+    # each case is tight at its first order and not at its second
+    build, orders = INVARIANCE_CASES[case]
+    frame = build()
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(frame))
+    variants = {
+        "scaled": frame.rescaled(10.0 ** log_scale),
+        "rotated": _rotated_bases(frame, rng),
+        "representatives": _other_representatives(frame, rng),
+        "permuted": WeightedFrame(frame.ambient_dim,
+                                  tuple(frame.entries[i] for i in perm)),
+    }
+    for p, want in zip(orders, (True, False)):
+        assert certify_tight(frame, p).tight == want
+        for label, variant in variants.items():
+            assert certify_tight(variant, p).tight == want, (label, p)
 
 
 # ---------------------------------------------------------------------------

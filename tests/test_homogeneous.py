@@ -9,7 +9,13 @@ from fusionframes import (
     quadratic_form,
     sum_of_squares_power,
 )
-from fusionframes.homogeneous import check_size_guard
+from fusionframes import homogeneous
+from fusionframes.homogeneous import (
+    check_size_guard,
+    monomial_rank,
+    monomials,
+    weighted_power_sum,
+)
 
 
 def test_monomial_count():
@@ -83,3 +89,51 @@ def test_add_and_scale():
     assert b.max_coeff_diff(HomogeneousPoly(2, 2, {})) == 0.0
     with pytest.raises(DimensionError):
         a.add(HomogeneousPoly(2, 4, {}))
+
+
+def test_monomial_ranks_enumerate_each_degree():
+    for d in (2, 3, 5):
+        for degree in range(7):
+            mons = monomials(d, degree)
+            assert mons.shape == (monomial_count(d, degree), degree)
+            assert (np.diff(mons, axis=1) >= 0).all()
+            assert len({tuple(m) for m in mons.tolist()}) == len(mons)
+            assert np.array_equal(monomial_rank(mons, d), np.arange(len(mons)))
+    assert monomials(3, 2).tolist() == [[0, 0], [0, 1], [1, 1], [0, 2], [1, 2], [2, 2]]
+
+
+def dict_power_sum(factors, weights, p):
+    """Reference: the sparse dict products, one member at a time."""
+    d = factors[0].shape[0]
+    total = HomogeneousPoly(d, 2 * p, {})
+    for f, w in zip(factors, weights):
+        total = total.add(quadratic_form(f @ f.T).power(p).scaled(w))
+    return total
+
+
+def random_factors(rng, d, n):
+    return [rng.standard_normal((d, int(rng.integers(1, d + 1)))) for _ in range(n)]
+
+
+def test_weighted_power_sum_matches_dict_products(rng):
+    for d, p in [(2, 1), (2, 5), (3, 3), (4, 2), (5, 4)]:
+        factors = random_factors(rng, d, 4)
+        weights = rng.uniform(0.2, 2.0, 4)
+        dense = HomogeneousPoly.from_dense(d, 2 * p, weighted_power_sum(factors, weights, p))
+        ref = dict_power_sum(factors, weights, p)
+        scale = max(abs(c) for c in ref.coeffs.values())
+        assert dense.max_coeff_diff(ref) <= 1e-13 * scale, (d, p)
+
+
+def test_weighted_power_sum_chunking(rng, monkeypatch):
+    # a tiny element budget splits members and table rows into many chunks;
+    # the tables do not depend on it, so the cache is cleared only to rebuild
+    # them in blocks
+    factors = random_factors(rng, 4, 7)
+    weights = rng.uniform(0.2, 2.0, 7)
+    whole = [weighted_power_sum(factors, weights, p) for p in (1, 3)]
+    homogeneous.product_table.cache_clear()
+    monkeypatch.setattr(homogeneous, "_CHUNK_ELEMENTS", 50)
+    for p, ref in zip((1, 3), whole):
+        split = weighted_power_sum(factors, weights, p)
+        assert np.abs(split - ref).max() <= 1e-13 * np.abs(ref).max()

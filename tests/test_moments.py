@@ -33,7 +33,7 @@ from fusionframes import (
     t_one,
 )
 
-from fusionframes.moments import P_MAX, _partitions, _zonal_at_identity
+from fusionframes.moments import P_MAX, T_MATRIX_D_MAX, _partitions, _zonal_at_identity
 from test_frames import random_frame
 
 
@@ -199,6 +199,14 @@ def test_t_matrix():
             assert e == (float(t_exact(k, l, 5, 2)), 0.0, "closed-form")
     rows = t52.rows()
     assert len(rows) == 10 and rows[0][:3] == (1, 1, 2)
+    # partitions with more parts than min(k, l) drop out entry by entry
+    t74 = t_matrix(7, 4)
+    for k in range(1, 7):
+        for l in range(1, 7):
+            assert t74.values[k - 1, l - 1] == float(t_exact(k, l, 7, 4))
+    for d in (1, T_MATRIX_D_MAX + 1):
+        with pytest.raises(ParameterError):
+            t_matrix(d, 2)
 
 
 # ---------------------------------------------------------------------------
