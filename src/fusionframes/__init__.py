@@ -78,8 +78,10 @@ from .moments import (
 from .optimizer import (
     OptimizerConfig,
     OptimizerTrace,
+    SphereBounds,
     ffp_gradient,
     minimize_ffp,
+    sphere_bounds,
     sphere_extrema,
 )
 from .potential import (

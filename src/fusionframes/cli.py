@@ -32,7 +32,7 @@ from .constructions import (
 from .errors import FusionFrameError
 from .frames import certify_tight, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
-from .optimizer import OptimizerConfig, minimize_ffp, sphere_extrema
+from .optimizer import STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
 from .potential import equiangularity, ffp
 from .subspaces import haar_random, make_subspace
 
@@ -50,6 +50,10 @@ def _emit(report: dict, started: float, stream=None) -> None:
 
 def _float_repr(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _stop_counts(reasons) -> dict:
+    return {reason: reasons.count(reason) for reason in STOP_REASONS}
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +107,12 @@ def cmd_check(args) -> int:
         exit_code = 0 if rep.is_equiangular else 1
     else:   # bounds
         rng = np.random.default_rng(args.seed)
-        lo, hi = sphere_extrema(frame, args.p, restarts=args.restarts, rng=rng)
+        bounds = sphere_bounds(frame, args.p, restarts=args.restarts, rng=rng)
         report["results"] = {
-            "a_estimate": lo,
-            "b_estimate": hi,
+            "a_estimate": bounds.lo,
+            "b_estimate": bounds.hi,
             "ffp": ffp(frame, args.p),
+            "stop_reasons": _stop_counts(bounds.stop_reasons),
             "note": "sphere extrema are numeric estimates, not certificates",
         }
         report["tolerances"] = {"restarts": args.restarts}
@@ -221,6 +226,8 @@ def cmd_optimize(args) -> int:
             "grad_norm": trace.grad_norm,
             "best_restart": trace.restart_index,
             "iterations": len(trace.values) - 1,
+            "stop_reason": trace.restart_stop_reasons[trace.restart_index],
+            "stop_reasons": _stop_counts(trace.restart_stop_reasons),
             "certified_tight": cert.tight,
             "certify_residual": cert.residual,
             "certify_abs_residual": cert.abs_residual,

@@ -21,17 +21,22 @@ EQUIANGULAR_TOL = 1e-8
 DISTINCT_TOL = 1e-8
 
 
+def cross_gram(bases: np.ndarray, dims: np.ndarray) -> tuple:
+    """M = bases^T bases for member bases B_i set side by side as column
+    blocks of widths ``dims`` in ``bases`` (..., d, K), and the overlaps
+    S[..., i, j] = ||B_i^T B_j||_F^2 = trace(P_i P_j): squares of M summed
+    per block, with the exact dims on the diagonal."""
+    m = np.swapaxes(bases, -1, -2) @ bases
+    starts = np.cumsum(dims) - dims
+    s = np.add.reduceat(np.add.reduceat(m * m, starts, axis=-2), starts, axis=-1)
+    s[..., np.arange(len(dims)), np.arange(len(dims))] = dims
+    return m, s
+
+
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
     """Pairwise table G[i, j] = trace(P_i P_j) = ||B_i^T B_j||_F^2."""
-    n = len(frame)
-    g = np.empty((n, n))
-    subs = frame.subspaces
-    for i in range(n):
-        g[i, i] = subs[i].dim
-        for j in range(i + 1, n):
-            m = subs[i].basis.T @ subs[j].basis
-            g[i, j] = g[j, i] = (m * m).sum()
-    return g
+    bases = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+    return cross_gram(bases, frame.dims)[1]
 
 
 def ffp(frame: WeightedFrame, p: int) -> float:

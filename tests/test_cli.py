@@ -82,6 +82,12 @@ def test_check_equiangular_and_bounds(mercedes_file, capsys):
     assert code == 0
     assert report["results"]["a_estimate"] == pytest.approx(9 / 8, abs=1e-6)
     assert report["results"]["b_estimate"] == pytest.approx(9 / 8, abs=1e-6)
+    assert list(report["results"]) == ["a_estimate", "b_estimate", "ffp",
+                                       "stop_reasons", "note"]
+    counts = report["results"]["stop_reasons"]
+    assert list(counts) == ["gradient", "stagnation", "step-underflow", "max-iters"]
+    assert sum(counts.values()) == 16      # a min and a max descent per restart
+    assert list(report)[-1] == "wall_time_s"
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +184,16 @@ def test_optimize_success(tmp_path, capsys):
     assert report["results"]["margin"] < 1e-5
     assert report["results"]["certified_tight"] is True
     assert report["results"]["certify_abs_residual"] >= 0.0
+    assert list(report["results"]) == [
+        "ffp", "t_value", "t_error", "margin", "success", "grad_norm",
+        "best_restart", "iterations", "stop_reason", "stop_reasons",
+        "certified_tight", "certify_residual", "certify_abs_residual",
+        "frame_file", "trace_file"]
+    counts = report["results"]["stop_reasons"]
+    assert list(counts) == ["gradient", "stagnation", "step-underflow", "max-iters"]
+    assert sum(counts.values()) == 4
+    assert counts[report["results"]["stop_reason"]] >= 1
+    assert list(report)[-1] == "wall_time_s"
     assert certify_tight(load_frame(frame_path), 2, tol=1e-6).tight
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))

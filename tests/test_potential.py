@@ -46,6 +46,17 @@ def test_gram_matrix(mercedes):
     assert np.allclose(off, 0.25, atol=1e-12)
 
 
+def test_gram_matrix_matches_pairwise_loop(rng):
+    for _ in range(30):
+        f = random_frame(rng)
+        g = gram_matrix(f)
+        for i, si in enumerate(f.subspaces):
+            for j, sj in enumerate(f.subspaces):
+                m = si.basis.T @ sj.basis
+                want = si.dim if i == j else (m * m).sum()
+                assert g[i, j] == pytest.approx(want, abs=1e-12)
+
+
 def test_simplex_bound_examples(mercedes):
     assert simplex_bound_rhs(mercedes) == pytest.approx(0.25, abs=1e-12)
     assert max_offdiagonal(mercedes) == pytest.approx(0.25, abs=1e-12)
