@@ -26,7 +26,7 @@ from .errors import (
 )
 from .frames import WeightedFrame, build_frame
 from .homogeneous import HomogeneousPoly, monomial_count
-from .subspaces import Subspace, make_subspace
+from .subspaces import Subspace, check_orthonormal, make_subspace, stack_subspaces
 
 GROUP_DEDUP_TOL = 1e-8
 GROUP_ORTHO_TOL = 1e-10
@@ -190,7 +190,8 @@ def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
         if not any(np.abs(projs[i] - projs[j]).max() <= ORBIT_DEDUP_TOL for j in bucket):
             bucket.append(i)
             kept.append(i)
-    return WeightedFrame(group.d, tuple((Subspace(group.d, images[i]), 1.0) for i in kept))
+    subs = stack_subspaces(check_orthonormal(images[kept]))
+    return WeightedFrame(group.d, tuple((s, 1.0) for s in subs))
 
 
 def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:

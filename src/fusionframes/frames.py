@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +28,10 @@ from .homogeneous import (
     HomogeneousPoly,
     check_size_guard,
     sum_of_squares_coeffs,
+    weighted_gram,
     weighted_power_sum,
 )
-from .subspaces import Subspace, complement, make_subspace, projector
+from .subspaces import Subspace, complement, orthonormal_stack, stack_subspaces
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
 POWER_FORM_GUARD = 10 ** 6
@@ -80,6 +82,18 @@ class WeightedFrame:
             out[s.dim] = out.get(s.dim, 0.0) + w
         return out
 
+    @cached_property
+    def stacks(self) -> tuple:
+        """Members grouped by dimension, smallest first: one (bases, weights)
+        pair per dimension k, the (m_k, d, k) stack of the dimension-k bases
+        and their weights, each in frame order.  Built once per frame."""
+        groups: dict = {}
+        for i, (s, _) in enumerate(self.entries):
+            groups.setdefault(s.dim, []).append(i)
+        weights = self.weights
+        return tuple((np.stack([self.entries[i][0].basis for i in idx]), weights[idx])
+                     for _, idx in sorted(groups.items()))
+
     def equal_dims(self) -> bool:
         return len({s.dim for s, _ in self.entries}) == 1
 
@@ -112,16 +126,50 @@ class TightnessCertificate:
         return self.residual <= self.tol
 
 
+def _stacked_subspaces(mats: list, members, correction_tol=None) -> tuple:
+    """Subspaces of raw d x k_j matrices, validated by one
+    ``orthonormal_stack`` per width k, smallest k first.  With
+    ``correction_tol``, a basis the orthonormalization moves further than
+    that is a FrameFormatError.  ``members`` names the matrices in errors.
+    Returns the Subspaces in input order and the (positions, bases) of each
+    validated stack."""
+    subs = [None] * len(mats)
+    groups = []
+    widths = [a.shape[1] for a in mats]
+    for k in sorted(set(widths)):
+        idx = [i for i, w in enumerate(widths) if w == k]
+        raw = np.stack([mats[i] for i in idx])
+        q = orthonormal_stack(raw, [members[i] for i in idx])
+        if correction_tol is not None:
+            correction = np.abs(q - raw).max(axis=(1, 2))
+            bad = np.flatnonzero(correction > correction_tol)
+            if bad.size:
+                raise FrameFormatError(
+                    f"member {members[idx[bad[0]]]}: basis needed correction "
+                    f"{correction[bad[0]]:.2e} > {correction_tol}")
+        for i, sub in zip(idx, stack_subspaces(q)):
+            subs[i] = sub
+        groups.append((idx, q))
+    return subs, groups
+
+
 def build_frame(bases, weights=None) -> WeightedFrame:
-    """Convenience constructor from raw basis matrices; weights default to 1."""
-    subs = [b if isinstance(b, Subspace) else make_subspace(b) for b in bases]
+    """Convenience constructor from raw basis matrices or Subspaces; weights
+    default to 1.  Raw matrices are validated in batches of equal k."""
+    bases = list(bases)
     if weights is None:
-        weights = [1.0] * len(subs)
-    if len(weights) != len(subs):
+        weights = [1.0] * len(bases)
+    if len(weights) != len(bases):
         raise LengthMismatch("weights and bases differ in length")
-    if not subs:
+    if not bases:
         raise DimensionError("a frame needs at least one subspace")
-    return WeightedFrame(subs[0].ambient_dim, tuple(zip(subs, weights)))
+    raw = [i for i, b in enumerate(bases) if not isinstance(b, Subspace)]
+    mats = [np.atleast_2d(np.asarray(bases[i], dtype=float)) for i in raw]
+    if len({a.shape[0] for a in mats}) > 1:
+        raise DimensionError("bases differ in ambient dimension")
+    for i, s in zip(raw, _stacked_subspaces(mats, raw)[0]):
+        bases[i] = s
+    return WeightedFrame(bases[0].ambient_dim, tuple(zip(bases, weights)))
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +177,7 @@ def build_frame(bases, weights=None) -> WeightedFrame:
 
 def frame_operator(frame: WeightedFrame) -> np.ndarray:
     """S = sum_j w_j P_j, symmetric positive semidefinite."""
-    s = np.zeros((frame.ambient_dim, frame.ambient_dim))
-    for sub, w in frame.entries:
-        s += w * projector(sub)
-    return s
+    return weighted_gram(frame.stacks)
 
 
 def analysis(frame: WeightedFrame, x) -> list:
@@ -175,7 +220,7 @@ def _power_coeffs(frame: WeightedFrame, p: int) -> np.ndarray:
     if p < 1:
         raise DimensionError("p must be >= 1")
     check_size_guard(frame.ambient_dim, 2 * p, POWER_FORM_GUARD)
-    return weighted_power_sum([sub.basis for sub in frame.subspaces], frame.weights, p)
+    return weighted_power_sum(frame.stacks, p)
 
 
 def power_form(frame: WeightedFrame, p: int) -> HomogeneousPoly:
@@ -278,31 +323,48 @@ def frame_to_dict(frame: WeightedFrame) -> dict:
 
 def frame_from_dict(data: dict) -> WeightedFrame:
     """Parse the frame JSON structure; bases are lists of k columns of length
-    d and are re-orthonormalized on read."""
+    d and are re-orthonormalized on read.
+
+    ``ambient_dim`` must be a JSON integer and each weight a JSON number.
+    Types and shapes are checked member by member in file order, then
+    finiteness over all members; then the members are validated in batches
+    of equal dimension k, smallest k first (dimension range, rank,
+    orthonormality, read correction).  Errors name the first failing member
+    by its position in the file.
+    """
     try:
-        d = int(data["ambient_dim"])
+        d = data["ambient_dim"]
         raw_entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise FrameFormatError(f"malformed frame data: {exc}") from exc
-    entries = []
-    for ent in raw_entries:
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise FrameFormatError(f"ambient_dim must be an integer, got {d!r}")
+    if not isinstance(raw_entries, list):
+        raise FrameFormatError("entries must be a list")
+    mats, weights = [], []
+    for j, ent in enumerate(raw_entries):
         try:
-            cols = np.asarray(ent["basis"], dtype=float).T  # stored as columns
-            weight = float(ent["weight"])
+            cols = np.asarray(ent["basis"])     # stored as columns
+            weight = ent["weight"]
         except (KeyError, TypeError, ValueError) as exc:
-            raise FrameFormatError(f"malformed frame entry: {exc}") from exc
-        if not (np.isfinite(cols).all() and np.isfinite(weight)):
-            raise FrameFormatError("basis entries and weights must be finite")
-        if cols.ndim != 2 or cols.shape[0] != d:
-            raise FrameFormatError(f"basis columns must have length {d}")
-        sub = make_subspace(cols)
-        correction = np.abs(sub.basis - cols).max()
-        if correction > READ_CORRECTION_TOL:
-            raise FrameFormatError(
-                f"basis needed correction {correction:.2e} > {READ_CORRECTION_TOL}"
-            )
-        entries.append((sub, weight))
-    return WeightedFrame(d, tuple(entries))
+            raise FrameFormatError(f"malformed frame entry {j}: {exc}") from exc
+        if (cols.dtype.kind not in "fi" or isinstance(weight, bool)
+                or not isinstance(weight, (int, float))):
+            raise FrameFormatError(f"member {j}: basis entries and weight must be numbers")
+        if cols.ndim != 2 or cols.shape[1] != d:
+            raise FrameFormatError(f"member {j}: basis columns must have length {d}")
+        mats.append(cols.T)
+        weights.append(weight)
+    weights = np.array(weights, dtype=float)
+    if not np.isfinite(np.concatenate([weights, *mats], axis=None)).all():
+        j = next(j for j, a in enumerate(mats)
+                 if not (np.isfinite(a).all() and np.isfinite(weights[j])))
+        raise FrameFormatError(f"member {j}: basis entries and weights must be finite")
+    subs, groups = _stacked_subspaces(mats, range(len(mats)), READ_CORRECTION_TOL)
+    frame = WeightedFrame(d, tuple(zip(subs, weights)))
+    # the validated stacks are the frame's per-dimension stacks
+    frame.__dict__["stacks"] = tuple((q, weights[idx]) for idx, q in groups)
+    return frame
 
 
 def save_frame(frame: WeightedFrame, path) -> None:

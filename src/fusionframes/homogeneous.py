@@ -13,11 +13,14 @@ x_{d-1}^k last.  The product of two monomials is the sorted concatenation
 of their tuples, so the table that sends a pair of monomials of degrees
 (k-2, 2) to the rank of their product is a few numpy operations.
 ``weighted_power_sum`` expands sum_j w_j q_j^p for many quadratic forms
-q_j at once: powers grow by one quadratic factor per step, each step an
-outer product per member summed into monomials by ``np.bincount``, and the
-last step is a single matrix product summed over the members.  Tables are
-built lazily and cached per (d, degree); members are processed in chunks
-of a fixed element budget.
+q_j = ||F_j^T x||^2 at once, the members given as stacks of equal-width
+F_j: each chunk's projectors are one batched product F F^T, powers grow by
+one quadratic factor per step, each step an outer product per member summed
+into monomials by ``np.bincount``, and the last step is a single matrix
+product summed over the members.  At p = 1 the sum is the quadratic form of
+sum_j w_j F_j F_j^T, one product over each whole stack.  Tables are built
+lazily and cached per (d, degree); members are processed in chunks of a
+fixed element budget.
 
 ``HomogeneousPoly`` is the sparse form keyed by exponent tuples, kept for
 small products, evaluation and display.
@@ -108,30 +111,47 @@ def quadratic_rows(mats: np.ndarray) -> np.ndarray:
     return (mats[:, a, b] + mats[:, b, a]) * np.where(a == b, 0.5, 1.0)
 
 
-def weighted_power_sum(factors, weights, p: int) -> np.ndarray:
+def weighted_gram(stacks) -> np.ndarray:
+    """sum_j w_j F_j F_j^T over members given as (bases, weights) pairs, one
+    pair per stack of shape (m, d, k); one matrix product per stack."""
+    d = stacks[0][0].shape[1]
+    out = np.zeros((d, d))
+    for bases, weights in stacks:
+        m, _, k = bases.shape
+        flat = bases.transpose(1, 0, 2).reshape(d, m * k)
+        out += (flat * np.repeat(weights, k)) @ flat.T
+    return out
+
+
+def weighted_power_sum(stacks, p: int) -> np.ndarray:
     """Coefficients of sum_j w_j ||F_j^T x||^(2p) over the degree-2p
-    monomials, for a list of d x k_j matrices F_j (k_j may differ)."""
+    monomials, for members given as (bases, weights) pairs: an (m, d, k)
+    stack of d x k matrices F_j (k differs between stacks) and the array of
+    its m weights.  At p = 1 this is the quadratic form of ``weighted_gram``."""
     if p < 1:
         raise DimensionError("power must be >= 1")
-    weights = np.asarray(weights, dtype=float)
-    d = factors[0].shape[0]
+    if p == 1:
+        return quadratic_rows(weighted_gram(stacks)[None])[0]
+    d = stacks[0][0].shape[1]
     last = product_table(d, 2 * p)
     top = np.zeros(last.shape)     # sum_j w_j q_j^(p-1) (x) q_j
     # per member: a projector, q^(p-1), and the outer product of the last
     # power step
     step = product_table(d, 2 * p - 2).size if p > 2 else 0
     chunk = max(1, _CHUNK_ELEMENTS // max(d * d, last.shape[0], step))
-    for lo in range(0, len(factors), chunk):
-        q = quadratic_rows(np.stack([f @ f.T for f in factors[lo:lo + chunk]]))
-        c = len(q)
-        power = q if p > 1 else np.ones((c, 1))     # q^(s-1) entering step s
-        for s in range(2, p):
-            m = monomial_count(d, 2 * s)
-            outer = power[:, :, None] * q[:, None, :]
-            idx = np.arange(0, c * m, m)[:, None, None] + product_table(d, 2 * s)
-            power = np.bincount(idx.ravel(), weights=outer.ravel(),
-                                minlength=c * m).reshape(c, m)
-        top += (weights[lo:lo + chunk, None] * power).T @ q
+    for bases, weights in stacks:
+        for lo in range(0, len(bases), chunk):
+            f = bases[lo:lo + chunk]
+            q = quadratic_rows(f @ np.swapaxes(f, -1, -2))
+            c = len(q)
+            power = q     # q^(s-1) entering step s
+            for s in range(2, p):
+                m = monomial_count(d, 2 * s)
+                outer = power[:, :, None] * q[:, None, :]
+                idx = np.arange(0, c * m, m)[:, None, None] + product_table(d, 2 * s)
+                power = np.bincount(idx.ravel(), weights=outer.ravel(),
+                                    minlength=c * m).reshape(c, m)
+            top += (weights[lo:lo + chunk, None] * power).T @ q
     return np.bincount(last.ravel(), weights=top.ravel(),
                        minlength=monomial_count(d, 2 * p))
 

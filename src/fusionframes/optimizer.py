@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MixedDimensions, ParameterError
 from .frames import WeightedFrame
 from .moments import t_moment
-from .potential import cross_gram
+from .potential import GRAM_BUDGET, cross_gram
 from .subspaces import Subspace, haar_basis_batch
 
 ARMIJO_C = 1e-4
@@ -34,8 +34,6 @@ STOP_REASONS = ("gradient", "stagnation", "step-underflow", "max-iters")
 SPHERE_STEP = 0.1
 SPHERE_MAX_ITERS = 2000
 SPHERE_TOL = 1e-12
-# Largest (n k)^2 cross-product table formed for all restarts at once.
-GRAM_BUDGET = 2 ** 20
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,17 @@ EQUIANGULAR_TOL = 1e-8
 DISTINCT_TOL = 1e-8
 
 
+# Largest cross-product table formed at once: (n k)^2 entries for a batch
+# of optimizer restarts, member rows x (sum of dims) for a block of
+# ``gram_matrix``.
+GRAM_BUDGET = 2 ** 20
+
+
+def _block_overlaps(m: np.ndarray, row_starts, col_starts) -> np.ndarray:
+    """Squares of the cross products M summed per (row block, column block)."""
+    return np.add.reduceat(np.add.reduceat(m * m, row_starts, axis=-2), col_starts, axis=-1)
+
+
 def cross_gram(bases: np.ndarray, dims: np.ndarray) -> tuple:
     """M = bases^T bases for member bases B_i set side by side as column
     blocks of widths ``dims`` in ``bases`` (..., d, K), and the overlaps
@@ -28,15 +39,26 @@ def cross_gram(bases: np.ndarray, dims: np.ndarray) -> tuple:
     per block, with the exact dims on the diagonal."""
     m = np.swapaxes(bases, -1, -2) @ bases
     starts = np.cumsum(dims) - dims
-    s = np.add.reduceat(np.add.reduceat(m * m, starts, axis=-2), starts, axis=-1)
+    s = _block_overlaps(m, starts, starts)
     s[..., np.arange(len(dims)), np.arange(len(dims))] = dims
     return m, s
 
 
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
-    """Pairwise table G[i, j] = trace(P_i P_j) = ||B_i^T B_j||_F^2."""
+    """Pairwise table G[i, j] = trace(P_i P_j) = ||B_i^T B_j||_F^2, built in
+    blocks of member rows whose cross products hold at most ``GRAM_BUDGET``
+    entries (one member at least)."""
     bases = np.concatenate([s.basis for s in frame.subspaces], axis=1)
-    return cross_gram(bases, frame.dims)[1]
+    dims = frame.dims
+    n, starts = len(dims), np.cumsum(dims) - dims
+    step = max(1, GRAM_BUDGET // (bases.shape[1] * int(dims.max())))
+    g = np.empty((n, n))
+    for lo in range(0, n, step):
+        block = starts[lo:lo + step]
+        rows = bases[:, block[0]:block[-1] + dims[lo + len(block) - 1]]
+        g[lo:lo + step] = _block_overlaps(rows.T @ bases, block - block[0], starts)
+    g[np.arange(n), np.arange(n)] = dims
+    return g
 
 
 def ffp(frame: WeightedFrame, p: int) -> float:

@@ -45,9 +45,7 @@ class Subspace:
         k = b.shape[1]
         if not 1 <= k <= self.ambient_dim - 1:
             raise DimensionError(f"subspace dimension {k} not in [1, {self.ambient_dim - 1}]")
-        gram_err = np.abs(b.T @ b - np.eye(k)).max()
-        if gram_err > ORTHO_TOL:
-            raise RankDeficient(f"basis columns not orthonormal (deviation {gram_err:.2e})")
+        check_orthonormal(b[None])
         object.__setattr__(self, "basis", b)
 
     @property
@@ -55,12 +53,63 @@ class Subspace:
         return self.basis.shape[1]
 
 
-def _orthonormalize(raw: np.ndarray) -> np.ndarray:
-    """QR with the diagonal of R forced positive; deterministic sign convention."""
-    q, r = np.linalg.qr(raw)
-    signs = np.sign(np.diagonal(r)).copy()
+def _first_bad(bad: np.ndarray, members, exc, message) -> None:
+    """Raise ``exc`` for the first flagged row, named by its member index
+    when ``members`` is given."""
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        where = "" if members is None else f"member {members[i]}: "
+        raise exc(where + message(i))
+
+
+def orthonormal_stack(raw, members=None) -> np.ndarray:
+    """Validate an (m, d, k) stack of full-column-rank matrices and return
+    their sign-fixed QR orthonormalizations, every member at once.
+
+    The checks are, in order: 1 <= k <= d-1 (``DimensionError``), smallest
+    singular value above ``RANK_TOL`` (``RankDeficient``), and the Gram
+    matrix of each result within ``ORTHO_TOL`` of the identity
+    (``RankDeficient``).  The diagonal of R is forced positive, so the
+    result is a deterministic function of the input.  ``members`` (one
+    label per row) names the failing member in messages.
+    """
+    a = np.asarray(raw, dtype=float)
+    _, d, k = a.shape
+    if not 1 <= k <= d - 1:
+        where = "" if members is None else f"member {members[0]}: "
+        raise DimensionError(f"{where}subspace dimension {k} not in [1, {d - 1}]")
+    smin = np.linalg.svd(a, compute_uv=False)[:, -1]
+    _first_bad(smin <= RANK_TOL, members, RankDeficient,
+               lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL}")
+    return check_orthonormal(_signed_qr(a), members)
+
+
+def _signed_qr(a: np.ndarray) -> np.ndarray:
+    """Q of a stacked QR factorization with the diagonal of R forced
+    positive."""
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
+
+
+def check_orthonormal(bases: np.ndarray, members=None) -> np.ndarray:
+    """Return an (m, d, k) stack unchanged after checking that every Gram
+    matrix B^T B is within ``ORTHO_TOL`` of the identity."""
+    k = bases.shape[-1]
+    err = np.abs(np.swapaxes(bases, -1, -2) @ bases - np.eye(k)).max(axis=(-2, -1))
+    _first_bad(err > ORTHO_TOL, members, RankDeficient,
+               lambda i: f"basis columns not orthonormal (deviation {err[i]:.2e})")
+    return bases
+
+
+def stack_subspaces(bases: np.ndarray) -> list:
+    """Subspaces on the rows of a stack that passed ``check_orthonormal``;
+    the per-member check of direct construction is not repeated."""
+    out = [object.__new__(Subspace) for _ in bases]
+    for s, b in zip(out, bases):
+        s.__dict__.update(ambient_dim=bases.shape[1], basis=b)
+    return out
 
 
 def make_subspace(raw) -> Subspace:
@@ -70,13 +119,7 @@ def make_subspace(raw) -> Subspace:
     orthonormalization of ``raw``.
     """
     a = np.atleast_2d(np.asarray(raw, dtype=float))
-    d, k = a.shape
-    if not 1 <= k <= d - 1:
-        raise DimensionError(f"subspace dimension {k} not in [1, {d - 1}]")
-    smin = np.linalg.svd(a, compute_uv=False)[-1]
-    if smin <= RANK_TOL:
-        raise RankDeficient(f"smallest singular value {smin:.2e} <= {RANK_TOL}")
-    return Subspace(d, _orthonormalize(a))
+    return stack_subspaces(orthonormal_stack(a[None]))[0]
 
 
 def projector(s: Subspace) -> np.ndarray:
@@ -120,17 +163,14 @@ def haar_random(d: int, k: int, rng: np.random.Generator) -> Subspace:
     """
     if not 1 <= k <= d - 1:
         raise DimensionError(f"k={k} not in [1, {d - 1}]")
-    return Subspace(d, _orthonormalize(rng.standard_normal((d, k))))
+    return make_subspace(rng.standard_normal((d, k)))
 
 
 def haar_basis_batch(d: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, d, k) stack of independent Haar orthonormal bases; bulk sampler
-    for Monte-Carlo estimates."""
-    g = rng.standard_normal((count, d, k))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.einsum("nii->ni", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    for Monte-Carlo estimates.  The sign-fixed QR of ``orthonormal_stack``
+    without its checks: a Gaussian matrix has full rank with probability 1."""
+    return _signed_qr(rng.standard_normal((count, d, k)))
 
 
 def complement(s: Subspace) -> Subspace:

@@ -249,13 +249,20 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 2
     assert json.loads(err)["error"] == "UnknownName"
 
-    for name, entry in (("inf.json", '{"basis": [[1.0, 0.0]], "weight": 1e400}'),
-                        ("nan.json", '{"basis": [[NaN, 1.0]], "weight": 1.0}')):
+    line = '{"basis": [[1.0, 0.0]], "weight": 1.0}'
+    for name, d, entry in (
+            ("inf.json", "2", '{"basis": [[1.0, 0.0]], "weight": 1e400}'),
+            ("nan.json", "2", '{"basis": [[NaN, 1.0]], "weight": 1.0}'),
+            # strict types: no truncation, coercion or bare ValueError
+            ("float-dim.json", "2.7", line),
+            ("string-dim.json", '"abc"', line),
+            ("bool-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": true}'),
+            ("string-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": "1"}')):
         path = tmp_path / name
-        path.write_text('{"ambient_dim": 2, "entries": [%s]}' % entry)
+        path.write_text('{"ambient_dim": %s, "entries": [%s]}' % (d, entry))
         code, out, err = run(["check", str(path), "--p", "1", "--mode", "tight"],
                              capsys)
-        assert code == 2 and out == ""
+        assert code == 2 and out == "", name
         assert json.loads(err)["error"] == "FrameFormatError"
 
     for argv in (["moments", "--d", "8", "--p", "1000"],

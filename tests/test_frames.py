@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -12,6 +13,7 @@ from fusionframes import (
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
+    RankDeficient,
     SizeGuardExceeded,
     Subspace,
     WeightedFrame,
@@ -153,6 +155,13 @@ def test_tightness_constant(mercedes):
     doubled = mercedes.rescaled(2.0)
     assert tightness_constant(doubled, 2) == pytest.approx(9 / 4, abs=1e-15)
     assert float(pochhammer_ratio(1, 2, 2)) == 0.375
+
+
+def test_p1_certificate_on_many_coordinate_lines():
+    # at p = 1 the certificate is the quadratic form of the frame operator,
+    # so d = 1000 needs no member-by-member projectors
+    cert = certify_tight(catalog("cross-polytope-lines(1000)"), 1)
+    assert cert.tight and cert.residual == 0.0 and cert.target_A == 1.0
 
 
 def test_certify_tight_examples(mercedes, mub_planes):
@@ -411,7 +420,100 @@ def test_frame_format_errors(tmp_path):
         path.write_text('{"ambient_dim": 2, "entries": [%s]}' % entry)
         with pytest.raises(FrameFormatError, match="finite"):
             load_frame(path)
+    # strict types: an integer ambient_dim, numbers for weights and bases
+    one_line = [{"basis": [[1.0, 0.0]], "weight": 1.0}]
+    for d in (2.7, 2.0, "abc", "2", True, None):
+        with pytest.raises(FrameFormatError, match="ambient_dim"):
+            frame_from_dict({"ambient_dim": d, "entries": one_line})
+    for weight in (True, "1", None, [1.0]):
+        with pytest.raises(FrameFormatError, match="member 1: .*numbers"):
+            frame_from_dict({"ambient_dim": 2, "entries": one_line + [
+                {"basis": [[0.0, 1.0]], "weight": weight}]})
+    for basis in ([["1", "0"]], [[True, False]], "ab", [[1.0], [0.0, 1.0]]):
+        with pytest.raises(FrameFormatError, match="entry 0|member 0"):
+            frame_from_dict({"ambient_dim": 2,
+                             "entries": [{"basis": basis, "weight": 1.0}]})
+    with pytest.raises(FrameFormatError, match="entries"):
+        frame_from_dict({"ambient_dim": 2, "entries": 3})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(json.JSONDecodeError):
         load_frame(bad)
+
+
+def test_mercedes_file_bytes_are_pinned(tmp_path):
+    # `check` and `gen` report the file's sha256, so the writer's bytes are
+    # part of the interface
+    path = tmp_path / "mercedes.json"
+    save_frame(catalog("mercedes"), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5af9e4c6bf1e87553257878a4ae63280d7be35db8239155dca732984f6149c69")
+
+
+def reference_basis(cols):
+    """The per-member route of ``make_subspace``: rank check, then QR with
+    the diagonal of R forced positive."""
+    assert np.linalg.svd(cols, compute_uv=False)[-1] > 1e-10
+    q, r = np.linalg.qr(cols)
+    signs = np.sign(np.diagonal(r)).copy()
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
+def mixed_frame(rng, d, n):
+    """n members of random dimensions in shuffled order, random weights."""
+    dims = rng.permutation(np.resize(np.arange(1, d), n))
+    return WeightedFrame(d, tuple((make_subspace(rng.standard_normal((d, int(k)))),
+                                   float(rng.uniform(0.1, 3.0))) for k in dims))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
+def test_loaded_bases_match_per_member_reference(tmp_path_factory, d, n, seed):
+    frame = mixed_frame(np.random.default_rng(seed), d, n)
+    path = tmp_path_factory.mktemp("frames") / "f.json"
+    save_frame(frame, path)
+    stored = json.loads(path.read_text())["entries"]
+    loaded = load_frame(path)
+    assert loaded.ambient_dim == d and len(loaded) == n
+    assert np.array_equal(loaded.weights, frame.weights)
+    for sub, ent in zip(loaded.subspaces, stored):
+        assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
+    # the per-dimension stacks hold the same bases and weights
+    for bases, weights in loaded.stacks:
+        k = bases.shape[2]
+        members = [j for j, sub in enumerate(loaded.subspaces) if sub.dim == k]
+        assert np.array_equal(bases, np.stack([loaded.subspaces[j].basis for j in members]))
+        assert np.array_equal(weights, loaded.weights[members])
+
+
+def _defects(rng, d, basis):
+    """(replacement basis columns, exception class) of a bad member."""
+    v = rng.standard_normal((d, 1))
+    return [
+        (np.hstack([v, 2 * v]), RankDeficient),                # rank-deficient
+        (basis * (1 + 1e-5), FrameFormatError),                 # correction > 1e-6
+        (np.vstack([basis, np.zeros((1, basis.shape[1]))]),     # column length d + 1
+         FrameFormatError),
+        (np.eye(d), DimensionError),                            # k = d
+    ]
+
+
+def test_single_defective_member_is_named(rng):
+    for _ in range(6):
+        d, n = int(rng.integers(3, 7)), int(rng.integers(2, 9))
+        data = frame_to_dict(mixed_frame(rng, d, n))
+        for j in range(n):
+            basis = np.asarray(data["entries"][j]["basis"]).T
+            for cols, exc in _defects(rng, d, basis):
+                bad = json.loads(json.dumps(data))
+                bad["entries"][j]["basis"] = cols.T.tolist()
+                with pytest.raises(exc, match=rf"member {j}\b"):
+                    frame_from_dict(bad)
+                # build_frame validates raw matrices the same way, without
+                # the file's length and correction checks
+                if exc is not FrameFormatError:
+                    with pytest.raises(exc, match=rf"member {j}\b"):
+                        build_frame([np.asarray(e["basis"]).T for e in bad["entries"]])
+                    with pytest.raises(exc):
+                        make_subspace(cols)

@@ -5,6 +5,7 @@ from fusionframes import (
     DimensionError,
     HomogeneousPoly,
     SizeGuardExceeded,
+    make_subspace,
     monomial_count,
     quadratic_form,
     sum_of_squares_power,
@@ -14,6 +15,8 @@ from fusionframes.homogeneous import (
     check_size_guard,
     monomial_rank,
     monomials,
+    quadratic_rows,
+    weighted_gram,
     weighted_power_sum,
 )
 
@@ -115,14 +118,39 @@ def random_factors(rng, d, n):
     return [rng.standard_normal((d, int(rng.integers(1, d + 1)))) for _ in range(n)]
 
 
+def stacks_of(factors, weights):
+    """(bases, weights) pairs of the factors grouped by width."""
+    return [(np.stack([f for f in factors if f.shape[1] == k]),
+             np.array([w for f, w in zip(factors, weights) if f.shape[1] == k]))
+            for k in sorted({f.shape[1] for f in factors})]
+
+
 def test_weighted_power_sum_matches_dict_products(rng):
     for d, p in [(2, 1), (2, 5), (3, 3), (4, 2), (5, 4)]:
         factors = random_factors(rng, d, 4)
         weights = rng.uniform(0.2, 2.0, 4)
-        dense = HomogeneousPoly.from_dense(d, 2 * p, weighted_power_sum(factors, weights, p))
+        dense = HomogeneousPoly.from_dense(
+            d, 2 * p, weighted_power_sum(stacks_of(factors, weights), p))
         ref = dict_power_sum(factors, weights, p)
         scale = max(abs(c) for c in ref.coeffs.values())
         assert dense.max_coeff_diff(ref) <= 1e-13 * scale, (d, p)
+
+
+def test_p1_frame_operator_route_matches_projectors(rng):
+    # p = 1 is the quadratic form of sum_j w_j F_j F_j^T; the reference forms
+    # one projector per member
+    for _ in range(20):
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 12))
+        factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d))))).basis
+                   for _ in range(n)]
+        weights = rng.uniform(0.1, 3.0, n)
+        ref = sum(w * quadratic_rows((f @ f.T)[None])[0] for f, w in zip(factors, weights))
+        got = weighted_power_sum(stacks_of(factors, weights), 1)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.allclose(weighted_gram(stacks_of(factors, weights)),
+                           sum(w * f @ f.T for f, w in zip(factors, weights)),
+                           rtol=0, atol=1e-13 * weights.sum())
 
 
 def test_weighted_power_sum_chunking(rng, monkeypatch):
@@ -131,9 +159,9 @@ def test_weighted_power_sum_chunking(rng, monkeypatch):
     # them in blocks
     factors = random_factors(rng, 4, 7)
     weights = rng.uniform(0.2, 2.0, 7)
-    whole = [weighted_power_sum(factors, weights, p) for p in (1, 3)]
+    whole = [weighted_power_sum(stacks_of(factors, weights), p) for p in (1, 3)]
     homogeneous.product_table.cache_clear()
     monkeypatch.setattr(homogeneous, "_CHUNK_ELEMENTS", 50)
     for p, ref in zip((1, 3), whole):
-        split = weighted_power_sum(factors, weights, p)
+        split = weighted_power_sum(stacks_of(factors, weights), p)
         assert np.abs(split - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -18,7 +18,8 @@ from fusionframes import (
     t_matrix,
     t_one,
 )
-from fusionframes.potential import gram_matrix, max_offdiagonal
+from fusionframes import potential
+from fusionframes.potential import GRAM_BUDGET, gram_matrix, max_offdiagonal
 
 from test_frames import random_frame
 
@@ -46,15 +47,35 @@ def test_gram_matrix(mercedes):
     assert np.allclose(off, 0.25, atol=1e-12)
 
 
-def test_gram_matrix_matches_pairwise_loop(rng):
-    for _ in range(30):
-        f = random_frame(rng)
-        g = gram_matrix(f)
-        for i, si in enumerate(f.subspaces):
-            for j, sj in enumerate(f.subspaces):
-                m = si.basis.T @ sj.basis
-                want = si.dim if i == j else (m * m).sum()
-                assert g[i, j] == pytest.approx(want, abs=1e-12)
+def _check_rows_against_pairwise_loop(f, g, rows):
+    for i in rows:
+        si = f.subspaces[i]
+        for j, sj in enumerate(f.subspaces):
+            m = si.basis.T @ sj.basis
+            want = si.dim if i == j else (m * m).sum()
+            assert g[i, j] == pytest.approx(want, abs=1e-12)
+
+
+def test_gram_matrix_matches_pairwise_loop(rng, monkeypatch):
+    frames = [random_frame(rng) for _ in range(30)]
+    for f in frames:
+        _check_rows_against_pairwise_loop(f, gram_matrix(f), range(len(f)))
+    # mixed dimensions in R^4, enough members that the cross products of
+    # all of them exceed the budget: the table is built in several blocks
+    n = 600
+    big = WeightedFrame(4, tuple((haar_random(4, int(k), rng), 1.0)
+                                 for k in rng.integers(1, 4, n)))
+    step = GRAM_BUDGET // (int(big.dims.sum()) * int(big.dims.max()))
+    assert 0 < step < n / 2     # members per block
+    edges = [i for b in range(step, n, step) for i in (b - 1, b)]
+    g = gram_matrix(big)
+    _check_rows_against_pairwise_loop(big, g, [0, n - 1, *edges,
+                                               *rng.integers(0, n, 20)])
+    assert np.abs(g - g.T).max() <= 1e-12
+    # a budget of a few entries puts every member in a block of its own
+    monkeypatch.setattr(potential, "GRAM_BUDGET", 8)
+    for f in frames[:10]:
+        _check_rows_against_pairwise_loop(f, gram_matrix(f), range(len(f)))
 
 
 def test_simplex_bound_examples(mercedes):
