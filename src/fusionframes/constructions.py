@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,11 +27,11 @@ from .errors import (
 )
 from .frames import WeightedFrame, build_frame
 from .homogeneous import HomogeneousPoly, monomial_count
-from .subspaces import Subspace, check_orthonormal, make_subspace, stack_subspaces
+from .potential import GRAM_BUDGET
+from .subspaces import (Subspace, check_orthonormal, first_occurrences, make_subspace,
+                        stack_subspaces)
 
-GROUP_DEDUP_TOL = 1e-8
 GROUP_ORTHO_TOL = 1e-10
-ORBIT_DEDUP_TOL = 1e-8
 REYNOLDS_GUARD = 10 ** 5
 DEFAULT_MAX_ORDER = 20_000
 # Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
@@ -48,17 +49,19 @@ class MatrixGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-
-def _round_key(mat: np.ndarray) -> tuple:
-    # 6-decimal key; collisions re-checked at GROUP_DEDUP_TOL below
-    return tuple(np.round(mat, 6).ravel())
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The elements as one (|G|, d, d) array, in order."""
+        return np.stack(self.elements)
 
 
 def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
     """Breadth-first closure of the generators under multiplication.
 
-    Elements are deduplicated at max-norm 1e-8.  Raises GroupTooLarge when
-    the closure exceeds max_order, NotOrthogonal for bad generators.
+    A level's products come from batched matmuls in (element, generator)
+    order, at most ``GRAM_BUDGET`` entries at a time, and ``first_occurrences``
+    keeps those new at ``EQUALITY_TOL``.  Raises GroupTooLarge when the
+    closure exceeds max_order, NotOrthogonal for bad or non-finite generators.
     """
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
@@ -67,32 +70,26 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
     for g in gens:
         if g.shape != (d, d):
             raise DimensionError("generators must share one square shape")
-        if np.abs(g.T @ g - np.eye(d)).max() > GROUP_ORTHO_TOL:
+        if not (np.isfinite(g).all() and np.abs(g.T @ g - np.eye(d)).max() <= GROUP_ORTHO_TOL):
             raise NotOrthogonal("generator fails the orthogonality check")
 
-    elements: list = [np.eye(d)]
-    index: dict = {_round_key(elements[0]): [0]}
-
-    def lookup(mat: np.ndarray) -> bool:
-        bucket = index.get(_round_key(mat))
-        if bucket is None:
-            return False
-        return any(np.abs(mat - elements[i]).max() <= GROUP_DEDUP_TOL for i in bucket)
-
-    frontier = [elements[0]]
-    while frontier:
-        fresh = []
-        for left in frontier:
-            for g in gens:
-                prod = left @ g
-                if not lookup(prod):
-                    elements.append(prod)
-                    index.setdefault(_round_key(prod), []).append(len(elements) - 1)
-                    fresh.append(prod)
-                    if len(elements) > max_order:
-                        raise GroupTooLarge(f"closure exceeded max_order={max_order}")
-        frontier = fresh
-    return MatrixGroup(d=d, elements=tuple(elements), generators=tuple(gens))
+    right = np.stack(gens)
+    stack, buckets = np.eye(d).reshape(1, d * d), {}
+    first_occurrences(stack, stack[:0], buckets)     # files the identity
+    chunk = max(1, GRAM_BUDGET // (len(gens) * d * d))
+    lo, hi = 0, 1
+    while lo < hi:
+        for start in range(lo, hi, chunk):
+            left = stack[start:min(start + chunk, hi)].reshape(-1, 1, d, d)
+            prods = (left @ right).reshape(-1, d * d)
+            stack = np.concatenate([stack, prods[first_occurrences(prods, stack, buckets)]])
+            if len(stack) > max_order:
+                raise GroupTooLarge(f"closure exceeded max_order={max_order}")
+        lo, hi = hi, len(stack)
+    stack = stack.reshape(-1, d, d)
+    group = MatrixGroup(d=d, elements=tuple(stack), generators=tuple(gens))
+    group.__dict__["stack"] = stack
+    return group
 
 
 @dataclass(frozen=True)
@@ -178,18 +175,9 @@ def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
     image (stabilizer duplicates collapse)."""
     if seed.ambient_dim != group.d:
         raise DimensionError("seed ambient dimension differs from the group")
-    images = np.stack(group.elements) @ seed.basis
+    images = group.stack @ seed.basis
     projs = images @ images.transpose(0, 2, 1)
-    # 6-decimal keys (+ 0.0 folds -0.0 into 0.0); a bucket is re-checked at
-    # ORBIT_DEDUP_TOL, and the first image of each projector is kept
-    keys = np.round(projs, 6) + 0.0
-    buckets: dict = {}
-    kept: list = []
-    for i, key in enumerate(keys):
-        bucket = buckets.setdefault(key.tobytes(), [])
-        if not any(np.abs(projs[i] - projs[j]).max() <= ORBIT_DEDUP_TOL for j in bucket):
-            bucket.append(i)
-            kept.append(i)
+    kept = first_occurrences(projs.reshape(len(projs), -1))
     subs = stack_subspaces(check_orthonormal(images[kept]))
     return WeightedFrame(group.d, tuple((s, 1.0) for s in subs))
 

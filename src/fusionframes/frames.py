@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,8 +56,8 @@ class WeightedFrame:
         for s, w in entries:
             if s.ambient_dim != self.ambient_dim:
                 raise DimensionError("subspace ambient dimension differs from frame")
-            if not w > 0:
-                raise DimensionError(f"weights must be positive, got {w}")
+            if not (w > 0 and np.isfinite(w)):
+                raise DimensionError(f"weights must be positive and finite, got {w}")
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
@@ -228,8 +228,9 @@ def power_form(frame: WeightedFrame, p: int) -> HomogeneousPoly:
     return HomogeneousPoly.from_dense(frame.ambient_dim, 2 * p, _power_coeffs(frame, p))
 
 
+@lru_cache(maxsize=1024)
 def pochhammer_ratio(k: int, d: int, p: int) -> Fraction:
-    """(k/2)_p / (d/2)_p as an exact rational."""
+    """(k/2)_p / (d/2)_p as an exact rational, cached per (k, d, p)."""
     num, den = Fraction(1), Fraction(1)
     for i in range(p):
         num *= Fraction(k, 2) + i
@@ -368,9 +369,19 @@ def frame_from_dict(data: dict) -> WeightedFrame:
 
 
 def save_frame(frame: WeightedFrame, path) -> None:
+    """Write the frame JSON: the bytes of ``json.dump(frame_to_dict(frame),
+    indent=2)`` and a newline, spelled directly from the basis arrays (json
+    writes a float as its ``repr``)."""
+    num = ",\n          ".join
+    members = ",\n    ".join(
+        '{\n      "basis": [\n        '
+        + ",\n        ".join("[\n          " + num(map(repr, col)) + "\n        ]"
+                              for col in sub.basis.T.tolist())
+        + '\n      ],\n      "weight": ' + repr(w) + "\n    }"
+        for sub, w in frame.entries)
     with open(path, "w") as fh:
-        json.dump(frame_to_dict(frame), fh, indent=2)
-        fh.write("\n")
+        fh.write(f'{{\n  "ambient_dim": {frame.ambient_dim},\n  "entries": [\n    '
+                 f"{members}\n  ]\n}}\n")
 
 
 def load_frame(path) -> WeightedFrame:

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import MissingMoment, SingleSubspace
 from .frames import WeightedFrame, certify_tight
-from .subspaces import projector
+from .subspaces import first_occurrences, projector
 
 EQUIANGULAR_TOL = 1e-8
-DISTINCT_TOL = 1e-8
 
 
 # Largest cross-product table formed at once: (n k)^2 entries for a batch
@@ -125,10 +124,11 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     """Detect a constant off-diagonal trace(P_i P_j) and run the counting
     checks that a genuine equiangular system must satisfy.
 
-    ``n_distinct`` counts pairwise-distinct subspaces (projector max-norm
-    distance > 1e-8); the counting bound C(d+1,2) applies only to distinct
-    members, so a valid equiangular system needs is_equiangular,
-    all_distinct, and gerzon_ok simultaneously.
+    ``n_distinct`` counts distinct subspaces by the ``first_occurrences``
+    scan of their projectors (equal when they agree to ``EQUALITY_TOL`` in
+    max-norm); the counting bound C(d+1,2) applies only to distinct members,
+    so a valid equiangular system needs is_equiangular, all_distinct, and
+    gerzon_ok simultaneously.
     """
     if len(frame) < 2:
         raise SingleSubspace("equiangularity needs n >= 2")
@@ -139,12 +139,8 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     is_eq = spread <= tol
     common = float(off.mean()) if is_eq else None
 
-    projs = [projector(s) for s in frame.subspaces]
-    distinct: list = []
-    for p_i in projs:
-        if not any(np.abs(p_i - q).max() <= DISTINCT_TOL for q in distinct):
-            distinct.append(p_i)
-    n_distinct = len(distinct)
+    projs = np.stack([projector(s).ravel() for s in frame.subspaces])
+    n_distinct = len(first_occurrences(projs))
 
     predicted = None
     if frame.equal_dims():

@@ -17,7 +17,8 @@ from .errors import DimensionError, RankDeficient
 ORTHO_TOL = 1e-12
 # Smallest singular value accepted as "full column rank".
 RANK_TOL = 1e-10
-# Two subspaces are considered equal when projectors agree to this max-norm.
+# Two subspaces are considered equal when projectors agree to this max-norm;
+# also the one dedup tolerance of group elements, orbits and equiangularity.
 EQUALITY_TOL = 1e-8
 
 
@@ -95,12 +96,46 @@ def _signed_qr(a: np.ndarray) -> np.ndarray:
 
 def check_orthonormal(bases: np.ndarray, members=None) -> np.ndarray:
     """Return an (m, d, k) stack unchanged after checking that every Gram
-    matrix B^T B is within ``ORTHO_TOL`` of the identity."""
+    matrix B^T B is within ``ORTHO_TOL`` of the identity (a non-finite
+    entry fails)."""
     k = bases.shape[-1]
-    err = np.abs(np.swapaxes(bases, -1, -2) @ bases - np.eye(k)).max(axis=(-2, -1))
-    _first_bad(err > ORTHO_TOL, members, RankDeficient,
+    with np.errstate(invalid="ignore"):     # inf * 0 in the Gram matrix
+        err = np.abs(np.swapaxes(bases, -1, -2) @ bases - np.eye(k)).max(axis=(-2, -1))
+    _first_bad(~(err <= ORTHO_TOL), members, RankDeficient,
                lambda i: f"basis columns not orthonormal (deviation {err[i]:.2e})")
     return bases
+
+
+def first_occurrences(rows: np.ndarray, known=None, buckets=None,
+                      tol: float = EQUALITY_TOL) -> np.ndarray:
+    """Positions, ascending, of the rows of ``rows`` (m, D) that a linear
+    scan keeps: a row is dropped when a kept row with the same 6-decimal key
+    rint(1e6 x) lies within ``tol`` in max-norm.  A scan over several calls
+    passes the rows kept so far as ``known`` and ``buckets`` (key bytes ->
+    positions in ``known``), which the kept rows join.  Rows are compared
+    with the first row of their key at once; only rows far from it meet the
+    rest of their bucket in Python."""
+    keys = np.rint(rows * 1e6).astype(np.int64)     # the cast folds -0.0 into 0
+    void = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    uniq, first, inverse = np.unique(keys.view(void).ravel(), return_index=True,
+                                     return_inverse=True)
+    names = uniq.tolist()
+    old = [buckets.get(k, ()) for k in names] if buckets else [()] * len(names)
+    lead = np.array([b[0] if b else -1 for b in old], dtype=np.intp)[inverse]
+    ref = rows[first[inverse]]
+    if buckets:
+        ref[lead >= 0] = known[lead[lead >= 0]]
+    near = np.abs(rows - ref).max(axis=1) <= tol
+    dup = near & ((lead >= 0) | (first[inverse] != np.arange(len(rows))))
+    for i in np.flatnonzero(~near):
+        same = np.flatnonzero((inverse[:i] == inverse[i]) & ~dup[:i])
+        dup[i] = any(np.abs(rows[i] - known[j]).max() <= tol for j in old[inverse[i]]) \
+            or bool((np.abs(rows[same] - rows[i]).max(axis=1) <= tol).any())
+    kept = np.flatnonzero(~dup)
+    if buckets is not None:
+        for pos, u in enumerate(inverse[kept].tolist(), len(known)):
+            buckets.setdefault(names[u], []).append(pos)
+    return kept
 
 
 def stack_subspaces(bases: np.ndarray) -> list:

@@ -115,6 +115,18 @@ def test_gen_orbit(tmp_path, capsys):
     assert certify_tight(load_frame(out_path), 2).tight
 
 
+def test_non_finite_generators_exit_2(tmp_path, capsys):
+    # a NaN or inf generator is not orthogonal: no closure of NaN elements
+    # ending in a misleading GroupTooLarge
+    for bad in ("NaN", "Infinity"):
+        path = tmp_path / f"{bad}.json"
+        path.write_text("[[[%s, 0.0], [0.0, 1.0]]]" % bad)
+        code, out, err = run(["gen", "orbit", "--generators", str(path),
+                              "-o", str(tmp_path / "orbit.json")], capsys)
+        assert code == 2 and out == "", bad
+        assert json.loads(err)["error"] == "NotOrthogonal"
+
+
 def test_gen_extend_and_realify(tmp_path, mercedes_file, capsys):
     mub = str(tmp_path / "mub.json")
     code, _, _ = run(["gen", "catalog", "mub-planes-r4", "-o", mub], capsys)

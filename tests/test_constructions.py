@@ -1,7 +1,10 @@
 import json
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionframes import (
     ComplexLineSet,
@@ -33,7 +36,9 @@ from fusionframes import (
     tightness_constant,
     weyl_a2_group,
 )
-from fusionframes.constructions import CATALOG_ARG_MAX, ORBIT_DEDUP_TOL, _reflection
+import fusionframes.constructions as constructions
+from fusionframes.constructions import CATALOG_ARG_MAX, _reflection
+from fusionframes.subspaces import EQUALITY_TOL
 
 
 def rotation(theta):
@@ -146,9 +151,114 @@ def test_orbit_sizes_follow_orbit_stabilizer(branches, order, sizes, rng):
         images = elements @ v
         first = [i for i in range(order)
                  if not (np.abs(np.abs(images[:i] @ images[i]) - 1)
-                         <= ORBIT_DEDUP_TOL).any()]
+                         <= EQUALITY_TOL).any()]
         for i, sub in zip(first, orbit.subspaces):
             assert np.abs(projector(sub) - np.outer(images[i], images[i])).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batched closure and the shared dedup, against per-item references
+
+def reference_closure(gens, max_order=constructions.DEFAULT_MAX_ORDER):
+    """Breadth-first closure one product at a time, in (element, generator)
+    order: a product is new unless an element with the same 6-decimal key
+    lies within EQUALITY_TOL."""
+    d = gens[0].shape[0]
+    elements = [np.eye(d)]
+    index = {tuple(np.round(elements[0], 6).ravel()): [0]}
+    frontier = [elements[0]]
+    while frontier:
+        fresh = []
+        for left in frontier:
+            for g in gens:
+                prod = left @ g
+                bucket = index.setdefault(tuple(np.round(prod, 6).ravel()), [])
+                if not any(np.abs(prod - elements[i]).max() <= EQUALITY_TOL
+                           for i in bucket):
+                    bucket.append(len(elements))
+                    elements.append(prod)
+                    fresh.append(prod)
+                    if len(elements) > max_order:
+                        raise GroupTooLarge(f"closure exceeded max_order={max_order}")
+        frontier = fresh
+    return np.stack(elements)
+
+
+def coxeter_generators(branches):
+    roots = coxeter_roots(branches)
+    return [np.eye(len(roots)) - 2 * np.outer(r, r) for r in roots]
+
+
+CLOSURE_CASES = {
+    "A2": lambda: [_reflection(0.0), _reflection(np.pi / 3)],
+    "C7": lambda: [rotation(2 * np.pi / 7)],
+    "H3": lambda: coxeter_generators((5, 3)),
+    "A4": lambda: coxeter_generators((3, 3, 3)),
+    "B4": lambda: coxeter_generators((4, 3, 3)),
+    "F4": lambda: coxeter_generators((3, 4, 3)),
+}
+
+
+@lru_cache(maxsize=None)
+def closed(name):
+    return close_group(CLOSURE_CASES[name]())
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_CASES))
+def test_closure_equals_per_product_reference(name, monkeypatch):
+    gens = CLOSURE_CASES[name]()
+    want = reference_closure(gens)
+    group = closed(name)
+    assert group.stack.tobytes() == want.tobytes()
+    assert all(np.array_equal(e, w) for e, w in zip(group.elements, want))
+    assert np.array_equal(group.elements[0], np.eye(group.d))
+    # the order bound is inclusive
+    with pytest.raises(GroupTooLarge, match=f"max_order={len(want) - 1}"):
+        close_group(gens, max_order=len(want) - 1)
+    assert len(close_group(gens, max_order=len(want))) == len(want)
+    # products in chunks of one or a few frontier elements: the same group
+    for budget in (1, 7 * len(gens) * group.d ** 2):
+        monkeypatch.setattr(constructions, "GRAM_BUDGET", budget)
+        assert close_group(gens).stack.tobytes() == want.tobytes()
+
+
+def test_non_finite_generators_are_not_orthogonal():
+    for bad in (np.nan, np.inf, -np.inf):
+        g = np.eye(2)
+        g[0, 1] = bad
+        with pytest.raises(NotOrthogonal):
+            close_group([rotation(0.3), g])
+
+
+def pairwise_first_occurrences(projs):
+    kept = []
+    for i, p in enumerate(projs):
+        if not kept or not (np.abs(projs[kept] - p).max(axis=(1, 2))
+                            <= EQUALITY_TOL).any():
+            kept.append(i)
+    return kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A2", "C7", "H3", "A4", "B4", "F4"]), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_orbit_keeps_the_pairwise_first_occurrences(name, k, on_mirror, seed):
+    group = closed(name)
+    d = group.d
+    k = min(k, d - 1)
+    raw = np.random.default_rng(seed).standard_normal((d, k))
+    if on_mirror:
+        # inside the mirror of the first generator; in the reflection
+        # groups the seed then has a stabilizer
+        normal = np.linalg.svd(group.generators[0] - np.eye(d))[2][0]
+        raw -= np.outer(normal, normal @ raw)
+    seed_sub = make_subspace(raw)
+    images = group.stack @ seed_sub.basis
+    kept = pairwise_first_occurrences(images @ images.transpose(0, 2, 1))
+    orbit = orbit_frame(group, seed_sub)
+    assert len(orbit) == len(kept)
+    for i, sub in zip(kept, orbit.subspaces):
+        assert np.array_equal(sub.basis, images[i])
 
 
 # ---------------------------------------------------------------------------

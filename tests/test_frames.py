@@ -68,6 +68,9 @@ def test_frame_invariants():
     s = line(0.0)
     with pytest.raises(DimensionError):
         WeightedFrame(2, ((s, -1.0),))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DimensionError, match="finite"):
+            WeightedFrame(2, ((s, bad),))
     with pytest.raises(DimensionError):
         WeightedFrame(3, ((s, 1.0),))
     with pytest.raises(LengthMismatch):
@@ -448,6 +451,28 @@ def test_mercedes_file_bytes_are_pinned(tmp_path):
     save_frame(catalog("mercedes"), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "5af9e4c6bf1e87553257878a4ae63280d7be35db8239155dca732984f6149c69")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_save_frame_bytes_equal_json_dump(tmp_path_factory, d, weights, seed):
+    rng = np.random.default_rng(seed)
+    subs = []
+    for _ in weights:
+        k = int(rng.integers(1, d))
+        if rng.random() < 0.3:
+            # signed coordinate columns: every zero is written as -0.0
+            subs.append(Subspace(d, -np.eye(d)[:, rng.permutation(d)[:k]]))
+        else:
+            subs.append(make_subspace(rng.standard_normal((d, k))))
+    frame = WeightedFrame(d, tuple(zip(subs, weights)))
+    folder = tmp_path_factory.mktemp("bytes")
+    save_frame(frame, folder / "direct.json")
+    with open(folder / "dumped.json", "w") as fh:
+        json.dump(frame_to_dict(frame), fh, indent=2)
+        fh.write("\n")
+    assert (folder / "direct.json").read_bytes() == (folder / "dumped.json").read_bytes()
 
 
 def reference_basis(cols):

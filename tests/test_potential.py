@@ -154,6 +154,27 @@ def test_equiangularity_gerzon_and_distinctness(rng):
     assert not rep.all_distinct and rep.n_distinct == 1
 
 
+def test_equiangularity_counts_distinct_members_like_a_pairwise_scan(rng):
+    # repeated members, the same subspace under another basis, and
+    # perturbations just inside and far outside the equality tolerance
+    base = [haar_random(4, int(k), rng) for k in rng.integers(1, 4, size=30)]
+    members = []
+    for s in base:
+        members.append(s.basis)
+        members.append(s.basis @ np.linalg.qr(rng.standard_normal((s.dim, s.dim)))[0])
+        members.append(s.basis + 1e-10)
+        members.append(s.basis + 1e-3 * rng.standard_normal(s.basis.shape))
+    frame = build_frame([members[i] for i in rng.permutation(len(members))])
+    projs = np.stack([s.basis @ s.basis.T for s in frame.subspaces])
+    distinct = []
+    for p in projs:
+        if not any(np.abs(p - q).max() <= 1e-8 for q in distinct):
+            distinct.append(p)
+    rep = equiangularity(frame)
+    assert rep.n_distinct == len(distinct) == 60
+    assert not rep.all_distinct
+
+
 def test_mixed_bound(rng):
     t3 = t_matrix(3, 1)
     for _ in range(50):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionframes import (
     DimensionError,
@@ -15,6 +17,7 @@ from fusionframes import (
     projector,
     subspaces_equal,
 )
+from fusionframes.subspaces import EQUALITY_TOL, check_orthonormal, first_occurrences
 
 
 def test_subspace_rejects_bad_shapes():
@@ -24,6 +27,18 @@ def test_subspace_rejects_bad_shapes():
         Subspace(2, np.eye(2))          # k = d is not a proper subspace
     with pytest.raises(RankDeficient):
         Subspace(3, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+
+
+def test_non_finite_bases_are_rejected():
+    # NaN fails every comparison, so the orthonormality check must not read
+    # it as a pass (a certificate would then report residual NaN)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(RankDeficient):
+            Subspace(2, np.array([[bad], [0.0]]))
+        stack = np.stack([np.eye(3)[:, :2]] * 3)
+        stack[1, 2, 0] = bad
+        with pytest.raises(RankDeficient, match="member 1:"):
+            check_orthonormal(stack, members=[0, 1, 2])
 
 
 def test_make_subspace_preserves_span():
@@ -126,3 +141,39 @@ def test_haar_determinism_and_batch_consistency():
     for i in range(3):
         g = batch[i].T @ batch[i]
         assert np.abs(g - np.eye(2)).max() < 1e-12
+
+
+def keyed_scan(rows):
+    """One row at a time: a row is new unless a kept row with the same
+    6-decimal key lies within EQUALITY_TOL."""
+    buckets, kept = {}, []
+    for i, r in enumerate(rows):
+        bucket = buckets.setdefault(tuple(np.round(r, 6)), [])
+        if not any(np.abs(r - rows[j]).max() <= EQUALITY_TOL for j in bucket):
+            bucket.append(i)
+            kept.append(i)
+    return kept
+
+
+# offsets that stay inside a key but leave the tolerance, cross a key
+# boundary, or stay within the tolerance
+OFFSETS = (0.0, -0.0, 3e-9, 4e-7, -4e-7, 4e-7 + 3e-9, 2e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(OFFSETS),
+                          st.integers(0, 2)), min_size=1, max_size=40),
+       st.integers(0, 40))
+def test_first_occurrences_matches_keyed_scan(picks, split):
+    centres = np.array([[0.0, 0.5, -0.25], [1.0, 0.0, 0.0], [0.125, 0.125, 0.0],
+                        [-0.5, 0.0, 1.0]])
+    rows = np.array([centres[c] + np.eye(3)[axis] * off for c, off, axis in picks])
+    want = keyed_scan(rows)
+    assert first_occurrences(rows).tolist() == want
+    # the same scan in two calls, the second one against the rows kept so far
+    split = min(split, len(rows))
+    buckets = {}
+    head = first_occurrences(rows[:split], rows[:0], buckets)
+    tail = first_occurrences(rows[split:], rows[head], buckets)
+    assert head.tolist() + (split + tail).tolist() == want
+    assert sorted(i for b in buckets.values() for i in b) == list(range(len(want)))
