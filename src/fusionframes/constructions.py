@@ -74,19 +74,26 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
             raise NotOrthogonal("generator fails the orthogonality check")
 
     right = np.stack(gens)
-    stack, buckets = np.eye(d).reshape(1, d * d), {}
-    first_occurrences(stack, stack[:0], buckets)     # files the identity
+    buf, buckets = np.eye(d).reshape(1, d * d), {}
+    first_occurrences(buf, 0, buckets)      # files the identity
     chunk = max(1, GRAM_BUDGET // (len(gens) * d * d))
-    lo, hi = 0, 1
-    while lo < hi:
+    lo, n = 0, 1
+    while lo < n:
+        hi = n
         for start in range(lo, hi, chunk):
-            left = stack[start:min(start + chunk, hi)].reshape(-1, 1, d, d)
+            left = buf[start:min(start + chunk, hi)].reshape(-1, 1, d, d)
             prods = (left @ right).reshape(-1, d * d)
-            stack = np.concatenate([stack, prods[first_occurrences(prods, stack, buckets)]])
-            if len(stack) > max_order:
+            if n + len(prods) > len(buf):   # grow by doubling: no copy per level
+                buf = np.concatenate([buf[:n], np.empty((n + 2 * len(prods), d * d))])
+            buf[n:n + len(prods)] = prods
+            kept = first_occurrences(buf[:n + len(prods)], n, buckets)
+            if len(kept) < len(prods):
+                buf[n:n + len(kept)] = buf[n + kept]
+            n += len(kept)
+            if n > max_order:
                 raise GroupTooLarge(f"closure exceeded max_order={max_order}")
-        lo, hi = hi, len(stack)
-    stack = stack.reshape(-1, d, d)
+        lo = hi
+    stack = buf[:n].reshape(-1, d, d).copy()
     group = MatrixGroup(d=d, elements=tuple(stack), generators=tuple(gens))
     group.__dict__["stack"] = stack
     return group

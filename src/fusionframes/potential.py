@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import MissingMoment, SingleSubspace
 from .frames import WeightedFrame, certify_tight
-from .subspaces import first_occurrences, projector
+from .subspaces import EQUALITY_TOL, first_occurrences, projector
 
 EQUIANGULAR_TOL = 1e-8
 
@@ -124,9 +124,10 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     """Detect a constant off-diagonal trace(P_i P_j) and run the counting
     checks that a genuine equiangular system must satisfy.
 
-    ``n_distinct`` counts distinct subspaces by the ``first_occurrences``
-    scan of their projectors (equal when they agree to ``EQUALITY_TOL`` in
-    max-norm); the counting bound C(d+1,2) applies only to distinct members,
+    ``n_distinct`` counts distinct subspaces: the ``first_occurrences`` scan
+    of their projectors, whose survivors are then scanned pairwise, so
+    ``all_distinct`` means that no two projectors agree to ``EQUALITY_TOL``
+    in max-norm; the counting bound C(d+1,2) applies only to distinct members,
     so a valid equiangular system needs is_equiangular, all_distinct, and
     gerzon_ok simultaneously.
     """
@@ -140,7 +141,11 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     common = float(off.mean()) if is_eq else None
 
     projs = np.stack([projector(s).ravel() for s in frame.subspaces])
-    n_distinct = len(first_occurrences(projs))
+    rows = projs[first_occurrences(projs)]
+    kept = np.ones(len(rows), dtype=bool)   # rescan pairwise: near rows may differ in key
+    for i in range(1, len(rows)):
+        kept[i] = not kept[:i][np.abs(rows[:i] - rows[i]).max(axis=1) <= EQUALITY_TOL].any()
+    n_distinct = int(kept.sum())
 
     predicted = None
     if frame.equal_dims():

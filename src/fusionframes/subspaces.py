@@ -106,35 +106,36 @@ def check_orthonormal(bases: np.ndarray, members=None) -> np.ndarray:
     return bases
 
 
-def first_occurrences(rows: np.ndarray, known=None, buckets=None,
-                      tol: float = EQUALITY_TOL) -> np.ndarray:
-    """Positions, ascending, of the rows of ``rows`` (m, D) that a linear
-    scan keeps: a row is dropped when a kept row with the same 6-decimal key
-    rint(1e6 x) lies within ``tol`` in max-norm.  A scan over several calls
-    passes the rows kept so far as ``known`` and ``buckets`` (key bytes ->
-    positions in ``known``), which the kept rows join.  Rows are compared
-    with the first row of their key at once; only rows far from it meet the
-    rest of their bucket in Python."""
-    keys = np.rint(rows * 1e6).astype(np.int64)     # the cast folds -0.0 into 0
-    void = np.dtype((np.void, keys.itemsize * keys.shape[1]))
-    uniq, first, inverse = np.unique(keys.view(void).ravel(), return_index=True,
-                                     return_inverse=True)
-    names = uniq.tolist()
-    old = [buckets.get(k, ()) for k in names] if buckets else [()] * len(names)
-    lead = np.array([b[0] if b else -1 for b in old], dtype=np.intp)[inverse]
-    ref = rows[first[inverse]]
-    if buckets:
-        ref[lead >= 0] = known[lead[lead >= 0]]
-    near = np.abs(rows - ref).max(axis=1) <= tol
-    dup = near & ((lead >= 0) | (first[inverse] != np.arange(len(rows))))
-    for i in np.flatnonzero(~near):
-        same = np.flatnonzero((inverse[:i] == inverse[i]) & ~dup[:i])
-        dup[i] = any(np.abs(rows[i] - known[j]).max() <= tol for j in old[inverse[i]]) \
-            or bool((np.abs(rows[same] - rows[i]).max(axis=1) <= tol).any())
-    kept = np.flatnonzero(~dup)
+def first_occurrences(rows: np.ndarray, start: int = 0, buckets=None) -> np.ndarray:
+    """Positions in ``rows[start:]`` (D columns), ascending, of the rows
+    that a linear scan keeps: a row is dropped when a kept row with the
+    same 6-decimal key rint(1e6 x) lies within ``EQUALITY_TOL`` in
+    max-norm.  A scan over several calls puts the rows kept so far in
+    ``rows[:start]``, filed in ``buckets`` (key bytes -> positions), which
+    the kept rows join at the positions they take when packed after them.
+    Rows with a new key are kept without a comparison; the others are
+    compared with the first row of their key at once, and only rows far
+    from it meet the rest of their bucket in Python."""
+    new = rows[start:]
+    keys = np.rint(new * 1e6).astype(np.int64)      # the cast folds -0.0 into 0
+    names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+    old, seen = buckets or {}, {}
+    head = [old[k][0] if k in old else seen.setdefault(k, i) for i, k in enumerate(names, start)]
+    if len(seen) == len(names):                     # every key is new
+        kept = np.arange(len(names))
+    else:
+        head = np.array(head, dtype=np.intp)
+        dup = head != np.arange(start, len(rows))   # an earlier row has the key
+        later = np.flatnonzero(dup)
+        near = np.abs(new[later] - rows[head[later]]).max(axis=1) <= EQUALITY_TOL
+        for i in later[~near]:
+            mine = start + np.flatnonzero((head[:i] == head[i]) & ~dup[:i])
+            same = [*old.get(names[i], ()), *mine]
+            dup[i] = bool((np.abs(rows[same] - new[i]).max(axis=1) <= EQUALITY_TOL).any())
+        kept = np.flatnonzero(~dup)
     if buckets is not None:
-        for pos, u in enumerate(inverse[kept].tolist(), len(known)):
-            buckets.setdefault(names[u], []).append(pos)
+        for pos, i in enumerate(kept.tolist(), start):
+            buckets.setdefault(names[i], []).append(pos)
     return kept
 
 

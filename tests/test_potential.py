@@ -175,6 +175,20 @@ def test_equiangularity_counts_distinct_members_like_a_pairwise_scan(rng):
     assert not rep.all_distinct
 
 
+def test_equiangularity_sees_near_members_across_a_key_boundary():
+    # cos^2 t = 0.2500005 -+ 2e-9: the projectors agree to 4e-9, but their
+    # diagonals round to other 6-decimal keys
+    lines = [np.array([[np.sqrt(c)], [np.sqrt(1 - c)]])
+             for c in (0.2500005 - 2e-9, 0.2500005 + 2e-9, 0.9)]
+    frame = build_frame(lines)
+    projs = np.stack([s.basis @ s.basis.T for s in frame.subspaces])
+    assert np.abs(projs[0] - projs[1]).max() <= 1e-8
+    assert (np.rint(projs[0] * 1e6) != np.rint(projs[1] * 1e6)).any()
+    rep = equiangularity(frame)
+    assert rep.n_distinct == 2
+    assert not rep.all_distinct
+
+
 def test_mixed_bound(rng):
     t3 = t_matrix(3, 1)
     for _ in range(50):

@@ -173,7 +173,7 @@ def test_first_occurrences_matches_keyed_scan(picks, split):
     # the same scan in two calls, the second one against the rows kept so far
     split = min(split, len(rows))
     buckets = {}
-    head = first_occurrences(rows[:split], rows[:0], buckets)
-    tail = first_occurrences(rows[split:], rows[head], buckets)
+    head = first_occurrences(rows[:split], 0, buckets)
+    tail = first_occurrences(np.concatenate([rows[head], rows[split:]]), len(head), buckets)
     assert head.tolist() + (split + tail).tolist() == want
     assert sorted(i for b in buckets.values() for i in b) == list(range(len(want)))
