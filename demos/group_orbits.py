@@ -1,8 +1,10 @@
 """Symmetry route to tight frames: close a group, test it, take orbits.
 
-A finite orthogonal group whose Reynolds operator has rank 1 on degree-2p
-polynomials turns EVERY orbit into a tight order-p frame.  Groups that
-fail the rank test leave some orbits untight, and sampling finds them.
+A finite orthogonal group whose only degree-2p invariant polynomials are
+the multiples of (x_1^2+...+x_d^2)^p turns EVERY orbit into a tight
+order-p frame.  invariance_check counts those invariants by Molien's
+formula; groups with more than one leave some orbits untight, and sampling
+finds them.
 """
 import numpy as np
 
@@ -24,7 +26,7 @@ for p in (1, 2, 3):
     print(f"  p={p}: invariant dim {rep.invariant_dim}, "
           f"{'passes' if rep.passes else 'fails'}")
 
-# rank 1 at p=2, so any line orbit is tight at order 2
+# one invariant at p=2, so any line orbit is tight at order 2
 rng = np.random.default_rng(0)
 for trial in range(3):
     seed = haar_random(2, 1, rng)

@@ -4,8 +4,10 @@ through another, realified complex line sets, and a small built-in catalog.
 The orbit route rests on an invariant-theory criterion: if the only degree-2p
 polynomials fixed by a finite orthogonal group are the multiples of
 (x_1^2+...+x_d^2)^p, then every orbit of a subspace under that group is a
-tight order-p frame.  The criterion is decided numerically by the rank of
-the group-averaging (Reynolds) operator on monomial coefficients.
+tight order-p frame.  The criterion is decided by counting those invariants
+with Molien's formula (Molien 1897; Sloane 1977): the group mean of the
+complete homogeneous symmetric polynomial of degree 2p in the eigenvalues
+of each element, computed from the traces of its powers.
 """
 from __future__ import annotations
 
@@ -22,17 +24,18 @@ from .errors import (
     GroupTooLarge,
     NotOrthogonal,
     ParameterError,
-    SizeGuardExceeded,
     UnknownName,
 )
-from .frames import WeightedFrame, build_frame
-from .homogeneous import HomogeneousPoly, monomial_count
+from .frames import POWER_FORM_GUARD, WeightedFrame, build_frame
+from .homogeneous import check_size_guard
+from .moments import P_MAX
 from .potential import GRAM_BUDGET
 from .subspaces import (Subspace, check_orthonormal, first_occurrences, make_subspace,
                         stack_subspaces)
 
 GROUP_ORTHO_TOL = 1e-10
-REYNOLDS_GUARD = 10 ** 5
+# Largest gap of a Molien mean from the nearest integer.
+MOLIEN_TOL = 1e-6
 DEFAULT_MAX_ORDER = 20_000
 # Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
 CATALOG_ARG_MAX = 1000
@@ -105,76 +108,35 @@ class InvarianceReport:
     passes: bool     # invariant space is exactly the line of (sum x_i^2)^p
 
 
-def _monomial_basis(d: int, degree: int) -> list:
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v, slots - 1)
-
-    rec([], degree, d)
-    return out
-
-
-def _substitution_matrix(g: np.ndarray, basis: list, pos: dict, degree: int) -> np.ndarray:
-    """Action of x -> g x on degree-`degree` monomial coefficients."""
-    d = g.shape[0]
-    n = len(basis)
-    # row i of g^T gives the linear form substituted for x_i
-    linear = []
-    for i in range(d):
-        coeffs = {}
-        for j in range(d):
-            if g[j, i] != 0.0:
-                e = [0] * d
-                e[j] = 1
-                coeffs[tuple(e)] = float(g[j, i])
-        linear.append(HomogeneousPoly(d, 1, coeffs))
-    mat = np.zeros((n, n))
-    cache: dict = {}
-
-    def power_of(i: int, e: int) -> HomogeneousPoly:
-        key = (i, e)
-        if key not in cache:
-            cache[key] = linear[i].power(e)
-        return cache[key]
-
-    for col, expo in enumerate(basis):
-        poly = None
-        for i, e in enumerate(expo):
-            if e == 0:
-                continue
-            factor = power_of(i, e)
-            poly = factor if poly is None else poly * factor
-        for e, c in poly.coeffs.items():
-            mat[pos[e], col] = c
-    return mat
-
-
 def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
-    """Rank of the Reynolds operator on degree-2p monomial coefficients.
+    """Dimension of the degree-2p invariants of the group, by Molien's formula.
 
-    Rank 1 means the invariant polynomials of degree 2p form a single line;
-    since (sum x_i^2)^p is invariant under every orthogonal matrix, that line
-    is necessarily its span, and all orbits of the group are tight at p.
+    The dimension is the group mean of h_2p(eigenvalues of g), h_n the
+    complete homogeneous symmetric polynomial, got from the power sums
+    tr(g^i) by Newton's identities n h_n = sum_{i<=n} tr(g^i) h_{n-i}.
+    Dimension 1 means the invariants are the multiples of (sum x_i^2)^p,
+    which every orthogonal matrix fixes, and all orbits of the group are
+    tight at p.  |h_2p| <= C(d+2p-1, 2p), so the monomial guard keeps the
+    mean exact to rounding; a mean more than ``MOLIEN_TOL`` from an integer
+    means the elements are not an orthogonal group (NotOrthogonal).
     """
-    d, degree = group.d, 2 * p
-    if monomial_count(d, degree) > REYNOLDS_GUARD:
-        raise SizeGuardExceeded(
-            f"{monomial_count(d, degree)} monomials exceed the Reynolds guard"
-        )
-    basis = _monomial_basis(d, degree)
-    pos = {e: i for i, e in enumerate(basis)}
-    n = len(basis)
-    reynolds = np.zeros((n, n))
-    for g in group.elements:
-        reynolds += _substitution_matrix(g, basis, pos, degree)
-    reynolds /= len(group.elements)
-    rank = int(np.linalg.matrix_rank(reynolds, tol=1e-8))
-    return InvarianceReport(invariant_dim=rank, passes=rank == 1)
+    if not 1 <= p <= P_MAX:
+        raise ParameterError(f"p={p} not in [1, {P_MAX}]")
+    check_size_guard(group.d, 2 * p, POWER_FORM_GUARD)
+    g = group.stack
+    power, traces = np.broadcast_to(np.eye(group.d), g.shape), []
+    for _ in range(2 * p):          # traces[i] = tr(g^(i+1)) per element
+        power = power @ g
+        traces.append(np.trace(power, axis1=1, axis2=2))
+    h = [np.ones(len(g))]           # h[n] = h_n(eigenvalues of g) per element
+    for n in range(1, 2 * p + 1):
+        h.append(sum(t * h_rest for t, h_rest in zip(traces, reversed(h))) / n)
+    mean = float(h[-1].mean())
+    count = round(mean)
+    if abs(mean - count) > MOLIEN_TOL:
+        raise NotOrthogonal(f"Molien mean {mean!r} is not an integer: "
+                            "the elements are not an orthogonal group")
+    return InvarianceReport(invariant_dim=count, passes=count == 1)
 
 
 def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
@@ -365,18 +327,27 @@ def catalog_names() -> list:
 # ---------------------------------------------------------------------------
 # file formats
 
+def _numbers(item, name: str) -> np.ndarray:
+    """A JSON array of numbers as floats; strings, booleans, ragged nesting refused."""
+    try:
+        a = np.asarray(item)
+    except ValueError as exc:
+        raise FrameFormatError(f"{name}: {exc}") from exc
+    if a.dtype.kind not in "fi":
+        raise FrameFormatError(f"{name}: entries must be numbers")
+    return a.astype(float)
+
+
 def load_generators(path) -> list:
     """Generator file: JSON list of d x d row-major matrices."""
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise FrameFormatError("generator file must be a nonempty JSON list")
-    mats = []
-    for item in data:
-        g = np.asarray(item, dtype=float)
+    mats = [_numbers(item, f"generator {j}") for j, item in enumerate(data)]
+    for j, g in enumerate(mats):
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise FrameFormatError("each generator must be a square matrix")
-        mats.append(g)
+            raise FrameFormatError(f"generator {j}: must be a square matrix")
     return mats
 
 
@@ -392,11 +363,10 @@ def load_line_set(path) -> ComplexLineSet:
         data = json.load(fh)
     if not isinstance(data, list) or not data:
         raise FrameFormatError("line-set file must be a nonempty JSON list")
-    first = np.asarray(data[0], dtype=float)
-    if first.ndim != 1 or len(first) % 2 != 0:
+    vecs = [_numbers(v, f"line vector {j}") for j, v in enumerate(data)]
+    if vecs[0].ndim != 1 or len(vecs[0]) % 2 != 0:
         raise FrameFormatError("line vectors must be flat arrays of even length")
-    return ComplexLineSet(d_complex=len(first) // 2,
-                          vectors=tuple(np.asarray(v, dtype=float) for v in data))
+    return ComplexLineSet(d_complex=len(vecs[0]) // 2, vectors=tuple(vecs))
 
 
 def save_line_set(lines: ComplexLineSet, path) -> None:

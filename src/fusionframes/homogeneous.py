@@ -23,7 +23,7 @@ lazily and cached per (d, degree); members are processed in chunks of a
 fixed element budget.
 
 ``HomogeneousPoly`` is the sparse form keyed by exponent tuples, kept for
-small products, evaluation and display.
+evaluation, comparison and display.
 """
 from __future__ import annotations
 
@@ -197,36 +197,6 @@ class HomogeneousPoly:
             exps[rows, col] += 1
         return cls(d, degree, dict(zip(map(tuple, exps.tolist()),
                                        coeffs[nonzero].tolist())))
-
-    def __mul__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionError("variable counts differ")
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0.0) + c1 * c2
-        return HomogeneousPoly(self.ambient_dim, self.degree + other.degree, out)
-
-    def scaled(self, a: float) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.ambient_dim, self.degree,
-                               {e: a * c for e, c in self.coeffs.items()})
-
-    def add(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if (self.ambient_dim, self.degree) != (other.ambient_dim, other.degree):
-            raise DimensionError("cannot add polynomials of different shape")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0.0) + c
-        return HomogeneousPoly(self.ambient_dim, self.degree, out)
-
-    def power(self, p: int) -> "HomogeneousPoly":
-        if p < 1:
-            raise DimensionError("power must be >= 1")
-        out = self
-        for _ in range(p - 1):
-            out = out * self
-        return out
 
     def max_coeff_diff(self, other: "HomogeneousPoly") -> float:
         """Max-norm of the coefficient difference, over the union of supports."""

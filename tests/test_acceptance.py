@@ -164,7 +164,7 @@ def test_criterion_05_extension_multiplies_constants(capfd):
 
 
 def test_criterion_06_orbit_theorem_equivalence(capfd):
-    with criterion(capfd, 6, "Reynolds rank 1 iff all orbits tight",
+    with criterion(capfd, 6, "one Molien invariant iff all orbits tight",
                    budget_s=30.0):
         weyl = weyl_a2_group()
         rep = invariance_check(weyl, 2)

@@ -277,6 +277,19 @@ def test_error_exit_codes(tmp_path, capsys):
         assert code == 2 and out == "", name
         assert json.loads(err)["error"] == "FrameFormatError"
 
+    # generator and line-set files are as strict as frame files
+    for name, kind, flag, text in (
+            ("string-gens.json", "orbit", "--generators", '[[["1", "0"], ["0", "-1"]]]'),
+            ("bool-gens.json", "orbit", "--generators", "[[[true, false], [false, true]]]"),
+            ("string-lines.json", "realify", "--lines", '[["1", "0", "0", "0"]]'),
+            ("bool-lines.json", "realify", "--lines", "[[true, false, false, false]]")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(["gen", kind, flag, str(path), "-o", str(tmp_path / "x.json")],
+                             capsys)
+        assert code == 2 and out == "", name
+        assert json.loads(err)["error"] == "FrameFormatError"
+
     for argv in (["moments", "--d", "8", "--p", "1000"],
                  ["moments", "--d", "10000000", "--p", "2"],
                  ["gen", "catalog", "equispaced-lines(99999999)",

@@ -1,5 +1,6 @@
 import json
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from fusionframes import (
 )
 import fusionframes.constructions as constructions
 from fusionframes.constructions import CATALOG_ARG_MAX, _reflection
+from fusionframes.moments import P_MAX
 from fusionframes.subspaces import EQUALITY_TOL
 
 
@@ -87,8 +89,21 @@ def test_invariance_check_examples():
     assert rep.invariant_dim == 3 and not rep.passes
 
     big = MatrixGroup(12, (np.eye(12),), (np.eye(12),))
+    assert invariance_check(big, 5).invariant_dim == comb(21, 10) == 352716
     with pytest.raises(SizeGuardExceeded):
-        invariance_check(big, 5)
+        invariance_check(big, 7)
+
+
+def test_invariance_check_refuses_bad_orders_and_non_groups():
+    for p in (0, -1, P_MAX + 1):
+        with pytest.raises(ParameterError):
+            invariance_check(weyl_a2_group(), p)
+    # closed under nothing: diag(1, -1) diag(-1, 1) = -I is missing, and
+    # the Molien mean is 5/3
+    not_a_group = MatrixGroup(2, (np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])),
+                              (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
+    with pytest.raises(NotOrthogonal, match="not an orthogonal group"):
+        invariance_check(not_a_group, 1)
 
 
 def test_orbit_frame(rng):
@@ -262,6 +277,80 @@ def test_orbit_keeps_the_pairwise_first_occurrences(name, k, on_mirror, seed):
 
 
 # ---------------------------------------------------------------------------
+# Molien counts
+
+def chevalley_count(degrees, degree):
+    """Invariants of a reflection group in one degree: the ways to write it
+    as a sum of basic-invariant degrees (Chevalley)."""
+    ways = [1] + [0] * degree
+    for deg in degrees:
+        for t in range(deg, degree + 1):
+            ways[t] += ways[t - deg]
+    return ways[degree]
+
+
+BASIC_DEGREES = {"H3": (2, 6, 10), "A4": (2, 3, 4, 5), "B4": (2, 4, 6, 8),
+                 "F4": (2, 6, 8, 12), "H4": (2, 12, 20, 30)}
+
+
+@lru_cache(maxsize=None)
+def h4():
+    return close_group(coxeter_generators((5, 3, 3)))
+
+
+@pytest.mark.parametrize("name", list(BASIC_DEGREES))
+def test_molien_counts_equal_chevalley_counts(name):
+    group = h4() if name == "H4" else closed(name)
+    for p in range(1, 7):
+        want = chevalley_count(BASIC_DEGREES[name], 2 * p)
+        rep = invariance_check(group, p)
+        assert rep.invariant_dim == want and rep.passes == (want == 1), (name, p)
+
+
+def test_molien_counts_of_groups_without_reflections():
+    for d in (2, 3, 5):
+        triv = close_group([np.eye(d)])
+        for p in range(1, 7):
+            assert invariance_check(triv, p).invariant_dim == comb(d + 2 * p - 1, 2 * p)
+    # a 7-fold rotation fixes z^a zbar^b exactly when 7 divides a - b, so in
+    # degree 2p <= 12 only |z|^2p; its line orbits are the 7 equispaced lines
+    counts = [invariance_check(closed("C7"), p).invariant_dim for p in range(1, 8)]
+    assert counts == [1] * 6 + [3]
+    # S_7 by permutation matrices: the invariants are polynomials in the
+    # elementary symmetric functions of degrees 1..7
+    swap, cycle = np.eye(7)[[1, 0, 2, 3, 4, 5, 6]], np.roll(np.eye(7), 1, axis=0)
+    sym = close_group([swap, cycle])
+    assert len(sym) == 5040
+    for p in range(1, 7):
+        assert invariance_check(sym, p).invariant_dim == chevalley_count(range(1, 8), 2 * p)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["A2", "C7", "H3", "A4", "B4", "F4"]), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_molien_count_is_conjugation_invariant(name, p, seed):
+    group = closed(name)
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((group.d, group.d)))
+    q *= np.sign(np.diag(r))      # Haar orthogonal
+    conj = close_group([q @ g @ q.T for g in group.generators])
+    assert len(conj) == len(group)
+    assert invariance_check(conj, p) == invariance_check(group, p)
+
+
+def test_h4_pipeline_counts_match_certified_orbit(rng):
+    # close, count, take the orbit of a generic line, certify: the count is
+    # 1 exactly at the orders where the 7200-line orbit is tight
+    group = h4()
+    assert len(group) == 14400
+    counts = [invariance_check(group, p).invariant_dim for p in range(1, 7)]
+    assert counts == [1, 1, 1, 1, 1, 2]
+    orbit = orbit_frame(group, haar_random(4, 1, rng))
+    assert len(orbit) == 7200
+    for p, count in zip(range(1, 7), counts):
+        assert certify_tight(orbit, p).tight == (count == 1), p
+
+
+# ---------------------------------------------------------------------------
 # extension
 
 def test_extend_mercedes_into_mub(mercedes, mub_planes):
@@ -403,6 +492,12 @@ def test_generator_file_round_trip(tmp_path):
     empty.write_text("[]")
     with pytest.raises(FrameFormatError):
         load_generators(empty)
+    # strict types, as in frame files: no coercion of strings or booleans
+    for text in ('[[["1", "0"], ["0", "-1"]]]', "[[[true, false], [false, true]]]",
+                 "[[[1.0, 0.0], [0.0, 1.0]], [[1.0, [0.0]], [0.0, 1.0]]]"):
+        bad.write_text(text)
+        with pytest.raises(FrameFormatError, match="generator [01]"):
+            load_generators(bad)
 
 
 def test_line_set_file_round_trip(tmp_path):
@@ -415,3 +510,8 @@ def test_line_set_file_round_trip(tmp_path):
     odd.write_text(json.dumps([[1.0, 0.0, 0.0]]))
     with pytest.raises(FrameFormatError):
         load_line_set(odd)
+    for text in ('[[1.0, 0.0, 0.0, 0.0], ["1", "0", "0", "0"]]',
+                 "[[true, false, false, false]]"):
+        odd.write_text(text)
+        with pytest.raises(FrameFormatError, match="line vector [01]"):
+            load_line_set(odd)

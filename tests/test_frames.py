@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fusionframes import (
     DimensionError,
     FrameFormatError,
+    HomogeneousPoly,
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
@@ -141,7 +142,8 @@ def test_power_form_examples(mercedes):
     assert pf1.max_coeff_diff(sum_of_squares_power(2, 1)) < 1e-15
 
     pf2 = power_form(mercedes, 2)
-    target = sum_of_squares_power(2, 2).scaled(9 / 8)
+    target = HomogeneousPoly(2, 4, {e: 9 / 8 * c for e, c in
+                                    sum_of_squares_power(2, 2).coeffs.items()})
     assert pf2.max_coeff_diff(target) < 1e-12
     # evaluation route agrees with the expansion
     rng = np.random.default_rng(3)

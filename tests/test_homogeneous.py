@@ -53,17 +53,6 @@ def test_quadratic_form_matches_matrix(rng):
             assert abs(q(x) - x @ m @ x) < 1e-10
 
 
-def test_product_and_power(rng):
-    d = 3
-    m = np.eye(d)
-    q = quadratic_form(m)                 # x1^2 + x2^2 + x3^2
-    q2 = q * q
-    assert q2.degree == 4
-    x = rng.standard_normal(d)
-    assert abs(q2(x) - (x @ x) ** 2) < 1e-10
-    assert abs(q.power(3)(x) - (x @ x) ** 3) < 1e-9
-
-
 def test_sum_of_squares_power_coefficients():
     p = sum_of_squares_power(2, 2)        # (x^2 + y^2)^2 = x^4 + 2x^2y^2 + y^4
     assert p.coeffs == {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}
@@ -86,14 +75,6 @@ def test_max_coeff_diff_over_support_union():
     assert a.max_coeff_diff(a) == 0.0
 
 
-def test_add_and_scale():
-    a = HomogeneousPoly(2, 2, {(2, 0): 1.0, (1, 1): 2.0})
-    b = a.scaled(-1.0).add(a)
-    assert b.max_coeff_diff(HomogeneousPoly(2, 2, {})) == 0.0
-    with pytest.raises(DimensionError):
-        a.add(HomogeneousPoly(2, 4, {}))
-
-
 def test_monomial_ranks_enumerate_each_degree():
     for d in (2, 3, 5):
         for degree in range(7):
@@ -105,13 +86,27 @@ def test_monomial_ranks_enumerate_each_degree():
     assert monomials(3, 2).tolist() == [[0, 0], [0, 1], [1, 1], [0, 2], [1, 2], [2, 2]]
 
 
+def dict_product(a, b):
+    """Product of two polynomials given as exponent-tuple -> coefficient dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0.0) + c1 * c2
+    return out
+
+
 def dict_power_sum(factors, weights, p):
-    """Reference: the sparse dict products, one member at a time."""
-    d = factors[0].shape[0]
-    total = HomogeneousPoly(d, 2 * p, {})
+    """Reference: sparse dict products, one member at a time."""
+    total = {}
     for f, w in zip(factors, weights):
-        total = total.add(quadratic_form(f @ f.T).power(p).scaled(w))
-    return total
+        q = quadratic_form(f @ f.T).coeffs
+        power = q
+        for _ in range(p - 1):
+            power = dict_product(power, q)
+        for e, c in power.items():
+            total[e] = total.get(e, 0.0) + w * c
+    return HomogeneousPoly(factors[0].shape[0], 2 * p, total)
 
 
 def random_factors(rng, d, n):
