@@ -196,7 +196,7 @@ def cmd_optimize(args) -> int:
     started = time.monotonic()
     cfg = OptimizerConfig(
         n=args.n, k=args.k, d=args.d, p=args.p,
-        restarts=args.restarts, max_iters=args.max_iters, step=args.step,
+        restarts=args.restarts, max_iters=args.max_iters,
         tol_grad=args.tol_grad, target_margin=args.target_margin,
     )
     rng = np.random.default_rng(args.seed)
@@ -215,7 +215,7 @@ def cmd_optimize(args) -> int:
         "parameters": {
             "d": cfg.d, "k": cfg.k, "n": cfg.n, "p": cfg.p,
             "restarts": cfg.restarts, "max_iters": cfg.max_iters,
-            "step": cfg.step, "seed": args.seed,
+            "seed": args.seed,
         },
         "results": {
             "ffp": trace.final_value,
@@ -305,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--p", type=int, required=True)
     p_opt.add_argument("--restarts", type=int, default=16)
     p_opt.add_argument("--max-iters", type=int, default=5000)
-    p_opt.add_argument("--step", type=float, default=0.1)
     p_opt.add_argument("--tol-grad", type=float, default=1e-10)
     p_opt.add_argument("--target-margin", type=float, default=1e-5)
     p_opt.add_argument("-o", "--output", default=None, help="frame JSON path")

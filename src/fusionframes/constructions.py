@@ -25,6 +25,7 @@ from .errors import (
     NotOrthogonal,
     ParameterError,
     UnknownName,
+    check_integer,
 )
 from .frames import POWER_FORM_GUARD, WeightedFrame, build_frame
 from .homogeneous import check_size_guard
@@ -120,6 +121,7 @@ def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
     mean exact to rounding; a mean more than ``MOLIEN_TOL`` from an integer
     means the elements are not an orthogonal group (NotOrthogonal).
     """
+    check_integer("p", p)
     if not 1 <= p <= P_MAX:
         raise ParameterError(f"p={p} not in [1, {P_MAX}]")
     check_size_guard(group.d, 2 * p, POWER_FORM_GUARD)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+from numbers import Integral
 
 
 class FusionFrameError(Exception):
@@ -55,3 +57,10 @@ class UnknownName(FusionFrameError):
 
 class FrameFormatError(FusionFrameError):
     """A frame/generator/line-set file violates the documented format."""
+
+
+def check_integer(name: str, value) -> None:
+    """Refuse a parameter that is not a Python or numpy integer; booleans
+    are refused too."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")

@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
+    check_integer,
 )
 from .homogeneous import (
     HomogeneousPoly,
@@ -217,6 +218,7 @@ def reconstruct(frame: WeightedFrame, fs) -> np.ndarray:
 def _power_coeffs(frame: WeightedFrame, p: int) -> np.ndarray:
     """Dense coefficients of sum_j w_j (x^T P_j x)^p over the degree-2p
     monomials, every member at once."""
+    check_integer("p", p)
     if p < 1:
         raise DimensionError("p must be >= 1")
     check_size_guard(frame.ambient_dim, 2 * p, POWER_FORM_GUARD)
@@ -258,9 +260,10 @@ def certify_tight(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL) -> Tig
     the comparison with ``tol``, so the verdict does not depend on the
     weight scale.
     """
+    coeffs = _power_coeffs(frame, p)     # first: it validates p
     a = tightness_constant(frame, p)
     rhs = a * sum_of_squares_coeffs(frame.ambient_dim, p)
-    gap = float(np.abs(_power_coeffs(frame, p) - rhs).max())
+    gap = float(np.abs(coeffs - rhs).max())
     return TightnessCertificate(p=p, target_A=a, residual=gap / float(rhs.max()),
                                 tol=tol, abs_residual=gap)
 

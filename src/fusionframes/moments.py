@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import MixedDimensions, ParameterError
+from .errors import MixedDimensions, ParameterError, check_integer
 from .frames import WeightedFrame, pochhammer_ratio
 from .potential import ffp
 from .subspaces import haar_basis_batch
@@ -60,6 +60,8 @@ class MomentEstimate(NamedTuple):
 
 
 def _check_moment_args(k: int, l: int, d: int, p: int) -> None:
+    for name, value in (("k", k), ("l", l), ("d", d), ("p", p)):
+        check_integer(name, value)
     if not (1 <= k <= d - 1 and 1 <= l <= d - 1):
         raise ParameterError(f"dimensions ({k},{l}) not in [1, {d - 1}]")
     if not 1 <= p <= P_MAX:

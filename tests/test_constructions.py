@@ -95,9 +95,10 @@ def test_invariance_check_examples():
 
 
 def test_invariance_check_refuses_bad_orders_and_non_groups():
-    for p in (0, -1, P_MAX + 1):
+    for p in (0, -1, P_MAX + 1, 2.0, 1.5, True):
         with pytest.raises(ParameterError):
             invariance_check(weyl_a2_group(), p)
+    assert invariance_check(weyl_a2_group(), np.int64(2)).passes
     # closed under nothing: diag(1, -1) diag(-1, 1) = -I is missing, and
     # the Molien mean is 5/3
     not_a_group = MatrixGroup(2, (np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])),

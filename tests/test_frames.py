@@ -14,6 +14,7 @@ from fusionframes import (
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
+    ParameterError,
     RankDeficient,
     SizeGuardExceeded,
     Subspace,
@@ -260,6 +261,16 @@ def test_certify_size_guard():
         certify_tight(frame, 3)
     with pytest.raises(SizeGuardExceeded):
         power_form(frame, 3)
+
+
+def test_certify_refuses_non_integer_orders(mercedes):
+    # certify_tight(mercedes, 2.0) died in range() with a bare TypeError
+    for p in (2.0, 1.5, True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            certify_tight(mercedes, p)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            power_form(mercedes, p)
+    assert certify_tight(mercedes, np.int64(2)).tight
 
 
 def test_verdict_ignores_weight_scale(mercedes):

@@ -136,6 +136,19 @@ def test_t_moment_power_guard():
         t_exact(4, 2, 4, 1)
 
 
+def test_moment_arguments_must_be_integers():
+    # a float p once passed the range check and died in range() with a bare
+    # TypeError; numpy integers are integers
+    for args in ((1, 1, 3, 2.0), (1, 1, 3, 1.5), (1, 1, 3.0, 2), (1.0, 1, 3, 2),
+                 (1, True, 3, 2), (1, 1, 3, True)):
+        for moment in (t_exact, t_moment):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                moment(*args)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        t_matrix(3, 2.0)
+    assert t_exact(np.int64(1), np.int32(1), np.int64(3), np.int8(2)) == t_exact(1, 1, 3, 2)
+
+
 @st.composite
 def moment_args(draw, p_max=5):
     d = draw(st.integers(2, 9))

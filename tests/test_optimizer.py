@@ -24,16 +24,20 @@ from fusionframes import (
     t_moment,
     union,
 )
+from fusionframes import optimizer
 from fusionframes.optimizer import (
     ARMIJO_C,
     ARMIJO_SHRINK,
-    MIN_STEP,
+    EPS,
     SPHERE_MAX_ITERS,
     SPHERE_STEP,
     SPHERE_TOL,
     STALL_RTOL,
     STALL_WINDOW,
     STOP_REASONS,
+    _descend,
+    _ffp_core,
+    _retract,
 )
 
 
@@ -41,10 +45,18 @@ def test_config_validation():
     OptimizerConfig(n=3, k=1, d=2, p=2)
     for bad in (dict(n=0, k=1, d=2, p=1), dict(n=3, k=2, d=2, p=1),
                 dict(n=3, k=1, d=2, p=0), dict(n=3, k=1, d=1, p=1),
-                dict(n=2, k=1, d=2, p=1, restarts=0),
-                dict(n=2, k=1, d=2, p=1, step=0.0)):
+                dict(n=2, k=1, d=2, p=1, restarts=0)):
         with pytest.raises(ParameterError):
             OptimizerConfig(**bad)
+
+
+def test_config_refuses_non_integers():
+    base = dict(n=3, k=1, d=2, p=2, restarts=2, max_iters=10)
+    for field, value in base.items():
+        for bad in (float(value), True):
+            with pytest.raises(ParameterError, match="must be an integer"):
+                OptimizerConfig(**{**base, field: bad})
+    OptimizerConfig(**{field: np.int64(value) for field, value in base.items()})
 
 
 def test_gradient_zero_at_tight_configs(mercedes, ortho_lines_r2):
@@ -95,6 +107,90 @@ def test_gradient_matches_finite_differences(rng):
 
         fd = (value(h) - value(-h)) / (2 * h)
         assert abs(fd - inner) <= 1e-6 * max(1.0, abs(inner))
+
+
+def _second_difference(ys, weights, p, delta):
+    """d^2/dt^2 of the potential along the QR retraction of t delta at 0,
+    Richardson-extrapolated central differences (error O(h^4))."""
+    def value(t):
+        return _ffp_core(_retract(ys, t * delta), weights, p)[0][0]
+
+    def second(h):
+        return (value(h) - 2 * value(0.0) + value(-h)) / h ** 2
+    return (4 * second(5e-4) - second(1e-3)) / 3
+
+
+def test_hessian_matches_second_differences(rng):
+    # span(Y + t Delta) is a second-order retraction on the Grassmannian, so
+    # the second difference is z^T H z at any point, critical or not
+    for _ in range(24):
+        d = int(rng.integers(2, 6))
+        k = int(rng.integers(1, d))
+        n = int(rng.integers(2, 5))
+        p = int(rng.integers(1, 5))
+        weights = rng.uniform(0.5, 2.0, n)
+        weights /= weights.sum()
+        ys = haar_basis_batch(d, k, n, rng)[None]
+        _, grad, hess, perp = _ffp_core(ys, weights, p, hessian=True)
+        assert hess.shape == (1, n * k * (d - k), n * k * (d - k))
+        scale = max(1.0, np.abs(hess).max())
+        assert np.abs(hess - np.swapaxes(hess, -1, -2)).max() <= 1e-13 * scale
+        # the coordinates of the gradient carry all of it
+        coords = np.swapaxes(perp, -1, -2) @ grad
+        assert np.abs(perp @ coords - grad).max() <= 1e-13 * max(1.0, np.abs(grad).max())
+        z = rng.standard_normal(hess.shape[-1])
+        z /= np.sqrt(z @ z)
+        delta = perp @ z.reshape(1, n, d - k, k)
+        quad = float(z @ hess[0] @ z)
+        assert _second_difference(ys, weights, p, delta) == pytest.approx(quad, rel=1e-6, abs=1e-6)
+
+
+def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
+    # s = 0 for the pair: s^(p-2) is inf at p = 1, where its term is skipped
+    ys = np.stack([s.basis for s in ortho_lines_r2.subspaces])[None]
+    weights = ortho_lines_r2.weights
+    for p in (1, 2):
+        _, grad, hess, perp = _ffp_core(ys, weights, p, hessian=True)
+        assert np.isfinite(hess).all() and np.abs(grad).max() == 0.0
+        for z in np.eye(2):
+            delta = perp @ z.reshape(1, 2, 1, 1)
+            assert _second_difference(ys, weights, p, delta) == pytest.approx(
+                z @ hess[0] @ z, abs=1e-7)
+
+
+def test_newton_stops_by_gradient_on_degenerate_minima():
+    # every minimum of (5, 2, 4, 1) lies on a manifold of tight frames, where
+    # the first-order descent once crawled thousands of steps
+    for seed in range(16):
+        trace = minimize_ffp(OptimizerConfig(n=5, k=2, d=4, p=1, max_iters=50),
+                             rng=np.random.default_rng(seed))
+        assert set(trace.restart_stop_reasons) == {"gradient"}, seed
+    # an unreachable floor: restarts stop at local minima, not by the count
+    for seed in range(4):
+        trace = minimize_ffp(OptimizerConfig(n=6, k=2, d=4, p=2, restarts=4),
+                             rng=np.random.default_rng(seed))
+        assert "max-iters" not in trace.restart_stop_reasons, seed
+        assert not trace.success
+
+
+@pytest.mark.parametrize("n,k,d,p", [(3, 1, 2, 2), (4, 1, 2, 3), (6, 1, 3, 2), (5, 2, 4, 1)])
+def test_optimizer_output_certifies_tight(n, k, d, p):
+    # the frames reach the floor to rounding, so they certify at the default 1e-9
+    for seed in range(16):
+        trace = minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p),
+                             rng=np.random.default_rng(seed))
+        assert trace.success
+        assert certify_tight(trace.frame, p).residual <= 1e-9, seed
+
+
+def test_restart_chunks_do_not_couple(monkeypatch):
+    cfg = OptimizerConfig(n=4, k=2, d=4, p=2, restarts=5, max_iters=300)
+    whole = minimize_ffp(cfg, rng=np.random.default_rng(3))
+    monkeypatch.setattr(optimizer, "GRAM_BUDGET", 1)    # one restart per chunk
+    split = minimize_ffp(cfg, rng=np.random.default_rng(3))
+    assert np.allclose(split.restart_values, whole.restart_values, rtol=1e-12, atol=0.0)
+    assert split.restart_stop_reasons == whole.restart_stop_reasons
+    assert split.values == pytest.approx(whole.values, rel=1e-12)
 
 
 def test_minimize_three_lines_in_plane():
@@ -167,6 +263,27 @@ def test_criterion_nine_config_stops_before_max_iters():
         assert "max-iters" not in trace.restart_stop_reasons, seed
 
 
+def test_line_search_stops_where_rounding_hides_the_decrease():
+    # f = 1 + a |x|^2: at a = 1e-7 the Armijo decrease of the first step,
+    # ARMIJO_C SPHERE_STEP |g|^2 = 8e-19, is below one ulp of f, so the row
+    # stops without a trial; at a = 1e-3 it descends
+    calls = []
+
+    def value_grad(x, rows):
+        calls.append(rows.tolist())
+        scale = np.array([1e-7, 1e-3])[rows, None]
+        return 1.0 + (scale * x * x).sum(axis=1), 2 * scale * x
+
+    def retract(x, g, step):
+        return x - step[:, None] * g
+
+    _, _, _, stop, iters = _descend(np.ones((2, 2)), value_grad, retract,
+                                    SPHERE_STEP, 5, 1e-30)
+    assert stop[0] == STOP_REASONS.index("step-underflow") and iters[0] == 0
+    assert all(0 not in rows for rows in calls[1:]) and len(calls) > 1
+    assert iters[1] > 0
+
+
 def test_sphere_extrema_examples(mercedes, ortho_lines_r2):
     rng = np.random.default_rng(0)
     lo, hi = sphere_extrema(ortho_lines_r2, 2, restarts=8, rng=rng)
@@ -232,7 +349,8 @@ def _reference_descent(frame, p, x, sign):
         gnorm = np.sqrt(grad @ grad)
         if gnorm <= SPHERE_TOL:
             break
-        while step >= MIN_STEP:
+        # below this no strict decrease can be verified
+        while ARMIJO_C * step * gnorm ** 2 > EPS * abs(value):
             cand = x - step * grad
             cand /= np.sqrt(cand @ cand)
             cand_value, cand_grad = value_grad(cand)
