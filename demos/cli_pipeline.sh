@@ -18,6 +18,10 @@ echo "== p=3 is out of reach for 3 lines: expect exit 1 =="
 fusionframes check mercedes.json --p 3 --mode tight || echo "exit code $?"
 
 echo
+echo "== numeric frame bounds at p=3: 27/32 and 33/32 =="
+fusionframes check mercedes.json --p 3 --mode bounds
+
+echo
 echo "== orbit of the 20 degree line under the A2 Weyl group =="
 cat > weyl.json <<'EOF'
 [[[ -1.0, 0.0], [0.0, 1.0]],
@@ -34,5 +38,5 @@ echo
 echo "== optimize 3 lines in the plane at p=2 =="
 fusionframes --seed 5 optimize --d 2 --k 1 --n 3 --p 2 \
     --restarts 8 -o packed.json --trace trace.csv
-fusionframes check packed.json --p 2 --mode tight --tol 1e-6
+fusionframes check packed.json --p 2 --mode tight
 head -3 trace.csv

@@ -25,7 +25,7 @@ print(f"  success={trace.success} margin={trace.margin:.2e} "
 rep = equiangularity(trace.frame)
 print(f"  equiangular={rep.is_equiangular} common={rep.common_value:.8f} "
       "(predicted 1/4)")
-print("  certified tight at p=2:", certify_tight(trace.frame, 2, tol=1e-6).tight)
+print("  certified tight at p=2:", certify_tight(trace.frame, 2).tight)
 
 # two lines cannot reach the p=2 floor; the run must report failure
 cfg = OptimizerConfig(n=2, k=1, d=2, p=2, restarts=8)

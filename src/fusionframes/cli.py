@@ -30,7 +30,7 @@ from .constructions import (
     realify,
 )
 from .errors import FusionFrameError
-from .frames import certify_tight, load_frame, save_frame
+from .frames import CERTIFY_TOL, certify_tight, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
 from .optimizer import STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
 from .potential import equiangularity, ffp
@@ -201,7 +201,7 @@ def cmd_optimize(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     trace = minimize_ffp(cfg, rng)
-    cert = certify_tight(trace.frame, cfg.p, tol=1e-6)
+    cert = certify_tight(trace.frame, cfg.p)
     if args.output:
         save_frame(trace.frame, args.output)
     if args.trace:
@@ -237,7 +237,7 @@ def cmd_optimize(args) -> int:
         "tolerances": {
             "tol_grad": cfg.tol_grad,
             "target_margin": cfg.target_margin,
-            "certify_tol": 1e-6,
+            "certify_tol": CERTIFY_TOL,
         },
     }
     _emit(report, started)

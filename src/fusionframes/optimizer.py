@@ -1,19 +1,19 @@
-"""Riemannian minimization of the frame potential over products of
-Grassmannians, plus a sphere min/max engine for numeric frame bounds.
+"""Riemannian Newton on products of Grassmannians: minimization of the
+frame potential, and the min and max of the power form over the unit sphere
+(numeric frame bounds).
 
 Subspaces are carried as Stiefel representatives (orthonormal d x k bases)
-and re-orthonormalized by QR after every step, so feasibility is exact at
-machine precision.  The potential depends only on the spanned subspaces, so
-tangent vectors are horizontal: Delta_a = Y_a_perp Z_a, with Y_a_perp an
-orthonormal basis of the complement of Y_a.
+and re-orthonormalized by a sign-fixed QR after every step, so feasibility
+is exact at machine precision.  Both objectives depend only on the spanned
+subspaces, so tangent vectors are horizontal: Delta_a = Y_a_perp Z_a, with
+Y_a_perp an orthonormal basis of the complement of Y_a.  A unit vector x is
+the basis of a line, a point of Gr(1, d), and the power form is even in x.
 
-The potential is minimized by a Levenberg-Marquardt-regularized Riemannian
-Newton method (Absil, Mahony & Sepulchre 2008, ch. 6; More 1978): the exact
-Hessian in the coordinates Z comes from the pairwise overlaps, each restart
-solves (H + lambda I) z = -g with its own lambda and accepts steps by the
-ratio of actual to predicted decrease.  The sphere extrema run one batched
-Armijo descent (ibid., ch. 4).  Every restart or start stops for one of the
-``STOP_REASONS``.
+One loop, ``_newton``, runs every problem: a Levenberg-Marquardt-regularized
+Riemannian Newton method (Absil, Mahony & Sepulchre 2008, ch. 6; More 1978)
+with the exact Hessian in the coordinates Z.  Each restart or start solves
+(H + lambda I) z = -g with its own lambda, accepts steps by the ratio of
+actual to predicted decrease, and stops for one of the ``STOP_REASONS``.
 """
 from __future__ import annotations
 
@@ -25,20 +25,16 @@ from .errors import MixedDimensions, ParameterError, check_integer
 from .frames import WeightedFrame
 from .moments import t_moment
 from .potential import GRAM_BUDGET, cross_gram
-from .subspaces import Subspace, haar_basis_batch
+from .subspaces import Subspace, _signed_qr, haar_basis_batch
 
 EPS = np.finfo(float).eps
-ARMIJO_C = 1e-4
-ARMIJO_SHRINK = 0.5
 # A descent has stagnated when its value fell by at most STALL_RTOL of its
 # size over the last STALL_WINDOW accepted steps: about a hundred ulps, the
 # rounding noise of the value itself.
 STALL_WINDOW = 10
 STALL_RTOL = 1e2 * EPS
 STOP_REASONS = ("gradient", "stagnation", "step-underflow", "max-iters")
-SPHERE_STEP = 0.1
 SPHERE_MAX_ITERS = 2000
-SPHERE_TOL = 1e-12
 # Newton: lambda = mu ||g||, which vanishes at a minimum even where the
 # minimum is degenerate and H singular, so steps there stay Newton-fast
 # (Li, Fukushima, Qi & Yamashita 2004).  A step is accepted when its actual decrease is
@@ -94,64 +90,6 @@ class OptimizerTrace:
     @property
     def final_value(self) -> float:
         return self.values[-1]
-
-
-def _descend(x, value_grad, retract, step0, max_iters, tol) -> tuple:
-    """Armijo descent of independent problems stacked on axis 0 of x.
-
-    ``value_grad(x, rows)`` gives the values and tangent gradients of the
-    problems ``rows`` at x; ``retract(x, g, step)`` moves each x by its own
-    step along -g back onto the manifold.  Steps are accepted only on a
-    strict Armijo decrease.  A problem leaves the batch at the first of the
-    ``STOP_REASONS``: gradient norm at most ``tol``, a relative decrease of
-    at most ``STALL_RTOL`` over ``STALL_WINDOW`` steps, a step whose Armijo
-    decrease ARMIJO_C step ||g||^2 is at most EPS |value| (no strict
-    decrease can be verified below that), or ``max_iters`` steps.  Returns
-    the final x, the values after each iteration (stopped problems keep
-    their last value), the gradient norms, the stop reason indices and the
-    step counts.
-    """
-    count = len(x)
-    val, grad = value_grad(x, np.arange(count))
-    axes = tuple(range(1, x.ndim))
-    gnorm = np.sqrt((grad * grad).sum(axis=axes))
-    step = np.full(count, float(step0))
-    # index into STOP_REASONS, -1 while the problem runs
-    stop = np.where(gnorm <= tol, 0, -1)
-    iters = np.zeros(count, dtype=int)
-    trail = [val.copy()]
-    active = np.flatnonzero(stop < 0)
-    for it in range(1, max_iters + 1):
-        pending = active
-        while True:
-            # no strict decrease can be verified below one ulp of the value
-            blind = ~(ARMIJO_C * step[pending] * gnorm[pending] ** 2 > EPS * np.abs(val[pending]))
-            stop[pending[blind]] = 2
-            pending = pending[~blind]
-            if not pending.size:
-                break
-            s, old = step[pending], val[pending]
-            cand = retract(x[pending], grad[pending], s)
-            cand_val, cand_grad = value_grad(cand, pending)
-            ok = (cand_val < old) & (cand_val <= old - ARMIJO_C * s * gnorm[pending] ** 2)
-            done = pending[ok]
-            x[done], val[done], grad[done] = cand[ok], cand_val[ok], cand_grad[ok]
-            pending = pending[~ok]
-            step[pending] *= ARMIJO_SHRINK
-        active = active[stop[active] < 0]
-        if not active.size:
-            break
-        step[active] *= 2.0      # warm start the next line search
-        iters[active] += 1
-        gnorm[active] = gn = np.sqrt((grad[active] ** 2).sum(axis=axes))
-        trail.append(val.copy())
-        stop[active[gn <= tol]] = 0
-        if it >= STALL_WINDOW:
-            fell = trail[it - STALL_WINDOW][active] - val[active]
-            stop[active[(fell <= STALL_RTOL * np.abs(val[active])) & (gn > tol)]] = 1
-        active = active[stop[active] < 0]
-    stop[stop < 0] = 3
-    return x, trail, gnorm, stop, iters
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +169,6 @@ def ffp_gradient(frame: WeightedFrame, p: int):
     return list(_ffp_core(ys[None], frame.weights, p)[1][0])
 
 
-def _retract(ys: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(ys + delta)
-    signs = np.sign(np.einsum("...ii->...i", r))
-    signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
-
-
 def _positive_definite(a: np.ndarray) -> np.ndarray:
     """Which matrices of the stack a (B, N, N) have a Cholesky factor."""
     try:
@@ -249,35 +180,47 @@ def _positive_definite(a: np.ndarray) -> np.ndarray:
     return np.ones(len(a), dtype=bool)
 
 
-def _newton(ys, evaluate, max_iters, tol) -> tuple:
+def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     """LM-regularized Riemannian Newton on independent problems stacked on
-    axis 0 of ys, each with its own lambda.
+    axis 0 of ys (B, n, d, k), each with its own lambda.
 
-    ``evaluate(ys)`` gives the values, the gradients g and Hessians H in the
-    coordinates of ``_ffp_core`` and the complements Y_perp.  Problem r
-    solves (H + lambda I) z = -g for lambda = mu_r ||g||, raising mu_r until
-    Cholesky succeeds, and retracts Y_a + Y_a_perp Z_a.  The step is
-    accepted when the value fell by at least ``LM_ACCEPT`` of the model's
-    decrease -g.z - z.Hz/2 (More 1978), or when it stayed within
-    ``FLAT_ULPS`` ulps and ||g|| at least halved.  A problem
+    ``evaluate(ys, ids, hessian)`` gives, for the problems ``ids`` at the
+    bases ys, the values and the horizontal gradients (B, n, d, k); with
+    ``hessian``, also the Hessians H in the coordinates z of Delta_a =
+    Y_a_perp Z_a and the complements Y_perp (B, n, d, d - k), as
+    ``_ffp_core`` does.  Problem r solves (H + lambda I) z = -g for lambda =
+    mu_r ||g||, raising mu_r until Cholesky succeeds, and retracts Y_a +
+    Y_a_perp Z_a by QR.  The step is accepted when the value fell by at least
+    ``LM_ACCEPT`` of the model's decrease -g.z - z.Hz/2 (More 1978), or when
+    it stayed within ``FLAT_ULPS`` ulps and ||g|| at least halved.  A problem
     stops at the first of the ``STOP_REASONS``: ||g|| at most ``tol``, a
     relative decrease of at most ``STALL_RTOL`` over ``STALL_WINDOW`` steps,
-    mu_r past ``LM_MU_MAX``, or ``max_iters`` accepted steps.  Returns per
-    problem the final bases, the values after each accepted step, the
-    gradient norm and the stop reason index.
+    mu_r past ``LM_MU_MAX``, or ``max_iters`` accepted steps.  A start that
+    already meets ``tol`` builds no Hessian.  Returns per problem the final
+    bases, the values after each accepted step, the gradient norm and the
+    stop reason index.
     """
-    count = len(ys)
-    val, g, hess, perp = evaluate(ys)
-    # the shape (n, d - k, k) of the coordinates z of one problem
-    shape = (perp.shape[1], perp.shape[-1], ys.shape[-1])
-    gnorm = np.sqrt((g * g).sum(axis=1))
-    mu = np.ones(count)
-    eye = np.eye(g.shape[1])
+    count, n, d, k = ys.shape
+
+    def coords(grad, perp):
+        return (np.swapaxes(perp, -1, -2) @ grad).reshape(len(grad), -1)
+
+    val, grad = evaluate(ys, ids, False)
+    gnorm = np.sqrt((grad * grad).sum(axis=(1, 2, 3)))
     # index into STOP_REASONS, -1 while the problem runs
     stop = np.where(gnorm <= tol, 0, -1)
+    active = np.flatnonzero(stop < 0)
+    size = n * (d - k) * k
+    g, hess = np.zeros((count, size)), np.zeros((count, size, size))
+    perp = np.zeros((count, n, d, d - k))
+    if active.size:
+        _, grad, hess[active], perp[active] = evaluate(ys[active], ids[active], True)
+        g[active] = coords(grad, perp[active])
+        gnorm[active] = np.sqrt((g[active] ** 2).sum(axis=1))
+    mu = np.ones(count)
+    eye = np.eye(size)
     iters = np.zeros(count, dtype=int)
     trail = [val.copy()]
-    active = np.flatnonzero(stop < 0)
     for it in range(1, max_iters + 1):
         pending = active
         while pending.size:
@@ -288,8 +231,9 @@ def _newton(ys, evaluate, max_iters, tol) -> tuple:
                 z = -np.linalg.solve(shifted[factored], g[rows][..., None])[..., 0]
                 model = -(g[rows] * z).sum(axis=1) - 0.5 * np.einsum(
                     "ri,rij,rj->r", z, hess[rows], z)
-                cand = _retract(ys[rows], perp[rows] @ z.reshape((-1,) + shape))
-                cand_val, cand_g, cand_hess, cand_perp = evaluate(cand)
+                cand = _signed_qr(ys[rows] + perp[rows] @ z.reshape(-1, n, d - k, k))
+                cand_val, cand_grad, cand_hess, cand_perp = evaluate(cand, ids[rows], True)
+                cand_g = coords(cand_grad, cand_perp)
                 cand_gnorm = np.sqrt((cand_g * cand_g).sum(axis=1))
                 fell = val[rows] - cand_val
                 flat = ((np.abs(fell) <= FLAT_ULPS * EPS * np.abs(val[rows]))
@@ -320,12 +264,23 @@ def _newton(ys, evaluate, max_iters, tol) -> tuple:
     return ys, [tuple(trail[:i + 1, r]) for r, i in enumerate(iters)], gnorm, stop
 
 
+def _newton_chunks(ys, evaluate, max_iters, tol) -> tuple:
+    """``_newton`` on the problems of ys (R, n, d, k) in chunks whose
+    Hessians hold at most ``GRAM_BUDGET`` entries (one problem at least);
+    the outputs of the chunks joined in problem order."""
+    count, n, d, k = ys.shape
+    chunk = max(1, GRAM_BUDGET // (n * k * (d - k)) ** 2)
+    bases, histories, gnorm, stop = zip(*(
+        _newton(ys[lo:lo + chunk], np.arange(lo, min(lo + chunk, count)), evaluate, max_iters, tol)
+        for lo in range(0, count, chunk)))
+    return np.concatenate(bases), sum(histories, []), np.concatenate(gnorm), np.concatenate(stop)
+
+
 def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
-    """Best-of-restarts Riemannian Newton (``_newton``) with QR retraction,
-    the restarts batched in (R, n, d, k) chunks whose Hessians hold at most
-    ``GRAM_BUDGET`` entries (one restart at least).  Success means the
-    final potential sits within the configured relative margin of the Haar
-    moment lower bound; failure is a reported outcome, never an exception.
+    """Best-of-restarts Riemannian Newton (``_newton``), the restarts batched
+    in chunks (``_newton_chunks``).  Success means the final potential sits
+    within the configured relative margin of the Haar moment lower bound;
+    failure is a reported outcome, never an exception.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -335,17 +290,9 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     ys = np.stack([haar_basis_batch(cfg.d, cfg.k, cfg.n, np.random.default_rng(seed))
                    for seed in seeds])
     weights = np.full(cfg.n, 1.0 / cfg.n)
-    chunk = max(1, GRAM_BUDGET // (cfg.n * cfg.k * (cfg.d - cfg.k)) ** 2)
-
-    def evaluate(ys):
-        value, grad, hess, perp = _ffp_core(ys, weights, cfg.p, hessian=True)
-        return value, (np.swapaxes(perp, -1, -2) @ grad).reshape(len(ys), -1), hess, perp
-
-    bases, histories, gnorm, stop = [], [], [], []
-    for lo in range(0, cfg.restarts, chunk):
-        out = _newton(ys[lo:lo + chunk], evaluate, cfg.max_iters, cfg.tol_grad)
-        for acc, part in zip((bases, histories, gnorm, stop), out):
-            acc.extend(part)
+    bases, histories, gnorm, stop = _newton_chunks(
+        ys, lambda ys, ids, hessian: _ffp_core(ys, weights, cfg.p, hessian),
+        cfg.max_iters, cfg.tol_grad)
     finals = [h[-1] for h in histories]
     idx = 0
     for r in range(1, cfg.restarts):
@@ -381,17 +328,51 @@ class SphereBounds:
     stop_reasons: tuple    # the minimizing descents, then the maximizing ones
 
 
-def _sphere_retract(x: np.ndarray, direction: np.ndarray, step: np.ndarray) -> np.ndarray:
-    y = x - step[:, None] * direction
-    return y / np.sqrt((y * y).sum(axis=1, keepdims=True))
+def _sphere_core(xs: np.ndarray, flat: np.ndarray, dims: np.ndarray, weights: np.ndarray,
+                 p: int, hessian: bool = False) -> tuple:
+    """Values (B,) and tangent gradients (B, 1, d, 1) of the power forms
+    f(x) = sum_j w_j s_j^p, s_j = ||B_j^T x||^2, at the unit vectors xs
+    (B, 1, d, 1), with the member bases B_j side by side in flat (d, sum of
+    dims) and one row of weights (B, m) per x (a negated row maximizes f);
+    with ``hessian``, also the sphere Hessians (B, d-1, d-1) in the
+    coordinates of x_perp and the complements x_perp (B, 1, d, d-1), as in
+    ``_ffp_core`` for k = 1.
+
+    With the Euclidean Hessian E = sum_j 2p w_j s_j^(p-1) P_j + 4p(p-1) w_j
+    s_j^(p-2) (P_j x)(P_j x)^T, the sphere Hessian is x_perp^T E x_perp
+    - (x . grad f) I (Absil, Mahony & Sepulchre 2008, ch. 5).
+    """
+    x = xs[:, 0, :, 0]
+    starts = np.cumsum(dims) - dims
+    # row by row products, so that a row's result does not depend on the batch
+    z = (x[:, None, :] @ flat)[:, 0]
+    s = np.add.reduceat(z * z, starts, axis=1)
+    coef = np.repeat((2 * p) * weights * s ** (p - 1), dims, axis=1)
+    grad = ((coef * z)[:, None, :] @ flat.T)[:, 0]
+    radial = (grad * x).sum(axis=1)
+    value = (weights * s ** p).sum(axis=1)
+    tangent = (grad - radial[:, None] * x)[:, None, :, None]
+    if not hessian:
+        return value, tangent
+    euclid = (flat * coef[:, None, :]) @ flat.T
+    if p > 1:    # at p = 1 the term vanishes and s^(-1) is inf where x is orthogonal to a member
+        px = np.add.reduceat(flat * z[:, None, :], starts, axis=2)   # columns P_j x
+        c2 = (4 * p * (p - 1)) * weights * s ** (p - 2)
+        euclid += (px * c2[:, None, :]) @ np.swapaxes(px, -1, -2)
+    perp = np.linalg.qr(xs, mode="complete")[0][..., 1:]
+    hess = np.swapaxes(perp[:, 0], -1, -2) @ euclid @ perp[:, 0]
+    return value, tangent, hess - radial[:, None, None] * np.eye(x.shape[1] - 1), perp
 
 
 def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
                   rng=None) -> SphereBounds:
     """Estimated min and max of the power form over the unit sphere, by
-    projected gradient runs down and up from each Haar-random start, all in
-    one batch.  Estimates only: no global certificate, but for certified
-    tight frames both ends match the forced constant to high accuracy.
+    Riemannian Newton runs (``_newton`` on lines, points of Gr(1, d)) down
+    and up from each Haar-random start, all in one batch.  The gradient stop
+    is sqrt(EPS) sum_j w_j, with sum_j w_j the largest value the form takes,
+    so the bounds scale exactly with the weights.  Estimates only: no
+    global certificate, but for certified tight frames both ends match the
+    forced constant to high accuracy.
     """
     if restarts < 1:
         raise ParameterError("restarts must be a positive integer")
@@ -403,18 +384,12 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
     sign = np.repeat([1.0, -1.0], restarts)   # descend on sign * f
 
-    def value_grad(x, rows):
-        # row by row products, so that a row's result does not depend on the batch
-        z = (x[:, None, :] @ flat)[:, 0]
-        s = np.add.reduceat(z * z, np.cumsum(dims) - dims, axis=1)   # ||B_j^T x||^2
-        coef = np.repeat((2 * p) * sign[rows, None] * weights * s ** (p - 1), dims, axis=1)
-        g = ((coef * z)[:, None, :] @ flat.T)[:, 0]
-        g -= (g * x).sum(axis=1, keepdims=True) * x
-        return sign[rows] * (weights * s ** p).sum(axis=1), g
+    def evaluate(xs, ids, hessian):
+        return _sphere_core(xs, flat, dims, sign[ids, None] * weights, p, hessian)
 
-    _, trail, _, stop, _ = _descend(np.concatenate([x, x]), value_grad, _sphere_retract,
-                                    SPHERE_STEP, SPHERE_MAX_ITERS, SPHERE_TOL)
-    f = sign * trail[-1]
+    _, histories, _, stop = _newton_chunks(np.concatenate([x, x])[:, None, :, None], evaluate,
+                                           SPHERE_MAX_ITERS, np.sqrt(EPS) * weights.sum())
+    f = sign * np.array([h[-1] for h in histories])
     return SphereBounds(lo=float(f[:restarts].min()), hi=float(f[restarts:].max()),
                         stop_reasons=tuple(STOP_REASONS[c] for c in stop))
 

@@ -206,7 +206,7 @@ def test_optimize_success(tmp_path, capsys):
     assert sum(counts.values()) == 4
     assert counts[report["results"]["stop_reason"]] >= 1
     assert list(report)[-1] == "wall_time_s"
-    assert certify_tight(load_frame(frame_path), 2, tol=1e-6).tight
+    assert certify_tight(load_frame(frame_path), 2).tight
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iteration", "ffp"]

@@ -15,6 +15,7 @@ from fusionframes import (
     evaluate_power_form,
     ffp,
     ffp_gradient,
+    frame_operator,
     haar_basis_batch,
     haar_random,
     make_subspace,
@@ -25,20 +26,8 @@ from fusionframes import (
     union,
 )
 from fusionframes import optimizer
-from fusionframes.optimizer import (
-    ARMIJO_C,
-    ARMIJO_SHRINK,
-    EPS,
-    SPHERE_MAX_ITERS,
-    SPHERE_STEP,
-    SPHERE_TOL,
-    STALL_RTOL,
-    STALL_WINDOW,
-    STOP_REASONS,
-    _descend,
-    _ffp_core,
-    _retract,
-)
+from fusionframes.optimizer import STOP_REASONS, _ffp_core, _sphere_core
+from fusionframes.subspaces import _signed_qr
 
 
 def test_config_validation():
@@ -109,15 +98,17 @@ def test_gradient_matches_finite_differences(rng):
         assert abs(fd - inner) <= 1e-6 * max(1.0, abs(inner))
 
 
-def _second_difference(ys, weights, p, delta):
-    """d^2/dt^2 of the potential along the QR retraction of t delta at 0,
-    Richardson-extrapolated central differences (error O(h^4))."""
-    def value(t):
-        return _ffp_core(_retract(ys, t * delta), weights, p)[0][0]
-
+def _second_difference(value):
+    """d^2/dt^2 of value(t) at 0, Richardson-extrapolated central
+    differences (error O(h^4))."""
     def second(h):
         return (value(h) - 2 * value(0.0) + value(-h)) / h ** 2
     return (4 * second(5e-4) - second(1e-3)) / 3
+
+
+def _ffp_along(ys, weights, p, delta):
+    """The potential along the QR retraction of t delta."""
+    return lambda t: _ffp_core(_signed_qr(ys + t * delta), weights, p)[0][0]
 
 
 def test_hessian_matches_second_differences(rng):
@@ -142,7 +133,8 @@ def test_hessian_matches_second_differences(rng):
         z /= np.sqrt(z @ z)
         delta = perp @ z.reshape(1, n, d - k, k)
         quad = float(z @ hess[0] @ z)
-        assert _second_difference(ys, weights, p, delta) == pytest.approx(quad, rel=1e-6, abs=1e-6)
+        assert _second_difference(_ffp_along(ys, weights, p, delta)) == pytest.approx(
+            quad, rel=1e-6, abs=1e-6)
 
 
 def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
@@ -154,7 +146,7 @@ def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
         assert np.isfinite(hess).all() and np.abs(grad).max() == 0.0
         for z in np.eye(2):
             delta = perp @ z.reshape(1, 2, 1, 1)
-            assert _second_difference(ys, weights, p, delta) == pytest.approx(
+            assert _second_difference(_ffp_along(ys, weights, p, delta)) == pytest.approx(
                 z @ hess[0] @ z, abs=1e-7)
 
 
@@ -186,11 +178,14 @@ def test_optimizer_output_certifies_tight(n, k, d, p):
 def test_restart_chunks_do_not_couple(monkeypatch):
     cfg = OptimizerConfig(n=4, k=2, d=4, p=2, restarts=5, max_iters=300)
     whole = minimize_ffp(cfg, rng=np.random.default_rng(3))
+    frame = catalog("mercedes")
+    whole_bounds = sphere_bounds(frame, 3, restarts=3, rng=np.random.default_rng(3))
     monkeypatch.setattr(optimizer, "GRAM_BUDGET", 1)    # one restart per chunk
     split = minimize_ffp(cfg, rng=np.random.default_rng(3))
     assert np.allclose(split.restart_values, whole.restart_values, rtol=1e-12, atol=0.0)
     assert split.restart_stop_reasons == whole.restart_stop_reasons
     assert split.values == pytest.approx(whole.values, rel=1e-12)
+    assert sphere_bounds(frame, 3, restarts=3, rng=np.random.default_rng(3)) == whole_bounds
 
 
 def test_minimize_three_lines_in_plane():
@@ -263,27 +258,6 @@ def test_criterion_nine_config_stops_before_max_iters():
         assert "max-iters" not in trace.restart_stop_reasons, seed
 
 
-def test_line_search_stops_where_rounding_hides_the_decrease():
-    # f = 1 + a |x|^2: at a = 1e-7 the Armijo decrease of the first step,
-    # ARMIJO_C SPHERE_STEP |g|^2 = 8e-19, is below one ulp of f, so the row
-    # stops without a trial; at a = 1e-3 it descends
-    calls = []
-
-    def value_grad(x, rows):
-        calls.append(rows.tolist())
-        scale = np.array([1e-7, 1e-3])[rows, None]
-        return 1.0 + (scale * x * x).sum(axis=1), 2 * scale * x
-
-    def retract(x, g, step):
-        return x - step[:, None] * g
-
-    _, _, _, stop, iters = _descend(np.ones((2, 2)), value_grad, retract,
-                                    SPHERE_STEP, 5, 1e-30)
-    assert stop[0] == STOP_REASONS.index("step-underflow") and iters[0] == 0
-    assert all(0 not in rows for rows in calls[1:]) and len(calls) > 1
-    assert iters[1] > 0
-
-
 def test_sphere_extrema_examples(mercedes, ortho_lines_r2):
     rng = np.random.default_rng(0)
     lo, hi = sphere_extrema(ortho_lines_r2, 2, restarts=8, rng=rng)
@@ -333,47 +307,67 @@ def _mixed_frame(rng, d):
                                   for k in dims))
 
 
-def _reference_descent(frame, p, x, sign):
-    """One start at a time, one member at a time, by the descent's rules."""
-    def value_grad(y):
-        grad = np.zeros_like(y)
-        for sub, w in frame.entries:
-            by = sub.basis.T @ y
-            grad += 2 * p * w * float(by @ by) ** (p - 1) * (sub.basis @ by)
-        grad = sign * grad
-        return sign * evaluate_power_form(frame, p, y)[0], grad - (grad @ y) * y
-
-    value, grad = value_grad(x)
-    history, step = [value], SPHERE_STEP
-    for it in range(1, SPHERE_MAX_ITERS + 1):
-        gnorm = np.sqrt(grad @ grad)
-        if gnorm <= SPHERE_TOL:
-            break
-        # below this no strict decrease can be verified
-        while ARMIJO_C * step * gnorm ** 2 > EPS * abs(value):
-            cand = x - step * grad
-            cand /= np.sqrt(cand @ cand)
-            cand_value, cand_grad = value_grad(cand)
-            if cand_value < value and cand_value <= value - ARMIJO_C * step * gnorm ** 2:
-                break
-            step *= ARMIJO_SHRINK
-        else:
-            break
-        x, value, grad, step = cand, cand_value, cand_grad, 2 * step
-        history.append(value)
-        if it >= STALL_WINDOW and history[-1 - STALL_WINDOW] - value <= STALL_RTOL * abs(value):
-            break
-    return sign * value
+def test_sphere_bounds_at_p1_are_the_frame_operator_extremes(rng):
+    # at p = 1 the form is x^T S x, so its extremes are those of S
+    for _ in range(20):
+        frame = _mixed_frame(rng, int(rng.integers(3, 7)))
+        eig = np.linalg.eigvalsh(frame_operator(frame))
+        lo, hi = sphere_extrema(frame, 1, restarts=8, rng=rng)
+        assert lo == pytest.approx(eig[0], rel=1e-13)
+        assert hi == pytest.approx(eig[-1], rel=1e-13)
 
 
-def test_sphere_extrema_mixed_dims_match_per_member_reference(rng):
-    for d, p in ((3, 2), (4, 2), (4, 3)):
-        frame = _mixed_frame(rng, d)
-        seed = int(rng.integers(2 ** 32))
-        lo, hi = sphere_extrema(frame, p, restarts=4, rng=np.random.default_rng(seed))
-        starts = np.random.default_rng(seed).standard_normal((4, d))
-        starts /= np.sqrt((starts ** 2).sum(axis=1, keepdims=True))
-        ref_lo = min(_reference_descent(frame, p, x, 1.0) for x in starts)
-        ref_hi = max(_reference_descent(frame, p, x, -1.0) for x in starts)
-        assert lo == pytest.approx(ref_lo, rel=1e-10)
-        assert hi == pytest.approx(ref_hi, rel=1e-10)
+def _sphere_along(frame, p, x, v):
+    """The power form along the normalization of x + t v."""
+    return lambda t: evaluate_power_form(frame, p, (x + t * v) / np.linalg.norm(x + t * v))[0]
+
+
+def test_sphere_core_matches_power_form_differences(rng):
+    # x + t v, normalized, is a second-order retraction on the sphere, so
+    # the second difference is v^T H v at any point, critical or not
+    cross = catalog("cross-polytope-lines(4)")
+    cases = [(_mixed_frame(rng, d), rng.standard_normal(d)) for d in (3, 4, 5)]
+    # orthogonal members: at a coordinate axis s_j = 0 for all but one member
+    cases += [(cross, rng.standard_normal(4)), (cross, np.eye(4)[1])]
+    for frame, x in cases:
+        x = x / np.linalg.norm(x)
+        flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+        for p in (1, 2, 3):
+            value, grad, hess, perp = _sphere_core(x[None, None, :, None], flat, frame.dims,
+                                                   frame.weights[None], p, hessian=True)
+            form = evaluate_power_form(frame, p, x)[0]
+            assert value[0] == pytest.approx(form, rel=1e-14)
+            assert np.abs(hess[0] - hess[0].T).max() <= 1e-13 * max(1.0, np.abs(hess).max())
+            for z in rng.standard_normal((3, len(x) - 1)):
+                v = perp[0, 0] @ (z / np.linalg.norm(z))
+                along = _sphere_along(frame, p, x, v)
+                h = 1e-6
+                fd = (along(h) - along(-h)) / (2 * h)
+                assert fd == pytest.approx(float(grad[0, 0, :, 0] @ v), rel=1e-6, abs=1e-8)
+                quad = float(v @ perp[0, 0] @ hess[0] @ perp[0, 0].T @ v)
+                assert _second_difference(along) == pytest.approx(quad, rel=1e-6, abs=1e-6)
+
+
+def test_sphere_bounds_scale_exactly_with_the_weights(rng):
+    # the gradient stop is relative to the weight sum, so a power-of-two
+    # rescaling changes every step by that power exactly
+    for p in (1, 3):
+        for _ in range(3):
+            frame = _mixed_frame(rng, 4)
+            seed = int(rng.integers(2 ** 32))
+            one = sphere_bounds(frame, p, restarts=4, rng=np.random.default_rng(seed))
+            tiny = sphere_bounds(frame.rescaled(2.0 ** -30), p, restarts=4,
+                                 rng=np.random.default_rng(seed))
+            assert (tiny.lo, tiny.hi) == (one.lo * 2.0 ** -30, one.hi * 2.0 ** -30)
+            assert tiny.stop_reasons == one.stop_reasons
+
+
+def test_sphere_bounds_stop_by_gradient_on_frames_that_are_not_tight():
+    # four random 2-planes in R^5, where a first-order descent stalled
+    for p in (1, 3):
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            frame = build_frame(haar_basis_batch(5, 2, 4, rng), np.ones(4))
+            bounds = sphere_bounds(frame, p, restarts=4, rng=rng)
+            assert set(bounds.stop_reasons) == {"gradient"}, (p, seed)
+            assert bounds.lo < bounds.hi
