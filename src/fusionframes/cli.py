@@ -33,7 +33,7 @@ from .errors import FusionFrameError
 from .frames import CERTIFY_TOL, certify_tight, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
 from .optimizer import STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
-from .potential import equiangularity, ffp
+from .potential import EQUIANGULAR_TOL, equiangularity, ffp
 from .subspaces import haar_random, make_subspace
 
 
@@ -67,6 +67,8 @@ def cmd_check(args) -> int:
         "input": {"path": args.frame, "sha256": _digest(args.frame)},
         "parameters": {"p": args.p, "mode": args.mode},
     }
+    if args.tol is None:    # each mode's library default
+        args.tol = EQUIANGULAR_TOL if args.mode == "equiangular" else CERTIFY_TOL
     exit_code = 0
     if args.mode == "tight":
         cert = certify_tight(frame, args.p, tol=args.tol)
@@ -76,7 +78,6 @@ def cmd_check(args) -> int:
             "abs_residual": cert.abs_residual,
             "forced_constant": cert.target_A,
         }
-        report["tolerances"] = {"tol": args.tol}
         exit_code = 0 if cert.tight else 1
     elif args.mode == "cubature":
         rng = np.random.default_rng(args.seed)
@@ -90,7 +91,6 @@ def cmd_check(args) -> int:
             "margin": cert.margin,
             "probe_spread": cert.probe_spread,
         }
-        report["tolerances"] = {"tol": args.tol}
         exit_code = 0 if cert.verdict == "cubature" else 1
     elif args.mode == "equiangular":
         rep = equiangularity(frame, tol=args.tol)
@@ -103,7 +103,6 @@ def cmd_check(args) -> int:
             "gerzon_ok": rep.gerzon_ok,
             "predicted_common_value": rep.predicted_common_value,
         }
-        report["tolerances"] = {"tol": args.tol}
         exit_code = 0 if rep.is_equiangular else 1
     else:   # bounds
         rng = np.random.default_rng(args.seed)
@@ -115,7 +114,8 @@ def cmd_check(args) -> int:
             "stop_reasons": _stop_counts(bounds.stop_reasons),
             "note": "sphere extrema are numeric estimates, not certificates",
         }
-        report["tolerances"] = {"restarts": args.restarts}
+    report["tolerances"] = ({"restarts": args.restarts} if args.mode == "bounds"
+                            else {"tol": args.tol})
     _emit(report, started)
     return exit_code
 
@@ -261,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--p", type=int, required=True)
     p_check.add_argument("--mode", required=True,
                          choices=["tight", "cubature", "equiangular", "bounds"])
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--tol", type=float, default=None,
+                         help="verdict tolerance (default: the mode's library default)")
     p_check.add_argument("--restarts", type=int, default=32,
                          help="sphere restarts for --mode bounds")
     p_check.set_defaults(func=cmd_check)

@@ -253,10 +253,30 @@ def _reflection(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
+def _check_catalog_arg(base: str, letter: str, value: int) -> None:
+    if value < 2:
+        raise UnknownName(f"{base} needs {letter} >= 2")
+    if value > CATALOG_ARG_MAX:
+        raise ParameterError(f"{base} needs {letter} <= {CATALOG_ARG_MAX}")
+
+
 def _equispaced_lines(n: int) -> WeightedFrame:
+    _check_catalog_arg("equispaced-lines", "n", n)
     cols = [np.array([[np.cos(j * np.pi / n)], [np.sin(j * np.pi / n)]])
             for j in range(n)]
     return build_frame(cols)
+
+
+def _cross_polytope_lines(d: int) -> WeightedFrame:
+    _check_catalog_arg("cross-polytope-lines", "d", d)
+    eye = np.eye(d)
+    return build_frame([eye[:, [j]] for j in range(d)])
+
+
+def _weyl_a2_orbit(k: int) -> WeightedFrame:
+    if k != 1:
+        raise UnknownName("weyl-a2-orbit supports k=1 only (ambient dimension 2)")
+    return orbit_frame(weyl_a2_group(), make_subspace(np.array([[1.0], [0.0]])))
 
 
 def mub_lines_c2() -> ComplexLineSet:
@@ -269,14 +289,13 @@ def mub_lines_c2() -> ComplexLineSet:
     ])
 
 
-_CATALOG_DOC = {
-    # name -> (builder, highest tight order, description)
-    "mercedes": (lambda: _equispaced_lines(3), 2, "3 equispaced lines in R^2"),
-    "equispaced-lines": (None, None, "n equispaced lines in R^2; tight up to n-1"),
-    "mub-planes-r4": (lambda: realify(mub_lines_c2()), 3,
-                      "realified mutually unbiased bases of C^2: 6 planes in R^4"),
-    "cross-polytope-lines": (None, None, "the d coordinate lines of R^d; tight at 1"),
-    "weyl-a2-orbit": (None, None, "orbit of a coordinate line under the A2 Weyl group"),
+# name -> (builder, whether the name takes an integer argument "(n)")
+_CATALOG = {
+    "mercedes": (lambda: _equispaced_lines(3), False),
+    "equispaced-lines": (_equispaced_lines, True),
+    "mub-planes-r4": (lambda: realify(mub_lines_c2()), False),
+    "cross-polytope-lines": (_cross_polytope_lines, True),
+    "weyl-a2-orbit": (_weyl_a2_orbit, True),
 }
 
 
@@ -294,36 +313,14 @@ def catalog(name: str) -> WeightedFrame:
     if not m:
         raise UnknownName(f"cannot parse catalog name {name!r}")
     base, arg = m.group(1), m.group(2)
-    if base == "mercedes" and arg is None:
-        return _equispaced_lines(3)
-    if base == "equispaced-lines" and arg is not None:
-        n = int(arg)
-        if n < 2:
-            raise UnknownName("equispaced-lines needs n >= 2")
-        if n > CATALOG_ARG_MAX:
-            raise ParameterError(f"equispaced-lines needs n <= {CATALOG_ARG_MAX}")
-        return _equispaced_lines(n)
-    if base == "mub-planes-r4" and arg is None:
-        return realify(mub_lines_c2())
-    if base == "cross-polytope-lines" and arg is not None:
-        d = int(arg)
-        if d < 2:
-            raise UnknownName("cross-polytope-lines needs d >= 2")
-        if d > CATALOG_ARG_MAX:
-            raise ParameterError(f"cross-polytope-lines needs d <= {CATALOG_ARG_MAX}")
-        eye = np.eye(d)
-        return build_frame([eye[:, [j]] for j in range(d)])
-    if base == "weyl-a2-orbit" and arg is not None:
-        k = int(arg)
-        if k != 1:
-            raise UnknownName("weyl-a2-orbit supports k=1 only (ambient dimension 2)")
-        seed = make_subspace(np.array([[1.0], [0.0]]))
-        return orbit_frame(weyl_a2_group(), seed)
-    raise UnknownName(f"no catalog entry named {name!r}")
+    if base not in _CATALOG or _CATALOG[base][1] != (arg is not None):
+        raise UnknownName(f"no catalog entry named {name!r}")
+    builder, takes_arg = _CATALOG[base]
+    return builder(int(arg)) if takes_arg else builder()
 
 
 def catalog_names() -> list:
-    return list(_CATALOG_DOC)
+    return list(_CATALOG)
 
 
 # ---------------------------------------------------------------------------

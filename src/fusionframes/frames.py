@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import prod
 
 import numpy as np
 
@@ -233,11 +234,7 @@ def power_form(frame: WeightedFrame, p: int) -> HomogeneousPoly:
 @lru_cache(maxsize=1024)
 def pochhammer_ratio(k: int, d: int, p: int) -> Fraction:
     """(k/2)_p / (d/2)_p as an exact rational, cached per (k, d, p)."""
-    num, den = Fraction(1), Fraction(1)
-    for i in range(p):
-        num *= Fraction(k, 2) + i
-        den *= Fraction(d, 2) + i
-    return num / den
+    return Fraction(prod(k + 2 * i for i in range(p)), prod(d + 2 * i for i in range(p)))
 
 
 def tightness_constant(frame: WeightedFrame, p: int) -> float:

@@ -10,34 +10,36 @@ gives
     t(k, l, d, p) = sum_{kappa |- p, len(kappa) <= min(k, l)}
                         C_kappa(I_k) C_kappa(I_l) / C_kappa(I_d),
 
-with C_kappa(I_m) in closed form (Muirhead 1982, Thm 7.2.7).  ``t_exact``
-evaluates this sum in rational arithmetic; ``t_moment`` and ``t_matrix``
-report it as a float with error 0.  Haar sampling (``method="mc"``) is
-kept as an independent oracle for tests.
+with C_kappa(I_m) in closed form (Muirhead 1982, Thm 7.2.7): a factor of
+kappa alone times the integer N_kappa(m) = 2^p (m/2)_kappa.  So ``t_exact``
+and ``t_matrix`` sum integers over partitions, and ``t_moment`` and
+``t_matrix`` report floats with error 0.  Haar sampling (``method="mc"``)
+is kept as an independent oracle for tests.
 
-Also here: the univariate orthogonal polynomial family attached to the
-squared-cosine distribution of a line against a k-subspace (the per-degree
-probes used by the design diagnostic), cubature certification through the
-potential minimum, and the combinatorial size bounds.
+Also here: the shifted Jacobi polynomials of the squared-cosine law of a
+line against a k-subspace (the design diagnostic's per-degree probes),
+cubature certification through the potential minimum, and the
+combinatorial size bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import combinations
+from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import MixedDimensions, ParameterError, check_integer
-from .frames import WeightedFrame, pochhammer_ratio
+from .frames import CERTIFY_TOL, WeightedFrame, pochhammer_ratio
 from .potential import ffp
 from .subspaces import haar_basis_batch
 
 DEFAULT_MC_BUDGET = 100_000
-# The exact sum runs over the partitions of p; past p = 20 it takes seconds
-# per moment and grows quickly, so larger powers are refused.
+# The exact sum runs over the partitions of p, 627 of them at p = 20 (about
+# 10 ms per moment, 1.3 s per d = 100 table); larger powers are refused.
 P_MAX = 20
 # Largest d of a moment table, which has (d - 1)^2 entries.
 T_MATRIX_D_MAX = 100
@@ -81,25 +83,36 @@ def _partitions(p: int, max_parts: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def _zonal_at_identity(kappa: tuple, m: int) -> Fraction:
-    """C_kappa(I_m) for a partition kappa of p with ell parts:
+def _pochhammer_int(kappa: tuple, m: int) -> int:
+    """N_kappa(m) = 2^p (m/2)_kappa = prod_i prod_{s < kappa_i} (m - i + 2s),
+    rows i counted from 0: an integer, 0 when kappa has more than m parts."""
+    return prod(m - i + 2 * s for i, part in enumerate(kappa) for s in range(part))
 
-        2^(2p) p! (m/2)_kappa prod_{i<j} (2 kappa_i - 2 kappa_j - i + j)
-        / prod_i (2 kappa_i + ell - i)!
 
-    where (a)_kappa = prod_i (a - (i - 1)/2)_{kappa_i}.  It vanishes when
-    ell > m.
+def _zonal_scale(kappa: tuple) -> Fraction:
+    """The factor of C_kappa(I_m) = _zonal_scale(kappa) N_kappa(m) that does
+    not depend on m, for kappa |- p with ell parts:
+
+        2^p p! prod_{i<j} (2 kappa_i - 2 kappa_j - i + j)
+        / prod_i (2 kappa_i + ell - i - 1)!
     """
     p, ell = sum(kappa), len(kappa)
-    value = Fraction(4 ** p * factorial(p))
-    for i, part in enumerate(kappa, start=1):
-        shift = Fraction(m - i + 1, 2)
-        for s in range(part):
-            value *= shift + s
-        for j in range(i + 1, ell + 1):
-            value *= 2 * part - 2 * kappa[j - 1] - i + j
-        value /= factorial(2 * part + ell - i)
-    return value
+    num = prod(2 * a - 2 * b - i + j
+               for (i, a), (j, b) in combinations(enumerate(kappa), 2))
+    den = prod(factorial(2 * part + ell - i - 1) for i, part in enumerate(kappa))
+    return Fraction(2 ** p * factorial(p) * num, den)
+
+
+def _moment_weights(d: int, p: int, max_parts: int) -> tuple:
+    """The partitions kappa of p into at most ``max_parts`` (< d) parts,
+    integer weights w_kappa = q _zonal_scale(kappa) / N_kappa(d) and their
+    denominator q, so that for k, l <= max_parts
+
+        t(k, l, d, p) = sum_kappa w_kappa N_kappa(k) N_kappa(l) / q."""
+    kappas = list(_partitions(p, max_parts))
+    ratios = [_zonal_scale(kappa) / _pochhammer_int(kappa, d) for kappa in kappas]
+    q = lcm(*(r.denominator for r in ratios))
+    return kappas, [r.numerator * (q // r.denominator) for r in ratios], q
 
 
 def t_exact(k: int, l: int, d: int, p: int) -> Fraction:
@@ -107,12 +120,11 @@ def t_exact(k: int, l: int, d: int, p: int) -> Fraction:
     dimensions k and l in R^d, as an exact rational.
 
     Partitions with more than min(k, l) parts are skipped: their zonal
-    polynomials vanish at I_k or I_l (and the ratio would read 0/0 when
-    they also vanish at I_d)."""
+    polynomials vanish at I_k or I_l."""
     _check_moment_args(k, l, d, p)
-    return sum((_zonal_at_identity(kappa, k) * _zonal_at_identity(kappa, l)
-                / _zonal_at_identity(kappa, d)
-                for kappa in _partitions(p, min(k, l))), start=Fraction(0))
+    kappas, weights, q = _moment_weights(d, p, min(k, l))
+    return Fraction(sum(w * _pochhammer_int(kappa, k) * _pochhammer_int(kappa, l)
+                        for kappa, w in zip(kappas, weights)), q)
 
 
 def t_moment(k: int, l: int, d: int, p: int, method: str = "closed",
@@ -168,23 +180,18 @@ class TMatrix:
 
 def t_matrix(d: int, p: int, budget: int = DEFAULT_MC_BUDGET,
              rng: np.random.Generator | None = None) -> TMatrix:
-    """Fill the full moment table with the ``t_exact`` sums; every error is 0.
-
-    Each C_kappa(I_m) is computed once per table.  ``budget`` and ``rng``
-    are accepted for compatibility and ignored: no entry is sampled."""
+    """The full moment table U diag(w) U^T / q over Python integers, with
+    U[k - 1, kappa] = N_kappa(k) and (w, q) from ``_moment_weights``; int /
+    int rounds correctly, so each entry is bitwise ``float(t_exact(...))``
+    and every error is 0.  ``budget`` and ``rng`` are accepted for
+    compatibility and ignored: no entry is sampled."""
     if not 2 <= d <= T_MATRIX_D_MAX:
         raise ParameterError(f"d={d} not in [2, {T_MATRIX_D_MAX}]")
     _check_moment_args(1, 1, d, p)
-    kappas = list(_partitions(p, d - 1))
-    # zonal[i][m - 1] = C_kappa_i(I_m) for m = 1..d
-    zonal = [[_zonal_at_identity(kappa, m) for m in range(1, d + 1)] for kappa in kappas]
-    values = np.zeros((d - 1, d - 1))
-    for k in range(1, d):
-        terms = [(z[k - 1] / z[d - 1], z) for kappa, z in zip(kappas, zonal)
-                 if len(kappa) <= k]
-        for l in range(k, d):
-            exact = sum((ratio * z[l - 1] for ratio, z in terms), start=Fraction(0))
-            values[k - 1, l - 1] = values[l - 1, k - 1] = float(exact)
+    kappas, weights, q = _moment_weights(d, p, d - 1)
+    u = np.array([[_pochhammer_int(kappa, m) for kappa in kappas] for m in range(1, d)],
+                 dtype=object)
+    values = ((u * np.array(weights, dtype=object)) @ u.T / q).astype(float)
     methods = tuple(("closed-form",) * (d - 1) for _ in range(d - 1))
     return TMatrix(d=d, p=p, values=values, errors=np.zeros((d - 1, d - 1)),
                    methods=methods)
@@ -214,57 +221,35 @@ class JacobiFamily:
         return [np.array([float(c) for c in cs]) for cs in self.exact_polys]
 
     def evaluate(self, ell: int, y) -> np.ndarray:
-        coeffs = [float(c) for c in self.exact_polys[ell]]
-        return npoly.polyval(np.asarray(y, dtype=float), coeffs)
-
-
-def _beta_moments(k: int, d: int, count: int) -> list:
-    """E[y^m] for the normalized weight: the Pochhammer ratio (k/2)_m/(d/2)_m."""
-    return [pochhammer_ratio(k, d, m) for m in range(count)]
+        return npoly.polyval(np.asarray(y, dtype=float), self.polys[ell])
 
 
 def jacobi_family(k: int, d: int, p_max: int) -> JacobiFamily:
-    """Gram-Schmidt on monomials under the exact moment inner product,
-    rescaled to P(1) = 1, with the three-term recurrence extracted by exact
-    coefficient matching."""
+    """The shifted Jacobi polynomials for the Beta(k/2, (d-k)/2) weight,
+    from their hypergeometric form
+
+        P_n(y) = sum_s C(n, s) (n + d/2 - 1)_s / ((d - k)/2)_s (y - 1)^s,
+
+    with the three-term recurrence read off the two leading coefficients
+    and P_n(1) = 1."""
     if not 1 <= k <= d - 1:
         raise ParameterError(f"weight exponents <= -1 for k={k}, d={d}")
     if p_max > 10:
         raise ParameterError("p_max above 10 is not supported")
-    moms = _beta_moments(k, d, 2 * p_max + 2)
-
-    def inner(c1, c2):
-        return sum(a * b * moms[i + j]
-                   for i, a in enumerate(c1) for j, b in enumerate(c2))
-
-    ortho: list = []
-    for deg in range(p_max + 1):
-        c = [Fraction(0)] * (deg + 1)
-        c[deg] = Fraction(1)
-        for q in ortho:
-            coef = inner(c, q) / inner(q, q)
-            for i, qi in enumerate(q):
-                c[i] -= coef * qi
-        ortho.append(c)
     polys = []
-    for c in ortho:
-        s = sum(c)
-        polys.append(tuple(ci / s for ci in c))
-
+    for n in range(p_max + 1):
+        coeffs = [Fraction(0)] * (n + 1)
+        for s in range(n + 1):
+            term = comb(n, s) * pochhammer_ratio(2 * n + d - 2, d - k, s)
+            for j in range(s + 1):      # (y - 1)^s, expanded
+                coeffs[j] += term * comb(s, j) * (-1) ** (s - j)
+        polys.append(tuple(coeffs))
     trips = []
-    for ell in range(p_max):
-        shifted = (Fraction(0),) + polys[ell]          # y * P_ell
-        coefs = [Fraction(0)] * (ell + 2)
-        rem = list(shifted)
-        for j in range(ell + 1, -1, -1):               # triangular elimination
-            pj = polys[j]
-            cj = rem[j] / pj[j]
-            coefs[j] = cj
-            for i, pi in enumerate(pj):
-                rem[i] -= cj * pi
-        a, b = coefs[ell + 1], coefs[ell]
-        c = coefs[ell - 1] if ell >= 1 else Fraction(0)
-        trips.append((float(a), float(b), float(c)))
+    for n in range(p_max):
+        lead, sub = polys[n][n], polys[n][n - 1] if n else Fraction(0)
+        a = lead / polys[n + 1][n + 1]
+        b = (sub - a * polys[n + 1][n]) / lead
+        trips.append((float(a), float(b), float(1 - a - b)))
     return JacobiFamily(k=k, d=d, exact_polys=tuple(polys), recurrence=tuple(trips))
 
 
@@ -320,7 +305,7 @@ class CubatureCertificate:
     tol: float
 
 
-def certify_cubature(frame: WeightedFrame, p: int, tol: float = 1e-9,
+def certify_cubature(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL,
                      budget: int = DEFAULT_MC_BUDGET,
                      rng: np.random.Generator | None = None,
                      n_probes: int = 1000) -> CubatureCertificate:

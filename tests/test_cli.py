@@ -2,17 +2,23 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from fusionframes import (
+    build_frame,
     certify_tight,
+    equiangularity,
     load_frame,
     mub_lines_c2,
+    save_frame,
     save_generators,
     save_line_set,
     weyl_a2_group,
 )
 from fusionframes.cli import main
+from fusionframes.frames import CERTIFY_TOL
+from fusionframes.potential import EQUIANGULAR_TOL
 
 
 def run(argv, capsys):
@@ -88,6 +94,29 @@ def test_check_equiangular_and_bounds(mercedes_file, capsys):
     assert list(counts) == ["gradient", "stagnation", "step-underflow", "max-iters"]
     assert sum(counts.values()) == 16      # a min and a max descent per restart
     assert list(report)[-1] == "wall_time_s"
+
+
+def test_check_tolerance_defaults_follow_the_library(tmp_path, capsys):
+    # three lines at 0, 60 deg + 2e-9 rad and 120 deg: overlap spread 3.5e-9,
+    # inside EQUIANGULAR_TOL but outside 1e-9
+    angles = (0.0, np.pi / 3 + 2e-9, 2 * np.pi / 3)
+    frame = build_frame([np.array([[np.cos(a)], [np.sin(a)]]) for a in angles])
+    path = str(tmp_path / "lines.json")
+    save_frame(frame, path)
+    rep = equiangularity(load_frame(path))
+    assert rep.is_equiangular and 1e-9 < rep.spread < EQUIANGULAR_TOL
+    code, out, _ = run(["check", path, "--p", "1", "--mode", "equiangular"], capsys)
+    report = json.loads(out)
+    assert (code, report["results"]["verdict"]) == (0, "equiangular")
+    assert report["tolerances"]["tol"] == EQUIANGULAR_TOL
+    code, out, _ = run(["check", path, "--p", "1", "--mode", "equiangular",
+                        "--tol", "1e-9"], capsys)
+    report = json.loads(out)
+    assert (code, report["results"]["verdict"]) == (1, "not-equiangular")
+    assert report["tolerances"]["tol"] == 1e-9
+    for mode in ("tight", "cubature"):
+        code, out, _ = run(["check", path, "--p", "1", "--mode", mode], capsys)
+        assert json.loads(out)["tolerances"]["tol"] == CERTIFY_TOL
 
 
 # ---------------------------------------------------------------------------

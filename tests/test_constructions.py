@@ -469,6 +469,19 @@ def test_catalog_unknown_names():
             catalog(bad)
 
 
+def test_every_catalog_name_builds_with_its_arity():
+    args = {"equispaced-lines": 5, "cross-polytope-lines": 3, "weyl-a2-orbit": 1}
+    for name in catalog_names():
+        if name in args:
+            assert len(catalog(f"{name}({args[name]})")) > 0
+            with pytest.raises(UnknownName, match="no catalog entry"):
+                catalog(name)
+        else:
+            assert len(catalog(name)) > 0
+            with pytest.raises(UnknownName, match="no catalog entry"):
+                catalog(f"{name}(3)")
+
+
 def test_catalog_size_guards():
     assert len(catalog(f"equispaced-lines({CATALOG_ARG_MAX})")) == CATALOG_ARG_MAX
     for name in ("equispaced-lines", "cross-polytope-lines"):

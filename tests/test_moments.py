@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -33,7 +33,8 @@ from fusionframes import (
     t_one,
 )
 
-from fusionframes.moments import P_MAX, T_MATRIX_D_MAX, _partitions, _zonal_at_identity
+from fusionframes.moments import (P_MAX, T_MATRIX_D_MAX, _partitions, _pochhammer_int,
+                                  _zonal_scale)
 from test_frames import random_frame
 
 
@@ -179,13 +180,49 @@ def test_t_exact_complement_identity(args):
     assert t_exact(d - k, l, d, p) == expect
 
 
+def zonal_reference(kappa: tuple, m: int) -> Fraction:
+    """C_kappa(I_m) one Fraction factor at a time (Muirhead 1982, Thm 7.2.7):
+    2^(2p) p! (m/2)_kappa prod_{i<j} (2 kappa_i - 2 kappa_j - i + j)
+    / prod_i (2 kappa_i + ell - i)!, rows i counted from 1."""
+    p, ell = sum(kappa), len(kappa)
+    value = Fraction(4 ** p * factorial(p))
+    for i, part in enumerate(kappa, start=1):
+        shift = Fraction(m - i + 1, 2)
+        for s in range(part):
+            value *= shift + s
+        for j in range(i + 1, ell + 1):
+            value *= 2 * part - 2 * kappa[j - 1] - i + j
+        value /= factorial(2 * part + ell - i)
+    return value
+
+
+def test_zonal_factorization_matches_the_fraction_product():
+    for p in range(1, 11):
+        for kappa in _partitions(p, p):
+            for m in range(1, 13):
+                n = _pochhammer_int(kappa, m)
+                assert type(n) is int and (n == 0) == (len(kappa) > m)
+                assert _zonal_scale(kappa) * n == zonal_reference(kappa, m), (kappa, m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 9), st.integers(1, 8))
 def test_zonal_polynomials_sum_to_trace_power(m, p):
     # (tr I_m)^p = sum over all partitions of p, vanishing beyond m parts
-    assert sum(_zonal_at_identity(kappa, m) for kappa in _partitions(p, p)) == m ** p
-    assert all(_zonal_at_identity(kappa, m) == 0
-               for kappa in _partitions(p, p) if len(kappa) > m)
+    def zonal(kappa):
+        return _zonal_scale(kappa) * _pochhammer_int(kappa, m)
+
+    assert sum(zonal(kappa) for kappa in _partitions(p, p)) == m ** p
+    assert all(zonal(kappa) == 0 for kappa in _partitions(p, p) if len(kappa) > m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 20), st.integers(1, 8))
+def test_t_matrix_entries_are_bitwise_t_exact(d, p):
+    values = t_matrix(d, p).values
+    for k in range(1, d):
+        for l in range(1, d):
+            assert values[k - 1, l - 1] == float(t_exact(k, l, d, p)), (k, l)
 
 
 def test_import_loads_no_scipy():
@@ -225,13 +262,21 @@ def test_t_matrix():
 # ---------------------------------------------------------------------------
 # orthogonal polynomial probes
 
-def quad_weight_inner(k, d, c1, c2):
-    """Numeric weighted inner product on [0,1] via 64-node Gauss-Jacobi."""
-    x, w = roots_jacobi(64, (d - 2 - k) / 2, (k - 2) / 2)
-    y = (x + 1) / 2
-    f1 = np.polynomial.polynomial.polyval(y, c1)
-    f2 = np.polynomial.polynomial.polyval(y, c2)
-    return float((w * f1 * f2).sum() / w.sum())
+def beta_inner(k, d, c1, c2) -> Fraction:
+    """Exact inner product of two ascending coefficient tuples under the
+    Beta(k/2, (d-k)/2) law, from its moments E[y^m] = (k/2)_m / (d/2)_m."""
+    return sum((a * b * pochhammer_ratio(k, d, i + j)
+                for i, a in enumerate(c1) for j, b in enumerate(c2)), start=Fraction(0))
+
+
+def test_beta_moments_match_gauss_jacobi_quadrature():
+    # ties the exact moments to the weight y^((k-2)/2) (1-y)^((d-k-2)/2)
+    for k, d in [(1, 2), (2, 5), (3, 6), (1, 4), (5, 6)]:
+        x, w = roots_jacobi(32, (d - 2 - k) / 2, (k - 2) / 2)
+        y = (x + 1) / 2
+        for m in range(12):
+            quad = float((w * y ** m).sum() / w.sum())
+            assert quad == pytest.approx(float(pochhammer_ratio(k, d, m)), rel=1e-13, abs=0)
 
 
 def test_jacobi_family_basics():
@@ -251,24 +296,35 @@ def test_jacobi_family_basics():
 
 
 def test_jacobi_orthogonality():
-    for k, d in [(1, 2), (2, 5), (3, 6), (1, 4)]:
-        fam = jacobi_family(k, d, 5)
-        polys = fam.polys
-        for i in range(len(polys)):
-            for j in range(i):
-                assert abs(quad_weight_inner(k, d, polys[i], polys[j])) < 1e-10
+    for d in range(2, 9):
+        for k in range(1, d):
+            polys = jacobi_family(k, d, 6).exact_polys
+            for n, poly in enumerate(polys):
+                assert len(poly) == n + 1 and poly[n] != 0     # degree n
+                assert sum(poly) == 1                         # P_n(1) = 1
+                assert all(type(c) is Fraction for c in poly)
+                for m in range(n):
+                    assert beta_inner(k, d, poly, polys[m]) == 0, (k, d, n, m)
 
 
 def test_jacobi_recurrence():
-    fam = jacobi_family(2, 6, 5)
-    ys = np.linspace(0.0, 1.0, 7)
-    for ell in range(1, 5):
-        a, b, c = fam.recurrence[ell]
-        assert a > 0 and b > 0 and c > 0
-        lhs = ys * fam.evaluate(ell, ys)
-        rhs = (a * fam.evaluate(ell + 1, ys) + b * fam.evaluate(ell, ys)
-               + c * fam.evaluate(ell - 1, ys))
-        assert np.abs(lhs - rhs).max() < 1e-12
+    # y P_n = a P_{n+1} + b P_n + c P_{n-1} holds exactly, with each
+    # coefficient the Fourier coefficient of y P_n under the Beta inner product
+    for k, d in [(1, 2), (2, 5), (2, 6), (3, 6), (1, 4), (5, 6)]:
+        fam = jacobi_family(k, d, 5)
+        polys = fam.exact_polys
+        for n, (a, b, c) in enumerate(fam.recurrence):
+            y_pn = (Fraction(0),) + polys[n]
+            lower = [polys[n + 1], polys[n]] + ([polys[n - 1]] if n else [])
+            exact = [beta_inner(k, d, y_pn, q) / beta_inner(k, d, q, q) for q in lower]
+            exact += [Fraction(0)] * (3 - len(exact))
+            assert (a, b, c) == tuple(float(x) for x in exact), (k, d, n)
+            assert a > 0 and b > 0 and (c > 0 if n else c == 0)
+            residual = list(y_pn)
+            for coef, q in zip(exact, lower):
+                for i, qi in enumerate(q):
+                    residual[i] -= coef * qi
+            assert not any(residual), (k, d, n)
     # the (1, 2) family is the shifted Chebyshev family
     cheb = jacobi_family(1, 2, 3)
     assert cheb.recurrence[1] == (0.25, 0.5, 0.25)
