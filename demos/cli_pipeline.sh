@@ -18,6 +18,12 @@ echo "== p=3 is out of reach for 3 lines: expect exit 1 =="
 fusionframes check mercedes.json --p 3 --mode tight || echo "exit code $?"
 
 echo
+echo "== the MUB planes are tight at p=2 but not a strength-4 cubature: expect exit 1 =="
+fusionframes gen catalog mub-planes-r4 -o mub.json
+fusionframes check mub.json --p 2 --mode tight
+fusionframes check mub.json --p 2 --mode cubature || echo "exit code $?"
+
+echo
 echo "== numeric frame bounds at p=3: 27/32 and 33/32 =="
 fusionframes check mercedes.json --p 3 --mode bounds
 

@@ -7,7 +7,7 @@ few standard errors of the exact value.
 """
 import numpy as np
 
-from fusionframes import jacobi_family, t_exact, t_matrix, t_moment, t_one
+from fusionframes import t_exact, t_matrix, t_moment, t_one
 
 # p = 1 is pure linear algebra: E tr(P_V P_W) = kl/d
 print("kl/d checks, d=5:")
@@ -32,13 +32,3 @@ for k, l, d, p in ((2, 2, 5, 2), (3, 3, 7, 2), (3, 4, 8, 3)):
     print(f"({k},{l},{d},{p}): exact {exact} = {float(exact):.8f}, "
           f"mc {mc.value:.8f} +- {mc.error:.1e} "
           f"({abs(mc.value - float(exact)) / mc.error:.1f} stderr)")
-
-# probe polynomials for cubature checks, with their three-term recurrence
-fam = jacobi_family(1, 2, 3)
-print("\nzonal family k=1 d=2 (shifted Chebyshev):")
-for ell, (a, b, c) in enumerate(fam.recurrence):
-    print(f"  y P_{ell} = {a:.4g} P_{ell + 1} + {b:.4g} P_{ell} "
-          f"+ {c:.4g} P_{ell - 1}")
-ys = np.linspace(0.0, 1.0, 5)
-for ell in range(4):
-    print(f"  P_{ell}(y) on [0,1]:", np.round(fam.evaluate(ell, ys), 4))

@@ -63,12 +63,9 @@ from .homogeneous import (
 )
 from .moments import (
     CubatureCertificate,
-    JacobiFamily,
     MomentEstimate,
     TMatrix,
     certify_cubature,
-    design_diagnostic,
-    jacobi_family,
     size_bounds,
     t_exact,
     t_matrix,

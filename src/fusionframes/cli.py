@@ -80,16 +80,15 @@ def cmd_check(args) -> int:
         }
         exit_code = 0 if cert.tight else 1
     elif args.mode == "cubature":
-        rng = np.random.default_rng(args.seed)
-        cert = certify_cubature(frame, args.p, tol=args.tol, rng=rng)
+        cert = certify_cubature(frame, args.p, tol=args.tol)
         report["results"] = {
             "verdict": cert.verdict,
+            "residual": cert.residual,
+            "method": "lie-derivative",
+            "monomials": cert.monomials,
             "ffp": cert.ffp_value,
             "t_value": cert.t_value,
-            "t_error": cert.t_error,
-            "t_method": cert.t_method,
             "margin": cert.margin,
-            "probe_spread": cert.probe_spread,
         }
         exit_code = 0 if cert.verdict == "cubature" else 1
     elif args.mode == "equiangular":
@@ -304,10 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--k", type=int, required=True)
     p_opt.add_argument("--n", type=int, required=True)
     p_opt.add_argument("--p", type=int, required=True)
-    p_opt.add_argument("--restarts", type=int, default=16)
-    p_opt.add_argument("--max-iters", type=int, default=5000)
-    p_opt.add_argument("--tol-grad", type=float, default=1e-10)
-    p_opt.add_argument("--target-margin", type=float, default=1e-5)
+    p_opt.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    p_opt.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
+    p_opt.add_argument("--tol-grad", type=float, default=OptimizerConfig.tol_grad)
+    p_opt.add_argument("--target-margin", type=float, default=OptimizerConfig.target_margin)
     p_opt.add_argument("-o", "--output", default=None, help="frame JSON path")
     p_opt.add_argument("--trace", default=None, help="CSV trace path")
     p_opt.set_defaults(func=cmd_optimize)

@@ -18,20 +18,20 @@ F_j: each chunk's projectors are one batched product F F^T, powers grow by
 one quadratic factor per step, each step an outer product per member summed
 into monomials by ``np.bincount``, and the last step is a single matrix
 product summed over the members.  At p = 1 the sum is the quadratic form of
-sum_j w_j F_j F_j^T, one product over each whole stack.  Tables are built
-lazily and cached per (d, degree); members are processed in chunks of a
-fixed element budget.
+sum_j w_j F_j F_j^T, one product over each whole stack.  ``lie_residual``
+runs on the same tables in the d(d+1)/2 variables of a symmetric matrix,
+for the cubature certificate.  Tables are built lazily and cached per
+(d, degree); members are processed in chunks of a fixed element budget.
 
 ``HomogeneousPoly`` is the sparse form keyed by exponent tuples, kept for
 evaluation, comparison and display.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import numpy as np
 
@@ -157,15 +157,89 @@ def weighted_power_sum(stacks, p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
+def multinomials(d: int, degree: int) -> np.ndarray:
+    """degree! / prod_v c_v! for each monomial prod_v x_v^(c_v) of the given
+    degree, in rank order: the coefficients of (x_1 + ... + x_d)^degree."""
+    mons, pos = monomials(d, degree), np.arange(degree)
+    start = np.maximum.accumulate(np.where(np.diff(mons, axis=1, prepend=-1) != 0, pos, 0), axis=1)
+    runs = (pos - start + 1).astype(object).prod(axis=1)   # prod_v c_v! in Python integers
+    return _frozen((factorial(degree) // runs).astype(float))
+
+
+@lru_cache(maxsize=32)
 def sum_of_squares_coeffs(d: int, p: int) -> np.ndarray:
     """Coefficients of (x_1^2 + ... + x_d^2)^p over the degree-2p monomials:
     the multinomial p! / prod_v c_v! at prod_v x_v^(2 c_v), zero elsewhere."""
-    half = monomials(d, p)
     out = np.zeros(monomial_count(d, 2 * p))
-    out[monomial_rank(np.repeat(half, 2, axis=1), d)] = [
-        float(factorial(p) // prod(factorial(c) for c in Counter(row).values()))
-        for row in half.tolist()]
+    out[monomial_rank(np.repeat(monomials(d, p), 2, axis=1), d)] = multinomials(d, p)
     return _frozen(out)
+
+
+@lru_cache(maxsize=32)
+def factor_table(d: int, degree: int) -> tuple:
+    """The degree-``degree`` monomials (rows, rank order) and, for each
+    position i of a row, the rank of the degree-(degree - 1) monomial left
+    without its factor c_i."""
+    mons = monomials(d, degree)
+    return _frozen(mons), _frozen(np.stack([monomial_rank(np.delete(mons, i, axis=1), d)
+                                            for i in range(degree)], axis=1))
+
+
+def lie_residual(stacks, p: int) -> float:
+    """sqrt(sum_E ||D_E g||^2) / (p ||g||) for g(y) = sum_j w_j (l_j . y)^p,
+    l_j = svec(F_j F_j^T), in the apolar norm ||f||^2 = sum_a f_a^2 /
+    multinomial_a, E over the orthonormal basis (e_a e_b^T - e_b e_a^T) /
+    sqrt(2) of so(d); members as in ``weighted_power_sum``.
+
+    y holds the D = d(d+1)/2 svec coordinates of a symmetric Y (diagonal,
+    then sqrt(2) times the upper entries), so l_j . y = tr(P_j Y).  With
+    H(y) = sum_j w_j (l_j . y)^(p-1) P_j, summed over the members first,
+    g = tr(YH) and D_E g = p tr(E K), K = YH - HY.  At each degree-p
+    monomial a, R_a = (YH)_a has two nonzero rows per distinct variable,
+    and ||K_a||_F^2 is summed entry by entry from them.  At p = 1, H = S,
+    the frame operator, and sum_E ||[S, E]||^2 = d ||S - (tr S / d) I||^2."""
+    d = stacks[0][0].shape[1]
+    if p == 1:
+        s = weighted_gram(stacks)
+        s /= np.trace(s)
+        return float(np.sqrt(d) * np.linalg.norm(s - np.eye(d) / d) / np.linalg.norm(s))
+    big = d * (d + 1) // 2
+    b, a = np.tril_indices(d)          # svec coordinate v is the pair a <= b
+    half = np.where(a == b, 0.5, np.sqrt(0.5))   # Y_v = half_v (e_a e_b^T + e_b e_a^T)
+    lower, lower_mult = monomials(big, p - 1), multinomials(big, p - 1)
+    h = np.zeros((len(lower), d * d))
+    total = sum(weights.sum() for _, weights in stacks)
+    chunk = max(1, _CHUNK_ELEMENTS // max(d * d, lower.size))
+    for bases, weights in stacks:
+        for lo in range(0, len(bases), chunk):
+            f = bases[lo:lo + chunk]
+            proj = f @ np.swapaxes(f, -1, -2)
+            ell = 2 * half * proj[:, a, b]      # svec(P_j), up to the order of coordinates
+            powers = lower_mult * ell[:, lower].prod(axis=-1)   # (l_j . y)^(p-1)
+            h += (weights[lo:lo + chunk, None] / total * powers).T @ proj.reshape(len(f), -1)
+    h = h.reshape(-1, d, d)
+
+    mons, rest = factor_table(big, p)
+    apolar = 1.0 / multinomials(big, p)
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * p * d))
+    lie_sq = g_sq = 0.0
+    for lo in range(0, len(mons), chunk):
+        v, m = mons[lo:lo + chunk], rest[lo:lo + chunk]
+        s = (half[v] * (np.diff(v, axis=1, prepend=-1) != 0))[..., None]   # repeats once
+        # Y_v H has row a_v = half_v H[b_v] and row b_v = half_v H[a_v]
+        rows = np.concatenate([s * h[m, b[v]], s * h[m, a[v]]], axis=1)    # (c, 2p, d)
+        labels = np.concatenate([a[v], b[v]], axis=1)
+        same = labels[:, :, None] == labels[:, None, :]
+        lead = ~np.tril(same, -1).any(axis=2)           # first row of each label
+        r = np.where(same & lead[:, :, None], 1.0, 0.0) @ rows     # the rows of R_a
+        block = np.take_along_axis(r, labels[:, None, :], axis=2)  # R_a on labels^2
+        k_block = (block - np.swapaxes(block, 1, 2)) * (lead[:, :, None] & lead[:, None, :])
+        off = (labels[:, :, None] != np.arange(d)).all(axis=1)    # columns off the labels
+        # there K = R_a in the label rows and -R_a^T in the label columns
+        k_sq = 2 * ((r * off[:, None, :]) ** 2).sum(axis=(1, 2)) + (k_block ** 2).sum(axis=(1, 2))
+        lie_sq += k_sq @ apolar[lo:lo + chunk]
+        g_sq += np.trace(block, axis1=1, axis2=2) ** 2 @ apolar[lo:lo + chunk]
+    return float(np.sqrt(lie_sq / g_sq))
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ and ``t_matrix`` sum integers over partitions, and ``t_moment`` and
 ``t_matrix`` report floats with error 0.  Haar sampling (``method="mc"``)
 is kept as an independent oracle for tests.
 
-Also here: the shifted Jacobi polynomials of the squared-cosine law of a
-line against a k-subspace (the design diagnostic's per-degree probes),
-cubature certification through the potential minimum, and the
-combinatorial size bounds.
+Also here: the exact strength-2p cubature certificate (the Lie
+derivatives of the frame's power form over Sym^2, ``homogeneous.lie_residual``)
+and the combinatorial size bounds.
 """
 from __future__ import annotations
 
@@ -30,10 +29,10 @@ from math import comb, factorial, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import MixedDimensions, ParameterError, check_integer
-from .frames import CERTIFY_TOL, WeightedFrame, pochhammer_ratio
+from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame, pochhammer_ratio
+from .homogeneous import check_size_guard, lie_residual, monomial_count
 from .potential import ffp
 from .subspaces import haar_basis_batch
 
@@ -48,10 +47,7 @@ T_MATRIX_D_MAX = 100
 def t_one(k: int, d: int, p: int) -> float:
     """Mean of trace(P_x P_V)^p for a Haar line x against a Haar k-subspace:
     (k/2)_p / (d/2)_p, exact."""
-    if not 1 <= k <= d - 1:
-        raise ParameterError(f"k={k} not in [1, {d - 1}]")
-    if p < 1:
-        raise ParameterError("p must be >= 1")
+    _check_moment_args(k, 1, d, p)
     return float(pochhammer_ratio(k, d, p))
 
 
@@ -198,150 +194,44 @@ def t_matrix(d: int, p: int, budget: int = DEFAULT_MC_BUDGET,
 
 
 # ---------------------------------------------------------------------------
-# orthogonal polynomial probes
-
-@dataclass(frozen=True)
-class JacobiFamily:
-    """Polynomials orthogonal for the weight y^((k-2)/2) (1-y)^((d-2-k)/2)
-    on [0,1], normalized to take the value 1 at y = 1.
-
-    ``exact_polys`` holds ascending Fraction coefficients (the normalization
-    P(1) = 1 is exact at that level); ``polys`` are float copies for
-    evaluation.  ``recurrence`` holds (a, b, c) with
-    y P_l = a P_{l+1} + b P_l + c P_{l-1}.
-    """
-
-    k: int
-    d: int
-    exact_polys: tuple
-    recurrence: tuple
-
-    @property
-    def polys(self) -> list:
-        return [np.array([float(c) for c in cs]) for cs in self.exact_polys]
-
-    def evaluate(self, ell: int, y) -> np.ndarray:
-        return npoly.polyval(np.asarray(y, dtype=float), self.polys[ell])
-
-
-def jacobi_family(k: int, d: int, p_max: int) -> JacobiFamily:
-    """The shifted Jacobi polynomials for the Beta(k/2, (d-k)/2) weight,
-    from their hypergeometric form
-
-        P_n(y) = sum_s C(n, s) (n + d/2 - 1)_s / ((d - k)/2)_s (y - 1)^s,
-
-    with the three-term recurrence read off the two leading coefficients
-    and P_n(1) = 1."""
-    if not 1 <= k <= d - 1:
-        raise ParameterError(f"weight exponents <= -1 for k={k}, d={d}")
-    if p_max > 10:
-        raise ParameterError("p_max above 10 is not supported")
-    polys = []
-    for n in range(p_max + 1):
-        coeffs = [Fraction(0)] * (n + 1)
-        for s in range(n + 1):
-            term = comb(n, s) * pochhammer_ratio(2 * n + d - 2, d - k, s)
-            for j in range(s + 1):      # (y - 1)^s, expanded
-                coeffs[j] += term * comb(s, j) * (-1) ** (s - j)
-        polys.append(tuple(coeffs))
-    trips = []
-    for n in range(p_max):
-        lead, sub = polys[n][n], polys[n][n - 1] if n else Fraction(0)
-        a = lead / polys[n + 1][n + 1]
-        b = (sub - a * polys[n + 1][n]) / lead
-        trips.append((float(a), float(b), float(1 - a - b)))
-    return JacobiFamily(k=k, d=d, exact_polys=tuple(polys), recurrence=tuple(trips))
-
-
-def design_diagnostic(frame: WeightedFrame, p: int, n_probes: int = 64,
-                      rng: np.random.Generator | None = None,
-                      normalize: bool = True) -> list:
-    """Per-degree residuals of the zero-sum conditions a tight order-p frame
-    must satisfy.
-
-    For each degree ell = 1..p the probe function x -> P_ell(||P_V x||^2) is
-    averaged over the frame; at a tight frame the weighted sum vanishes for
-    every unit x.  Returns the max |sum| over Haar-random probe directions,
-    one residual per degree.  Small residuals are necessary (not sufficient)
-    for tightness, and locate the failing degree otherwise.
-
-    Weights are normalized to sum 1 unless ``normalize`` is false, in which
-    case residuals scale linearly with a common weight factor.
-    """
-    if not frame.equal_dims():
-        raise MixedDimensions("design diagnostic requires one common dimension")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k, d = int(frame.dims[0]), frame.ambient_dim
-    fam = jacobi_family(k, d, p)
-    w = frame.weights
-    if normalize:
-        w = w / w.sum()
-    xs = haar_basis_batch(d, 1, n_probes, rng)[:, :, 0]     # (n_probes, d)
-    y = np.stack([((xs @ s.basis) ** 2).sum(axis=1) for s in frame.subspaces],
-                 axis=1)                                    # (n_probes, n)
-    residuals = []
-    for ell in range(1, p + 1):
-        sums = fam.evaluate(ell, y) @ w
-        residuals.append(float(np.abs(sums).max()))
-    return residuals
-
-
-# ---------------------------------------------------------------------------
 # cubature certification
 
 @dataclass(frozen=True)
 class CubatureCertificate:
-    """Potential-based strength-2p cubature check at unit total weight."""
+    """Strength-2p cubature check by the Lie derivatives of the power form."""
 
     p: int
-    ffp_value: float
-    t_value: float
-    t_error: float
-    t_method: str
-    margin: float            # ffp_value - t_value; >= 0 up to roundoff
+    residual: float          # sqrt(sum_E ||D_E g||^2) / (p ||g||), apolar norms
+    monomials: int           # degree-p monomials in d(d+1)/2 variables
     verdict: str             # cubature | not-cubature
-    probe_spread: float      # advisory: max-min of the probe averages
+    ffp_value: float         # diagnostics, at unit total weight; not read by the verdict
+    t_value: float
+    t_error: float           # 0: the moment is exact
+    margin: float            # ffp_value - t_value; >= 0 up to roundoff
     tol: float
 
 
 def certify_cubature(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL,
                      budget: int = DEFAULT_MC_BUDGET,
-                     rng: np.random.Generator | None = None,
-                     n_probes: int = 1000) -> CubatureCertificate:
-    """Compare the potential of the weight-normalized frame against the
-    exact Haar moment; equality (margin within tol) certifies a cubature of
-    strength 2p.
-
-    A constancy probe over ``n_probes`` random subspaces W drawn from
-    ``rng`` (the averaged p-th power of trace(P_W P_j) should be flat) is
-    attached as a corroborating statistic, not part of the verdict.
-    ``budget`` is accepted for compatibility and ignored: the moment is
-    exact.
-    """
+                     rng: np.random.Generator | None = None) -> CubatureCertificate:
+    """A strength-2p cubature on the Grassmannian is a frame whose power form
+    g(y) = sum_j w_j (svec(P_j) . y)^p is O(d)-invariant, i.e. every Lie
+    derivative D_E g, E in so(d), vanishes (a reflection fixes the diagonal
+    matrices).  The verdict is ``homogeneous.lie_residual`` <= tol, linear
+    in the defect; the potential and the exact Haar moment are reported
+    beside it.  ``budget`` and ``rng`` are accepted for compatibility and
+    ignored: nothing is sampled."""
     if not frame.equal_dims():
         raise MixedDimensions("cubature certification requires one common dimension")
-    if rng is None:
-        rng = np.random.default_rng(0)
     k, d = int(frame.dims[0]), frame.ambient_dim
-    normalized = frame.normalized()
-    value = ffp(normalized, p)
-    est = t_moment(k, k, d, p)
-    margin = value - est.value
-    verdict = "not-cubature" if margin > tol else "cubature"
-
-    probes = haar_basis_batch(d, k, n_probes, rng)
-    w = normalized.weights
-    avgs = np.zeros(n_probes)
-    for sub, weight in zip(normalized.subspaces, w):
-        m = probes.transpose(0, 2, 1) @ sub.basis       # (n_probes, k, k)
-        avgs += weight * ((m * m).sum(axis=(1, 2))) ** p
-    spread = float(avgs.max() - avgs.min())
-
-    return CubatureCertificate(p=p, ffp_value=value, t_value=est.value,
-                               t_error=est.error, t_method=est.method,
-                               margin=margin, verdict=verdict,
-                               probe_spread=spread, tol=tol)
+    _check_moment_args(k, k, d, p)
+    check_size_guard(d * (d + 1) // 2, p, POWER_FORM_GUARD)
+    residual = lie_residual(frame.stacks, p)
+    value, t_value = ffp(frame.normalized(), p), float(t_exact(k, k, d, p))
+    return CubatureCertificate(
+        p=p, residual=residual, monomials=monomial_count(d * (d + 1) // 2, p),
+        verdict="cubature" if residual <= tol else "not-cubature",
+        ffp_value=value, t_value=t_value, t_error=0.0, margin=value - t_value, tol=tol)
 
 
 def size_bounds(d: int, p: int) -> dict:

@@ -60,7 +60,7 @@ class OptimizerConfig:
     p: int
     restarts: int = 16
     max_iters: int = 5000
-    tol_grad: float = 1e-10
+    tol_grad: float = 1e-11
     target_margin: float = 1e-5
 
     def __post_init__(self):

@@ -82,7 +82,7 @@ def _random_mixed_frame(rng, ambient_dims):
 
 
 def test_criterion_01_mercedes_suite(capfd, tmp_path):
-    with criterion(capfd, 1, "mercedes gen/check, exact FFP, cubature margin",
+    with criterion(capfd, 1, "mercedes gen/check, exact FFP, cubature certificate",
                    budget_s=1.0):
         path = str(tmp_path / "mercedes.json")
         assert cli_main(["gen", "catalog", "mercedes", "-o", path]) == 0
@@ -96,10 +96,17 @@ def test_criterion_01_mercedes_suite(capfd, tmp_path):
         report = json.loads(capfd.readouterr().out)
         assert report["results"]["verdict"] == "not-tight"
 
+        assert cli_main(["check", path, "--p", "2", "--mode", "cubature"]) == 0
+        results = json.loads(capfd.readouterr().out)["results"]
+        assert list(results) == ["verdict", "residual", "method", "monomials",
+                                 "ffp", "t_value", "margin"]
+        assert results["verdict"] == "cubature" and results["residual"] < 1e-14
+        assert results["method"] == "lie-derivative" and results["monomials"] == 6
+
         merc = catalog("mercedes")
         assert abs(ffp(merc.normalized(), 2) - 3 / 8) <= 1e-12
         cert = certify_cubature(merc, 2, rng=np.random.default_rng(1))
-        assert cert.verdict == "cubature"
+        assert cert.verdict == "cubature" and cert.residual < 1e-14
         assert cert.t_value == t_one(1, 2, 2) == 3 / 8
         assert abs(cert.margin) < 1e-9
 

@@ -66,10 +66,19 @@ def test_check_cubature(mercedes_file, capsys):
         ["check", mercedes_file, "--p", "2", "--mode", "cubature"], capsys)
     report = json.loads(out)
     assert code == 0
+    assert list(report["results"]) == ["verdict", "residual", "method", "monomials",
+                                       "ffp", "t_value", "margin"]
     assert report["results"]["verdict"] == "cubature"
+    assert report["results"]["residual"] < 1e-14
+    assert report["results"]["method"] == "lie-derivative"
+    assert report["results"]["monomials"] == 6
     assert report["results"]["ffp"] == pytest.approx(3 / 8, abs=1e-12)
     assert report["results"]["t_value"] == pytest.approx(3 / 8, abs=1e-12)
     assert abs(report["results"]["margin"]) < 1e-9
+    # nothing is sampled, so the global seed does not reach the report
+    _, other, _ = run(["--seed", "7", "check", mercedes_file, "--p", "2",
+                       "--mode", "cubature"], capsys)
+    assert strip_wall_time(other) == strip_wall_time(out)
 
 
 def test_check_equiangular_and_bounds(mercedes_file, capsys):
@@ -318,6 +327,13 @@ def test_error_exit_codes(tmp_path, capsys):
                              capsys)
         assert code == 2 and out == "", name
         assert json.loads(err)["error"] == "FrameFormatError"
+
+    # d = 20, p = 3: the cubature certificate's cubic forms in 210 variables
+    path = str(tmp_path / "planes20.json")
+    save_frame(build_frame([np.eye(20)[:, :2]]), path)
+    code, out, err = run(["check", path, "--p", "3", "--mode", "cubature"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "SizeGuardExceeded"
 
     for argv in (["moments", "--d", "8", "--p", "1000"],
                  ["moments", "--d", "10000000", "--p", "2"],

@@ -22,6 +22,7 @@ from fusionframes import (
     analysis,
     build_frame,
     catalog,
+    certify_cubature,
     certify_tight,
     complement_frame,
     evaluate_power_form,
@@ -261,6 +262,11 @@ def test_certify_size_guard():
         certify_tight(frame, 3)
     with pytest.raises(SizeGuardExceeded):
         power_form(frame, 3)
+    # the cubature certificate's degree-p forms live in d(d+1)/2 variables:
+    # 1 562 340 cubic monomials at d = 20
+    assert monomial_count(210, 3) > POWER_FORM_GUARD
+    with pytest.raises(SizeGuardExceeded):
+        certify_cubature(build_frame([np.eye(20)[:, :2]]), 3)
 
 
 def test_certify_refuses_non_integer_orders(mercedes):

@@ -1,3 +1,6 @@
+from collections import Counter
+from math import comb, factorial, prod
+
 import numpy as np
 import pytest
 
@@ -13,8 +16,10 @@ from fusionframes import (
 from fusionframes import homogeneous
 from fusionframes.homogeneous import (
     check_size_guard,
+    lie_residual,
     monomial_rank,
     monomials,
+    multinomials,
     quadratic_rows,
     weighted_gram,
     weighted_power_sum,
@@ -83,7 +88,13 @@ def test_monomial_ranks_enumerate_each_degree():
             assert (np.diff(mons, axis=1) >= 0).all()
             assert len({tuple(m) for m in mons.tolist()}) == len(mons)
             assert np.array_equal(monomial_rank(mons, d), np.arange(len(mons)))
+            # degree! / prod_v c_v!, exactly, against a per-monomial count
+            ref = [factorial(degree) // prod(factorial(c) for c in Counter(m).values())
+                   for m in mons.tolist()]
+            assert np.array_equal(multinomials(d, degree), np.array(ref, dtype=float))
     assert monomials(3, 2).tolist() == [[0, 0], [0, 1], [1, 1], [0, 2], [1, 2], [2, 2]]
+    # past 20! the integers leave int64
+    assert multinomials(2, 30)[1] == 30.0 and multinomials(2, 30)[15] == float(comb(30, 15))
 
 
 def dict_product(a, b):
@@ -148,6 +159,56 @@ def test_p1_frame_operator_route_matches_projectors(rng):
                            rtol=0, atol=1e-13 * weights.sum())
 
 
+def svec(m):
+    """Diagonal, then sqrt(2) times the upper entries."""
+    return np.concatenate([np.diag(m), np.sqrt(2) * m[np.triu_indices(len(m), 1)]])
+
+
+def lie_reference(factors, weights, p):
+    """sqrt(sum_E ||D_E g||^2) / (p ||g||) for g(y) = sum_j w_j (svec(P_j) . y)^p,
+    expanding D_E g = p sum_j w_j (l_j . y)^(p-1) (svec([P_j, E]) . y) member
+    by member and direction by direction in exponent-tuple dicts."""
+    d = factors[0].shape[0]
+    big = d * (d + 1) // 2
+
+    def linear(vec):
+        return {tuple(int(i == v) for i in range(big)): c for v, c in enumerate(vec)}
+
+    def form(vecs_per_member):
+        total = {}
+        for vecs, w in zip(vecs_per_member, weights):
+            term = {(0,) * big: w}
+            for vec in vecs:
+                term = dict_product(term, linear(vec))
+            for e, c in term.items():
+                total[e] = total.get(e, 0.0) + c
+        return total
+
+    def apolar_sq(poly):
+        return sum(c * c * prod(map(factorial, e)) / factorial(p) for e, c in poly.items())
+
+    projs = [f @ f.T for f in factors]
+    lie_sq = 0.0
+    for a in range(d):
+        for b in range(a + 1, d):
+            e = np.zeros((d, d))
+            e[a, b], e[b, a] = np.sqrt(0.5), -np.sqrt(0.5)
+            deriv = form([[svec(q)] * (p - 1) + [svec(q @ e - e @ q)] for q in projs])
+            lie_sq += apolar_sq(deriv)
+    return np.sqrt(lie_sq / apolar_sq(form([[svec(q)] * p for q in projs])))
+
+
+def test_lie_residual_matches_per_direction_expansion(rng):
+    for d, p in [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]:
+        for _ in range(2):
+            factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d))))).basis
+                       for _ in range(3)]
+            weights = rng.uniform(0.2, 2.0, 3)
+            ref = lie_reference(factors, weights, p)
+            got = lie_residual(stacks_of(factors, weights), p)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0), (d, p)
+
+
 def test_weighted_power_sum_chunking(rng, monkeypatch):
     # a tiny element budget splits members and table rows into many chunks;
     # the tables do not depend on it, so the cache is cleared only to rebuild
@@ -155,8 +216,11 @@ def test_weighted_power_sum_chunking(rng, monkeypatch):
     factors = random_factors(rng, 4, 7)
     weights = rng.uniform(0.2, 2.0, 7)
     whole = [weighted_power_sum(stacks_of(factors, weights), p) for p in (1, 3)]
+    lie = [lie_residual(stacks_of(factors, weights), p) for p in (2, 3)]
     homogeneous.product_table.cache_clear()
     monkeypatch.setattr(homogeneous, "_CHUNK_ELEMENTS", 50)
     for p, ref in zip((1, 3), whole):
         split = weighted_power_sum(stacks_of(factors, weights), p)
         assert np.abs(split - ref).max() <= 1e-13 * np.abs(ref).max()
+    for p, ref in zip((2, 3), lie):
+        assert lie_residual(stacks_of(factors, weights), p) == pytest.approx(ref, rel=1e-13)

@@ -15,14 +15,14 @@ from fusionframes import (
     MixedDimensions,
     MomentEstimate,
     ParameterError,
+    Subspace,
     WeightedFrame,
+    build_frame,
     catalog,
     certify_cubature,
     certify_tight,
     close_group,
-    design_diagnostic,
     haar_random,
-    jacobi_family,
     make_subspace,
     orbit_frame,
     pochhammer_ratio,
@@ -35,7 +35,7 @@ from fusionframes import (
 
 from fusionframes.moments import (P_MAX, T_MATRIX_D_MAX, _partitions, _pochhammer_int,
                                   _zonal_scale)
-from test_frames import random_frame
+from test_frames import _other_representatives, random_frame
 
 
 def exact_t2(k: int, l: int, d: int) -> Fraction:
@@ -76,6 +76,12 @@ def test_t_one():
         t_one(0, 3, 1)
     with pytest.raises(ParameterError):
         t_one(3, 3, 1)
+    # a float order died in comb with a bare TypeError, True counted as k = 1,
+    # and p = 10**6 ran for minutes
+    for args in ((2, 4, 2.5), (True, 4, 2), (2, 4, 10 ** 6), (2, 4, P_MAX + 1), (2, 4, 0)):
+        with pytest.raises(ParameterError):
+            t_one(*args)
+    assert t_one(2, 4, P_MAX) == float(pochhammer_ratio(2, 4, P_MAX))
 
 
 def test_t_moment_first_power_exact():
@@ -260,14 +266,7 @@ def test_t_matrix():
 
 
 # ---------------------------------------------------------------------------
-# orthogonal polynomial probes
-
-def beta_inner(k, d, c1, c2) -> Fraction:
-    """Exact inner product of two ascending coefficient tuples under the
-    Beta(k/2, (d-k)/2) law, from its moments E[y^m] = (k/2)_m / (d/2)_m."""
-    return sum((a * b * pochhammer_ratio(k, d, i + j)
-                for i, a in enumerate(c1) for j, b in enumerate(c2)), start=Fraction(0))
-
+# Beta moments
 
 def test_beta_moments_match_gauss_jacobi_quadrature():
     # ties the exact moments to the weight y^((k-2)/2) (1-y)^((d-k-2)/2)
@@ -279,89 +278,22 @@ def test_beta_moments_match_gauss_jacobi_quadrature():
             assert quad == pytest.approx(float(pochhammer_ratio(k, d, m)), rel=1e-13, abs=0)
 
 
-def test_jacobi_family_basics():
-    fam = jacobi_family(2, 5, 4)
-    assert fam.exact_polys[0] == (Fraction(1),)
-    # P1 = (y - k/d) / (1 - k/d)
-    k, d = 2, 5
-    expect = (Fraction(-k, d) / (1 - Fraction(k, d)),
-              Fraction(1, 1) / (1 - Fraction(k, d)))
-    assert fam.exact_polys[1] == expect
-    for coeffs in fam.exact_polys:
-        assert sum(coeffs) == 1         # P(1) = 1 exactly
-    with pytest.raises(ParameterError):
-        jacobi_family(5, 5, 2)
-    with pytest.raises(ParameterError):
-        jacobi_family(2, 5, 11)
-
-
-def test_jacobi_orthogonality():
-    for d in range(2, 9):
-        for k in range(1, d):
-            polys = jacobi_family(k, d, 6).exact_polys
-            for n, poly in enumerate(polys):
-                assert len(poly) == n + 1 and poly[n] != 0     # degree n
-                assert sum(poly) == 1                         # P_n(1) = 1
-                assert all(type(c) is Fraction for c in poly)
-                for m in range(n):
-                    assert beta_inner(k, d, poly, polys[m]) == 0, (k, d, n, m)
-
-
-def test_jacobi_recurrence():
-    # y P_n = a P_{n+1} + b P_n + c P_{n-1} holds exactly, with each
-    # coefficient the Fourier coefficient of y P_n under the Beta inner product
-    for k, d in [(1, 2), (2, 5), (2, 6), (3, 6), (1, 4), (5, 6)]:
-        fam = jacobi_family(k, d, 5)
-        polys = fam.exact_polys
-        for n, (a, b, c) in enumerate(fam.recurrence):
-            y_pn = (Fraction(0),) + polys[n]
-            lower = [polys[n + 1], polys[n]] + ([polys[n - 1]] if n else [])
-            exact = [beta_inner(k, d, y_pn, q) / beta_inner(k, d, q, q) for q in lower]
-            exact += [Fraction(0)] * (3 - len(exact))
-            assert (a, b, c) == tuple(float(x) for x in exact), (k, d, n)
-            assert a > 0 and b > 0 and (c > 0 if n else c == 0)
-            residual = list(y_pn)
-            for coef, q in zip(exact, lower):
-                for i, qi in enumerate(q):
-                    residual[i] -= coef * qi
-            assert not any(residual), (k, d, n)
-    # the (1, 2) family is the shifted Chebyshev family
-    cheb = jacobi_family(1, 2, 3)
-    assert cheb.recurrence[1] == (0.25, 0.5, 0.25)
-
-
-def test_design_diagnostic(mercedes, rng):
-    res = design_diagnostic(mercedes, 2, rng=rng)
-    assert len(res) == 2 and max(res) < 1e-10
-
-    ortho = catalog("cross-polytope-lines(2)")
-    res = design_diagnostic(ortho, 2, n_probes=64, rng=rng)
-    assert res[0] < 1e-12          # tight at order 1
-    assert res[1] > 0.1            # order-2 obstruction is visible
-
-    # linearity in the weights when normalization is off
-    base = design_diagnostic(ortho, 2, rng=np.random.default_rng(9),
-                             normalize=False)
-    scaled = design_diagnostic(ortho.rescaled(3.0), 2,
-                               rng=np.random.default_rng(9), normalize=False)
-    assert np.allclose(np.array(scaled), 3 * np.array(base), rtol=1e-12)
-
-    mixed = WeightedFrame(3, ((haar_random(3, 1, rng), 1.0),
-                              (haar_random(3, 2, rng), 1.0)))
-    with pytest.raises(MixedDimensions):
-        design_diagnostic(mixed, 1)
-
-
 # ---------------------------------------------------------------------------
 # cubature certification
 
 def test_certify_cubature_examples(mercedes, rng):
+    state = rng.bit_generator.state
     cert = certify_cubature(mercedes, 2, rng=rng)
     assert cert.verdict == "cubature"
+    assert cert.residual < 1e-14
+    assert cert.monomials == 6              # degree 2 in d(d+1)/2 = 3 variables
     assert abs(cert.margin) < 1e-9
     assert cert.ffp_value == pytest.approx(3 / 8, abs=1e-12)
     assert cert.t_value == t_one(1, 2, 2)
-    assert cert.probe_spread < 1e-9
+    # nothing is sampled: the same certificate whatever the rng, none drawn
+    assert rng.bit_generator.state == state
+    for other in (None, np.random.default_rng(5)):
+        assert certify_cubature(mercedes, 2, rng=other) == cert
 
     ortho = catalog("cross-polytope-lines(2)")
     cert = certify_cubature(ortho, 2, rng=rng)
@@ -372,6 +304,9 @@ def test_certify_cubature_examples(mercedes, rng):
                               (haar_random(3, 2, rng), 1.0)))
     with pytest.raises(MixedDimensions):
         certify_cubature(mixed, 1)
+    for p in (0, 2.0, True, P_MAX + 1):
+        with pytest.raises(ParameterError):
+            certify_cubature(mercedes, p)
 
 
 def test_cubature_margin_lower_bound(rng):
@@ -383,6 +318,16 @@ def test_cubature_margin_lower_bound(rng):
         assert cert.margin >= -cert.tol
 
 
+def f4_plane_orbit():
+    """The W(F4) orbit of a generic 2-plane in R^4: 576 members."""
+    roots = np.array([[0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1],
+                      [0.5, -0.5, -0.5, -0.5]])
+    f4 = close_group([np.eye(4) - 2 * np.outer(r, r) / (r @ r) for r in roots])
+    seed = make_subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.2], [0.1, -0.7]]))
+    assert len(f4) == 1152
+    return orbit_frame(f4, seed)
+
+
 def test_cubature_implies_tight(mub_planes):
     # strength-2p cubatures are tight at p; the converse can fail
     lines4 = catalog("equispaced-lines(4)")
@@ -390,25 +335,68 @@ def test_cubature_implies_tight(mub_planes):
         cert = certify_cubature(lines4, p, rng=np.random.default_rng(p))
         assert cert.verdict == "cubature"
         assert certify_tight(lines4, p).tight
-    # 2-planes in R^4: the W(F4) orbit of a generic plane (576 members) sits
-    # on the p=2 floor 10/9 to roundoff, so the exact moment certifies it
-    roots = np.array([[0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1],
-                      [0.5, -0.5, -0.5, -0.5]])
-    f4 = close_group([np.eye(4) - 2 * np.outer(r, r) / (r @ r) for r in roots])
-    seed = make_subspace(np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.2], [0.1, -0.7]]))
-    planes = orbit_frame(f4, seed)
+    # for lines the two coincide
+    names = [f"equispaced-lines({n})" for n in range(2, 6)]
+    names += ["cross-polytope-lines(3)", "cross-polytope-lines(4)", "weyl-a2-orbit(1)"]
+    for name in names:
+        lines = catalog(name)
+        for p in range(1, 5):
+            cubature = certify_cubature(lines, p).verdict == "cubature"
+            assert cubature == certify_tight(lines, p).tight, (name, p)
+    # 2-planes in R^4: the W(F4) orbit of a generic plane is a strength-4
+    # cubature, on the p=2 floor 10/9, and not a strength-6 one
+    planes = f4_plane_orbit()
     cert = certify_cubature(planes, 2, rng=np.random.default_rng(0))
-    assert (len(f4), len(planes)) == (1152, 576)
+    assert len(planes) == 576
     assert cert.verdict == "cubature" and cert.t_value == 10 / 9
+    assert cert.residual <= 1e-14
     assert certify_tight(planes, 2).tight
+    assert certify_cubature(planes, 3).verdict == "not-cubature"
+    # moving every basis by eps leaves the potential within eps^2 of the
+    # floor, but the Lie residual is linear in the defect
+    rng = np.random.default_rng(0)
+    for eps in (1e-4, 1e-5, 1e-6):
+        moved = build_frame([s.basis + eps * rng.standard_normal(s.basis.shape)
+                             for s in planes.subspaces])
+        cert = certify_cubature(moved, 2)
+        assert cert.verdict == "not-cubature", eps
+        assert cert.margin < 1e-8
     # the realified MUB planes are tight at 2 yet sit strictly above the
     # potential minimum, so they are not a strength-4 cubature
     assert certify_tight(mub_planes, 2).tight
     cert = certify_cubature(mub_planes, 2, rng=np.random.default_rng(0))
     assert cert.verdict == "not-cubature"
+    assert cert.residual == pytest.approx(0.5, abs=1e-12)
     assert cert.ffp_value == pytest.approx(4 / 3, abs=1e-12)
     assert certify_cubature(mub_planes, 1,
                             rng=np.random.default_rng(0)).verdict == "cubature"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(1, 3), st.floats(-12.0, 8.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_cubature_residual_invariances(d, p, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, d)), int(rng.integers(1, 6))
+    frame = WeightedFrame(d, tuple((haar_random(d, k, rng), float(rng.uniform(0.2, 2.0)))
+                                   for _ in range(n)))
+    base = certify_cubature(frame, p).residual
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    perm = rng.permutation(n)
+    variants = {
+        "scaled": frame.rescaled(10.0 ** log_scale),
+        "representatives": _other_representatives(frame, rng),
+        "permuted": WeightedFrame(d, tuple(frame.entries[i] for i in perm)),
+    }
+    flip = np.where(np.arange(d) == 0, -1.0, 1.0)
+    rotation = q * flip if np.linalg.det(q) < 0 else q
+    reflection = flip[:, None] * rotation
+    assert np.linalg.det(rotation) > 0 > np.linalg.det(reflection)
+    for label, g in (("rotated", rotation), ("reflected", reflection)):
+        variants[label] = WeightedFrame(d, tuple((Subspace(d, g @ s.basis), w)
+                                                 for s, w in frame.entries))
+    for label, variant in variants.items():
+        assert certify_cubature(variant, p).residual == pytest.approx(base, rel=1e-12, abs=0), label
 
 
 def test_size_bounds():

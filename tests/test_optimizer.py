@@ -10,6 +10,7 @@ from fusionframes import (
     WeightedFrame,
     build_frame,
     catalog,
+    certify_cubature,
     certify_tight,
     equiangularity,
     evaluate_power_form,
@@ -167,12 +168,15 @@ def test_newton_stops_by_gradient_on_degenerate_minima():
 
 @pytest.mark.parametrize("n,k,d,p", [(3, 1, 2, 2), (4, 1, 2, 3), (6, 1, 3, 2), (5, 2, 4, 1)])
 def test_optimizer_output_certifies_tight(n, k, d, p):
-    # the frames reach the floor to rounding, so they certify at the default 1e-9
+    # the frames reach the floor to rounding, so they certify at the default
+    # 1e-9, as tight frames and as cubatures, with room to spare for the latter
     for seed in range(16):
         trace = minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p),
                              rng=np.random.default_rng(seed))
         assert trace.success
         assert certify_tight(trace.frame, p).residual <= 1e-9, seed
+        if seed < 8:
+            assert certify_cubature(trace.frame, p).residual <= 1e-10, seed
 
 
 def test_restart_chunks_do_not_couple(monkeypatch):
