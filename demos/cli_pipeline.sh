@@ -37,6 +37,12 @@ fusionframes gen orbit --generators weyl.json --seed-angle 20 -o orbit.json
 fusionframes check orbit.json --p 2 --mode tight
 
 echo
+echo "== a malformed frame file is a data error: expect exit 2, not the exit 1 of not-tight =="
+# a weight of 1 followed by 400 zeros: an integer too large for a float
+printf '{"ambient_dim": 2, "entries": [{"basis": [[1.0, 0.0]], "weight": 1%0400d}]}\n' 0 > bad.json
+fusionframes check bad.json --p 1 --mode tight || [ $? -eq 2 ]
+
+echo
 echo "== moment table for d=4, p=2 =="
 fusionframes moments --d 4 --p 2
 

@@ -30,7 +30,7 @@ from .constructions import (
     realify,
 )
 from .errors import FusionFrameError
-from .frames import CERTIFY_TOL, certify_tight, load_frame, save_frame
+from .frames import CERTIFY_TOL, certify_tight, frame_from_dict, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
 from .optimizer import STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
 from .potential import EQUIANGULAR_TOL, equiangularity, ffp
@@ -61,10 +61,12 @@ def _stop_counts(reasons) -> dict:
 
 def cmd_check(args) -> int:
     started = time.monotonic()
-    frame = load_frame(args.frame)
+    with open(args.frame, "rb") as fh:     # once: the digest names the parsed bytes
+        data = fh.read()
+    frame = frame_from_dict(json.loads(data))
     report = {
         "command": "check",
-        "input": {"path": args.frame, "sha256": _digest(args.frame)},
+        "input": {"path": args.frame, "sha256": hashlib.sha256(data).hexdigest()},
         "parameters": {"p": args.p, "mode": args.mode},
     }
     if args.tol is None:    # each mode's library default
@@ -139,7 +141,7 @@ def _gen_frame(args):
         info = {
             "generators": args.generators,
             "group_order": len(group),
-            "orbit_size": len(frame.entries),
+            "orbit_size": len(frame),
         }
         return frame, info
     if args.kind == "extend":
@@ -162,7 +164,7 @@ def cmd_gen(args) -> int:
             "output": args.output,
             "sha256": _digest(args.output),
             "ambient_dim": frame.ambient_dim,
-            "n_entries": len(frame.entries),
+            "n_entries": len(frame),
             "dims": sorted(set(int(x) for x in frame.dims)),
         },
     }

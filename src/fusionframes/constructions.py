@@ -31,8 +31,7 @@ from .frames import POWER_FORM_GUARD, WeightedFrame, build_frame
 from .homogeneous import check_size_guard
 from .moments import P_MAX
 from .potential import GRAM_BUDGET
-from .subspaces import (Subspace, check_orthonormal, first_occurrences, make_subspace,
-                        stack_subspaces)
+from .subspaces import Subspace, check_orthonormal, first_occurrences, make_subspace
 
 GROUP_ORTHO_TOL = 1e-10
 # Largest gap of a Molien mean from the nearest integer.
@@ -149,8 +148,9 @@ def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
     images = group.stack @ seed.basis
     projs = images @ images.transpose(0, 2, 1)
     kept = first_occurrences(projs.reshape(len(projs), -1))
-    subs = stack_subspaces(check_orthonormal(images[kept]))
-    return WeightedFrame(group.d, tuple((s, 1.0) for s in subs))
+    n = len(kept)
+    return WeightedFrame._from_stacks(
+        group.d, [(np.arange(n), check_orthonormal(images[kept]), np.ones(n))])
 
 
 def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:

@@ -11,9 +11,11 @@ the largest coefficient of the right side before it meets the tolerance.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import prod
 
 import numpy as np
@@ -33,7 +35,7 @@ from .homogeneous import (
     weighted_gram,
     weighted_power_sum,
 )
-from .subspaces import Subspace, complement, orthonormal_stack, stack_subspaces
+from .subspaces import Subspace, _first_bad, complement, orthonormal_stack, stack_subspaces
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
 POWER_FORM_GUARD = 10 ** 6
@@ -43,27 +45,47 @@ CERTIFY_TOL = 1e-9
 READ_CORRECTION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedFrame:
     """An ordered collection of (subspace, positive weight) pairs sharing one
-    ambient dimension."""
+    ambient dimension, stored by dimension: ``groups`` holds, per member
+    dimension k, smallest first, the ascending frame positions of the
+    dimension-k members, the (m_k, d, k) stack of their orthonormal bases
+    and their (m_k,) weights.  ``entries`` is built on first access."""
 
     ambient_dim: int
-    entries: tuple  # of (Subspace, float)
+    groups: tuple = field(repr=False)   # of (positions, bases, weights)
 
-    def __post_init__(self):
-        entries = tuple((s, float(w)) for s, w in self.entries)
-        if len(entries) < 1:
-            raise DimensionError("a frame needs at least one subspace")
-        for s, w in entries:
-            if s.ambient_dim != self.ambient_dim:
-                raise DimensionError("subspace ambient dimension differs from frame")
-            if not (w > 0 and np.isfinite(w)):
-                raise DimensionError(f"weights must be positive and finite, got {w}")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, ambient_dim: int, entries):
+        entries = tuple(entries)
+        subs = [s for s, _ in entries]
+        weights = np.array([float(w) for _, w in entries])
+        if (np.array([s.ambient_dim for s in subs]) != ambient_dim).any():
+            raise DimensionError("subspace ambient dimension differs from frame")
+        _check_weights(weights)
+        groups = [(idx, np.stack([subs[i].basis for i in idx]), weights[idx])
+                  for idx in _positions_by_value(np.array([s.dim for s in subs]))]
+        self.__dict__.update(ambient_dim=ambient_dim, groups=tuple(groups),
+                             entries=tuple(zip(subs, weights.tolist())))
+
+    @classmethod
+    def _from_stacks(cls, ambient_dim: int, groups) -> "WeightedFrame":
+        """A frame on validated groups: orthonormal bases, positive finite weights."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(ambient_dim=ambient_dim, groups=tuple(groups))
+        return frame
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(idx) for idx, _, _ in self.groups)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """(Subspace, weight) pairs in frame order."""
+        out = [None] * len(self)
+        for idx, bases, weights in self.groups:
+            for i, s, w in zip(idx.tolist(), stack_subspaces(bases), weights.tolist()):
+                out[i] = (s, w)
+        return tuple(out)
 
     @property
     def subspaces(self) -> list:
@@ -71,33 +93,32 @@ class WeightedFrame:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.entries])
+        out = np.empty(len(self))
+        for idx, _, weights in self.groups:
+            out[idx] = weights
+        return out
 
     @property
     def dims(self) -> np.ndarray:
-        return np.array([s.dim for s, _ in self.entries])
-
-    def mass_by_dim(self) -> dict:
-        """m_k = total weight carried by dimension-k members."""
-        out: dict = {}
-        for s, w in self.entries:
-            out[s.dim] = out.get(s.dim, 0.0) + w
+        out = np.empty(len(self), dtype=int)
+        for idx, bases, _ in self.groups:
+            out[idx] = bases.shape[2]
         return out
 
-    @cached_property
+    def mass_by_dim(self) -> dict:
+        """m_k, the dimension-k weights added one by one in frame order (cumsum,
+        not the pairwise np.sum); keys in order of first appearance."""
+        return {bases.shape[2]: float(np.cumsum(weights)[-1])
+                for _, bases, weights in sorted(self.groups, key=lambda g: g[0][0])}
+
+    @property
     def stacks(self) -> tuple:
-        """Members grouped by dimension, smallest first: one (bases, weights)
-        pair per dimension k, the (m_k, d, k) stack of the dimension-k bases
-        and their weights, each in frame order.  Built once per frame."""
-        groups: dict = {}
-        for i, (s, _) in enumerate(self.entries):
-            groups.setdefault(s.dim, []).append(i)
-        weights = self.weights
-        return tuple((np.stack([self.entries[i][0].basis for i in idx]), weights[idx])
-                     for _, idx in sorted(groups.items()))
+        """One (bases, weights) pair per dimension k, smallest first: the (m_k,
+        d, k) stack of the dimension-k bases and their weights, in frame order."""
+        return tuple((bases, weights) for _, bases, weights in self.groups)
 
     def equal_dims(self) -> bool:
-        return len({s.dim for s, _ in self.entries}) == 1
+        return len(self.groups) == 1
 
     def rescaled(self, factor: float) -> "WeightedFrame":
         return WeightedFrame(self.ambient_dim,
@@ -106,6 +127,19 @@ class WeightedFrame:
     def normalized(self) -> "WeightedFrame":
         """Same subspaces with weights scaled to sum to 1."""
         return self.rescaled(1.0 / float(self.weights.sum()))
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    """A frame has at least one member and positive, finite weights."""
+    if len(weights) < 1:
+        raise DimensionError("a frame needs at least one subspace")
+    _first_bad(~((weights > 0) & np.isfinite(weights)), None, DimensionError,
+               lambda i: f"weights must be positive and finite, got {weights[i]}")
+
+
+def _positions_by_value(values: np.ndarray) -> list:
+    """Ascending positions of each distinct value, smallest value first."""
+    return [np.flatnonzero(values == v) for v in np.unique(values)]
 
 
 @dataclass(frozen=True)
@@ -128,36 +162,10 @@ class TightnessCertificate:
         return self.residual <= self.tol
 
 
-def _stacked_subspaces(mats: list, members, correction_tol=None) -> tuple:
-    """Subspaces of raw d x k_j matrices, validated by one
-    ``orthonormal_stack`` per width k, smallest k first.  With
-    ``correction_tol``, a basis the orthonormalization moves further than
-    that is a FrameFormatError.  ``members`` names the matrices in errors.
-    Returns the Subspaces in input order and the (positions, bases) of each
-    validated stack."""
-    subs = [None] * len(mats)
-    groups = []
-    widths = [a.shape[1] for a in mats]
-    for k in sorted(set(widths)):
-        idx = [i for i, w in enumerate(widths) if w == k]
-        raw = np.stack([mats[i] for i in idx])
-        q = orthonormal_stack(raw, [members[i] for i in idx])
-        if correction_tol is not None:
-            correction = np.abs(q - raw).max(axis=(1, 2))
-            bad = np.flatnonzero(correction > correction_tol)
-            if bad.size:
-                raise FrameFormatError(
-                    f"member {members[idx[bad[0]]]}: basis needed correction "
-                    f"{correction[bad[0]]:.2e} > {correction_tol}")
-        for i, sub in zip(idx, stack_subspaces(q)):
-            subs[i] = sub
-        groups.append((idx, q))
-    return subs, groups
-
-
 def build_frame(bases, weights=None) -> WeightedFrame:
     """Convenience constructor from raw basis matrices or Subspaces; weights
-    default to 1.  Raw matrices are validated in batches of equal k."""
+    default to 1.  Raw matrices are validated by one ``orthonormal_stack``
+    per width k, smallest k first."""
     bases = list(bases)
     if weights is None:
         weights = [1.0] * len(bases)
@@ -169,9 +177,12 @@ def build_frame(bases, weights=None) -> WeightedFrame:
     mats = [np.atleast_2d(np.asarray(bases[i], dtype=float)) for i in raw]
     if len({a.shape[0] for a in mats}) > 1:
         raise DimensionError("bases differ in ambient dimension")
-    for i, s in zip(raw, _stacked_subspaces(mats, raw)[0]):
-        bases[i] = s
-    return WeightedFrame(bases[0].ambient_dim, tuple(zip(bases, weights)))
+    for idx in _positions_by_value(np.array([a.shape[1] for a in mats], dtype=int)):
+        members = [raw[i] for i in idx]
+        q = orthonormal_stack(np.stack([mats[i] for i in idx]), members)
+        for i, sub in zip(members, stack_subspaces(q)):
+            bases[i] = sub
+    return WeightedFrame(bases[0].ambient_dim, zip(bases, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +333,24 @@ def frame_to_dict(frame: WeightedFrame) -> dict:
     }
 
 
+def _width_groups(cols: list, d: int):
+    """(positions, (m, d, k) float stack) per basis width k, or None if one is malformed."""
+    groups = []
+    for idx in _positions_by_value(np.array([len(c) for c in cols], dtype=int)):
+        raw = np.array([cols[i] for i in idx], dtype=float)
+        if raw.ndim != 3 or raw.shape[2] != d:
+            return None
+        groups.append((idx, np.swapaxes(raw, 1, 2)))
+    return groups
+
+
 def frame_from_dict(data: dict) -> WeightedFrame:
     """Parse the frame JSON structure; bases are lists of k columns of length
     d and are re-orthonormalized on read.
 
     ``ambient_dim`` must be a JSON integer and each weight a JSON number.
-    Types and shapes are checked member by member in file order, then
+    Types and shapes are checked in bulk, one array per basis width, and
+    member by member in file order only when a bulk check fails; then
     finiteness over all members; then the members are validated in batches
     of equal dimension k, smallest k first (dimension range, rank,
     orthonormality, read correction).  Errors name the first failing member
@@ -342,46 +365,61 @@ def frame_from_dict(data: dict) -> WeightedFrame:
         raise FrameFormatError(f"ambient_dim must be an integer, got {d!r}")
     if not isinstance(raw_entries, list):
         raise FrameFormatError("entries must be a list")
-    mats, weights = [], []
-    for j, ent in enumerate(raw_entries):
-        try:
-            cols = np.asarray(ent["basis"])     # stored as columns
-            weight = ent["weight"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FrameFormatError(f"malformed frame entry {j}: {exc}") from exc
-        if (cols.dtype.kind not in "fi" or isinstance(weight, bool)
-                or not isinstance(weight, (int, float))):
-            raise FrameFormatError(f"member {j}: basis entries and weight must be numbers")
-        if cols.ndim != 2 or cols.shape[1] != d:
-            raise FrameFormatError(f"member {j}: basis columns must have length {d}")
-        mats.append(cols.T)
-        weights.append(weight)
-    weights = np.array(weights, dtype=float)
-    if not np.isfinite(np.concatenate([weights, *mats], axis=None)).all():
-        j = next(j for j, a in enumerate(mats)
-                 if not (np.isfinite(a).all() and np.isfinite(weights[j])))
-        raise FrameFormatError(f"member {j}: basis entries and weights must be finite")
-    subs, groups = _stacked_subspaces(mats, range(len(mats)), READ_CORRECTION_TOL)
-    frame = WeightedFrame(d, tuple(zip(subs, weights)))
-    # the validated stacks are the frame's per-dimension stacks
-    frame.__dict__["stacks"] = tuple((q, weights[idx]) for idx, q in groups)
-    return frame
+    try:
+        cols = [ent["basis"] for ent in raw_entries]
+        weights = [ent["weight"] for ent in raw_entries]
+        numbers = set(map(type, chain.from_iterable(chain.from_iterable(cols))))
+        groups = _width_groups(cols, d)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        groups = None
+    if groups is None or not numbers <= {float} or not set(map(type, weights)) <= {int, float}:
+        for j, ent in enumerate(raw_entries):   # name the first malformed member
+            try:
+                member = np.asarray(ent["basis"])     # stored as columns
+                weight = ent["weight"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FrameFormatError(f"malformed frame entry {j}: {exc}") from exc
+            if (member.dtype.kind not in "fi" or isinstance(weight, bool)
+                    or not isinstance(weight, (int, float))):
+                raise FrameFormatError(f"member {j}: basis entries and weight must be numbers")
+            if member.ndim != 2 or member.shape[1] != d:
+                raise FrameFormatError(f"member {j}: basis columns must have length {d}")
+        groups = _width_groups(cols, d)     # all valid, with non-float numbers
+    try:
+        weights = np.array(weights, dtype=float)
+    except OverflowError:       # an integer beyond the float range is not finite
+        weights = np.array([w if abs(w) <= sys.float_info.max else np.inf for w in weights])
+    finite = np.isfinite(weights)
+    for idx, raw in groups:
+        finite[idx] &= np.isfinite(raw).all(axis=(1, 2))
+    _first_bad(~finite, range(len(finite)), FrameFormatError,
+               lambda i: "basis entries and weights must be finite")
+    stacks = []
+    for idx, raw in groups:
+        q = orthonormal_stack(raw, idx)
+        correction = np.abs(q - raw).max(axis=(1, 2))
+        _first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
+                   lambda i: f"basis needed correction {correction[i]:.2e} > {READ_CORRECTION_TOL}")
+        stacks.append((idx, q, weights[idx]))
+    _check_weights(weights)
+    return WeightedFrame._from_stacks(d, stacks)
 
 
 def save_frame(frame: WeightedFrame, path) -> None:
     """Write the frame JSON: the bytes of ``json.dump(frame_to_dict(frame),
-    indent=2)`` and a newline, spelled directly from the basis arrays (json
-    writes a float as its ``repr``)."""
-    num = ",\n          ".join
-    members = ",\n    ".join(
-        '{\n      "basis": [\n        '
-        + ",\n        ".join("[\n          " + num(map(repr, col)) + "\n        ]"
-                              for col in sub.basis.T.tolist())
-        + '\n      ],\n      "weight": ' + repr(w) + "\n    }"
-        for sub, w in frame.entries)
+    indent=2)`` and a newline, spelled from the stacks by one %r template
+    per dimension (json writes a float as its ``repr``)."""
+    members = [None] * len(frame)
+    for idx, bases, weights in frame.groups:
+        col = "[\n          " + ",\n          ".join(["%r"] * bases.shape[1]) + "\n        ]"
+        template = ('{\n      "basis": [\n        ' + ",\n        ".join([col] * bases.shape[2])
+                    + '\n      ],\n      "weight": %r\n    }')
+        rows = np.column_stack([np.swapaxes(bases, 1, 2).reshape(len(idx), -1), weights])
+        for i, row in zip(idx.tolist(), rows.tolist()):
+            members[i] = template % tuple(row)
     with open(path, "w") as fh:
         fh.write(f'{{\n  "ambient_dim": {frame.ambient_dim},\n  "entries": [\n    '
-                 f"{members}\n  ]\n}}\n")
+                 + ",\n    ".join(members) + "\n  ]\n}\n")
 
 
 def load_frame(path) -> WeightedFrame:

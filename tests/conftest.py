@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionframes import catalog
+from fusionframes import WeightedFrame, catalog, certify_tight, save_frame
 
 
 @pytest.fixture
@@ -22,3 +22,34 @@ def mub_planes():
 @pytest.fixture(scope="session")
 def ortho_lines_r2():
     return catalog("cross-polytope-lines(2)")
+
+
+@pytest.fixture(scope="session")
+def assert_same_frame(tmp_path_factory):
+    """A check that a frame agrees bitwise with ``WeightedFrame(d,
+    frame.entries)``, the same members built from (Subspace, weight) pairs:
+    length, weights, dims, stacks, masses (also against the frame-order
+    sum), certificates at p = 1..3 and the bytes of ``save_frame``."""
+    folder = tmp_path_factory.mktemp("same-frame")
+
+    def check(frame):
+        twin = WeightedFrame(frame.ambient_dim, frame.entries)
+        assert len(frame) == len(twin)
+        for a, b in ((frame.weights, twin.weights), (frame.dims, twin.dims)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(frame.stacks) == len(twin.stacks)
+        for (bases, weights), (twin_bases, twin_weights) in zip(frame.stacks, twin.stacks):
+            assert np.array_equal(bases, twin_bases) and np.array_equal(weights, twin_weights)
+        mass = {}
+        for sub, w in twin.entries:
+            mass[sub.dim] = mass.get(sub.dim, 0.0) + w
+        assert (list(frame.mass_by_dim().items()) == list(twin.mass_by_dim().items())
+                == list(mass.items()))
+        for p in (1, 2, 3):
+            cert, twin_cert = certify_tight(frame, p), certify_tight(twin, p)
+            assert (cert.residual, cert.target_A) == (twin_cert.residual, twin_cert.target_A)
+        save_frame(frame, folder / "frame.json")
+        save_frame(twin, folder / "twin.json")
+        assert (folder / "frame.json").read_bytes() == (folder / "twin.json").read_bytes()
+
+    return check

@@ -1,4 +1,6 @@
+import builtins
 import csv
+import hashlib
 import io
 import json
 
@@ -307,7 +309,10 @@ def test_error_exit_codes(tmp_path, capsys):
             ("float-dim.json", "2.7", line),
             ("string-dim.json", '"abc"', line),
             ("bool-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": true}'),
-            ("string-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": "1"}')):
+            ("string-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": "1"}'),
+            # an integer weight beyond the float range
+            ("overflow-weight.json", "2",
+             '{"basis": [[1.0, 0.0]], "weight": 1%s}' % ("0" * 400))):
         path = tmp_path / name
         path.write_text('{"ambient_dim": %s, "entries": [%s]}' % (d, entry))
         code, out, err = run(["check", str(path), "--p", "1", "--mode", "tight"],
@@ -349,6 +354,21 @@ def test_error_exit_codes(tmp_path, capsys):
         main(["check", "whatever.json", "--p", "1"])   # --mode is required
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_check_reads_the_frame_file_once(mercedes_file, capsys, monkeypatch):
+    opened = []
+    for module in (builtins, io):
+        real = module.open
+        monkeypatch.setattr(module, "open", lambda path, *args, real=real, **kw:
+                            opened.append(str(path)) or real(path, *args, **kw))
+    code, out, _ = run(["check", mercedes_file, "--p", "2", "--mode", "tight"], capsys)
+    monkeypatch.undo()
+    assert code == 0
+    assert opened.count(mercedes_file) == 1
+    with open(mercedes_file, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert json.loads(out)["input"]["sha256"] == digest
 
 
 def test_skew_frame_rejected_on_load(tmp_path, capsys):

@@ -258,7 +258,8 @@ def pairwise_first_occurrences(projs):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["A2", "C7", "H3", "A4", "B4", "F4"]), st.integers(1, 3),
        st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_orbit_keeps_the_pairwise_first_occurrences(name, k, on_mirror, seed):
+def test_orbit_keeps_the_pairwise_first_occurrences(assert_same_frame, name, k, on_mirror,
+                                                     seed):
     group = closed(name)
     d = group.d
     k = min(k, d - 1)
@@ -275,6 +276,8 @@ def test_orbit_keeps_the_pairwise_first_occurrences(name, k, on_mirror, seed):
     assert len(orbit) == len(kept)
     for i, sub in zip(kept, orbit.subspaces):
         assert np.array_equal(sub.basis, images[i])
+    # the deduplicated stack and the same members built from entries agree
+    assert_same_frame(orbit)
 
 
 # ---------------------------------------------------------------------------

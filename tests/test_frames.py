@@ -44,6 +44,7 @@ from fusionframes import (
     tightness_constant,
     union,
 )
+import fusionframes.frames as frames
 from fusionframes.frames import POWER_FORM_GUARD
 from fusionframes.homogeneous import monomial_count
 
@@ -435,9 +436,12 @@ def test_frame_format_errors(tmp_path):
     with pytest.raises(FrameFormatError):
         frame_from_dict({"ambient_dim": 2,
                          "entries": [{"basis": [[1.0, 0.5]], "weight": 1}]})
-    # non-finite weight (1e400 parses as inf) and NaN basis entry
+    # non-finite weight (1e400 parses as inf), NaN basis entry, and an
+    # integer weight beyond the float range
     for name, entry in (("inf.json", '{"basis": [[1.0, 0.0]], "weight": 1e400}'),
-                        ("nan.json", '{"basis": [[NaN, 1.0]], "weight": 1.0}')):
+                        ("nan.json", '{"basis": [[NaN, 1.0]], "weight": 1.0}'),
+                        ("overflow.json",
+                         '{"basis": [[1.0, 0.0]], "weight": 1%s}' % ("0" * 400))):
         path = tmp_path / name
         path.write_text('{"ambient_dim": 2, "entries": [%s]}' % entry)
         with pytest.raises(FrameFormatError, match="finite"):
@@ -513,7 +517,8 @@ def mixed_frame(rng, d, n):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 7), st.integers(1, 12), st.integers(0, 2 ** 32 - 1))
-def test_loaded_bases_match_per_member_reference(tmp_path_factory, d, n, seed):
+def test_loaded_bases_match_per_member_reference(tmp_path_factory, assert_same_frame,
+                                                  d, n, seed):
     frame = mixed_frame(np.random.default_rng(seed), d, n)
     path = tmp_path_factory.mktemp("frames") / "f.json"
     save_frame(frame, path)
@@ -521,7 +526,8 @@ def test_loaded_bases_match_per_member_reference(tmp_path_factory, d, n, seed):
     loaded = load_frame(path)
     assert loaded.ambient_dim == d and len(loaded) == n
     assert np.array_equal(loaded.weights, frame.weights)
-    for sub, ent in zip(loaded.subspaces, stored):
+    assert len(loaded.subspaces) == n
+    for sub, ent in zip(loaded.subspaces, stored):      # file order
         assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
     # the per-dimension stacks hold the same bases and weights
     for bases, weights in loaded.stacks:
@@ -529,6 +535,29 @@ def test_loaded_bases_match_per_member_reference(tmp_path_factory, d, n, seed):
         members = [j for j, sub in enumerate(loaded.subspaces) if sub.dim == k]
         assert np.array_equal(bases, np.stack([loaded.subspaces[j].basis for j in members]))
         assert np.array_equal(weights, loaded.weights[members])
+    # the loader's stacks and the same members built from entries agree
+    assert_same_frame(loaded)
+
+
+def test_load_and_certify_build_no_subspace(tmp_path, monkeypatch):
+    path = tmp_path / "f.json"
+    save_frame(mixed_frame(np.random.default_rng(5), 5, 9), path)
+    made = []
+    stack_subspaces = frames.stack_subspaces
+    monkeypatch.setattr(frames, "stack_subspaces",
+                        lambda bases: made.extend(bases) or stack_subspaces(bases))
+    monkeypatch.setattr(Subspace, "__post_init__",
+                        lambda self, init=Subspace.__post_init__: made.append(self) or init(self))
+    loaded = load_frame(path)
+    for p in (1, 2, 3):
+        certify_tight(loaded, p)
+    assert made == []
+    # the first access to .entries builds the members, in file order
+    stored = json.loads(path.read_text())["entries"]
+    subs = loaded.subspaces
+    assert len(made) == len(subs) == len(stored)
+    for sub, ent in zip(subs, stored):
+        assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
 
 
 def _defects(rng, d, basis):
