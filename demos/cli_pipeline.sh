@@ -3,6 +3,9 @@
 # Run from anywhere; everything lands in a scratch directory.
 set -e
 
+# run a command that must fail with exit code 2 (a usage or data error)
+expect_2() { code=0; "$@" || code=$?; [ "$code" -eq 2 ]; }
+
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 cd "$work"
@@ -40,7 +43,12 @@ echo
 echo "== a malformed frame file is a data error: expect exit 2, not the exit 1 of not-tight =="
 # a weight of 1 followed by 400 zeros: an integer too large for a float
 printf '{"ambient_dim": 2, "entries": [{"basis": [[1.0, 0.0]], "weight": 1%0400d}]}\n' 0 > bad.json
-fusionframes check bad.json --p 1 --mode tight || [ $? -eq 2 ]
+expect_2 fusionframes check bad.json --p 1 --mode tight
+
+echo
+echo "== an order below 1 is a usage error: expect exit 2 =="
+expect_2 fusionframes check mercedes.json --p 0 --mode bounds
+expect_2 fusionframes check mercedes.json --p -1 --mode bounds
 
 echo
 echo "== moment table for d=4, p=2 =="

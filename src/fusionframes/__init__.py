@@ -55,12 +55,7 @@ from .frames import (
     tightness_constant,
     union,
 )
-from .homogeneous import (
-    HomogeneousPoly,
-    monomial_count,
-    quadratic_form,
-    sum_of_squares_power,
-)
+from .homogeneous import monomial_count, monomials
 from .moments import (
     CubatureCertificate,
     MomentEstimate,

@@ -29,7 +29,7 @@ from .constructions import (
     orbit_frame,
     realify,
 )
-from .errors import FusionFrameError
+from .errors import FusionFrameError, check_order
 from .frames import CERTIFY_TOL, certify_tight, frame_from_dict, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
 from .optimizer import STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
@@ -61,6 +61,7 @@ def _stop_counts(reasons) -> dict:
 
 def cmd_check(args) -> int:
     started = time.monotonic()
+    check_order(args.p)     # every mode, also those that do not read it
     with open(args.frame, "rb") as fh:     # once: the digest names the parsed bytes
         data = fh.read()
     frame = frame_from_dict(json.loads(data))

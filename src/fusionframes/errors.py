@@ -64,3 +64,10 @@ def check_integer(name: str, value) -> None:
     are refused too."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def check_order(p) -> None:
+    """Refuse an order p that is not an integer >= 1."""
+    check_integer("p", p)
+    if p < 1:
+        raise ParameterError(f"p must be >= 1, got {p}")

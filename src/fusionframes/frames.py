@@ -27,14 +27,9 @@ from .errors import (
     MixedDimensions,
     NotAFrame,
     check_integer,
+    check_order,
 )
-from .homogeneous import (
-    HomogeneousPoly,
-    check_size_guard,
-    sum_of_squares_coeffs,
-    weighted_gram,
-    weighted_power_sum,
-)
+from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
 from .subspaces import Subspace, _first_bad, complement, orthonormal_stack, stack_subspaces
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
@@ -227,19 +222,13 @@ def reconstruct(frame: WeightedFrame, fs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # tightness certificate
 
-def _power_coeffs(frame: WeightedFrame, p: int) -> np.ndarray:
-    """Dense coefficients of sum_j w_j (x^T P_j x)^p over the degree-2p
-    monomials, every member at once."""
-    check_integer("p", p)
-    if p < 1:
-        raise DimensionError("p must be >= 1")
+def power_form(frame: WeightedFrame, p: int) -> np.ndarray:
+    """Exact expansion of sum_j w_j (x^T P_j x)^p, every member at once: its
+    coefficients over the degree-2p monomials, in the row order of
+    ``homogeneous.monomials(d, 2p)``."""
+    check_order(p)
     check_size_guard(frame.ambient_dim, 2 * p, POWER_FORM_GUARD)
     return weighted_power_sum(frame.stacks, p)
-
-
-def power_form(frame: WeightedFrame, p: int) -> HomogeneousPoly:
-    """Exact expansion of sum_j w_j (x^T P_j x)^p as a degree-2p polynomial."""
-    return HomogeneousPoly.from_dense(frame.ambient_dim, 2 * p, _power_coeffs(frame, p))
 
 
 @lru_cache(maxsize=1024)
@@ -251,6 +240,7 @@ def pochhammer_ratio(k: int, d: int, p: int) -> Fraction:
 def tightness_constant(frame: WeightedFrame, p: int) -> float:
     """The only constant a tight order-p frame can have:
     sum_k m_k (k/2)_p / (d/2)_p."""
+    check_order(p)
     d = frame.ambient_dim
     total = 0.0
     for k, mass in frame.mass_by_dim().items():
@@ -268,7 +258,7 @@ def certify_tight(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL) -> Tig
     the comparison with ``tol``, so the verdict does not depend on the
     weight scale.
     """
-    coeffs = _power_coeffs(frame, p)     # first: it validates p
+    coeffs = power_form(frame, p)     # first: it validates p
     a = tightness_constant(frame, p)
     rhs = a * sum_of_squares_coeffs(frame.ambient_dim, p)
     gap = float(np.abs(coeffs - rhs).max())
@@ -279,6 +269,7 @@ def certify_tight(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL) -> Tig
 def evaluate_power_form(frame: WeightedFrame, p: int, xs: np.ndarray) -> np.ndarray:
     """sum_j w_j ||P_j x||^(2p) for each row x of xs; sampling route,
     independent of the polynomial expansion."""
+    check_order(p)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     out = np.zeros(xs.shape[0])
     for sub, w in frame.entries:
@@ -293,6 +284,7 @@ def evaluate_power_form(frame: WeightedFrame, p: int, xs: np.ndarray) -> np.ndar
 def reweight_down(frame: WeightedFrame, p: int) -> WeightedFrame:
     """Weight map w_j -> w_j (p - 1 + dim(V_j)/2); sends tight order-p frames
     to tight order-(p-1) frames."""
+    check_integer("p", p)
     if p < 2:
         raise DimensionError("reweight_down needs p >= 2")
     return WeightedFrame(

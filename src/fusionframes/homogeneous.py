@@ -22,20 +22,15 @@ sum_j w_j F_j F_j^T, one product over each whole stack.  ``lie_residual``
 runs on the same tables in the d(d+1)/2 variables of a symmetric matrix,
 for the cubature certificate.  Tables are built lazily and cached per
 (d, degree); members are processed in chunks of a fixed element budget.
-
-``HomogeneousPoly`` is the sparse form keyed by exponent tuples, kept for
-evaluation, comparison and display.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import numpy as np
 
-from .errors import DimensionError, SizeGuardExceeded
+from .errors import SizeGuardExceeded
 
 # Elements of the largest temporary array of a chunk of members or of a
 # table build block.
@@ -79,11 +74,15 @@ def monomial_rank(indices: np.ndarray, d: int) -> np.ndarray:
 
 def monomials(d: int, degree: int) -> np.ndarray:
     """The degree-``degree`` monomials in rank order, one sorted
-    variable-index tuple per row."""
-    combos = list(combinations_with_replacement(range(d), degree))
-    combos = np.array(combos, dtype=np.intp).reshape(len(combos), degree)
-    out = np.empty_like(combos)
-    out[monomial_rank(combos, d)] = combos
+    variable-index tuple per row.  The rows of degree k ending in variable v
+    follow those ending below v, and their heads are the first
+    C(v + k - 1, k - 1) rows of degree k - 1, so each degree is the one
+    below, gathered and extended by one column."""
+    out = np.zeros((1, 0), dtype=np.intp)
+    for k in range(1, degree + 1):
+        counts = np.array([comb(v + k - 1, k - 1) for v in range(d)], dtype=np.intp)
+        heads = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        out = np.column_stack([out[heads], np.repeat(np.arange(d), counts)])
     return out
 
 
@@ -127,9 +126,8 @@ def weighted_power_sum(stacks, p: int) -> np.ndarray:
     """Coefficients of sum_j w_j ||F_j^T x||^(2p) over the degree-2p
     monomials, for members given as (bases, weights) pairs: an (m, d, k)
     stack of d x k matrices F_j (k differs between stacks) and the array of
-    its m weights.  At p = 1 this is the quadratic form of ``weighted_gram``."""
-    if p < 1:
-        raise DimensionError("power must be >= 1")
+    its m weights, p >= 1.  At p = 1 this is the quadratic form of
+    ``weighted_gram``."""
     if p == 1:
         return quadratic_rows(weighted_gram(stacks)[None])[0]
     d = stacks[0][0].shape[1]
@@ -185,11 +183,14 @@ def factor_table(d: int, degree: int) -> tuple:
                                             for i in range(degree)], axis=1))
 
 
-def lie_residual(stacks, p: int) -> float:
+def lie_residual(stacks, p: int) -> tuple:
     """sqrt(sum_E ||D_E g||^2) / (p ||g||) for g(y) = sum_j w_j (l_j . y)^p,
     l_j = svec(F_j F_j^T), in the apolar norm ||f||^2 = sum_a f_a^2 /
     multinomial_a, E over the orthonormal basis (e_a e_b^T - e_b e_a^T) /
-    sqrt(2) of so(d); members as in ``weighted_power_sum``.
+    sqrt(2) of so(d); members as in ``weighted_power_sum``.  Returned with
+    ||g||^2 at unit total weight, which is the potential sum_{i,j} w_i w_j
+    tr(P_i P_j)^p / (sum_j w_j)^2: the apolar product of (a . y)^p and
+    (b . y)^p is (a . b)^p, and l_i . l_j = tr(P_i P_j).
 
     y holds the D = d(d+1)/2 svec coordinates of a symmetric Y (diagonal,
     then sqrt(2) times the upper entries), so l_j . y = tr(P_j Y).  With
@@ -197,18 +198,20 @@ def lie_residual(stacks, p: int) -> float:
     g = tr(YH) and D_E g = p tr(E K), K = YH - HY.  At each degree-p
     monomial a, R_a = (YH)_a has two nonzero rows per distinct variable,
     and ||K_a||_F^2 is summed entry by entry from them.  At p = 1, H = S,
-    the frame operator, and sum_E ||[S, E]||^2 = d ||S - (tr S / d) I||^2."""
+    the frame operator, ||g||^2 = ||S||_F^2 and sum_E ||[S, E]||^2 =
+    d ||S - (tr S / d) I||^2."""
     d = stacks[0][0].shape[1]
+    total = sum(weights.sum() for _, weights in stacks)
     if p == 1:
         s = weighted_gram(stacks)
+        g_sq = float(((s / total) ** 2).sum())
         s /= np.trace(s)
-        return float(np.sqrt(d) * np.linalg.norm(s - np.eye(d) / d) / np.linalg.norm(s))
+        return float(np.sqrt(d) * np.linalg.norm(s - np.eye(d) / d) / np.linalg.norm(s)), g_sq
     big = d * (d + 1) // 2
     b, a = np.tril_indices(d)          # svec coordinate v is the pair a <= b
     half = np.where(a == b, 0.5, np.sqrt(0.5))   # Y_v = half_v (e_a e_b^T + e_b e_a^T)
     lower, lower_mult = monomials(big, p - 1), multinomials(big, p - 1)
     h = np.zeros((len(lower), d * d))
-    total = sum(weights.sum() for _, weights in stacks)
     chunk = max(1, _CHUNK_ELEMENTS // max(d * d, lower.size))
     for bases, weights in stacks:
         for lo in range(0, len(bases), chunk):
@@ -239,60 +242,4 @@ def lie_residual(stacks, p: int) -> float:
         k_sq = 2 * ((r * off[:, None, :]) ** 2).sum(axis=(1, 2)) + (k_block ** 2).sum(axis=(1, 2))
         lie_sq += k_sq @ apolar[lo:lo + chunk]
         g_sq += np.trace(block, axis1=1, axis2=2) ** 2 @ apolar[lo:lo + chunk]
-    return float(np.sqrt(lie_sq / g_sq))
-
-
-# ---------------------------------------------------------------------------
-# sparse form
-
-@dataclass(frozen=True)
-class HomogeneousPoly:
-    """Homogeneous polynomial; every exponent tuple has length d and the
-    common total degree."""
-
-    ambient_dim: int
-    degree: int
-    coeffs: dict
-
-    def __post_init__(self):
-        for e in self.coeffs:
-            if len(e) != self.ambient_dim or sum(e) != self.degree:
-                raise DimensionError(f"bad exponent vector {e} for (d={self.ambient_dim}, "
-                                     f"degree={self.degree})")
-
-    @classmethod
-    def from_dense(cls, d: int, degree: int, coeffs: np.ndarray) -> "HomogeneousPoly":
-        """The nonzero entries of a coefficient vector in rank order."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        nonzero = np.flatnonzero(coeffs)
-        exps = np.zeros((len(nonzero), d), dtype=np.intp)
-        rows = np.arange(len(nonzero))
-        for col in monomials(d, degree)[nonzero].T:
-            exps[rows, col] += 1
-        return cls(d, degree, dict(zip(map(tuple, exps.tolist()),
-                                       coeffs[nonzero].tolist())))
-
-    def max_coeff_diff(self, other: "HomogeneousPoly") -> float:
-        """Max-norm of the coefficient difference, over the union of supports."""
-        keys = set(self.coeffs) | set(other.coeffs)
-        if not keys:
-            return 0.0
-        return max(abs(self.coeffs.get(e, 0.0) - other.coeffs.get(e, 0.0)) for e in keys)
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for e, c in self.coeffs.items():
-            total += c * np.prod([xi ** ei for xi, ei in zip(x, e) if ei])
-        return float(total)
-
-
-def quadratic_form(mat: np.ndarray) -> HomogeneousPoly:
-    """x^T M x as a degree-2 polynomial."""
-    m = np.asarray(mat, dtype=float)
-    return HomogeneousPoly.from_dense(m.shape[0], 2, quadratic_rows(m[None])[0])
-
-
-def sum_of_squares_power(d: int, p: int) -> HomogeneousPoly:
-    """Multinomial expansion of (x_1^2 + ... + x_d^2)^p."""
-    return HomogeneousPoly.from_dense(d, 2 * p, sum_of_squares_coeffs(d, p))
+    return float(np.sqrt(lie_sq / g_sq)), float(g_sq)

@@ -33,7 +33,6 @@ import numpy as np
 from .errors import MixedDimensions, ParameterError, check_integer
 from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame, pochhammer_ratio
 from .homogeneous import check_size_guard, lie_residual, monomial_count
-from .potential import ffp
 from .subspaces import haar_basis_batch
 
 DEFAULT_MC_BUDGET = 100_000
@@ -218,16 +217,18 @@ def certify_cubature(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL,
     g(y) = sum_j w_j (svec(P_j) . y)^p is O(d)-invariant, i.e. every Lie
     derivative D_E g, E in so(d), vanishes (a reflection fixes the diagonal
     matrices).  The verdict is ``homogeneous.lie_residual`` <= tol, linear
-    in the defect; the potential and the exact Haar moment are reported
-    beside it.  ``budget`` and ``rng`` are accepted for compatibility and
-    ignored: nothing is sampled."""
+    in the defect.  Reported beside it: the potential, which is ||g||^2 in
+    the apolar norm and comes from the same pass, so the whole call is
+    linear in the number of members, and the exact Haar moment.  ``budget``
+    and ``rng`` are accepted for compatibility and ignored: nothing is
+    sampled."""
     if not frame.equal_dims():
         raise MixedDimensions("cubature certification requires one common dimension")
     k, d = int(frame.dims[0]), frame.ambient_dim
     _check_moment_args(k, k, d, p)
     check_size_guard(d * (d + 1) // 2, p, POWER_FORM_GUARD)
-    residual = lie_residual(frame.stacks, p)
-    value, t_value = ffp(frame.normalized(), p), float(t_exact(k, k, d, p))
+    residual, value = lie_residual(frame.stacks, p)
+    t_value = float(t_exact(k, k, d, p))
     return CubatureCertificate(
         p=p, residual=residual, monomials=monomial_count(d * (d + 1) // 2, p),
         verdict="cubature" if residual <= tol else "not-cubature",

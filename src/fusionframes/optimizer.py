@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedDimensions, ParameterError, check_integer
+from .errors import MixedDimensions, ParameterError, check_integer, check_order
 from .frames import WeightedFrame
 from .moments import t_moment
 from .potential import GRAM_BUDGET, cross_gram
@@ -163,8 +163,7 @@ def ffp_gradient(frame: WeightedFrame, p: int):
     ``_ffp_core``, which the optimizer runs on all restarts at once."""
     if not frame.equal_dims():
         raise MixedDimensions("gradient needs equal-dimension subspaces")
-    if p < 1:
-        raise ParameterError("need p >= 1")
+    check_order(p)
     ys = np.stack([s.basis for s in frame.subspaces])
     return list(_ffp_core(ys[None], frame.weights, p)[1][0])
 
@@ -374,6 +373,7 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     global certificate, but for certified tight frames both ends match the
     forced constant to high accuracy.
     """
+    check_order(p)
     if restarts < 1:
         raise ParameterError("restarts must be a positive integer")
     if rng is None:

@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import MissingMoment, SingleSubspace
+from .errors import MissingMoment, SingleSubspace, check_order
 from .frames import WeightedFrame, certify_tight
 from .subspaces import EQUALITY_TOL, first_occurrences, projector
 
@@ -62,6 +62,7 @@ def gram_matrix(frame: WeightedFrame) -> np.ndarray:
 
 def ffp(frame: WeightedFrame, p: int) -> float:
     """The order-p potential, diagonal terms included."""
+    check_order(p)
     w = frame.weights
     g = gram_matrix(frame)
     return float(np.einsum("i,j,ij->", w, w, g ** p))
@@ -99,6 +100,7 @@ def ffp_lower_bound_p(frame: WeightedFrame, p: int) -> float:
     (possible for wildly unequal weights) is clamped to zero, leaving the
     diagonal sum as the bound.
     """
+    check_order(p)
     if len(frame) < 2:
         raise SingleSubspace("bound needs n >= 2")
     w = frame.weights

@@ -9,6 +9,7 @@ import pytest
 
 from fusionframes import (
     build_frame,
+    catalog,
     certify_tight,
     equiangularity,
     load_frame,
@@ -348,6 +349,14 @@ def test_error_exit_codes(tmp_path, capsys):
                   "-o", str(tmp_path / "x.json")]):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "", argv
+        assert json.loads(err)["error"] == "ParameterError"
+
+    # orders below 1: --p 0 gave a full report and --p -1 an infinite bound
+    path = str(tmp_path / "mercedes.json")
+    save_frame(catalog("mercedes"), path)
+    for p, mode in (("0", "bounds"), ("-1", "bounds"), ("0", "equiangular")):
+        code, out, err = run(["check", path, "--p", p, "--mode", mode], capsys)
+        assert code == 2 and out == "", (p, mode)
         assert json.loads(err)["error"] == "ParameterError"
 
     with pytest.raises(SystemExit) as exc:

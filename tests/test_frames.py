@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from fusionframes import (
     DimensionError,
     FrameFormatError,
-    HomogeneousPoly,
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
@@ -33,20 +32,20 @@ from fusionframes import (
     haar_random,
     load_frame,
     make_subspace,
+    monomials,
     pochhammer_ratio,
     power_form,
     reconstruct,
     reweight_down,
     save_frame,
     subspaces_equal,
-    sum_of_squares_power,
     synthesis,
     tightness_constant,
     union,
 )
 import fusionframes.frames as frames
 from fusionframes.frames import POWER_FORM_GUARD
-from fusionframes.homogeneous import monomial_count
+from fusionframes.homogeneous import monomial_count, sum_of_squares_coeffs
 
 
 def line(theta):
@@ -137,23 +136,21 @@ def test_reconstruct(mercedes):
 
 def test_power_form_examples(mercedes):
     f = build_frame([np.array([[1.0], [0.0]])])
-    pf = power_form(f, 2)
-    assert pf.coeffs == {(4, 0): 1.0}
+    pf = power_form(f, 2)     # x^4, the first of x^4, x^3 y, ..., y^4
+    assert pf.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     ortho = catalog("cross-polytope-lines(2)")
     pf1 = power_form(ortho, 1)
-    assert pf1.max_coeff_diff(sum_of_squares_power(2, 1)) < 1e-15
+    assert np.abs(pf1 - sum_of_squares_coeffs(2, 1)).max() < 1e-15
 
     pf2 = power_form(mercedes, 2)
-    target = HomogeneousPoly(2, 4, {e: 9 / 8 * c for e, c in
-                                    sum_of_squares_power(2, 2).coeffs.items()})
-    assert pf2.max_coeff_diff(target) < 1e-12
+    assert np.abs(pf2 - 9 / 8 * sum_of_squares_coeffs(2, 2)).max() < 1e-12
     # evaluation route agrees with the expansion
     rng = np.random.default_rng(3)
     xs = rng.standard_normal((20, 2))
     sampled = evaluate_power_form(mercedes, 2, xs)
     for x, v in zip(xs, sampled):
-        assert abs(pf2(x) - v) < 1e-10
+        assert abs(np.prod(x[monomials(2, 4)], axis=-1) @ pf2 - v) < 1e-10
 
 
 def test_tightness_constant(mercedes):
@@ -225,10 +222,11 @@ def test_power_form_matches_sampling(d, p, n, seed):
     frame = WeightedFrame(d, tuple(
         (haar_random(d, int(rng.integers(1, d)), rng), float(rng.uniform(0.1, 3.0)))
         for _ in range(n)))
-    pf = power_form(frame, p)
+    coeffs = power_form(frame, p)
     xs = rng.standard_normal((8, d))
     for x, v in zip(xs, evaluate_power_form(frame, p, xs)):
-        assert abs(pf(x) - v) <= 1e-12 * frame.weights.sum() * (x @ x) ** p
+        assert (abs(np.prod(x[monomials(d, 2 * p)], axis=-1) @ coeffs - v)
+                <= 1e-12 * frame.weights.sum() * (x @ x) ** p)
 
 
 def e8_root_lines() -> list:

@@ -1,26 +1,19 @@
 from collections import Counter
+from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 
-from fusionframes import (
-    DimensionError,
-    HomogeneousPoly,
-    SizeGuardExceeded,
-    make_subspace,
-    monomial_count,
-    quadratic_form,
-    sum_of_squares_power,
-)
+from fusionframes import SizeGuardExceeded, make_subspace, monomial_count, monomials
 from fusionframes import homogeneous
 from fusionframes.homogeneous import (
     check_size_guard,
     lie_residual,
     monomial_rank,
-    monomials,
     multinomials,
     quadratic_rows,
+    sum_of_squares_coeffs,
     weighted_gram,
     weighted_power_sum,
 )
@@ -39,11 +32,18 @@ def test_size_guard():
         check_size_guard(12, 10, 10 ** 5)
 
 
-def test_exponent_validation():
-    with pytest.raises(DimensionError):
-        HomogeneousPoly(2, 2, {(1, 0): 1.0})        # degree mismatch
-    with pytest.raises(DimensionError):
-        HomogeneousPoly(2, 2, {(1, 1, 0): 1.0})     # wrong length
+def evaluate(coeffs, d, degree, x):
+    """A dense coefficient vector at the point x."""
+    return np.prod(x[monomials(d, degree)], axis=-1) @ coeffs
+
+
+def dense(d, degree, coeffs):
+    """An exponent-tuple -> coefficient dict placed at the ranks of its
+    monomials."""
+    out = np.zeros(monomial_count(d, degree))
+    for e, c in coeffs.items():
+        out[monomial_rank(np.repeat(np.arange(d), e), d)] = c
+    return out
 
 
 def test_quadratic_form_matches_matrix(rng):
@@ -51,40 +51,40 @@ def test_quadratic_form_matches_matrix(rng):
         d = int(rng.integers(2, 6))
         m = rng.standard_normal((d, d))
         m = (m + m.T) / 2
-        q = quadratic_form(m)
-        assert q.degree == 2
+        q = quadratic_rows(m[None])[0]
+        assert q.shape == (monomial_count(d, 2),)
         for _ in range(5):
             x = rng.standard_normal(d)
-            assert abs(q(x) - x @ m @ x) < 1e-10
+            assert abs(evaluate(q, d, 2, x) - x @ m @ x) < 1e-10
 
 
 def test_sum_of_squares_power_coefficients():
-    p = sum_of_squares_power(2, 2)        # (x^2 + y^2)^2 = x^4 + 2x^2y^2 + y^4
-    assert p.coeffs == {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}
-    q = sum_of_squares_power(3, 1)
-    assert q.coeffs == {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}
+    # (x^2 + y^2)^2 = x^4 + 2x^2y^2 + y^4
+    assert np.array_equal(sum_of_squares_coeffs(2, 2),
+                          dense(2, 4, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}))
+    assert np.array_equal(sum_of_squares_coeffs(3, 1),
+                          dense(3, 2, {(2, 0, 0): 1.0, (0, 2, 0): 1.0, (0, 0, 2): 1.0}))
 
 
 def test_sum_of_squares_power_evaluates(rng):
     for d, p in [(2, 3), (4, 2), (5, 4)]:
-        poly = sum_of_squares_power(d, p)
-        assert len(poly.coeffs) == monomial_count(d, p)
+        coeffs = sum_of_squares_coeffs(d, p)
+        assert np.count_nonzero(coeffs) == monomial_count(d, p)
         x = rng.standard_normal(d)
-        assert abs(poly(x) - (x @ x) ** p) < 1e-8 * max(1.0, (x @ x) ** p)
-
-
-def test_max_coeff_diff_over_support_union():
-    a = HomogeneousPoly(2, 2, {(2, 0): 1.0})
-    b = HomogeneousPoly(2, 2, {(0, 2): 2.0})
-    assert a.max_coeff_diff(b) == 2.0
-    assert a.max_coeff_diff(a) == 0.0
+        assert abs(evaluate(coeffs, d, 2 * p, x) - (x @ x) ** p) < 1e-8 * max(1.0, (x @ x) ** p)
 
 
 def test_monomial_ranks_enumerate_each_degree():
-    for d in (2, 3, 5):
+    for d in (2, 3, 5, 8):
         for degree in range(7):
             mons = monomials(d, degree)
             assert mons.shape == (monomial_count(d, degree), degree)
+            # the tuples of combinations_with_replacement, placed at their ranks
+            combos = list(combinations_with_replacement(range(d), degree))
+            combos = np.array(combos, dtype=np.intp).reshape(len(combos), degree)
+            ref = np.empty_like(combos)
+            ref[monomial_rank(combos, d)] = combos
+            assert mons.dtype == ref.dtype and np.array_equal(mons, ref)
             assert (np.diff(mons, axis=1) >= 0).all()
             assert len({tuple(m) for m in mons.tolist()}) == len(mons)
             assert np.array_equal(monomial_rank(mons, d), np.arange(len(mons)))
@@ -109,15 +109,21 @@ def dict_product(a, b):
 
 def dict_power_sum(factors, weights, p):
     """Reference: sparse dict products, one member at a time."""
+    d = factors[0].shape[0]
     total = {}
     for f, w in zip(factors, weights):
-        q = quadratic_form(f @ f.T).coeffs
+        m = f @ f.T
+        q = {}      # x^T M x, entry by entry
+        for a in range(d):
+            for b in range(d):
+                e = tuple(int(i == a) + int(i == b) for i in range(d))
+                q[e] = q.get(e, 0.0) + m[a, b]
         power = q
         for _ in range(p - 1):
             power = dict_product(power, q)
         for e, c in power.items():
             total[e] = total.get(e, 0.0) + w * c
-    return HomogeneousPoly(factors[0].shape[0], 2 * p, total)
+    return total
 
 
 def random_factors(rng, d, n):
@@ -135,11 +141,9 @@ def test_weighted_power_sum_matches_dict_products(rng):
     for d, p in [(2, 1), (2, 5), (3, 3), (4, 2), (5, 4)]:
         factors = random_factors(rng, d, 4)
         weights = rng.uniform(0.2, 2.0, 4)
-        dense = HomogeneousPoly.from_dense(
-            d, 2 * p, weighted_power_sum(stacks_of(factors, weights), p))
-        ref = dict_power_sum(factors, weights, p)
-        scale = max(abs(c) for c in ref.coeffs.values())
-        assert dense.max_coeff_diff(ref) <= 1e-13 * scale, (d, p)
+        got = weighted_power_sum(stacks_of(factors, weights), p)
+        ref = dense(d, 2 * p, dict_power_sum(factors, weights, p))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), (d, p)
 
 
 def test_p1_frame_operator_route_matches_projectors(rng):
@@ -205,8 +209,12 @@ def test_lie_residual_matches_per_direction_expansion(rng):
                        for _ in range(3)]
             weights = rng.uniform(0.2, 2.0, 3)
             ref = lie_reference(factors, weights, p)
-            got = lie_residual(stacks_of(factors, weights), p)
+            got, potential = lie_residual(stacks_of(factors, weights), p)
             assert got == pytest.approx(ref, rel=1e-12, abs=0), (d, p)
+            # ||g||^2 is the pairwise potential at unit total weight
+            pairs = sum(wi * wj * np.trace(fi @ fi.T @ fj @ fj.T) ** p
+                        for fi, wi in zip(factors, weights) for fj, wj in zip(factors, weights))
+            assert potential == pytest.approx(pairs / weights.sum() ** 2, rel=1e-13), (d, p)
 
 
 def test_weighted_power_sum_chunking(rng, monkeypatch):

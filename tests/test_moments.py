@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import fusionframes
+from fusionframes import potential
 from fusionframes import (
     MixedDimensions,
     MomentEstimate,
@@ -22,6 +23,7 @@ from fusionframes import (
     certify_cubature,
     certify_tight,
     close_group,
+    ffp,
     haar_random,
     make_subspace,
     orbit_frame,
@@ -397,6 +399,31 @@ def test_cubature_residual_invariances(d, p, log_scale, seed):
                                                  for s, w in frame.entries))
     for label, variant in variants.items():
         assert certify_cubature(variant, p).residual == pytest.approx(base, rel=1e-12, abs=0), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_cubature_potential_is_the_pairwise_potential(d, p, seed):
+    # ||g||^2 of the certificate's form is the pairwise sum at unit total
+    # weight, whatever the weights' spread
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(1, d)), int(rng.integers(1, 7))
+    frame = WeightedFrame(d, tuple((haar_random(d, k, rng), float(10.0 ** rng.uniform(-6, 6)))
+                                   for _ in range(n)))
+    want = ffp(frame, p) / frame.weights.sum() ** 2
+    assert certify_cubature(frame, p).ffp_value == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_cubature_certificate_builds_no_pair_table(mercedes, monkeypatch):
+    def refuse(frame):
+        raise AssertionError("pair table built")
+
+    planes = f4_plane_orbit()
+    monkeypatch.setattr(potential, "gram_matrix", refuse)
+    cert = certify_cubature(mercedes, 2)
+    assert cert.verdict == "cubature" and cert.ffp_value == pytest.approx(3 / 8, abs=1e-12)
+    cert = certify_cubature(planes, 2)
+    assert cert.verdict == "cubature" and cert.ffp_value == pytest.approx(10 / 9, abs=1e-12)
 
 
 def test_size_bounds():

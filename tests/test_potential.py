@@ -2,21 +2,31 @@ import numpy as np
 import pytest
 
 from fusionframes import (
+    DimensionError,
     MissingMoment,
+    ParameterError,
     SingleSubspace,
     WeightedFrame,
     build_frame,
     catalog,
+    certify_tight,
     equiangularity,
+    evaluate_power_form,
     ffp,
+    ffp_gradient,
     ffp_lower_bound_mixed,
     ffp_lower_bound_p,
     frame_operator,
     haar_random,
     potential_report,
+    power_form,
+    reweight_down,
     simplex_bound_rhs,
+    sphere_bounds,
+    sphere_extrema,
     t_matrix,
     t_one,
+    tightness_constant,
 )
 from fusionframes import potential
 from fusionframes.potential import GRAM_BUDGET, gram_matrix, max_offdiagonal
@@ -38,6 +48,27 @@ def test_ffp_one_is_trace_of_squared_operator(rng):
         f = random_frame(rng)
         s = frame_operator(f)
         assert abs(ffp(f, 1) - np.trace(s @ s)) < 1e-10
+
+
+@pytest.mark.parametrize("routine", [
+    ffp, potential_report, ffp_lower_bound_p, sphere_bounds, sphere_extrema, ffp_gradient,
+    power_form, certify_tight, tightness_constant,
+    pytest.param(lambda f, p: evaluate_power_form(f, p, np.eye(2)), id="evaluate_power_form")])
+@pytest.mark.parametrize("p", [0, -1, 2.5, 2.0, True])
+def test_orders_must_be_positive_integers(mercedes, routine, p):
+    # ffp(mercedes, 2.5) returned 3.1875 and ffp(mercedes, True) 4.5
+    with pytest.raises(ParameterError):
+        routine(mercedes, p)
+
+
+def test_reweight_down_order(mercedes):
+    # reweight_down(mercedes, 2.5) returned weights
+    for p in (2.5, 3.0, True):
+        with pytest.raises(ParameterError):
+            reweight_down(mercedes, p)
+    for p in (1, 0, -1):
+        with pytest.raises(DimensionError):
+            reweight_down(mercedes, p)
 
 
 def test_gram_matrix(mercedes):
