@@ -30,7 +30,8 @@ from .errors import (
     check_order,
 )
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import Subspace, _first_bad, complement, orthonormal_stack, stack_subspaces
+from .subspaces import (Subspace, _check_rank, _check_width, _first_bad, _signed_qr,
+                         check_orthonormal, complement, orthonormal_stack, stack_subspaces)
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
 POWER_FORM_GUARD = 10 ** 6
@@ -388,8 +389,14 @@ def frame_from_dict(data: dict) -> WeightedFrame:
                lambda i: "basis entries and weights must be finite")
     stacks = []
     for idx, raw in groups:
-        q = orthonormal_stack(raw, idx)
+        # the checks of ``orthonormal_stack``, in its order, but the rank is
+        # only read when a member needs correction: a basis within
+        # READ_CORRECTION_TOL of its orthonormalization has full rank
+        q = _signed_qr(_check_width(raw, idx))
         correction = np.abs(q - raw).max(axis=(1, 2))
+        if not (correction <= READ_CORRECTION_TOL).all():
+            _check_rank(raw, idx)
+        check_orthonormal(q, idx)
         _first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
                    lambda i: f"basis needed correction {correction[i]:.2e} > {READ_CORRECTION_TOL}")
         stacks.append((idx, q, weights[idx]))

@@ -102,12 +102,20 @@ def product_table(d: int, degree: int) -> np.ndarray:
     return _frozen(table)
 
 
+@lru_cache(maxsize=32)
+def _quadratic_pairs(d: int) -> tuple:
+    """The variable pairs a <= b of the degree-2 monomials in rank order, and
+    the factor 1/2 on the diagonal pairs."""
+    b, a = np.tril_indices(d)
+    return _frozen(a), _frozen(b), _frozen(np.where(a == b, 0.5, 1.0))
+
+
 def quadratic_rows(mats: np.ndarray) -> np.ndarray:
     """Degree-2 coefficient vectors of x^T M x, one row per matrix in a
     stack of shape (n, d, d); M need not be symmetric."""
     mats = np.asarray(mats, dtype=float)
-    b, a = np.tril_indices(mats.shape[-1])     # pairs a <= b in rank order
-    return (mats[:, a, b] + mats[:, b, a]) * np.where(a == b, 0.5, 1.0)
+    a, b, half = _quadratic_pairs(mats.shape[-1])
+    return (mats[:, a, b] + mats[:, b, a]) * half
 
 
 def weighted_gram(stacks) -> np.ndarray:
@@ -208,7 +216,7 @@ def lie_residual(stacks, p: int) -> tuple:
         s /= np.trace(s)
         return float(np.sqrt(d) * np.linalg.norm(s - np.eye(d) / d) / np.linalg.norm(s)), g_sq
     big = d * (d + 1) // 2
-    b, a = np.tril_indices(d)          # svec coordinate v is the pair a <= b
+    a, b, _ = _quadratic_pairs(d)      # svec coordinate v is the pair a <= b
     half = np.where(a == b, 0.5, np.sqrt(0.5))   # Y_v = half_v (e_a e_b^T + e_b e_a^T)
     lower, lower_mult = monomials(big, p - 1), multinomials(big, p - 1)
     h = np.zeros((len(lower), d * d))

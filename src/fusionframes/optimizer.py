@@ -25,7 +25,7 @@ from .errors import MixedDimensions, ParameterError, check_integer, check_order
 from .frames import WeightedFrame
 from .moments import t_moment
 from .potential import GRAM_BUDGET, cross_gram
-from .subspaces import Subspace, _signed_qr, haar_basis_batch
+from .subspaces import Subspace, _signed_qr
 
 EPS = np.finfo(float).eps
 # A descent has stagnated when its value fell by at most STALL_RTOL of its
@@ -133,11 +133,17 @@ def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False
     a = (np.swapaxes(pflat, -1, -2) @ flat).reshape(count, n, c, n, k)
     b = (np.swapaxes(pflat, -1, -2) @ pflat).reshape(count, n, c, n, c)
     m = m.reshape(count, n, k, n, k)
-    # axes of h: restart r, then member a, complement row i, column x of Z_a,
-    # then the same (b, j, y) for Z_b
-    h = c1[:, :, None, None, :, None, None] * (
-        a[:, :, :, None, :, None, :] * a.transpose(0, 3, 4, 1, 2)[:, :, None, :, :, :, None]
-        + b[:, :, :, None, :, :, None] * m[:, :, None, :, :, None, :])
+    def pairs_last(x, axes):    # contiguous, so the products run along the pairs
+        return np.ascontiguousarray(x.transpose(axes))
+
+    # off-diagonal blocks with the pairs (r, a, b) on the last axes, then one
+    # transpose to (r, a, i, x, b, j, y): member a, complement row i and
+    # column x of Z_a, then the same (b, j, y) for Z_b;
+    # ab[i, y, r, a, b] = a[r, a, i, b, y] and ba[x, j, r, a, b] = a[r, b, j, a, x]
+    ab, ba = pairs_last(a, (2, 4, 0, 1, 3)), pairs_last(a, (4, 2, 0, 3, 1))
+    h = c1 * (ab[:, None, None, :] * ba[None, :, :, None]
+              + pairs_last(b, (2, 4, 0, 1, 3))[:, None, :, None]
+              * pairs_last(m, (2, 4, 0, 1, 3))[None, :, None, :])
     # diagonal blocks, each a sum over b of products over the columns of M_ab
     wa = (c1[:, :, None, :, None] * a).reshape(count, n, c, n * k)
     wm = (c1[:, :, None, :, None] * m).reshape(count, n, k, n * k)
@@ -150,10 +156,10 @@ def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False
         # g[r, a, b] = Y_a_perp^T P_b Y_a, flattened
         g = (a.transpose(0, 1, 3, 2, 4) @ np.swapaxes(m.transpose(0, 1, 3, 2, 4), -1, -2))
         g = g.reshape(count, n, n, c * k)
-        h += (c2[:, :, None, :, None] * g.transpose(0, 1, 3, 2)[..., None]
-              * g.transpose(0, 2, 1, 3)[:, :, None]).reshape(h.shape)
+        h += ((c2 * pairs_last(g, (3, 0, 1, 2)))[:, None]
+              * pairs_last(g, (3, 0, 2, 1))[None]).reshape(h.shape)
         diag += np.swapaxes(c2[..., None] * g, -1, -2) @ g
-    h = h.reshape(count, n, c * k, n, c * k)
+    h = h.transpose(4, 5, 0, 1, 6, 2, 3).reshape(count, n, c * k, n, c * k)
     h[:, np.arange(n), :, np.arange(n)] += np.swapaxes(diag, 0, 1)
     return value, grad, h.reshape(count, n * c * k, n * c * k), perp
 
@@ -168,15 +174,24 @@ def ffp_gradient(frame: WeightedFrame, p: int):
     return list(_ffp_core(ys[None], frame.weights, p)[1][0])
 
 
-def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack a (B, N, N) have a Cholesky factor."""
+def _factors(a: np.ndarray) -> bool:
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_positive_definite(row[None]) for row in a])
-    return np.ones(len(a), dtype=bool)
+        return False
+    return True
+
+
+def _positive_definite(a: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack a (B, N, N) have a Cholesky factor.  A
+    row with a nonpositive (or NaN) diagonal entry has none and is not
+    factored; the others are factored together, and one at a time only
+    when that fails."""
+    ok = (np.diagonal(a, axis1=-2, axis2=-1) > 0).all(axis=-1)
+    rows = np.flatnonzero(ok)
+    if rows.size and not _factors(a[rows]):
+        ok[rows] = [rows.size > 1 and _factors(a[r]) for r in rows]
+    return ok
 
 
 def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
@@ -193,8 +208,15 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     ``LM_ACCEPT`` of the model's decrease -g.z - z.Hz/2 (More 1978), or when
     it stayed within ``FLAT_ULPS`` ulps and ||g|| at least halved.  A problem
     stops at the first of the ``STOP_REASONS``: ||g|| at most ``tol``, a
-    relative decrease of at most ``STALL_RTOL`` over ``STALL_WINDOW`` steps,
-    mu_r past ``LM_MU_MAX``, or ``max_iters`` accepted steps.  A start that
+    relative decrease of at most ``STALL_RTOL`` over its last
+    ``STALL_WINDOW`` accepted steps, mu_r past ``LM_MU_MAX``, or
+    ``max_iters`` accepted steps.
+
+    The problems advance independently, in rounds: a round raises mu_r on
+    every running problem until its H + lambda I factors, then evaluates
+    all their trial steps, accepted or not, in one ``evaluate`` call.  So a
+    batch makes as many Hessian evaluations as its slowest problem alone,
+    and each problem sees the same operations as alone.  A start that
     already meets ``tol`` builds no Hessian.  Returns per problem the final
     bases, the values after each accepted step, the gradient norm and the
     stop reason index.
@@ -218,49 +240,51 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
         gnorm[active] = np.sqrt((g[active] ** 2).sum(axis=1))
     mu = np.ones(count)
     eye = np.eye(size)
+    shifted = np.empty_like(hess)     # H + lambda I of the round, once it factors
     iters = np.zeros(count, dtype=int)
-    trail = [val.copy()]
-    for it in range(1, max_iters + 1):
+    trails = [[v] for v in val]     # the values after each accepted step
+
+    def raise_mu(rows):
+        mu[rows] *= LM_FACTOR
+        stop[rows[mu[rows] > LM_MU_MAX]] = 2
+
+    while active.size:
         pending = active
         while pending.size:
-            shifted = hess[pending] + (mu[pending] * gnorm[pending])[:, None, None] * eye
-            factored = _positive_definite(shifted)
-            rows, fails = pending[factored], pending[~factored]
-            if rows.size:
-                z = -np.linalg.solve(shifted[factored], g[rows][..., None])[..., 0]
-                model = -(g[rows] * z).sum(axis=1) - 0.5 * np.einsum(
-                    "ri,rij,rj->r", z, hess[rows], z)
-                cand = _signed_qr(ys[rows] + perp[rows] @ z.reshape(-1, n, d - k, k))
-                cand_val, cand_grad, cand_hess, cand_perp = evaluate(cand, ids[rows], True)
-                cand_g = coords(cand_grad, cand_perp)
-                cand_gnorm = np.sqrt((cand_g * cand_g).sum(axis=1))
-                fell = val[rows] - cand_val
-                flat = ((np.abs(fell) <= FLAT_ULPS * EPS * np.abs(val[rows]))
-                        & (cand_gnorm <= 0.5 * gnorm[rows]))
-                ok = (fell >= LM_ACCEPT * model) | flat
-                done = rows[ok]
-                ys[done], val[done], g[done] = cand[ok], cand_val[ok], cand_g[ok]
-                hess[done], perp[done], gnorm[done] = cand_hess[ok], cand_perp[ok], cand_gnorm[ok]
-                good = rows[ok & (fell > LM_GOOD * model)]
-                mu[good] = np.maximum(mu[good] / LM_FACTOR, LM_MU_MIN)
-                fails = np.concatenate([fails, rows[~ok]])
-            mu[fails] *= LM_FACTOR
-            stop[fails[mu[fails] > LM_MU_MAX]] = 2
-            pending = fails[stop[fails] < 0]
-        active = active[stop[active] < 0]
-        if not active.size:
+            trial = hess[pending] + (mu[pending] * gnorm[pending])[:, None, None] * eye
+            factored = _positive_definite(trial)
+            shifted[pending[factored]] = trial[factored]
+            raise_mu(pending[~factored])
+            pending = pending[~factored & (stop[pending] < 0)]
+        rows = active[stop[active] < 0]
+        if not rows.size:
             break
-        iters[active] += 1
-        trail.append(val.copy())
-        gn = gnorm[active]
-        stop[active[gn <= tol]] = 0
-        if it >= STALL_WINDOW:
-            fell = trail[it - STALL_WINDOW][active] - val[active]
-            stop[active[(fell <= STALL_RTOL * np.abs(val[active])) & (gn > tol)]] = 1
+        z = -np.linalg.solve(shifted[rows], g[rows][..., None])[..., 0]
+        model = -(g[rows] * z).sum(axis=1) - 0.5 * np.einsum("ri,rij,rj->r", z, hess[rows], z)
+        cand = _signed_qr(ys[rows] + perp[rows] @ z.reshape(-1, n, d - k, k))
+        cand_val, cand_grad, cand_hess, cand_perp = evaluate(cand, ids[rows], True)
+        cand_g = coords(cand_grad, cand_perp)
+        cand_gnorm = np.sqrt((cand_g * cand_g).sum(axis=1))
+        fell = val[rows] - cand_val
+        flat = ((np.abs(fell) <= FLAT_ULPS * EPS * np.abs(val[rows]))
+                & (cand_gnorm <= 0.5 * gnorm[rows]))
+        ok = (fell >= LM_ACCEPT * model) | flat
+        done = rows[ok]
+        ys[done], val[done], g[done] = cand[ok], cand_val[ok], cand_g[ok]
+        hess[done], perp[done], gnorm[done] = cand_hess[ok], cand_perp[ok], cand_gnorm[ok]
+        good = rows[ok & (fell > LM_GOOD * model)]
+        mu[good] = np.maximum(mu[good] / LM_FACTOR, LM_MU_MIN)
+        raise_mu(rows[~ok])
+        iters[done] += 1
+        for r in done.tolist():
+            trails[r].append(val[r])
+        stop[done[gnorm[done] <= tol]] = 0
+        walked = done[iters[done] >= STALL_WINDOW]
+        fell = np.array([trails[r][-1 - STALL_WINDOW] for r in walked.tolist()]) - val[walked]
+        stop[walked[(fell <= STALL_RTOL * np.abs(val[walked])) & (gnorm[walked] > tol)]] = 1
+        stop[done[(stop[done] < 0) & (iters[done] >= max_iters)]] = 3
         active = active[stop[active] < 0]
-    stop[stop < 0] = 3
-    trail = np.array(trail)
-    return ys, [tuple(trail[:i + 1, r]) for r, i in enumerate(iters)], gnorm, stop
+    return ys, [tuple(t) for t in trails], gnorm, stop
 
 
 def _newton_chunks(ys, evaluate, max_iters, tol) -> tuple:
@@ -286,8 +310,9 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     t_value, t_error, _ = t_moment(cfg.k, cfg.k, cfg.d, cfg.p)
     # pre-drawn child seeds keep restarts independent and order-insensitive
     seeds = rng.integers(0, 2 ** 63 - 1, size=cfg.restarts)
-    ys = np.stack([haar_basis_batch(cfg.d, cfg.k, cfg.n, np.random.default_rng(seed))
-                   for seed in seeds])
+    # each restart's Haar starts (``haar_basis_batch``), in one sign-fixed QR
+    ys = _signed_qr(np.stack([np.random.default_rng(seed).standard_normal((cfg.n, cfg.d, cfg.k))
+                              for seed in seeds]))
     weights = np.full(cfg.n, 1.0 / cfg.n)
     bases, histories, gnorm, stop = _newton_chunks(
         ys, lambda ys, ids, hessian: _ffp_core(ys, weights, cfg.p, hessian),

@@ -74,15 +74,27 @@ def orthonormal_stack(raw, members=None) -> np.ndarray:
     result is a deterministic function of the input.  ``members`` (one
     label per row) names the failing member in messages.
     """
+    a = _check_width(raw, members)
+    _check_rank(a, members)
+    return check_orthonormal(_signed_qr(a), members)
+
+
+def _check_width(raw, members) -> np.ndarray:
+    """The stack as floats, after the 1 <= k <= d-1 check of
+    ``orthonormal_stack``."""
     a = np.asarray(raw, dtype=float)
     _, d, k = a.shape
     if not 1 <= k <= d - 1:
         where = "" if members is None else f"member {members[0]}: "
         raise DimensionError(f"{where}subspace dimension {k} not in [1, {d - 1}]")
+    return a
+
+
+def _check_rank(a: np.ndarray, members) -> None:
+    """The smallest-singular-value check of ``orthonormal_stack``."""
     smin = np.linalg.svd(a, compute_uv=False)[:, -1]
     _first_bad(smin <= RANK_TOL, members, RankDeficient,
                lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL}")
-    return check_orthonormal(_signed_qr(a), members)
 
 
 def _signed_qr(a: np.ndarray) -> np.ndarray:

@@ -151,6 +151,138 @@ def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
                 z @ hess[0] @ z, abs=1e-7)
 
 
+def _hessian_by_blocks(ys, weights, p, perp):
+    """The Hessian of one frame from the block formulas of ``_ffp_core``'s
+    docstring, pair by pair, in the coordinates of the given complements."""
+    n, d, k = ys.shape
+    c = d - k
+    h = np.zeros((n, c, k, n, c, k))
+    for a in range(n):
+        pull = np.zeros((k, k))     # Y_a^T grad_a, Euclidean gradient
+        for b in range(n):
+            if b == a:
+                continue
+            m = ys[a].T @ ys[b]
+            s = (m * m).sum()
+            pb = ys[b] @ ys[b].T
+            first = 2 * weights[a] * weights[b] * 2 * p * s ** (p - 1)
+            t1 = np.einsum("iy,jx->ixjy", perp[a].T @ ys[b], perp[b].T @ ys[a])
+            t2 = np.einsum("ij,xy->ixjy", perp[a].T @ perp[b], m)
+            h[a, :, :, b] += first * (t1 + t2)
+            h[a, :, :, a] += first * np.einsum("ij,xy->ixjy", perp[a].T @ pb @ perp[a], np.eye(k))
+            if p > 1:
+                second = 2 * weights[a] * weights[b] * 4 * p * (p - 1) * s ** (p - 2)
+                g_ab = perp[a].T @ pb @ ys[a]
+                g_ba = perp[b].T @ ys[a] @ ys[a].T @ ys[b]
+                h[a, :, :, b] += second * np.einsum("ix,jy->ixjy", g_ab, g_ba)
+                h[a, :, :, a] += second * np.einsum("ix,jy->ixjy", g_ab, g_ab)
+            pull += first * ys[a].T @ pb @ ys[a]
+        h[a, :, :, a] -= np.einsum("ij,yx->ixjy", np.eye(c), pull)
+    return h.reshape(n * c * k, n * c * k)
+
+
+def test_hessian_matches_block_formulas(rng):
+    # k = 1 and d - k = 1 among the shapes, p = 1..3, several restarts at once
+    cases = [(3, 1, 2, 1), (4, 1, 2, 3), (3, 1, 3, 2), (4, 2, 3, 1), (3, 2, 3, 3),
+             (5, 2, 4, 2), (3, 2, 5, 3), (2, 3, 5, 2), (4, 1, 4, 3)]
+    for i, (n, k, d, p) in enumerate(cases):
+        count = 1 + i % 3
+        weights = rng.uniform(0.5, 2.0, n)
+        ys = np.stack([haar_basis_batch(d, k, n, rng) for _ in range(count)])
+        hess, perp = _ffp_core(ys, weights, p, hessian=True)[2:]
+        for r in range(count):
+            ref = _hessian_by_blocks(ys[r], weights, p, perp[r])
+            assert np.abs(hess[r] - ref).max() <= 1e-13 * np.abs(ref).max(), (n, k, d, p, r)
+
+
+def test_positive_definite_agrees_with_cholesky_row_by_row(rng):
+    size = 6
+
+    def spd():
+        x = rng.standard_normal((size, size))
+        return x @ x.T + size * np.eye(size)
+
+    def indefinite():       # positive diagonal, a negative 2 x 2 minor
+        a = spd()
+        a[0, 1] = a[1, 0] = 1.5 * np.sqrt(a[0, 0] * a[1, 1])
+        return a
+
+    def singular():         # rank size - 2: Cholesky may succeed or fail by rounding
+        x = rng.standard_normal((size, size - 2))
+        return x @ x.T
+
+    def bad_diagonal():
+        a = spd()
+        i = rng.integers(size)
+        a[i, i] = -a[i, i] if rng.random() < 0.5 else 0.0
+        return a
+
+    def factors(a):
+        try:
+            np.linalg.cholesky(a)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+
+    makers = (spd, indefinite, singular, bad_diagonal)
+    for _ in range(20):
+        stack = np.stack([makers[i]() for i in rng.integers(0, 4, rng.integers(1, 9))])
+        got = optimizer._positive_definite(stack)
+        assert got.tolist() == [factors(a) for a in stack]
+    assert not optimizer._positive_definite(indefinite()[None])[0]
+
+
+def test_positive_definite_factors_a_good_stack_once(rng, monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    good = np.stack([x @ x.T + 4 * np.eye(4) for x in rng.standard_normal((5, 4, 4))])
+    bad = good.copy()
+    bad[:, 1, 1] = -1.0
+    assert optimizer._positive_definite(good).all() and len(calls) == 1
+    calls.clear()
+    assert not optimizer._positive_definite(bad).any() and not calls
+    calls.clear()
+    mixed = np.concatenate([bad[:2], good[:3], bad[2:]])
+    assert optimizer._positive_definite(mixed).tolist() == [False] * 2 + [True] * 3 + [False] * 3
+    assert calls == [(3, 4, 4)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n,k,d,p", [(3, 1, 2, 2), (6, 1, 3, 2), (5, 2, 4, 1), (4, 2, 4, 2)])
+def test_batch_costs_its_slowest_problem(n, k, d, p, seed):
+    # the problems advance independently: the batch makes as many Hessian
+    # evaluations as its slowest problem alone, and each ends as alone
+    rng = np.random.default_rng(seed)
+    weights = np.full(n, 1.0 / n)
+    starts = np.stack([haar_basis_batch(d, k, n, rng) for _ in range(8)])
+    calls = []
+
+    def evaluate(ys, ids, hessian):
+        calls.append(hessian)
+        return _ffp_core(ys, weights, p, hessian)
+
+    def run(lo, hi, max_iters):
+        calls.clear()
+        out = optimizer._newton(starts[lo:hi].copy(), np.arange(lo, hi), evaluate, max_iters, 1e-11)
+        return out, sum(calls)
+
+    # a step count of 3 stops most problems by `max-iters`, counted per problem
+    for max_iters in (3, 5000):
+        (bases, trails, gnorm, stop), cost = run(0, 8, max_iters)
+        alone = [run(r, r + 1, max_iters) for r in range(8)]
+        assert cost == max(c for _, c in alone)
+        assert all(len(t) == max_iters + 1 for t, s in zip(trails, stop) if s == 3)
+        for r, ((b, t, g, s), _) in enumerate(alone):
+            assert bases[r].tobytes() == b[0].tobytes() and trails[r] == t[0]
+            assert gnorm[r] == g[0] and stop[r] == s[0]
+
+
 def test_newton_stops_by_gradient_on_degenerate_minima():
     # every minimum of (5, 2, 4, 1) lies on a manifold of tight frames, where
     # the first-order descent once crawled thousands of steps
@@ -303,6 +435,20 @@ def test_sphere_bounds_stop_reasons(mercedes):
                                                     rng=np.random.default_rng(2))
     with pytest.raises(ParameterError):
         sphere_bounds(mercedes, 2, restarts=0)
+
+
+def test_starts_within_tol_build_no_hessian(mercedes, monkeypatch):
+    # the power form of a tight frame is constant on the sphere
+    calls = []
+    core = optimizer._sphere_core
+
+    def counting(xs, flat, dims, weights, p, hessian=False):
+        calls.append(hessian)
+        return core(xs, flat, dims, weights, p, hessian)
+
+    monkeypatch.setattr(optimizer, "_sphere_core", counting)
+    bounds = sphere_bounds(mercedes, 2, restarts=4, rng=np.random.default_rng(0))
+    assert set(bounds.stop_reasons) == {"gradient"} and calls == [False]
 
 
 def _mixed_frame(rng, d):
