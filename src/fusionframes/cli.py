@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from .constructions import (
+    DEFAULT_MAX_ORDER,
     catalog,
     catalog_names,
     close_group,
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_orb.add_argument("--seed-angle", type=float, default=None,
                        help="use the line at this angle (degrees) as seed; "
                             "ambient dimension 2 only")
-    g_orb.add_argument("--max-order", type=int, default=20_000)
+    g_orb.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     g_ext = gen_sub.add_parser("extend", help="plant the inner frame inside "
                                               "each subspace of the outer frame")
     g_ext.add_argument("--inner", required=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .errors import (
     UnknownName,
     check_integer,
 )
-from .frames import POWER_FORM_GUARD, WeightedFrame, build_frame
+from .frames import POWER_FORM_GUARD, WeightedFrame, _check_weights, build_frame
 from .homogeneous import check_size_guard
 from .moments import P_MAX
 from .potential import GRAM_BUDGET
@@ -43,19 +42,23 @@ CATALOG_ARG_MAX = 1000
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """A finite subgroup of the orthogonal group, listed element by element."""
+    """A finite subgroup of the orthogonal group: its elements as one
+    (|G|, d, d) array, identity first."""
 
     d: int
-    elements: tuple   # of d x d arrays, identity first
+    elements: np.ndarray
     generators: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", np.asarray(self.elements, dtype=float))
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @property
     def stack(self) -> np.ndarray:
-        """The elements as one (|G|, d, d) array, in order."""
-        return np.stack(self.elements)
+        """The elements, the same (|G|, d, d) array."""
+        return self.elements
 
 
 def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
@@ -64,8 +67,12 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
     A level's products come from batched matmuls in (element, generator)
     order, at most ``GRAM_BUDGET`` entries at a time, and ``first_occurrences``
     keeps those new at ``EQUALITY_TOL``.  Raises GroupTooLarge when the
-    closure exceeds max_order, NotOrthogonal for bad or non-finite generators.
+    closure exceeds max_order, NotOrthogonal for bad or non-finite generators,
+    ParameterError unless max_order is an integer >= 1.
     """
+    check_integer("max_order", max_order)
+    if max_order < 1:
+        raise ParameterError(f"max_order must be >= 1, got {max_order}")
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
         raise DimensionError("need at least one generator")
@@ -96,10 +103,7 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
             if n > max_order:
                 raise GroupTooLarge(f"closure exceeded max_order={max_order}")
         lo = hi
-    stack = buf[:n].reshape(-1, d, d).copy()
-    group = MatrixGroup(d=d, elements=tuple(stack), generators=tuple(gens))
-    group.__dict__["stack"] = stack
-    return group
+    return MatrixGroup(d=d, elements=buf[:n].reshape(-1, d, d).copy(), generators=tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -163,17 +167,21 @@ def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:
     with constant equal to the product.
     """
     ell = inner.ambient_dim
-    for s, _ in outer.entries:
-        if s.dim != ell:
-            raise DimensionError(
-                f"outer frame member has dim {s.dim}, expected {ell}"
-            )
-    entries = []
-    for w_sub, w_weight in outer.entries:
-        for v_sub, v_weight in inner.entries:
-            basis = w_sub.basis @ v_sub.basis     # already orthonormal columns
-            entries.append((Subspace(outer.ambient_dim, basis), w_weight * v_weight))
-    return WeightedFrame(outer.ambient_dim, tuple(entries))
+    for k in outer.dims.tolist():
+        if k != ell:
+            raise DimensionError(f"outer frame member has dim {k}, expected {ell}")
+    (_, outer_bases, _), = outer.groups
+    m, n = len(outer), len(inner)
+    # outer member a carrying inner member j sits at position a n + j
+    weights = np.outer(outer.weights, inner.weights).ravel()
+    groups = []
+    for idx, bases, _ in inner.groups:
+        pos = (n * np.arange(m)[:, None] + idx).ravel()
+        # one product per pair, already orthonormal columns
+        images = (outer_bases[:, None] @ bases[None]).reshape(len(pos), outer.ambient_dim, -1)
+        groups.append((pos, check_orthonormal(images), weights[pos]))
+    _check_weights(weights)     # a product of weights can underflow to 0
+    return WeightedFrame._from_stacks(outer.ambient_dim, groups)
 
 
 # ---------------------------------------------------------------------------
@@ -181,37 +189,28 @@ def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:
 
 @dataclass(frozen=True)
 class ComplexLineSet:
-    """Unit vectors in C^d stored as length-2d real arrays, re/im interleaved."""
+    """Unit vectors in C^d as the rows of one (n, 2d) real array, re/im
+    interleaved."""
 
     d_complex: int
-    vectors: tuple   # of 1-D float arrays, length 2 * d_complex
+    vectors: np.ndarray
 
     def __post_init__(self):
-        vecs = []
-        for v in self.vectors:
-            v = np.asarray(v, dtype=float)
-            if v.shape != (2 * self.d_complex,):
-                raise DimensionError(
-                    f"interleaved vector must have length {2 * self.d_complex}"
-                )
+        width = 2 * self.d_complex
+        vecs = [np.asarray(v, dtype=float) for v in self.vectors]
+        for v in vecs:
+            if v.shape != (width,):
+                raise DimensionError(f"interleaved vector must have length {width}")
             norm_sq = float(v @ v)
             if abs(norm_sq - 1.0) > 1e-12:
                 raise FrameFormatError(f"vector has hermitian norm^2 {norm_sq!r} != 1")
-            vecs.append(v)
-        object.__setattr__(self, "vectors", tuple(vecs))
+        object.__setattr__(self, "vectors", np.array(vecs, dtype=float).reshape(len(vecs), width))
 
     @classmethod
     def from_complex(cls, vectors) -> "ComplexLineSet":
-        rows = []
-        dc = None
-        for z in vectors:
-            z = np.asarray(z, dtype=complex)
-            dc = len(z) if dc is None else dc
-            inter = np.empty(2 * len(z))
-            inter[0::2] = z.real
-            inter[1::2] = z.imag
-            rows.append(inter)
-        return cls(d_complex=dc, vectors=tuple(rows))
+        rows = [np.asarray(z, dtype=complex) for z in vectors]
+        return cls(d_complex=len(rows[0]),
+                   vectors=[np.column_stack([z.real, z.imag]).ravel() for z in rows])
 
     def as_complex(self) -> list:
         return [v[0::2] + 1j * v[1::2] for v in self.vectors]
@@ -227,17 +226,15 @@ def realify(lines: ComplexLineSet) -> WeightedFrame:
     """
     if lines.d_complex < 2:
         raise DimensionError("realification needs d_complex >= 2 for proper subspaces")
-    entries = []
-    for v in lines.vectors:
-        z = v[0::2] + 1j * v[1::2]
-        iz = 1j * z
-        cols = np.empty((2 * lines.d_complex, 2))
-        cols[0::2, 0] = z.real
-        cols[1::2, 0] = z.imag
-        cols[0::2, 1] = iz.real
-        cols[1::2, 1] = iz.imag
-        entries.append((Subspace(2 * lines.d_complex, cols), 1.0))
-    return WeightedFrame(2 * lines.d_complex, tuple(entries))
+    n, v = len(lines.vectors), lines.vectors
+    _check_weights(np.ones(n))      # an empty line set is no frame
+    # i z by complex multiplication: negating the real parts instead would
+    # turn the zeros it writes into -0.0
+    z = v[:, 0::2] + 1j * v[:, 1::2]
+    cols = np.stack([z, 1j * z], axis=-1)       # (n, d, 2): z and i z
+    cols = np.stack([cols.real, cols.imag], axis=2).reshape(n, 2 * lines.d_complex, 2)
+    return WeightedFrame._from_stacks(2 * lines.d_complex,
+                                      [(np.arange(n), check_orthonormal(cols), np.ones(n))])
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +362,10 @@ def load_line_set(path) -> ComplexLineSet:
     vecs = [_numbers(v, f"line vector {j}") for j, v in enumerate(data)]
     if vecs[0].ndim != 1 or len(vecs[0]) % 2 != 0:
         raise FrameFormatError("line vectors must be flat arrays of even length")
-    return ComplexLineSet(d_complex=len(vecs[0]) // 2, vectors=tuple(vecs))
+    return ComplexLineSet(d_complex=len(vecs[0]) // 2, vectors=vecs)
 
 
 def save_line_set(lines: ComplexLineSet, path) -> None:
     with open(path, "w") as fh:
-        json.dump([list(map(float, v)) for v in lines.vectors], fh, indent=2)
+        json.dump(lines.vectors.tolist(), fh, indent=2)
         fh.write("\n")

@@ -30,15 +30,13 @@ from .errors import (
     check_order,
 )
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import (Subspace, _check_rank, _check_width, _first_bad, _signed_qr,
-                         check_orthonormal, complement, orthonormal_stack, stack_subspaces)
+from .subspaces import (READ_CORRECTION_TOL, Subspace, _first_bad, check_orthonormal,
+                         orthonormal_stack, stack_subspaces)
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
 POWER_FORM_GUARD = 10 ** 6
 # Default tolerance on the normalized coefficient residual of a certificate.
 CERTIFY_TOL = 1e-9
-# Frame files must be orthonormal to this much before re-orthonormalization.
-READ_CORRECTION_TOL = 1e-6
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -299,10 +297,11 @@ def complement_frame(frame: WeightedFrame) -> WeightedFrame:
     Requires equal dimensions; preserves tightness at every order."""
     if not frame.equal_dims():
         raise MixedDimensions("complement_frame requires all subspaces of equal dimension")
-    return WeightedFrame(
-        frame.ambient_dim,
-        tuple((complement(s), w) for s, w in frame.entries),
-    )
+    (idx, bases, weights), = frame.groups
+    # the unused left-singular directions of each basis, as ``complement``
+    u = np.linalg.svd(bases, full_matrices=True)[0]
+    perp = np.ascontiguousarray(u[:, :, bases.shape[2]:])
+    return WeightedFrame._from_stacks(frame.ambient_dim, [(idx, check_orthonormal(perp), weights)])
 
 
 def union(f1: WeightedFrame, f2: WeightedFrame) -> WeightedFrame:
@@ -389,14 +388,8 @@ def frame_from_dict(data: dict) -> WeightedFrame:
                lambda i: "basis entries and weights must be finite")
     stacks = []
     for idx, raw in groups:
-        # the checks of ``orthonormal_stack``, in its order, but the rank is
-        # only read when a member needs correction: a basis within
-        # READ_CORRECTION_TOL of its orthonormalization has full rank
-        q = _signed_qr(_check_width(raw, idx))
+        q = orthonormal_stack(raw, idx)
         correction = np.abs(q - raw).max(axis=(1, 2))
-        if not (correction <= READ_CORRECTION_TOL).all():
-            _check_rank(raw, idx)
-        check_orthonormal(q, idx)
         _first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
                    lambda i: f"basis needed correction {correction[i]:.2e} > {READ_CORRECTION_TOL}")
         stacks.append((idx, q, weights[idx]))

@@ -13,8 +13,8 @@ gives
 with C_kappa(I_m) in closed form (Muirhead 1982, Thm 7.2.7): a factor of
 kappa alone times the integer N_kappa(m) = 2^p (m/2)_kappa.  So ``t_exact``
 and ``t_matrix`` sum integers over partitions, and ``t_moment`` and
-``t_matrix`` report floats with error 0.  Haar sampling (``method="mc"``)
-is kept as an independent oracle for tests.
+``t_matrix`` report floats with error 0.  Haar sampling is an independent
+oracle in the tests, not a route here.
 
 Also here: the exact strength-2p cubature certificate (the Lie
 derivatives of the frame's power form over Sym^2, ``homogeneous.lie_residual``)
@@ -33,9 +33,7 @@ import numpy as np
 from .errors import MixedDimensions, ParameterError, check_integer
 from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame, pochhammer_ratio
 from .homogeneous import check_size_guard, lie_residual, monomial_count
-from .subspaces import haar_basis_batch
 
-DEFAULT_MC_BUDGET = 100_000
 # The exact sum runs over the partitions of p, 627 of them at p = 20 (about
 # 10 ms per moment, 1.3 s per d = 100 table); larger powers are refused.
 P_MAX = 20
@@ -53,7 +51,7 @@ def t_one(k: int, d: int, p: int) -> float:
 class MomentEstimate(NamedTuple):
     value: float
     error: float
-    method: str  # closed-form | monte-carlo
+    method: str  # closed-form
 
 
 def _check_moment_args(k: int, l: int, d: int, p: int) -> None:
@@ -122,59 +120,36 @@ def t_exact(k: int, l: int, d: int, p: int) -> Fraction:
                         for kappa, w in zip(kappas, weights)), q)
 
 
-def t_moment(k: int, l: int, d: int, p: int, method: str = "closed",
-             budget: int = DEFAULT_MC_BUDGET,
-             rng: np.random.Generator | None = None) -> MomentEstimate:
-    """Mean of trace(P_V P_W)^p over independent Haar subspaces.
-
-    method "closed" (the default) is ``t_exact`` in floating point, with
-    error 0.  method "mc" averages ``budget`` Haar samples drawn from
-    ``rng`` and reports the standard error; it is an independent check on
-    the exact route, not an alternative to it.
-    """
-    if method == "closed":
-        return MomentEstimate(float(t_exact(k, l, d, p)), 0.0, "closed-form")
-    if method != "mc":
-        raise ParameterError(f"unknown method {method!r}")
-    _check_moment_args(k, l, d, p)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    # W is frozen to the first-l coordinate span; by invariance the law of
-    # trace(P_V P_W) is unchanged
-    bases = haar_basis_batch(d, k, budget, rng)
-    vals = (bases[:, :l, :] ** 2).sum(axis=(1, 2)) ** p
-    return MomentEstimate(float(vals.mean()),
-                          float(vals.std(ddof=1) / np.sqrt(budget)),
-                          "monte-carlo")
+def t_moment(k: int, l: int, d: int, p: int) -> MomentEstimate:
+    """Mean of trace(P_V P_W)^p over independent Haar subspaces: ``t_exact``
+    in floating point, with error 0."""
+    return MomentEstimate(float(t_exact(k, l, d, p)), 0.0, "closed-form")
 
 
 @dataclass(frozen=True)
 class TMatrix:
-    """Symmetric (d-1) x (d-1) table of pairwise moments at a fixed power."""
+    """Symmetric (d-1) x (d-1) table of pairwise moments at a fixed power,
+    every entry exact."""
 
     d: int
     p: int
     values: np.ndarray
-    errors: np.ndarray
-    methods: tuple  # of tuples of str
+
+    @property
+    def errors(self) -> np.ndarray:
+        """All zero: no entry is estimated."""
+        return np.zeros_like(self.values)
 
     def entry(self, k: int, l: int) -> MomentEstimate:
-        return MomentEstimate(float(self.values[k - 1, l - 1]),
-                              float(self.errors[k - 1, l - 1]),
-                              self.methods[k - 1][l - 1])
+        return MomentEstimate(float(self.values[k - 1, l - 1]), 0.0, "closed-form")
 
     def rows(self) -> list:
         """(k, l, p, value, error, method) for k <= l; CSV-ready."""
-        out = []
-        for k in range(1, self.d):
-            for l in range(k, self.d):
-                e = self.entry(k, l)
-                out.append((k, l, self.p, e.value, e.error, e.method))
-        return out
+        return [(k, l, self.p, *self.entry(k, l))
+                for k in range(1, self.d) for l in range(k, self.d)]
 
 
-def t_matrix(d: int, p: int, budget: int = DEFAULT_MC_BUDGET,
-             rng: np.random.Generator | None = None) -> TMatrix:
+def t_matrix(d: int, p: int, budget=None, rng=None) -> TMatrix:
     """The full moment table U diag(w) U^T / q over Python integers, with
     U[k - 1, kappa] = N_kappa(k) and (w, q) from ``_moment_weights``; int /
     int rounds correctly, so each entry is bitwise ``float(t_exact(...))``
@@ -187,9 +162,7 @@ def t_matrix(d: int, p: int, budget: int = DEFAULT_MC_BUDGET,
     u = np.array([[_pochhammer_int(kappa, m) for kappa in kappas] for m in range(1, d)],
                  dtype=object)
     values = ((u * np.array(weights, dtype=object)) @ u.T / q).astype(float)
-    methods = tuple(("closed-form",) * (d - 1) for _ in range(d - 1))
-    return TMatrix(d=d, p=p, values=values, errors=np.zeros((d - 1, d - 1)),
-                   methods=methods)
+    return TMatrix(d=d, p=p, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +184,7 @@ class CubatureCertificate:
 
 
 def certify_cubature(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL,
-                     budget: int = DEFAULT_MC_BUDGET,
-                     rng: np.random.Generator | None = None) -> CubatureCertificate:
+                     budget=None, rng=None) -> CubatureCertificate:
     """A strength-2p cubature on the Grassmannian is a frame whose power form
     g(y) = sum_j w_j (svec(P_j) . y)^p is O(d)-invariant, i.e. every Lie
     derivative D_E g, E in so(d), vanishes (a reflection fixes the diagonal

@@ -25,7 +25,7 @@ from .errors import MixedDimensions, ParameterError, check_integer, check_order
 from .frames import WeightedFrame
 from .moments import t_moment
 from .potential import GRAM_BUDGET, cross_gram
-from .subspaces import Subspace, _signed_qr
+from .subspaces import _signed_qr, check_orthonormal
 
 EPS = np.finfo(float).eps
 # A descent has stagnated when its value fell by at most STALL_RTOL of its
@@ -323,10 +323,8 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
         if finals[r] < finals[idx] - 1e-10:
             idx = r
     values = tuple(float(v) for v in histories[idx])
-    frame = WeightedFrame(
-        cfg.d,
-        tuple((Subspace(cfg.d, bases[idx][i]), 1.0 / cfg.n) for i in range(cfg.n)),
-    )
+    frame = WeightedFrame._from_stacks(
+        cfg.d, [(np.arange(cfg.n), check_orthonormal(bases[idx]), np.full(cfg.n, 1.0 / cfg.n))])
     margin = (values[-1] - t_value) / t_value
     return OptimizerTrace(
         values=values,
@@ -399,6 +397,7 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     forced constant to high accuracy.
     """
     check_order(p)
+    check_integer("restarts", restarts)
     if restarts < 1:
         raise ParameterError("restarts must be a positive integer")
     if rng is None:

@@ -17,6 +17,9 @@ from .errors import DimensionError, RankDeficient
 ORTHO_TOL = 1e-12
 # Smallest singular value accepted as "full column rank".
 RANK_TOL = 1e-10
+# A basis its QR moves by at most this much has full rank; frame files must
+# be orthonormal to this much before re-orthonormalization.
+READ_CORRECTION_TOL = 1e-6
 # Two subspaces are considered equal when projectors agree to this max-norm;
 # also the one dedup tolerance of group elements, orbits and equiangularity.
 EQUALITY_TOL = 1e-8
@@ -67,34 +70,28 @@ def orthonormal_stack(raw, members=None) -> np.ndarray:
     """Validate an (m, d, k) stack of full-column-rank matrices and return
     their sign-fixed QR orthonormalizations, every member at once.
 
-    The checks are, in order: 1 <= k <= d-1 (``DimensionError``), smallest
-    singular value above ``RANK_TOL`` (``RankDeficient``), and the Gram
-    matrix of each result within ``ORTHO_TOL`` of the identity
-    (``RankDeficient``).  The diagonal of R is forced positive, so the
-    result is a deterministic function of the input.  ``members`` (one
-    label per row) names the failing member in messages.
+    The checks are, in order: 1 <= k <= d-1 (``DimensionError``), finite
+    entries (``RankDeficient``), smallest singular value above ``RANK_TOL``
+    (``RankDeficient``), and the Gram matrix of each result within
+    ``ORTHO_TOL`` of the identity (``RankDeficient``).  The rank SVD runs
+    only when the QR moves some entry by more than ``READ_CORRECTION_TOL``:
+    a basis that close to its QR has full rank.  The diagonal of R is forced
+    positive, so the result is a deterministic function of the input.
+    ``members`` (one label per row) names the failing member in messages.
     """
-    a = _check_width(raw, members)
-    _check_rank(a, members)
-    return check_orthonormal(_signed_qr(a), members)
-
-
-def _check_width(raw, members) -> np.ndarray:
-    """The stack as floats, after the 1 <= k <= d-1 check of
-    ``orthonormal_stack``."""
     a = np.asarray(raw, dtype=float)
     _, d, k = a.shape
     if not 1 <= k <= d - 1:
         where = "" if members is None else f"member {members[0]}: "
         raise DimensionError(f"{where}subspace dimension {k} not in [1, {d - 1}]")
-    return a
-
-
-def _check_rank(a: np.ndarray, members) -> None:
-    """The smallest-singular-value check of ``orthonormal_stack``."""
-    smin = np.linalg.svd(a, compute_uv=False)[:, -1]
-    _first_bad(smin <= RANK_TOL, members, RankDeficient,
-               lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL}")
+    _first_bad(~np.isfinite(a).all(axis=(1, 2)), members, RankDeficient,
+               lambda i: "basis entries must be finite")
+    q = _signed_qr(a)
+    if not (np.abs(q - a) <= READ_CORRECTION_TOL).all():
+        smin = np.linalg.svd(a, compute_uv=False)[:, -1]
+        _first_bad(smin <= RANK_TOL, members, RankDeficient,
+                   lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL}")
+    return check_orthonormal(q, members)
 
 
 def _signed_qr(a: np.ndarray) -> np.ndarray:

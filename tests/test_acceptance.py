@@ -111,7 +111,7 @@ def test_criterion_01_mercedes_suite(capfd, tmp_path):
         assert abs(cert.margin) < 1e-9
 
 
-def test_criterion_02_closed_form_and_mc_moments(capfd):
+def test_criterion_02_closed_form_and_mc_moments(capfd, mc_moment):
     with criterion(capfd, 2, "p=1 moments exact, MC agrees within 3 stderr",
                    budget_s=60.0):
         for d in range(2, 7):
@@ -125,10 +125,9 @@ def test_criterion_02_closed_form_and_mc_moments(capfd):
         for d in range(2, 7):
             for k in range(1, d):
                 for p in (1, 2, 3):
-                    est = t_moment(k, 1, d, p, method="mc", budget=100_000,
-                                   rng=rng)
-                    gap = abs(est.value - t_one(k, d, p))
-                    assert gap <= 3 * est.error, (d, k, p, gap, est.error)
+                    value, error = mc_moment(k, 1, d, p, 100_000, rng)
+                    gap = abs(value - t_one(k, d, p))
+                    assert gap <= 3 * error, (d, k, p, gap, error)
 
 
 def test_criterion_03_reweighting_descends_order(capfd):

@@ -168,6 +168,16 @@ def test_non_finite_generators_exit_2(tmp_path, capsys):
         assert json.loads(err)["error"] == "NotOrthogonal"
 
 
+def test_non_finite_seed_angle_exits_2(tmp_path, capsys):
+    # a NaN seed once reached the rank SVD and exited with LinAlgError
+    gens = str(tmp_path / "weyl.json")
+    save_generators(list(weyl_a2_group().generators), gens)
+    code, out, err = run(["gen", "orbit", "--generators", gens, "--seed-angle", "nan",
+                          "-o", str(tmp_path / "orbit.json")], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "RankDeficient"
+
+
 def test_gen_extend_and_realify(tmp_path, mercedes_file, capsys):
     mub = str(tmp_path / "mub.json")
     code, _, _ = run(["gen", "catalog", "mub-planes-r4", "-o", mub], capsys)

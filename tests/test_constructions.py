@@ -16,7 +16,10 @@ from fusionframes import (
     NotOrthogonal,
     ParameterError,
     SizeGuardExceeded,
+    Subspace,
     UnknownName,
+    WeightedFrame,
+    build_frame,
     catalog,
     catalog_names,
     certify_tight,
@@ -427,6 +430,118 @@ def test_complex_line_set_validation():
         ComplexLineSet(2, (np.array([1.0, 0.0]),))
     with pytest.raises(DimensionError):
         realify(ComplexLineSet(1, (np.array([1.0, 0.0]),)))
+
+
+@pytest.mark.parametrize("vectors, exc, message", [
+    # ragged and wrong-length sets: the shape check of the first bad vector
+    (([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), DimensionError,
+     "interleaved vector must have length 4"),
+    ([[1.0, 0.0]], DimensionError, "interleaved vector must have length 4"),
+    (([0.0, 1.0, 0.0, 0.0], np.ones(4) / 2, [[1.0, 0.0, 0.0, 0.0]]), DimensionError,
+     "interleaved vector must have length 4"),
+    # non-unit vectors: the norm of the first bad one, before a later bad shape
+    (([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0], [0.5, 0.0, 0.0, 0.0], [1.0]),
+     FrameFormatError, "vector has hermitian norm^2 2.0 != 1"),
+    (([0.5, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]), FrameFormatError,
+     "vector has hermitian norm^2 0.25 != 1"),
+], ids=["ragged", "wrong-length", "nested", "non-unit-first", "short"])
+def test_bad_line_sets_name_the_first_bad_vector(vectors, exc, message):
+    with pytest.raises(exc) as info:
+        ComplexLineSet(2, vectors)
+    assert str(info.value) == message
+
+
+def test_groups_and_line_sets_store_one_array():
+    elements = (np.eye(2), np.diag([1.0, -1.0]))
+    group = MatrixGroup(2, elements, elements[1:])
+    assert isinstance(group.elements, np.ndarray) and group.elements.shape == (2, 2, 2)
+    assert np.array_equal(group.elements, np.stack(elements)) and len(group) == 2
+    closed = weyl_a2_group()
+    for g in (group, closed):
+        assert g.stack is g.elements
+    assert closed.elements.shape == (6, 2, 2)
+    vectors = (np.array([1.0, 0.0, 0.0, 0.0]), [0.0, 0.0, 0.0, 1.0])
+    for given_vectors in (vectors, list(vectors), np.stack(vectors)):
+        lines = ComplexLineSet(2, given_vectors)
+        assert lines.vectors.dtype == float and lines.vectors.shape == (2, 4)
+        assert np.array_equal(lines.vectors, np.stack(vectors))
+    assert mub_lines_c2().vectors.shape == (6, 4)
+
+
+def test_construction_arguments_must_be_integers():
+    gens = [rotation(2 * np.pi / 3)]
+    for bad in (2.5, True, 0, -1):
+        with pytest.raises(ParameterError, match="max_order"):
+            close_group(gens, max_order=bad)
+    assert len(close_group(gens, max_order=np.int64(3))) == 3
+
+
+def _realify_by_member(lines):
+    """Realification one line at a time, through Subspace."""
+    entries = []
+    for v in lines.vectors:
+        z = v[0::2] + 1j * v[1::2]
+        iz = 1j * z
+        cols = np.empty((2 * lines.d_complex, 2))
+        cols[0::2, 0], cols[1::2, 0] = z.real, z.imag
+        cols[0::2, 1], cols[1::2, 1] = iz.real, iz.imag
+        entries.append((Subspace(2 * lines.d_complex, cols), 1.0))
+    return WeightedFrame(2 * lines.d_complex, entries)
+
+
+def _extend_by_member(inner, outer):
+    """Extension one pair of members at a time, through Subspace."""
+    return WeightedFrame(outer.ambient_dim, [
+        (Subspace(outer.ambient_dim, w_sub.basis @ v_sub.basis), w_weight * v_weight)
+        for w_sub, w_weight in outer.entries for v_sub, v_weight in inner.entries])
+
+
+def _line_sets(rng):
+    yield mub_lines_c2()
+    for _ in range(8):
+        dc, n = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+        v = rng.standard_normal((n, 2 * dc))
+        # zero real and imaginary parts, of either sign: the signed-zero case
+        v[rng.random(v.shape) < 0.3] = 0.0
+        v[rng.random(v.shape) < 0.2] = -0.0
+        v[:, 0] += (v == 0).all(axis=1)
+        yield ComplexLineSet(dc, v / np.sqrt((v * v).sum(axis=1, keepdims=True)))
+
+
+def test_realify_matches_per_member_construction(assert_same_frame):
+    rng = np.random.default_rng(17)
+    negative_zeros = 0
+    for lines in _line_sets(rng):
+        v = np.asarray(lines.vectors)
+        negative_zeros += int((np.signbit(v) & (v == 0)).sum())
+        assert_same_frame(realify(lines), _realify_by_member(lines))
+    assert negative_zeros > 0
+    with pytest.raises(DimensionError, match="at least one subspace"):
+        realify(ComplexLineSet(2, ()))
+
+
+def test_extend_matches_per_member_construction(assert_same_frame, mercedes, mub_planes,
+                                                ortho_lines_r2):
+    rng = np.random.default_rng(23)
+    cases = [(mercedes, mub_planes), (ortho_lines_r2, mub_planes)]
+    for _ in range(10):
+        ell, big = int(rng.integers(2, 5)), int(rng.integers(5, 8))
+        dims = rng.integers(1, ell, size=int(rng.integers(1, 6)))
+        inner = build_frame([rng.standard_normal((ell, k)) for k in dims],
+                            rng.uniform(0.2, 2.0, size=len(dims)))
+        m = int(rng.integers(1, 4))
+        outer = build_frame(rng.standard_normal((m, big, ell)), rng.uniform(0.2, 2.0, size=m))
+        cases.append((inner, outer))
+    for inner, outer in cases:
+        assert_same_frame(extend(inner, outer), _extend_by_member(inner, outer))
+    # the first outer member of a wrong dimension is named; weights that
+    # multiply to zero are refused
+    eye = np.eye(4)
+    with pytest.raises(DimensionError, match="has dim 3, expected 2"):
+        extend(mercedes, build_frame([eye[:, :2], eye[:, :3], eye[:, :1]]))
+    tiny = build_frame([np.eye(2)[:, :1]], [1e-200])
+    with pytest.raises(DimensionError, match="positive and finite"):
+        extend(tiny, build_frame([np.eye(3)[:, :2]], [1e-200]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from fusionframes import (
     catalog,
     certify_cubature,
     certify_tight,
+    complement,
     complement_frame,
     evaluate_power_form,
     extend,
@@ -44,7 +45,8 @@ from fusionframes import (
     union,
 )
 import fusionframes.frames as frames
-from fusionframes.frames import POWER_FORM_GUARD
+from fusionframes import subspaces
+from fusionframes.frames import POWER_FORM_GUARD, READ_CORRECTION_TOL
 from fusionframes.homogeneous import monomial_count, sum_of_squares_coeffs
 
 
@@ -384,6 +386,19 @@ def test_complement_frame(mercedes, mub_planes):
         complement_frame(WeightedFrame(3, ((s1, 1.0), (s2, 1.0))))
 
 
+def test_complement_frame_matches_per_member_construction(assert_same_frame, mub_planes):
+    rng = np.random.default_rng(29)
+    frames_in = [mub_planes]
+    for _ in range(12):
+        d = int(rng.integers(2, 7))
+        k, n = int(rng.integers(1, d)), int(rng.integers(1, 6))
+        frames_in.append(build_frame(rng.standard_normal((n, d, k)), rng.uniform(0.2, 2.0, size=n)))
+    for frame in frames_in:
+        reference = WeightedFrame(frame.ambient_dim,
+                                  [(complement(s), w) for s, w in frame.entries])
+        assert_same_frame(complement_frame(frame), reference)
+
+
 def test_union(mercedes):
     both = union(mercedes, mercedes.rescaled(2.0))
     cert = certify_tight(both, 2)
@@ -556,6 +571,31 @@ def test_load_and_certify_build_no_subspace(tmp_path, monkeypatch):
     assert len(made) == len(subs) == len(stored)
     for sub, ent in zip(subs, stored):
         assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
+
+
+def test_non_finite_raw_bases_are_refused_before_the_svd():
+    # a NaN basis once reached the rank SVD, which raised numpy's LinAlgError
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(RankDeficient, match="basis entries must be finite"):
+            make_subspace(np.array([[bad], [1.0]]))
+        bases = [np.eye(3)[:, :1], np.array([[1.0], [bad], [0.0]]), np.eye(3)[:, :2]]
+        with pytest.raises(RankDeficient, match="member 1: basis entries must be finite"):
+            build_frame(bases)
+
+
+def test_rank_svd_runs_only_for_bases_their_qr_moves(monkeypatch):
+    assert READ_CORRECTION_TOL is subspaces.READ_CORRECTION_TOL
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    near = np.eye(4)[:, :2] + READ_CORRECTION_TOL / 10
+    make_subspace(near)
+    build_frame([np.eye(4)[:, :1], near])
+    assert calls == []
+    make_subspace(near + 10 * READ_CORRECTION_TOL)
+    assert calls == [1]
+    with pytest.raises(RankDeficient, match="smallest singular value"):
+        make_subspace(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
 
 
 def _defects(rng, d, basis):

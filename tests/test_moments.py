@@ -111,21 +111,18 @@ def test_t_moment_symmetry_and_methods():
     assert t_exact(2, 2, 4, 2) == Fraction(10, 9)
     assert t_exact(2, 2, 4, 3) == Fraction(4, 3)
     assert t_moment(2, 2, 4, 2) == MomentEstimate(10 / 9, 0.0, "closed-form")
-    assert t_moment(2, 2, 4, 2, method="closed") == t_moment(2, 2, 4, 2)
-    for method in ("auto", "quadrature", "bogus"):
-        with pytest.raises(ParameterError):
-            t_moment(2, 2, 4, 2, method=method)
 
 
-def test_t_moment_mc_path_for_large_dims(rng):
-    # Haar sampling stays as an oracle independent of the zonal sum
+def test_t_moment_mc_path_for_large_dims(rng, mc_moment):
+    # Haar sampling is an oracle independent of the zonal sum
     for (k, l, d, p), budget, n_err in (((2, 2, 5, 2), 200_000, 3),
                                         ((3, 3, 7, 2), 50_000, 4),
                                         ((3, 4, 8, 3), 50_000, 4)):
-        est = t_moment(k, l, d, p, method="mc", budget=budget, rng=rng)
-        assert est.method == "monte-carlo" and est.error > 0
+        value, error = mc_moment(k, l, d, p, budget, rng)
+        assert error > 0
         exact = float(t_exact(k, l, d, p))
-        assert abs(est.value - exact) <= n_err * est.error, (k, l, d, p, est)
+        assert t_moment(k, l, d, p) == (exact, 0.0, "closed-form")
+        assert abs(value - exact) <= n_err * error, (k, l, d, p, value, error)
 
 
 def test_t_moment_power_guard():
@@ -134,9 +131,8 @@ def test_t_moment_power_guard():
             for l in range(1, d):
                 est = t_moment(k, l, d, P_MAX)
                 assert est.error == 0.0 and est.method == "closed-form"
-    for method in ("closed", "mc"):
-        with pytest.raises(ParameterError):
-            t_moment(2, 2, 4, P_MAX + 1, method=method)
+    with pytest.raises(ParameterError):
+        t_moment(2, 2, 4, P_MAX + 1)
     with pytest.raises(ParameterError):
         t_exact(2, 2, 4, 1000)
     with pytest.raises(ParameterError):

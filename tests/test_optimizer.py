@@ -7,6 +7,7 @@ from fusionframes import (
     MixedDimensions,
     OptimizerConfig,
     ParameterError,
+    Subspace,
     WeightedFrame,
     build_frame,
     catalog,
@@ -356,6 +357,16 @@ def test_minimize_never_beats_moment_floor():
         assert min(trace.values) >= floor
 
 
+def test_optimizer_frame_matches_per_member_construction(assert_same_frame):
+    for n, k, d, p in ((3, 1, 2, 2), (6, 2, 4, 2)):
+        cfg = OptimizerConfig(n=n, k=k, d=d, p=p, restarts=4)
+        for seed in range(4):
+            frame = minimize_ffp(cfg, rng=np.random.default_rng(seed)).frame
+            (bases, weights), = frame.stacks
+            assert weights.tolist() == [1.0 / n] * n
+            assert_same_frame(frame, WeightedFrame(d, [(Subspace(d, b), 1.0 / n) for b in bases]))
+
+
 def test_trace_bookkeeping():
     cfg = OptimizerConfig(n=3, k=1, d=3, p=1, restarts=3)
     trace = minimize_ffp(cfg, rng=np.random.default_rng(1))
@@ -435,6 +446,14 @@ def test_sphere_bounds_stop_reasons(mercedes):
                                                     rng=np.random.default_rng(2))
     with pytest.raises(ParameterError):
         sphere_bounds(mercedes, 2, restarts=0)
+
+
+def test_sphere_restarts_must_be_integers(mercedes):
+    # True and 2.5 once reached numpy and raised a bare TypeError
+    for bad in (True, 2.5, 2.0):
+        with pytest.raises(ParameterError, match="restarts must be an integer"):
+            sphere_bounds(mercedes, 2, restarts=bad)
+    assert len(sphere_bounds(mercedes, 2, restarts=np.int64(2)).stop_reasons) == 4
 
 
 def test_starts_within_tol_build_no_hessian(mercedes, monkeypatch):
