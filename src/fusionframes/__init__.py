@@ -24,7 +24,6 @@ from .errors import (
     FusionFrameError,
     GroupTooLarge,
     LengthMismatch,
-    MissingMoment,
     MixedDimensions,
     NotAFrame,
     NotOrthogonal,
@@ -78,14 +77,12 @@ from .optimizer import (
 )
 from .potential import (
     EquiangularityReport,
-    PotentialReport,
     equiangularity,
     ffp,
     ffp_lower_bound_mixed,
     ffp_lower_bound_p,
     gram_matrix,
     max_offdiagonal,
-    potential_report,
     simplex_bound_rhs,
 )
 from .subspaces import (

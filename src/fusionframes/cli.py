@@ -30,10 +30,11 @@ from .constructions import (
     orbit_frame,
     realify,
 )
-from .errors import FusionFrameError, check_order
+from .errors import FusionFrameError, ParameterError, check_order
 from .frames import CERTIFY_TOL, certify_tight, frame_from_dict, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
-from .optimizer import STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
+from .optimizer import (STOP_REASONS, TARGET_MARGIN, TOL_GRAD, OptimizerConfig, minimize_ffp,
+                        sphere_bounds)
 from .potential import EQUIANGULAR_TOL, equiangularity, ffp
 from .subspaces import haar_random, make_subspace
 
@@ -133,6 +134,8 @@ def _gen_frame(args):
         gens = load_generators(args.generators)
         group = close_group(gens, max_order=args.max_order)
         if args.seed_angle is not None:
+            if not np.isfinite(args.seed_angle):
+                raise ParameterError(f"--seed-angle must be finite, got {args.seed_angle!r}")
             theta = np.deg2rad(args.seed_angle)
             seed_sub = make_subspace(
                 np.array([[np.cos(theta)], [np.sin(theta)]]))
@@ -197,11 +200,8 @@ def cmd_moments(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.monotonic()
-    cfg = OptimizerConfig(
-        n=args.n, k=args.k, d=args.d, p=args.p,
-        restarts=args.restarts, max_iters=args.max_iters,
-        tol_grad=args.tol_grad, target_margin=args.target_margin,
-    )
+    cfg = OptimizerConfig(n=args.n, k=args.k, d=args.d, p=args.p,
+                          restarts=args.restarts, max_iters=args.max_iters)
     rng = np.random.default_rng(args.seed)
     trace = minimize_ffp(cfg, rng)
     cert = certify_tight(trace.frame, cfg.p)
@@ -238,8 +238,8 @@ def cmd_optimize(args) -> int:
             "trace_file": args.trace,
         },
         "tolerances": {
-            "tol_grad": cfg.tol_grad,
-            "target_margin": cfg.target_margin,
+            "tol_grad": TOL_GRAD,
+            "target_margin": TARGET_MARGIN,
             "certify_tol": CERTIFY_TOL,
         },
     }
@@ -309,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--p", type=int, required=True)
     p_opt.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
     p_opt.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
-    p_opt.add_argument("--tol-grad", type=float, default=OptimizerConfig.tol_grad)
-    p_opt.add_argument("--target-margin", type=float, default=OptimizerConfig.target_margin)
     p_opt.add_argument("-o", "--output", default=None, help="frame JSON path")
     p_opt.add_argument("--trace", default=None, help="CSV trace path")
     p_opt.set_defaults(func=cmd_optimize)

@@ -55,11 +55,6 @@ class MatrixGroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    @property
-    def stack(self) -> np.ndarray:
-        """The elements, the same (|G|, d, d) array."""
-        return self.elements
-
 
 def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
     """Breadth-first closure of the generators under multiplication.
@@ -128,7 +123,7 @@ def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
     if not 1 <= p <= P_MAX:
         raise ParameterError(f"p={p} not in [1, {P_MAX}]")
     check_size_guard(group.d, 2 * p, POWER_FORM_GUARD)
-    g = group.stack
+    g = group.elements
     power, traces = np.broadcast_to(np.eye(group.d), g.shape), []
     for _ in range(2 * p):          # traces[i] = tr(g^(i+1)) per element
         power = power @ g
@@ -149,7 +144,7 @@ def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
     image (stabilizer duplicates collapse)."""
     if seed.ambient_dim != group.d:
         raise DimensionError("seed ambient dimension differs from the group")
-    images = group.stack @ seed.basis
+    images = group.elements @ seed.basis
     projs = images @ images.transpose(0, 2, 1)
     kept = first_occurrences(projs.reshape(len(projs), -1))
     n = len(kept)
@@ -209,6 +204,8 @@ class ComplexLineSet:
     @classmethod
     def from_complex(cls, vectors) -> "ComplexLineSet":
         rows = [np.asarray(z, dtype=complex) for z in vectors]
+        if not rows:
+            raise DimensionError("an empty line set has no dimension")
         return cls(d_complex=len(rows[0]),
                    vectors=[np.column_stack([z.real, z.imag]).ravel() for z in rows])
 

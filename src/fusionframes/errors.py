@@ -35,10 +35,6 @@ class SingleSubspace(FusionFrameError):
     """Operation requires at least two subspaces."""
 
 
-class MissingMoment(FusionFrameError):
-    """A moment table does not cover a required (k, l) entry or power."""
-
-
 class ParameterError(FusionFrameError):
     """Parameters outside the supported range."""
 

@@ -173,7 +173,7 @@ def build_frame(bases, weights=None) -> WeightedFrame:
         raise DimensionError("bases differ in ambient dimension")
     for idx in _positions_by_value(np.array([a.shape[1] for a in mats], dtype=int)):
         members = [raw[i] for i in idx]
-        q = orthonormal_stack(np.stack([mats[i] for i in idx]), members)
+        q, _ = orthonormal_stack(np.stack([mats[i] for i in idx]), members)
         for i, sub in zip(members, stack_subspaces(q)):
             bases[i] = sub
     return WeightedFrame(bases[0].ambient_dim, zip(bases, weights))
@@ -388,8 +388,7 @@ def frame_from_dict(data: dict) -> WeightedFrame:
                lambda i: "basis entries and weights must be finite")
     stacks = []
     for idx, raw in groups:
-        q = orthonormal_stack(raw, idx)
-        correction = np.abs(q - raw).max(axis=(1, 2))
+        q, correction = orthonormal_stack(raw, idx)
         _first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
                    lambda i: f"basis needed correction {correction[i]:.2e} > {READ_CORRECTION_TOL}")
         stacks.append((idx, q, weights[idx]))

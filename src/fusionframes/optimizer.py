@@ -50,6 +50,10 @@ LM_MU_MAX = 1.0 / EPS
 # Near the floor the value sits at rounding: a step that keeps it within
 # FLAT_ULPS ulps is also accepted when it at least halves ||g||.
 FLAT_ULPS = 4
+# minimize_ffp's gradient stop, low enough that its frames certify as
+# cubatures, and its success margin over the Haar moment, relative.
+TOL_GRAD = 1e-11
+TARGET_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,12 @@ class OptimizerConfig:
     p: int
     restarts: int = 16
     max_iters: int = 5000
-    tol_grad: float = 1e-11
-    target_margin: float = 1e-5
 
     def __post_init__(self):
         for field in ("n", "k", "d", "p", "restarts", "max_iters"):
             check_integer(field, getattr(self, field))
             if getattr(self, field) < 1:
                 raise ParameterError(f"{field} must be a positive integer")
-        if self.tol_grad <= 0 or self.target_margin <= 0:
-            raise ParameterError("tol_grad, target_margin must be positive")
         if self.k > self.d - 1:
             raise ParameterError("need k <= d - 1")
 
@@ -302,7 +302,7 @@ def _newton_chunks(ys, evaluate, max_iters, tol) -> tuple:
 def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     """Best-of-restarts Riemannian Newton (``_newton``), the restarts batched
     in chunks (``_newton_chunks``).  Success means the final potential sits
-    within the configured relative margin of the Haar moment lower bound;
+    within ``TARGET_MARGIN`` (relative) of the Haar moment lower bound;
     failure is a reported outcome, never an exception.
     """
     if rng is None:
@@ -316,7 +316,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     weights = np.full(cfg.n, 1.0 / cfg.n)
     bases, histories, gnorm, stop = _newton_chunks(
         ys, lambda ys, ids, hessian: _ffp_core(ys, weights, cfg.p, hessian),
-        cfg.max_iters, cfg.tol_grad)
+        cfg.max_iters, TOL_GRAD)
     finals = [h[-1] for h in histories]
     idx = 0
     for r in range(1, cfg.restarts):
@@ -332,7 +332,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
         t_value=t_value,
         t_error=t_error,
         margin=margin,
-        success=values[-1] <= t_value * (1.0 + cfg.target_margin),
+        success=values[-1] <= t_value * (1.0 + TARGET_MARGIN),
         grad_norm=float(gnorm[idx]),
         restart_index=idx,
         restart_values=tuple(float(v) for v in finals),

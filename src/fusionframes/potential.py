@@ -2,19 +2,21 @@
 
 FFP(F, p) = sum_{i,j} w_i w_j trace(P_i P_j)^p, diagonal included.  Three
 bounds are provided: the generalized simplex bound (any frame), its pairwise
-max form, and the mixed-dimension moment-matrix bound.  Equality in the
-simplex bound characterizes equiangular tight collections, which is what the
-equiangularity report detects.
+max form, and the mixed-dimension moment-matrix bound from the exact Haar
+moments.  Equality in the simplex bound characterizes equiangular tight
+collections, which is what the equiangularity report detects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .errors import MissingMoment, SingleSubspace, check_order
+from .errors import SingleSubspace, check_order
 from .frames import WeightedFrame, certify_tight
+from .moments import _check_moment_args, _moment_weights, _pochhammer_int
 from .subspaces import EQUALITY_TOL, first_occurrences, projector
 
 EQUIANGULAR_TOL = 1e-8
@@ -168,49 +170,14 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     )
 
 
-def ffp_lower_bound_mixed(frame: WeightedFrame, t_table) -> float:
-    """M T M^T with M the dimension-mass vector m_1..m_{d-1} and T a moment
-    table of matching ambient dimension."""
-    if t_table.d != frame.ambient_dim:
-        raise MissingMoment(
-            f"moment table is for d={t_table.d}, frame has d={frame.ambient_dim}"
-        )
-    mass = frame.mass_by_dim()
-    if any(not 1 <= k <= t_table.d - 1 for k in mass):
-        raise MissingMoment("frame contains a dimension outside the table range")
-    m = np.zeros(t_table.d - 1)
-    for k, w in mass.items():
-        m[k - 1] = w
-    return float(m @ t_table.values @ m)
-
-
-@dataclass(frozen=True)
-class PotentialReport:
-    p: int
-    value: float
-    lower_bound: float
-    bound_kind: str  # simplex-general | equal-dim-minimum | mixed-matrix
-    gap: float
-
-
-def potential_report(frame: WeightedFrame, p: int, t_table=None,
-                     t_equal: float | None = None) -> PotentialReport:
-    """FFP value against the applicable lower bound.
-
-    ``t_table`` selects the mixed-matrix bound.  ``t_equal`` (the Haar
-    moment for the frame's common dimension, supplied by the caller) selects
-    the equal-dimension minimum (sum w)^2 T.  Otherwise the generalized
-    simplex bound is reported.
-    """
-    value = ffp(frame, p)
-    if t_table is not None:
-        lower = ffp_lower_bound_mixed(frame, t_table)
-        kind = "mixed-matrix"
-    elif t_equal is not None and frame.equal_dims():
-        lower = float(frame.weights.sum()) ** 2 * t_equal
-        kind = "equal-dim-minimum"
-    else:
-        lower = ffp_lower_bound_p(frame, p)
-        kind = "simplex-general"
-    return PotentialReport(p=p, value=value, lower_bound=lower, bound_kind=kind,
-                           gap=value - lower)
+def ffp_lower_bound_mixed(frame: WeightedFrame, p: int) -> float:
+    """M T M^T = sum_kappa w_kappa (sum_k m_k N_kappa(k))^2 / q, with m_k the
+    total weight of the dimension-k members and T[k, l] = t(k, l, d, p) =
+    sum_kappa w_kappa N_kappa(k) N_kappa(l) / q (``moments._moment_weights``),
+    summed over the rationals and rounded once."""
+    d = frame.ambient_dim
+    _check_moment_args(1, 1, d, p)
+    mass = {k: Fraction(m) for k, m in frame.mass_by_dim().items()}
+    kappas, weights, q = _moment_weights(d, p, max(mass))
+    return float(sum(w * sum(m * _pochhammer_int(kappa, k) for k, m in mass.items()) ** 2
+                     for kappa, w in zip(kappas, weights)) / q)

@@ -66,9 +66,10 @@ def _first_bad(bad: np.ndarray, members, exc, message) -> None:
         raise exc(where + message(i))
 
 
-def orthonormal_stack(raw, members=None) -> np.ndarray:
+def orthonormal_stack(raw, members=None) -> tuple:
     """Validate an (m, d, k) stack of full-column-rank matrices and return
-    their sign-fixed QR orthonormalizations, every member at once.
+    their sign-fixed QR orthonormalizations, every member at once, and the
+    largest entry by which the QR moved each member (m,).
 
     The checks are, in order: 1 <= k <= d-1 (``DimensionError``), finite
     entries (``RankDeficient``), smallest singular value above ``RANK_TOL``
@@ -87,11 +88,12 @@ def orthonormal_stack(raw, members=None) -> np.ndarray:
     _first_bad(~np.isfinite(a).all(axis=(1, 2)), members, RankDeficient,
                lambda i: "basis entries must be finite")
     q = _signed_qr(a)
-    if not (np.abs(q - a) <= READ_CORRECTION_TOL).all():
+    moved = np.abs(q - a).max(axis=(1, 2))
+    if not (moved <= READ_CORRECTION_TOL).all():
         smin = np.linalg.svd(a, compute_uv=False)[:, -1]
         _first_bad(smin <= RANK_TOL, members, RankDeficient,
                    lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL}")
-    return check_orthonormal(q, members)
+    return check_orthonormal(q, members), moved
 
 
 def _signed_qr(a: np.ndarray) -> np.ndarray:
@@ -164,7 +166,7 @@ def make_subspace(raw) -> Subspace:
     orthonormalization of ``raw``.
     """
     a = np.atleast_2d(np.asarray(raw, dtype=float))
-    return stack_subspaces(orthonormal_stack(a[None]))[0]
+    return stack_subspaces(orthonormal_stack(a[None])[0])[0]
 
 
 def projector(s: Subspace) -> np.ndarray:

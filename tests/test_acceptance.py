@@ -38,7 +38,6 @@ from fusionframes import (
     reweight_down,
     simplex_bound_rhs,
     size_bounds,
-    t_matrix,
     t_moment,
     t_one,
     tightness_constant,
@@ -215,13 +214,10 @@ def test_criterion_08_mixed_dimension_bound(capfd):
     with criterion(capfd, 8, "moment-matrix bound on 500 mixed frames",
                    budget_s=300.0):
         rng = np.random.default_rng(8)
-        tables = {(d, p): t_matrix(d, p, budget=100_000, rng=rng)
-                  for d in (3, 4, 5) for p in (1, 2)}
         for _ in range(500):
             frame = _random_mixed_frame(rng, (3, 4, 5))
             for p in (1, 2):
-                table = tables[(frame.ambient_dim, p)]
-                assert ffp(frame, p) >= ffp_lower_bound_mixed(frame, table)
+                assert ffp(frame, p) >= ffp_lower_bound_mixed(frame, p)
 
 
 def test_criterion_09_optimizer_recovery(capfd):

@@ -169,13 +169,16 @@ def test_non_finite_generators_exit_2(tmp_path, capsys):
 
 
 def test_non_finite_seed_angle_exits_2(tmp_path, capsys):
-    # a NaN seed once reached the rank SVD and exited with LinAlgError
+    # a NaN seed once reached the rank SVD and exited with LinAlgError; an
+    # infinite one warned in np.cos ahead of the JSON error
     gens = str(tmp_path / "weyl.json")
     save_generators(list(weyl_a2_group().generators), gens)
-    code, out, err = run(["gen", "orbit", "--generators", gens, "--seed-angle", "nan",
-                          "-o", str(tmp_path / "orbit.json")], capsys)
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "RankDeficient"
+    for angle in ("nan", "inf", "-inf"):
+        code, out, err = run(["gen", "orbit", "--generators", gens, f"--seed-angle={angle}",
+                              "-o", str(tmp_path / "orbit.json")], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParameterError" and "--seed-angle" in error["message"]
 
 
 def test_gen_extend_and_realify(tmp_path, mercedes_file, capsys):
@@ -257,6 +260,7 @@ def test_optimize_success(tmp_path, capsys):
     assert sum(counts.values()) == 4
     assert counts[report["results"]["stop_reason"]] >= 1
     assert list(report)[-1] == "wall_time_s"
+    assert '"tol_grad": 1e-11,\n    "target_margin": 1e-05,' in out
     assert certify_tight(load_frame(frame_path), 2).tight
     with open(trace_path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -264,6 +268,13 @@ def test_optimize_success(tmp_path, capsys):
     vals = [float(r[1]) for r in rows[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(report["results"]["ffp"])
+
+
+def test_optimize_tolerances_are_not_options():
+    for flag in ("--tol-grad", "--target-margin"):
+        with pytest.raises(SystemExit) as info:
+            main(["optimize", "--d", "2", "--k", "1", "--n", "3", "--p", "2", flag, "1e-9"])
+        assert info.value.code == 2
 
 
 def test_optimize_failure_exit(capsys):

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionframes import (
     DimensionError,
-    MissingMoment,
     ParameterError,
     SingleSubspace,
     WeightedFrame,
@@ -18,14 +21,13 @@ from fusionframes import (
     ffp_lower_bound_p,
     frame_operator,
     haar_random,
-    potential_report,
     power_form,
     reweight_down,
     simplex_bound_rhs,
     sphere_bounds,
     sphere_extrema,
+    t_exact,
     t_matrix,
-    t_one,
     tightness_constant,
 )
 from fusionframes import potential
@@ -51,7 +53,7 @@ def test_ffp_one_is_trace_of_squared_operator(rng):
 
 
 @pytest.mark.parametrize("routine", [
-    ffp, potential_report, ffp_lower_bound_p, sphere_bounds, sphere_extrema, ffp_gradient,
+    ffp, ffp_lower_bound_p, ffp_lower_bound_mixed, sphere_bounds, sphere_extrema, ffp_gradient,
     power_form, certify_tight, tightness_constant,
     pytest.param(lambda f, p: evaluate_power_form(f, p, np.eye(2)), id="evaluate_power_form")])
 @pytest.mark.parametrize("p", [0, -1, 2.5, 2.0, True])
@@ -220,35 +222,40 @@ def test_equiangularity_sees_near_members_across_a_key_boundary():
     assert not rep.all_distinct
 
 
-def test_mixed_bound(rng):
-    t3 = t_matrix(3, 1)
+def test_mixed_bound(rng, mercedes):
     for _ in range(50):
         f = random_frame(rng, d=3)
-        bound = ffp_lower_bound_mixed(f, t3)
+        bound = ffp_lower_bound_mixed(f, 1)
         m = float(f.weights @ f.dims)
         assert bound == pytest.approx(m * m / 3, abs=1e-10)
         assert ffp(f, 1) >= bound - 1e-9
 
     t42 = t_matrix(4, 2)
     f = WeightedFrame(4, tuple((haar_random(4, 2, rng), 1.0) for _ in range(5)))
-    bound = ffp_lower_bound_mixed(f, t42)
+    bound = ffp_lower_bound_mixed(f, 2)
     # equal dims: reduces to (sum w)^2 T_{ k,k }
     assert bound == pytest.approx(25 * t42.entry(2, 2).value, abs=1e-10)
     assert not t42.errors.any()
-    with pytest.raises(MissingMoment):
-        ffp_lower_bound_mixed(f, t3)
+    # a cubature of strength 4 attains the bound
+    assert ffp_lower_bound_mixed(mercedes, 2) == pytest.approx(ffp(mercedes, 2), abs=1e-12)
 
 
-def test_potential_report_kinds(mercedes):
-    rep = potential_report(mercedes, 2)
-    assert rep.bound_kind == "simplex-general"
-    assert rep.gap == pytest.approx(0.0, abs=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 12), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_mixed_bound_is_the_rounded_moment_sum(d, n, p, seed):
+    # below the potential, equal to the moment table's M T M^T up to the
+    # table's roundings, and (sum w)^2 t(k, k, d, p) rounded once at one dimension
+    rng = np.random.default_rng(seed)
+    frame = WeightedFrame(d, tuple(
+        (haar_random(d, int(rng.integers(1, d)), rng), float(rng.uniform(0.1, 3.0)))
+        for _ in range(n)))
+    bound = ffp_lower_bound_mixed(frame, p)
+    assert bound <= ffp(frame, p)
+    m = np.zeros(d - 1)
+    for k, mass in frame.mass_by_dim().items():
+        m[k - 1] = mass
+    assert abs(bound - m @ t_matrix(d, p).values @ m) <= 1e-14 * bound
+    if frame.equal_dims():
+        k = int(frame.dims[0])
+        assert bound == float(Fraction(m[k - 1]) ** 2 * t_exact(k, k, d, p))
 
-    rep2 = potential_report(mercedes.normalized(), 2, t_equal=t_one(1, 2, 2))
-    assert rep2.bound_kind == "equal-dim-minimum"
-    assert rep2.lower_bound == pytest.approx(3 / 8, abs=1e-12)
-    assert rep2.gap == pytest.approx(0.0, abs=1e-12)
-
-    rep3 = potential_report(mercedes, 1, t_table=t_matrix(2, 1))
-    assert rep3.bound_kind == "mixed-matrix"
-    assert rep3.gap >= -1e-10
