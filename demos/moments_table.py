@@ -1,13 +1,13 @@
 """Haar moments of projector overlaps: the exact zonal sum against sampling.
 
 t_exact returns E trace(P_V P_W)^p as a rational for every (k, l, d, p);
-t_moment and t_matrix report it as a float with error 0.  Monte Carlo over
+t_matrix reports the table of them as floats with error 0.  Monte Carlo over
 Haar subspaces, sampled here with haar_basis_batch, is an independent check
 and should land within a few standard errors of the exact value.
 """
 import numpy as np
 
-from fusionframes import haar_basis_batch, t_exact, t_matrix, t_one
+from fusionframes import haar_basis_batch, t_exact, t_matrix
 
 # p = 1 is pure linear algebra: E tr(P_V P_W) = kl/d
 print("kl/d checks, d=5:")
@@ -15,7 +15,7 @@ for k in range(1, 5):
     print("  ", [str(t_exact(k, l, 5, 1)) for l in range(1, 5)])
 
 # one random line against a k-plane has a Pochhammer closed form
-print("\nt_one(2, 4, p) for p = 1..4:", [t_one(2, 4, p) for p in (1, 2, 3, 4)])
+print("\nt_exact(2, 1, 4, p) for p = 1..4:", [str(t_exact(2, 1, 4, p)) for p in (1, 2, 3, 4)])
 
 # the whole table is exact: rationals, every error 0
 table = t_matrix(4, 2)

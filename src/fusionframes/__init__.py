@@ -57,14 +57,11 @@ from .frames import (
 from .homogeneous import monomial_count, monomials
 from .moments import (
     CubatureCertificate,
-    MomentEstimate,
     TMatrix,
     certify_cubature,
     size_bounds,
     t_exact,
     t_matrix,
-    t_moment,
-    t_one,
 )
 from .optimizer import (
     OptimizerConfig,

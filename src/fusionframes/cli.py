@@ -33,8 +33,8 @@ from .constructions import (
 from .errors import FusionFrameError, ParameterError, check_order
 from .frames import CERTIFY_TOL, certify_tight, frame_from_dict, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
-from .optimizer import (STOP_REASONS, TARGET_MARGIN, TOL_GRAD, OptimizerConfig, minimize_ffp,
-                        sphere_bounds)
+from .optimizer import (MAX_ITERS, STOP_REASONS, TARGET_MARGIN, TOL_GRAD, OptimizerConfig,
+                        minimize_ffp, sphere_bounds)
 from .potential import EQUIANGULAR_TOL, equiangularity, ffp
 from .subspaces import haar_random, make_subspace
 
@@ -200,8 +200,7 @@ def cmd_moments(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.monotonic()
-    cfg = OptimizerConfig(n=args.n, k=args.k, d=args.d, p=args.p,
-                          restarts=args.restarts, max_iters=args.max_iters)
+    cfg = OptimizerConfig(n=args.n, k=args.k, d=args.d, p=args.p, restarts=args.restarts)
     rng = np.random.default_rng(args.seed)
     trace = minimize_ffp(cfg, rng)
     cert = certify_tight(trace.frame, cfg.p)
@@ -217,7 +216,7 @@ def cmd_optimize(args) -> int:
         "command": "optimize",
         "parameters": {
             "d": cfg.d, "k": cfg.k, "n": cfg.n, "p": cfg.p,
-            "restarts": cfg.restarts, "max_iters": cfg.max_iters,
+            "restarts": cfg.restarts, "max_iters": MAX_ITERS,
             "seed": args.seed,
         },
         "results": {
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--n", type=int, required=True)
     p_opt.add_argument("--p", type=int, required=True)
     p_opt.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
-    p_opt.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
     p_opt.add_argument("-o", "--output", default=None, help="frame JSON path")
     p_opt.add_argument("--trace", default=None, help="CSV trace path")
     p_opt.set_defaults(func=cmd_optimize)

@@ -12,9 +12,9 @@ gives
 
 with C_kappa(I_m) in closed form (Muirhead 1982, Thm 7.2.7): a factor of
 kappa alone times the integer N_kappa(m) = 2^p (m/2)_kappa.  So ``t_exact``
-and ``t_matrix`` sum integers over partitions, and ``t_moment`` and
-``t_matrix`` report floats with error 0.  Haar sampling is an independent
-oracle in the tests, not a route here.
+(one moment, a ``Fraction``) and ``t_matrix`` (the table of floats) sum
+integers over partitions.  Haar sampling is an independent oracle in the
+tests, not a route here.
 
 Also here: the exact strength-2p cubature certificate (the Lie
 derivatives of the frame's power form over Sym^2, ``homogeneous.lie_residual``)
@@ -26,12 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm, prod
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MixedDimensions, ParameterError, check_integer
-from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame, pochhammer_ratio
+from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame
 from .homogeneous import check_size_guard, lie_residual, monomial_count
 
 # The exact sum runs over the partitions of p, 627 of them at p = 20 (about
@@ -39,19 +38,6 @@ from .homogeneous import check_size_guard, lie_residual, monomial_count
 P_MAX = 20
 # Largest d of a moment table, which has (d - 1)^2 entries.
 T_MATRIX_D_MAX = 100
-
-
-def t_one(k: int, d: int, p: int) -> float:
-    """Mean of trace(P_x P_V)^p for a Haar line x against a Haar k-subspace:
-    (k/2)_p / (d/2)_p, exact."""
-    _check_moment_args(k, 1, d, p)
-    return float(pochhammer_ratio(k, d, p))
-
-
-class MomentEstimate(NamedTuple):
-    value: float
-    error: float
-    method: str  # closed-form
 
 
 def _check_moment_args(k: int, l: int, d: int, p: int) -> None:
@@ -120,12 +106,6 @@ def t_exact(k: int, l: int, d: int, p: int) -> Fraction:
                         for kappa, w in zip(kappas, weights)), q)
 
 
-def t_moment(k: int, l: int, d: int, p: int) -> MomentEstimate:
-    """Mean of trace(P_V P_W)^p over independent Haar subspaces: ``t_exact``
-    in floating point, with error 0."""
-    return MomentEstimate(float(t_exact(k, l, d, p)), 0.0, "closed-form")
-
-
 @dataclass(frozen=True)
 class TMatrix:
     """Symmetric (d-1) x (d-1) table of pairwise moments at a fixed power,
@@ -140,12 +120,9 @@ class TMatrix:
         """All zero: no entry is estimated."""
         return np.zeros_like(self.values)
 
-    def entry(self, k: int, l: int) -> MomentEstimate:
-        return MomentEstimate(float(self.values[k - 1, l - 1]), 0.0, "closed-form")
-
     def rows(self) -> list:
         """(k, l, p, value, error, method) for k <= l; CSV-ready."""
-        return [(k, l, self.p, *self.entry(k, l))
+        return [(k, l, self.p, float(self.values[k - 1, l - 1]), 0.0, "closed-form")
                 for k in range(1, self.d) for l in range(k, self.d)]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MixedDimensions, ParameterError, check_integer, check_order
 from .frames import WeightedFrame
-from .moments import t_moment
+from .moments import t_exact
 from .potential import GRAM_BUDGET, cross_gram
 from .subspaces import _signed_qr, check_orthonormal
 
@@ -33,8 +33,10 @@ EPS = np.finfo(float).eps
 # rounding noise of the value itself.
 STALL_WINDOW = 10
 STALL_RTOL = 1e2 * EPS
+# Every descent, of the potential or on the sphere, stops by 'max-iters'
+# after MAX_ITERS accepted steps.
 STOP_REASONS = ("gradient", "stagnation", "step-underflow", "max-iters")
-SPHERE_MAX_ITERS = 2000
+MAX_ITERS = 5000
 # Newton: lambda = mu ||g||, which vanishes at a minimum even where the
 # minimum is degenerate and H singular, so steps there stay Newton-fast
 # (Li, Fukushima, Qi & Yamashita 2004).  A step is accepted when its actual decrease is
@@ -63,10 +65,9 @@ class OptimizerConfig:
     d: int
     p: int
     restarts: int = 16
-    max_iters: int = 5000
 
     def __post_init__(self):
-        for field in ("n", "k", "d", "p", "restarts", "max_iters"):
+        for field in ("n", "k", "d", "p", "restarts"):
             check_integer(field, getattr(self, field))
             if getattr(self, field) < 1:
                 raise ParameterError(f"{field} must be a positive integer")
@@ -79,7 +80,7 @@ class OptimizerTrace:
     values: tuple          # FFP after each accepted step of the best restart
     frame: WeightedFrame
     t_value: float         # reference minimum: Haar moment for (k, k, d, p)
-    t_error: float
+    t_error: float         # 0: the moment is exact
     margin: float          # (final FFP - t_value) / t_value
     success: bool
     grad_norm: float
@@ -287,14 +288,15 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     return ys, [tuple(t) for t in trails], gnorm, stop
 
 
-def _newton_chunks(ys, evaluate, max_iters, tol) -> tuple:
-    """``_newton`` on the problems of ys (R, n, d, k) in chunks whose
-    Hessians hold at most ``GRAM_BUDGET`` entries (one problem at least);
-    the outputs of the chunks joined in problem order."""
+def _newton_chunks(ys, evaluate, tol) -> tuple:
+    """``_newton`` on the problems of ys (R, n, d, k), at most ``MAX_ITERS``
+    steps each, in chunks whose Hessians hold at most ``GRAM_BUDGET``
+    entries (one problem at least); the outputs of the chunks joined in
+    problem order."""
     count, n, d, k = ys.shape
     chunk = max(1, GRAM_BUDGET // (n * k * (d - k)) ** 2)
     bases, histories, gnorm, stop = zip(*(
-        _newton(ys[lo:lo + chunk], np.arange(lo, min(lo + chunk, count)), evaluate, max_iters, tol)
+        _newton(ys[lo:lo + chunk], np.arange(lo, min(lo + chunk, count)), evaluate, MAX_ITERS, tol)
         for lo in range(0, count, chunk)))
     return np.concatenate(bases), sum(histories, []), np.concatenate(gnorm), np.concatenate(stop)
 
@@ -307,7 +309,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    t_value, t_error, _ = t_moment(cfg.k, cfg.k, cfg.d, cfg.p)
+    t_value = float(t_exact(cfg.k, cfg.k, cfg.d, cfg.p))
     # pre-drawn child seeds keep restarts independent and order-insensitive
     seeds = rng.integers(0, 2 ** 63 - 1, size=cfg.restarts)
     # each restart's Haar starts (``haar_basis_batch``), in one sign-fixed QR
@@ -315,8 +317,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
                               for seed in seeds]))
     weights = np.full(cfg.n, 1.0 / cfg.n)
     bases, histories, gnorm, stop = _newton_chunks(
-        ys, lambda ys, ids, hessian: _ffp_core(ys, weights, cfg.p, hessian),
-        cfg.max_iters, TOL_GRAD)
+        ys, lambda ys, ids, hessian: _ffp_core(ys, weights, cfg.p, hessian), TOL_GRAD)
     finals = [h[-1] for h in histories]
     idx = 0
     for r in range(1, cfg.restarts):
@@ -330,7 +331,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
         values=values,
         frame=frame,
         t_value=t_value,
-        t_error=t_error,
+        t_error=0.0,
         margin=margin,
         success=values[-1] <= t_value * (1.0 + TARGET_MARGIN),
         grad_norm=float(gnorm[idx]),
@@ -412,7 +413,7 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
         return _sphere_core(xs, flat, dims, sign[ids, None] * weights, p, hessian)
 
     _, histories, _, stop = _newton_chunks(np.concatenate([x, x])[:, None, :, None], evaluate,
-                                           SPHERE_MAX_ITERS, np.sqrt(EPS) * weights.sum())
+                                           np.sqrt(EPS) * weights.sum())
     f = sign * np.array([h[-1] for h in histories])
     return SphereBounds(lo=float(f[:restarts].min()), hi=float(f[restarts:].max()),
                         stop_reasons=tuple(STOP_REASONS[c] for c in stop))

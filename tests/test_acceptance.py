@@ -38,8 +38,7 @@ from fusionframes import (
     reweight_down,
     simplex_bound_rhs,
     size_bounds,
-    t_moment,
-    t_one,
+    t_exact,
     tightness_constant,
     weyl_a2_group,
 )
@@ -106,7 +105,7 @@ def test_criterion_01_mercedes_suite(capfd, tmp_path):
         assert abs(ffp(merc.normalized(), 2) - 3 / 8) <= 1e-12
         cert = certify_cubature(merc, 2, rng=np.random.default_rng(1))
         assert cert.verdict == "cubature" and cert.residual < 1e-14
-        assert cert.t_value == t_one(1, 2, 2) == 3 / 8
+        assert cert.t_value == float(t_exact(1, 1, 2, 2)) == 3 / 8
         assert abs(cert.margin) < 1e-9
 
 
@@ -115,17 +114,15 @@ def test_criterion_02_closed_form_and_mc_moments(capfd, mc_moment):
                    budget_s=60.0):
         for d in range(2, 7):
             for k in range(1, d):
-                assert t_one(k, d, 1) == k / d
+                assert float(t_exact(k, 1, d, 1)) == k / d
                 for l in range(1, d):
-                    est = t_moment(k, l, d, 1)
-                    assert est.value == k * l / d
-                    assert est.error == 0.0
+                    assert float(t_exact(k, l, d, 1)) == k * l / d
         rng = np.random.default_rng(2)
         for d in range(2, 7):
             for k in range(1, d):
                 for p in (1, 2, 3):
                     value, error = mc_moment(k, 1, d, p, 100_000, rng)
-                    gap = abs(value - t_one(k, d, p))
+                    gap = abs(value - float(t_exact(k, 1, d, p)))
                     assert gap <= 3 * error, (d, k, p, gap, error)
 
 

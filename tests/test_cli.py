@@ -156,6 +156,30 @@ def test_gen_orbit(tmp_path, capsys):
     assert certify_tight(load_frame(out_path), 2).tight
 
 
+def test_gen_orbit_seed_dim_and_max_order(tmp_path, capsys):
+    # the signed permutations of B3, order 48; -I fixes every plane, so a
+    # generic plane has 24 images, tight at p = 1 but not at p = 2
+    gens = tmp_path / "b3.json"
+    gens.write_text(json.dumps([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                                [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                                [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]))
+    out_path = str(tmp_path / "planes.json")
+    code, out, _ = run(["--seed", "3", "gen", "orbit", "--generators", str(gens),
+                        "--seed-dim", "2", "-o", out_path], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["n_entries"] == 24 and results["dims"] == [2]
+    for p, expected in (("1", 0), ("2", 1)):
+        assert run(["check", out_path, "--p", p, "--mode", "tight"], capsys)[0] == expected
+    # the closure may reach max_order elements, not one more
+    code, out, err = run(["gen", "orbit", "--generators", str(gens), "--max-order", "47",
+                          "-o", out_path], capsys)
+    assert code == 2 and out == "" and json.loads(err)["error"] == "GroupTooLarge"
+    code, out, _ = run(["gen", "orbit", "--generators", str(gens), "--max-order", "48",
+                        "-o", out_path], capsys)
+    assert code == 0 and json.loads(out)["parameters"]["group_order"] == 48
+
+
 def test_non_finite_generators_exit_2(tmp_path, capsys):
     # a NaN or inf generator is not orthogonal: no closure of NaN elements
     # ending in a misleading GroupTooLarge

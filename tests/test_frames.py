@@ -480,6 +480,18 @@ def test_frame_format_errors(tmp_path):
         load_frame(bad)
 
 
+def test_integer_numbers_load_as_their_float_spelling(assert_same_frame):
+    # JSON integers fail the bulk float check and are validated member by
+    # member; the frame is the one their float spelling gives, bitwise
+    entries = [([[1, 0, 0]], 2), ([[0, 1, 0], [0, 0, -1]], 1), ([[0, 0, 1]], 3)]
+    spelled = [{"basis": basis, "weight": weight} for basis, weight in entries]
+    floats = [{"basis": [[float(x) for x in col] for col in basis], "weight": float(weight)}
+              for basis, weight in entries]
+    loaded = frame_from_dict({"ambient_dim": 3, "entries": spelled})
+    assert_same_frame(loaded, frame_from_dict({"ambient_dim": 3, "entries": floats}))
+    assert loaded.weights.tolist() == [2.0, 1.0, 3.0]
+
+
 def test_mercedes_file_bytes_are_pinned(tmp_path):
     # `check` and `gen` report the file's sha256, so the writer's bytes are
     # part of the interface

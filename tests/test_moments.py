@@ -14,7 +14,6 @@ import fusionframes
 from fusionframes import potential
 from fusionframes import (
     MixedDimensions,
-    MomentEstimate,
     ParameterError,
     Subspace,
     WeightedFrame,
@@ -31,8 +30,6 @@ from fusionframes import (
     size_bounds,
     t_exact,
     t_matrix,
-    t_moment,
-    t_one,
 )
 
 from fusionframes.moments import (P_MAX, T_MATRIX_D_MAX, _partitions, _pochhammer_int,
@@ -70,30 +67,39 @@ def test_exact_t2_oracle_self_checks():
 
 
 def test_t_one():
+    # t(k, 1, d, p), a Haar line against a Haar k-subspace
     for d in range(2, 7):
         for k in range(1, d):
-            assert t_one(k, d, 1) == k / d
-    assert t_one(1, 2, 2) == 0.375
+            assert float(t_exact(k, 1, d, 1)) == k / d
+    assert float(t_exact(1, 1, 2, 2)) == 0.375
     with pytest.raises(ParameterError):
-        t_one(0, 3, 1)
+        t_exact(0, 1, 3, 1)
     with pytest.raises(ParameterError):
-        t_one(3, 3, 1)
+        t_exact(3, 1, 3, 1)
     # a float order died in comb with a bare TypeError, True counted as k = 1,
     # and p = 10**6 ran for minutes
-    for args in ((2, 4, 2.5), (True, 4, 2), (2, 4, 10 ** 6), (2, 4, P_MAX + 1), (2, 4, 0)):
+    for k, d, p in ((2, 4, 2.5), (True, 4, 2), (2, 4, 10 ** 6), (2, 4, P_MAX + 1), (2, 4, 0)):
         with pytest.raises(ParameterError):
-            t_one(*args)
-    assert t_one(2, 4, P_MAX) == float(pochhammer_ratio(2, 4, P_MAX))
+            t_exact(k, 1, d, p)
+    assert float(t_exact(2, 1, 4, P_MAX)) == float(pochhammer_ratio(2, 4, P_MAX))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_line_moment_is_the_pochhammer_ratio(data):
+    # against a line only the one-part partition (p) survives, so the zonal
+    # sum reduces to (k/2)_p / (d/2)_p, the ratio behind the forced constant
+    d = data.draw(st.integers(2, 40))
+    k = data.draw(st.integers(1, d - 1))
+    p = data.draw(st.integers(1, 20))
+    assert t_exact(k, 1, d, p) == pochhammer_ratio(k, d, p)
 
 
 def test_t_moment_first_power_exact():
     for d in range(2, 7):
         for k in range(1, d):
             for l in range(1, d):
-                est = t_moment(k, l, d, 1)
-                assert est.value == k * l / d
-                assert est.error == 0.0
-                assert est.method == "closed-form"
+                assert float(t_exact(k, l, d, 1)) == k * l / d
 
 
 def test_t_moment_second_power_against_oracle():
@@ -102,15 +108,15 @@ def test_t_moment_second_power_against_oracle():
             for l in range(1, d):
                 exact = exact_t2(k, l, d)
                 assert t_exact(k, l, d, 2) == exact, (k, l, d)
-                assert t_moment(k, l, d, 2) == (float(exact), 0.0, "closed-form")
+                assert float(t_exact(k, l, d, 2)) == float(exact)
 
 
 def test_t_moment_symmetry_and_methods():
-    assert t_moment(2, 3, 5, 2) == t_moment(3, 2, 5, 2)
+    assert t_exact(2, 3, 5, 2) == t_exact(3, 2, 5, 2)
     assert t_exact(3, 3, 4, 2) == Fraction(41, 8)
     assert t_exact(2, 2, 4, 2) == Fraction(10, 9)
     assert t_exact(2, 2, 4, 3) == Fraction(4, 3)
-    assert t_moment(2, 2, 4, 2) == MomentEstimate(10 / 9, 0.0, "closed-form")
+    assert float(t_exact(2, 2, 4, 2)) == 10 / 9
 
 
 def test_t_moment_mc_path_for_large_dims(rng, mc_moment):
@@ -121,7 +127,6 @@ def test_t_moment_mc_path_for_large_dims(rng, mc_moment):
         value, error = mc_moment(k, l, d, p, budget, rng)
         assert error > 0
         exact = float(t_exact(k, l, d, p))
-        assert t_moment(k, l, d, p) == (exact, 0.0, "closed-form")
         assert abs(value - exact) <= n_err * error, (k, l, d, p, value, error)
 
 
@@ -129,10 +134,9 @@ def test_t_moment_power_guard():
     for d in (2, 5, 8):
         for k in range(1, d):
             for l in range(1, d):
-                est = t_moment(k, l, d, P_MAX)
-                assert est.error == 0.0 and est.method == "closed-form"
+                assert 0 < t_exact(k, l, d, P_MAX) <= min(k, l) ** P_MAX
     with pytest.raises(ParameterError):
-        t_moment(2, 2, 4, P_MAX + 1)
+        t_exact(2, 2, 4, P_MAX + 1)
     with pytest.raises(ParameterError):
         t_exact(2, 2, 4, 1000)
     with pytest.raises(ParameterError):
@@ -146,9 +150,8 @@ def test_moment_arguments_must_be_integers():
     # TypeError; numpy integers are integers
     for args in ((1, 1, 3, 2.0), (1, 1, 3, 1.5), (1, 1, 3.0, 2), (1.0, 1, 3, 2),
                  (1, True, 3, 2), (1, 1, 3, True)):
-        for moment in (t_exact, t_moment):
-            with pytest.raises(ParameterError, match="must be an integer"):
-                moment(*args)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            t_exact(*args)
     with pytest.raises(ParameterError, match="must be an integer"):
         t_matrix(3, 2.0)
     assert t_exact(np.int64(1), np.int32(1), np.int64(3), np.int8(2)) == t_exact(1, 1, 3, 2)
@@ -242,15 +245,15 @@ def test_t_matrix():
     assert np.allclose(t31.values, [[1 / 3, 2 / 3], [2 / 3, 4 / 3]], atol=1e-15)
     t2 = t_matrix(2, 5)
     assert t2.values.shape == (1, 1)
-    assert t2.entry(1, 1).method == "closed-form"
+    assert t2.rows() == [(1, 1, 5, float(t_exact(1, 1, 2, 5)), 0.0, "closed-form")]
 
     t52 = t_matrix(5, 2)
     assert np.array_equal(t52.values, t52.values.T)
     for k in range(1, 5):
         for l in range(1, 5):
-            e = t52.entry(k, l)
-            assert 0.0 < e.value <= min(k, l) ** 2 + 1e-9
-            assert e == (float(t_exact(k, l, 5, 2)), 0.0, "closed-form")
+            e = t52.values[k - 1, l - 1]
+            assert 0.0 < e <= min(k, l) ** 2 + 1e-9
+            assert e == float(t_exact(k, l, 5, 2))
     rows = t52.rows()
     assert len(rows) == 10 and rows[0][:3] == (1, 1, 2)
     # partitions with more parts than min(k, l) drop out entry by entry
@@ -287,7 +290,7 @@ def test_certify_cubature_examples(mercedes, rng):
     assert cert.monomials == 6              # degree 2 in d(d+1)/2 = 3 variables
     assert abs(cert.margin) < 1e-9
     assert cert.ffp_value == pytest.approx(3 / 8, abs=1e-12)
-    assert cert.t_value == t_one(1, 2, 2)
+    assert cert.t_value == float(t_exact(1, 1, 2, 2))
     # nothing is sampled: the same certificate whatever the rng, none drawn
     assert rng.bit_generator.state == state
     for other in (None, np.random.default_rng(5)):

@@ -24,7 +24,7 @@ from fusionframes import (
     minimize_ffp,
     sphere_bounds,
     sphere_extrema,
-    t_moment,
+    t_exact,
     union,
 )
 from fusionframes import optimizer
@@ -42,7 +42,7 @@ def test_config_validation():
 
 
 def test_config_refuses_non_integers():
-    base = dict(n=3, k=1, d=2, p=2, restarts=2, max_iters=10)
+    base = dict(n=3, k=1, d=2, p=2, restarts=2)
     for field, value in base.items():
         for bad in (float(value), True):
             with pytest.raises(ParameterError, match="must be an integer"):
@@ -284,13 +284,16 @@ def test_batch_costs_its_slowest_problem(n, k, d, p, seed):
             assert gnorm[r] == g[0] and stop[r] == s[0]
 
 
-def test_newton_stops_by_gradient_on_degenerate_minima():
+def test_newton_stops_by_gradient_on_degenerate_minima(monkeypatch):
     # every minimum of (5, 2, 4, 1) lies on a manifold of tight frames, where
-    # the first-order descent once crawled thousands of steps
-    for seed in range(16):
-        trace = minimize_ffp(OptimizerConfig(n=5, k=2, d=4, p=1, max_iters=50),
-                             rng=np.random.default_rng(seed))
-        assert set(trace.restart_stop_reasons) == {"gradient"}, seed
+    # the first-order descent once crawled thousands of steps; 50 steps
+    # would catch a crawl
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "MAX_ITERS", 50)
+        for seed in range(16):
+            trace = minimize_ffp(OptimizerConfig(n=5, k=2, d=4, p=1),
+                                 rng=np.random.default_rng(seed))
+            assert set(trace.restart_stop_reasons) == {"gradient"}, seed
     # an unreachable floor: restarts stop at local minima, not by the count
     for seed in range(4):
         trace = minimize_ffp(OptimizerConfig(n=6, k=2, d=4, p=2, restarts=4),
@@ -313,7 +316,7 @@ def test_optimizer_output_certifies_tight(n, k, d, p):
 
 
 def test_restart_chunks_do_not_couple(monkeypatch):
-    cfg = OptimizerConfig(n=4, k=2, d=4, p=2, restarts=5, max_iters=300)
+    cfg = OptimizerConfig(n=4, k=2, d=4, p=2, restarts=5)
     whole = minimize_ffp(cfg, rng=np.random.default_rng(3))
     frame = catalog("mercedes")
     whole_bounds = sphere_bounds(frame, 3, restarts=3, rng=np.random.default_rng(3))
@@ -343,14 +346,14 @@ def test_minimize_two_lines_cannot_reach_bound():
     assert not trace.success
     # two unit-weight lines bottom out at orthogonality, above the moment value
     assert trace.final_value == pytest.approx(0.5, abs=1e-8)
-    assert trace.t_value == pytest.approx(t_moment(1, 1, 2, 2).value)
+    assert trace.t_value == pytest.approx(float(t_exact(1, 1, 2, 2)))
     assert all(b <= a + 1e-12 for a, b in zip(trace.values, trace.values[1:]))
 
 
 def test_minimize_never_beats_moment_floor():
     # averaging argument: no normalized configuration dips below the moment
     for seed in range(4):
-        cfg = OptimizerConfig(n=4, k=2, d=4, p=2, restarts=2, max_iters=800)
+        cfg = OptimizerConfig(n=4, k=2, d=4, p=2, restarts=2)
         trace = minimize_ffp(cfg, rng=np.random.default_rng(seed))
         assert trace.t_value == 10 / 9 and trace.t_error == 0.0
         floor = trace.t_value - 1e-12
@@ -379,6 +382,41 @@ def test_trace_bookkeeping():
     assert set(trace.restart_stop_reasons) <= set(STOP_REASONS)
 
 
+def test_best_restart_must_win_by_more_than_1e_10(monkeypatch):
+    # restart 2 ends below restart 1 by 1e-11, within the tie margin, so the
+    # earlier restart is kept
+    finals = (3.0, 1.0, 1.0 - 1e-11, 2.0)
+    newton_chunks = optimizer._newton_chunks
+
+    def fixed_finals(ys, evaluate, tol):
+        bases, _, gnorm, stop = newton_chunks(ys, evaluate, tol)
+        return bases, [(5.0, v) for v in finals], gnorm, stop
+
+    monkeypatch.setattr(optimizer, "_newton_chunks", fixed_finals)
+    trace = minimize_ffp(OptimizerConfig(n=3, k=1, d=2, p=2, restarts=4),
+                         rng=np.random.default_rng(0))
+    assert trace.restart_index == 1
+    assert trace.values == (5.0, 1.0) and trace.restart_values == finals
+
+
+def test_newton_stops_when_no_shift_factors():
+    # a NaN Hessian never factors, however large lambda: mu passes LM_MU_MAX
+    # on every problem, and each stops by `step-underflow` before a step
+    rng = np.random.default_rng(4)
+    weights = np.full(4, 0.25)
+    starts = np.stack([haar_basis_batch(3, 1, 4, rng) for _ in range(3)])
+
+    def evaluate(ys, ids, hessian):
+        out = _ffp_core(ys, weights, 2, hessian)
+        return out[:2] + (np.full_like(out[2], np.nan), out[3]) if hessian else out
+
+    bases, trails, _, stop = optimizer._newton(starts.copy(), np.arange(3), evaluate,
+                                               optimizer.MAX_ITERS, 1e-11)
+    assert [STOP_REASONS[c] for c in stop] == ["step-underflow"] * 3
+    assert all(len(t) == 1 for t in trails)
+    assert np.array_equal(bases, starts)
+
+
 # small configs, among them an unreachable floor and a degenerate p = 1
 COUPLING_CASES = ((3, 1, 2, 2), (4, 1, 3, 1), (4, 2, 4, 2), (5, 1, 3, 3))
 
@@ -389,7 +427,7 @@ COUPLING_CASES = ((3, 1, 2, 2), (4, 1, 3, 1), (4, 2, 4, 2), (5, 1, 3, 3))
 def test_restarts_do_not_couple(case, restarts, more, seed):
     # the first child seeds agree, so a restart must not see the others
     n, k, d, p = case
-    runs = [minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p, restarts=r, max_iters=300),
+    runs = [minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p, restarts=r),
                          rng=np.random.default_rng(seed))
             for r in (restarts, restarts + more)]
     few, many = (np.array(t.restart_values) for t in runs)

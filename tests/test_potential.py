@@ -234,7 +234,7 @@ def test_mixed_bound(rng, mercedes):
     f = WeightedFrame(4, tuple((haar_random(4, 2, rng), 1.0) for _ in range(5)))
     bound = ffp_lower_bound_mixed(f, 2)
     # equal dims: reduces to (sum w)^2 T_{ k,k }
-    assert bound == pytest.approx(25 * t42.entry(2, 2).value, abs=1e-10)
+    assert bound == pytest.approx(25 * t42.values[1, 1], abs=1e-10)
     assert not t42.errors.any()
     # a cubature of strength 4 attains the bound
     assert ffp_lower_bound_mixed(mercedes, 2) == pytest.approx(ffp(mercedes, 2), abs=1e-12)
