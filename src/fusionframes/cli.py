@@ -137,18 +137,15 @@ def _gen_frame(args):
             if not np.isfinite(args.seed_angle):
                 raise ParameterError(f"--seed-angle must be finite, got {args.seed_angle!r}")
             theta = np.deg2rad(args.seed_angle)
-            seed_sub = make_subspace(
-                np.array([[np.cos(theta)], [np.sin(theta)]]))
+            seed_sub = make_subspace(np.array([[np.cos(theta)], [np.sin(theta)]]))
+            seed = {"seed_angle": args.seed_angle}
         else:
-            rng = np.random.default_rng(args.seed)
-            seed_sub = haar_random(group.d, args.seed_dim, rng)
+            dim = 1 if args.seed_dim is None else args.seed_dim
+            seed_sub = haar_random(group.d, dim, np.random.default_rng(args.seed))
+            seed = {"seed_dim": dim, "seed": args.seed}
         frame = orbit_frame(group, seed_sub)
-        info = {
-            "generators": args.generators,
-            "group_order": len(group),
-            "orbit_size": len(frame),
-        }
-        return frame, info
+        return frame, dict(generators=args.generators, **seed, group_order=len(group),
+                           orbit_size=len(frame))
     if args.kind == "extend":
         inner = load_frame(args.inner)
         outer = load_frame(args.outer)
@@ -230,6 +227,7 @@ def cmd_optimize(args) -> int:
             "iterations": len(trace.values) - 1,
             "stop_reason": trace.restart_stop_reasons[trace.restart_index],
             "stop_reasons": _stop_counts(trace.restart_stop_reasons),
+            "hessian_evaluations": trace.hessian_evaluations,
             "certified_tight": cert.tight,
             "certify_residual": cert.residual,
             "certify_abs_residual": cert.abs_residual,
@@ -278,11 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
                                              "the closure of generator matrices")
     g_orb.add_argument("--generators", required=True,
                        help="JSON list of square row-major matrices")
-    g_orb.add_argument("--seed-dim", type=int, default=1,
-                       help="dimension of a Haar-random seed subspace")
-    g_orb.add_argument("--seed-angle", type=float, default=None,
-                       help="use the line at this angle (degrees) as seed; "
-                            "ambient dimension 2 only")
+    # default None: argparse lets a value equal to the default past the group
+    g_seed = g_orb.add_mutually_exclusive_group()
+    g_seed.add_argument("--seed-dim", type=int, default=None,
+                        help="dimension of a Haar-random seed subspace (default 1)")
+    g_seed.add_argument("--seed-angle", type=float, default=None,
+                        help="use the line at this angle (degrees) as seed; "
+                             "ambient dimension 2 only")
     g_orb.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
     g_ext = gen_sub.add_parser("extend", help="plant the inner frame inside "
                                               "each subspace of the outer frame")

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
 from .errors import MixedDimensions, ParameterError, check_integer, check_order
 from .frames import WeightedFrame
@@ -87,6 +88,7 @@ class OptimizerTrace:
     restart_index: int
     restart_values: tuple  # final FFP of every restart, in restart order
     restart_stop_reasons: tuple  # why each restart stopped, in restart order
+    hessian_evaluations: int     # batched Hessian evaluations, all restart chunks
 
     @property
     def final_value(self) -> float:
@@ -175,24 +177,14 @@ def ffp_gradient(frame: WeightedFrame, p: int):
     return list(_ffp_core(ys[None], frame.weights, p)[1][0])
 
 
-def _factors(a: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _positive_definite(a: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack a (B, N, N) have a Cholesky factor.  A
-    row with a nonpositive (or NaN) diagonal entry has none and is not
-    factored; the others are factored together, and one at a time only
-    when that fails."""
-    ok = (np.diagonal(a, axis1=-2, axis2=-1) > 0).all(axis=-1)
-    rows = np.flatnonzero(ok)
-    if rows.size and not _factors(a[rows]):
-        ok[rows] = [rows.size > 1 and _factors(a[r]) for r in rows]
-    return ok
+    """Which matrices of the stack a (B, N, N) have a Cholesky factor, by one
+    batched factorization with the kernel behind ``np.linalg.cholesky``: it
+    fills a matrix that fails with NaN, and a NaN in the lower triangle of a
+    reaches the diagonal of its factor, so a NaN diagonal marks both."""
+    with np.errstate(all="ignore"):
+        lower = _cholesky_lo(a, signature="d->d")
+    return ~np.isnan(np.diagonal(lower, axis1=-2, axis2=-1)).any(axis=-1)
 
 
 def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
@@ -316,8 +308,13 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     ys = _signed_qr(np.stack([np.random.default_rng(seed).standard_normal((cfg.n, cfg.d, cfg.k))
                               for seed in seeds]))
     weights = np.full(cfg.n, 1.0 / cfg.n)
-    bases, histories, gnorm, stop = _newton_chunks(
-        ys, lambda ys, ids, hessian: _ffp_core(ys, weights, cfg.p, hessian), TOL_GRAD)
+    hessians = []     # the hessian flag of every batched evaluation
+
+    def evaluate(ys, ids, hessian):
+        hessians.append(hessian)
+        return _ffp_core(ys, weights, cfg.p, hessian)
+
+    bases, histories, gnorm, stop = _newton_chunks(ys, evaluate, TOL_GRAD)
     finals = [h[-1] for h in histories]
     idx = 0
     for r in range(1, cfg.restarts):
@@ -338,6 +335,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
         restart_index=idx,
         restart_values=tuple(float(v) for v in finals),
         restart_stop_reasons=tuple(STOP_REASONS[c] for c in stop),
+        hessian_evaluations=sum(hessians),
     )
 
 

@@ -180,6 +180,35 @@ def test_gen_orbit_seed_dim_and_max_order(tmp_path, capsys):
     assert code == 0 and json.loads(out)["parameters"]["group_order"] == 48
 
 
+def test_gen_orbit_seed_options_exclude_each_other(tmp_path, capsys):
+    gens = str(tmp_path / "weyl.json")
+    save_generators(list(weyl_a2_group().generators), gens)
+    out_path = str(tmp_path / "orbit.json")
+    # 1 is --seed-dim's default value, and still refused beside an angle
+    for dim in ("5", "1"):
+        for pair in (["--seed-angle", "20", "--seed-dim", dim],
+                     ["--seed-dim", dim, "--seed-angle", "20"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "orbit", "--generators", gens, *pair, "-o", out_path])
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_gen_orbit_report_names_the_seed(tmp_path, capsys):
+    gens = str(tmp_path / "weyl.json")
+    save_generators(list(weyl_a2_group().generators), gens)
+    out_path = str(tmp_path / "orbit.json")
+    cases = ((["--seed-angle", "20"], {"seed_angle": 20.0}),
+             ([], {"seed_dim": 1, "seed": 4}),
+             (["--seed-dim", "1"], {"seed_dim": 1, "seed": 4}))
+    for flags, seed in cases:
+        code, out, _ = run(["--seed", "4", "gen", "orbit", "--generators", gens, *flags,
+                            "-o", out_path], capsys)
+        assert code == 0
+        assert json.loads(out)["parameters"] == dict(
+            {"kind": "orbit", "generators": gens}, **seed, group_order=6, orbit_size=6)
+
+
 def test_non_finite_generators_exit_2(tmp_path, capsys):
     # a NaN or inf generator is not orthogonal: no closure of NaN elements
     # ending in a misleading GroupTooLarge
@@ -277,8 +306,8 @@ def test_optimize_success(tmp_path, capsys):
     assert list(report["results"]) == [
         "ffp", "t_value", "t_error", "margin", "success", "grad_norm",
         "best_restart", "iterations", "stop_reason", "stop_reasons",
-        "certified_tight", "certify_residual", "certify_abs_residual",
-        "frame_file", "trace_file"]
+        "hessian_evaluations", "certified_tight", "certify_residual",
+        "certify_abs_residual", "frame_file", "trace_file"]
     counts = report["results"]["stop_reasons"]
     assert list(counts) == ["gradient", "stagnation", "step-underflow", "max-iters"]
     assert sum(counts.values()) == 4
@@ -292,6 +321,13 @@ def test_optimize_success(tmp_path, capsys):
     vals = [float(r[1]) for r in rows[1:]]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(report["results"]["ffp"])
+
+
+def test_optimize_reports_hessian_evaluations(capsys):
+    # the defaults at seed 0: one batched evaluation per Newton round
+    for d, n, expected in (("2", "3", 11), ("3", "6", 17)):
+        code, out, _ = run(["optimize", "--d", d, "--k", "1", "--n", n, "--p", "2"], capsys)
+        assert code == 0 and json.loads(out)["results"]["hessian_evaluations"] == expected
 
 
 def test_optimize_tolerances_are_not_options():

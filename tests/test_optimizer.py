@@ -197,8 +197,7 @@ def test_hessian_matches_block_formulas(rng):
 
 
 def test_positive_definite_agrees_with_cholesky_row_by_row(rng):
-    size = 6
-
+    # ties the batched kernel's NaN fill to the public np.linalg.cholesky
     def spd():
         x = rng.standard_normal((size, size))
         return x @ x.T + size * np.eye(size)
@@ -218,40 +217,67 @@ def test_positive_definite_agrees_with_cholesky_row_by_row(rng):
         a[i, i] = -a[i, i] if rng.random() < 0.5 else 0.0
         return a
 
-    def factors(a):
+    def nan_off_diagonal():
+        a = spd()
+        i, j = rng.choice(size, 2, replace=False)
+        a[i, j] = a[j, i] = np.nan
+        return a
+
+    def inf_diagonal():
+        a = spd()
+        i = rng.integers(size)
+        a[i, i] = np.inf
+        return a
+
+    def factors(a):         # OpenBLAS passes a NaN entry on to the factor's diagonal
         try:
-            np.linalg.cholesky(a)
-            return True
+            return not np.isnan(np.diagonal(np.linalg.cholesky(a))).any()
         except np.linalg.LinAlgError:
             return False
 
-    makers = (spd, indefinite, singular, bad_diagonal)
-    for _ in range(20):
-        stack = np.stack([makers[i]() for i in rng.integers(0, 4, rng.integers(1, 9))])
-        got = optimizer._positive_definite(stack)
-        assert got.tolist() == [factors(a) for a in stack]
-    assert not optimizer._positive_definite(indefinite()[None])[0]
+    makers = (spd, indefinite, singular, bad_diagonal, nan_off_diagonal, inf_diagonal)
+    for size in (6, 40):
+        for _ in range(20):
+            stack = np.stack([makers[i]() for i in rng.integers(0, len(makers),
+                                                                 rng.integers(1, 9))])
+            got = optimizer._positive_definite(stack)
+            assert got.tolist() == [factors(a) for a in stack]
+        assert not optimizer._positive_definite(indefinite()[None])[0]
 
 
 def test_positive_definite_factors_a_good_stack_once(rng, monkeypatch):
+    # one batched factorization per stack, whichever rows fail
     calls = []
-    cholesky = np.linalg.cholesky
+    kernel = optimizer._cholesky_lo
 
-    def counting(a):
+    def counting(a, **kwargs):
         calls.append(a.shape)
-        return cholesky(a)
+        return kernel(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(optimizer, "_cholesky_lo", counting)
     good = np.stack([x @ x.T + 4 * np.eye(4) for x in rng.standard_normal((5, 4, 4))])
     bad = good.copy()
     bad[:, 1, 1] = -1.0
-    assert optimizer._positive_definite(good).all() and len(calls) == 1
-    calls.clear()
-    assert not optimizer._positive_definite(bad).any() and not calls
-    calls.clear()
     mixed = np.concatenate([bad[:2], good[:3], bad[2:]])
-    assert optimizer._positive_definite(mixed).tolist() == [False] * 2 + [True] * 3 + [False] * 3
-    assert calls == [(3, 4, 4)]
+    for stack, expected in ((good, [True] * 5), (bad, [False] * 5),
+                            (mixed, [False] * 2 + [True] * 3 + [False] * 3)):
+        calls.clear()
+        assert optimizer._positive_definite(stack).tolist() == expected
+        assert calls == [stack.shape]
+
+
+def test_trace_counts_hessian_evaluations(monkeypatch):
+    calls = []
+
+    def counting(ys, weights, p, hessian=False, core=_ffp_core):
+        calls.append(hessian)
+        return core(ys, weights, p, hessian)
+
+    monkeypatch.setattr(optimizer, "_ffp_core", counting)
+    for n, k, d, p in ((3, 1, 2, 2), (6, 1, 3, 2), (5, 2, 4, 1)):
+        calls.clear()
+        trace = minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p, restarts=4))
+        assert trace.hessian_evaluations == sum(calls) > 0
 
 
 @pytest.mark.parametrize("seed", range(6))
