@@ -4,7 +4,13 @@
 set -e
 
 # run a command that must fail with exit code 2 (a usage or data error)
-expect_2() { code=0; "$@" || code=$?; [ "$code" -eq 2 ]; }
+# and print one JSON document with an "error" key on stderr
+expect_2() {
+    code=0; "$@" 2> error.json || code=$?
+    cat error.json >&2
+    [ "$code" -eq 2 ] &&
+        python3 -c 'import json, sys; assert "error" in json.load(sys.stdin)' < error.json
+}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -44,6 +50,14 @@ echo "== a malformed frame file is a data error: expect exit 2, not the exit 1 o
 # a weight of 1 followed by 400 zeros: an integer too large for a float
 printf '{"ambient_dim": 2, "entries": [{"basis": [[1.0, 0.0]], "weight": 1%0400d}]}\n' 0 > bad.json
 expect_2 fusionframes check bad.json --p 1 --mode tight
+# a boolean is not a number, not even next to a float
+printf '{"ambient_dim": 2, "entries": [{"basis": [[true, 0.0]], "weight": 1.0}, {"basis": [[0.0, 1.0]], "weight": 1.0}]}\n' > bool.json
+expect_2 fusionframes check bool.json --p 1 --mode tight
+
+echo
+echo "== a report that would hold an infinity is a data error: expect exit 2 =="
+# the p = 2000 frame potential overflows
+expect_2 fusionframes check mub.json --p 2000 --mode bounds
 
 echo
 echo "== an order below 1 is a usage error: expect exit 2 =="

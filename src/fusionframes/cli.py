@@ -44,10 +44,11 @@ def _digest(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _emit(report: dict, started: float, stream=None) -> None:
+def _emit(report: dict, started: float) -> None:
+    """Write the report, all at once: an infinite or NaN value is a
+    ValueError (JSON has neither), and nothing reaches stdout."""
     report["wall_time_s"] = round(time.monotonic() - started, 6)
-    json.dump(report, stream or sys.stdout, indent=2)
-    (stream or sys.stdout).write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def _float_repr(x: float) -> str:
@@ -317,8 +318,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (FusionFrameError, OSError, json.JSONDecodeError, ValueError) as exc:
+        # an overflow or invalid operation is a data error, not a warning
+        # followed by an infinite or NaN result
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
+    except (FusionFrameError, OSError, ValueError, FloatingPointError) as exc:
         json.dump({"command": args.subcommand, "error": type(exc).__name__,
                    "message": str(exc)}, sys.stderr, indent=2)
         sys.stderr.write("\n")

@@ -22,11 +22,10 @@ from .errors import (
     FrameFormatError,
     GroupTooLarge,
     NotOrthogonal,
-    ParameterError,
     UnknownName,
-    check_integer,
+    check_range,
 )
-from .frames import POWER_FORM_GUARD, WeightedFrame, _check_weights, build_frame
+from .frames import POWER_FORM_GUARD, WeightedFrame, _check_weights, _numbers, build_frame
 from .homogeneous import check_size_guard
 from .moments import P_MAX
 from .potential import GRAM_BUDGET
@@ -65,9 +64,7 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
     closure exceeds max_order, NotOrthogonal for bad or non-finite generators,
     ParameterError unless max_order is an integer >= 1.
     """
-    check_integer("max_order", max_order)
-    if max_order < 1:
-        raise ParameterError(f"max_order must be >= 1, got {max_order}")
+    check_range("max_order", max_order, 1)
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
         raise DimensionError("need at least one generator")
@@ -119,9 +116,7 @@ def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
     mean exact to rounding; a mean more than ``MOLIEN_TOL`` from an integer
     means the elements are not an orthogonal group (NotOrthogonal).
     """
-    check_integer("p", p)
-    if not 1 <= p <= P_MAX:
-        raise ParameterError(f"p={p} not in [1, {P_MAX}]")
+    check_range("p", p, 1, P_MAX)
     check_size_guard(group.d, 2 * p, POWER_FORM_GUARD)
     g = group.elements
     power, traces = np.broadcast_to(np.eye(group.d), g.shape), []
@@ -197,7 +192,7 @@ class ComplexLineSet:
             if v.shape != (width,):
                 raise DimensionError(f"interleaved vector must have length {width}")
             norm_sq = float(v @ v)
-            if abs(norm_sq - 1.0) > 1e-12:
+            if not abs(norm_sq - 1.0) <= 1e-12:     # NaN fails
                 raise FrameFormatError(f"vector has hermitian norm^2 {norm_sq!r} != 1")
         object.__setattr__(self, "vectors", np.array(vecs, dtype=float).reshape(len(vecs), width))
 
@@ -250,8 +245,7 @@ def _reflection(theta: float) -> np.ndarray:
 def _check_catalog_arg(base: str, letter: str, value: int) -> None:
     if value < 2:
         raise UnknownName(f"{base} needs {letter} >= 2")
-    if value > CATALOG_ARG_MAX:
-        raise ParameterError(f"{base} needs {letter} <= {CATALOG_ARG_MAX}")
+    check_range(f"{base}({letter})", value, 2, CATALOG_ARG_MAX)
 
 
 def _equispaced_lines(n: int) -> WeightedFrame:
@@ -319,17 +313,6 @@ def catalog_names() -> list:
 
 # ---------------------------------------------------------------------------
 # file formats
-
-def _numbers(item, name: str) -> np.ndarray:
-    """A JSON array of numbers as floats; strings, booleans, ragged nesting refused."""
-    try:
-        a = np.asarray(item)
-    except ValueError as exc:
-        raise FrameFormatError(f"{name}: {exc}") from exc
-    if a.dtype.kind not in "fi":
-        raise FrameFormatError(f"{name}: entries must be numbers")
-    return a.astype(float)
-
 
 def load_generators(path) -> list:
     """Generator file: JSON list of d x d row-major matrices."""

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and its integer check."""
+"""Exception types shared across the package, and its integer range check."""
 
 from numbers import Integral
 
@@ -55,15 +55,15 @@ class FrameFormatError(FusionFrameError):
     """A frame/generator/line-set file violates the documented format."""
 
 
-def check_integer(name: str, value) -> None:
-    """Refuse a parameter that is not a Python or numpy integer; booleans
-    are refused too."""
+def check_range(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Refuse a parameter that is not an integer in [lo, hi] (no upper bound
+    when hi is None): Python and numpy integers pass, booleans do not."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        raise ParameterError(f"{name}={value} not in [{lo}, {'inf' if hi is None else hi}]")
 
 
 def check_order(p) -> None:
     """Refuse an order p that is not an integer >= 1."""
-    check_integer("p", p)
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    check_range("p", p, 1)

@@ -26,8 +26,8 @@ from .errors import (
     LengthMismatch,
     MixedDimensions,
     NotAFrame,
-    check_integer,
     check_order,
+    check_range,
 )
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
 from .subspaces import (READ_CORRECTION_TOL, Subspace, _first_bad, check_orthonormal,
@@ -283,9 +283,7 @@ def evaluate_power_form(frame: WeightedFrame, p: int, xs: np.ndarray) -> np.ndar
 def reweight_down(frame: WeightedFrame, p: int) -> WeightedFrame:
     """Weight map w_j -> w_j (p - 1 + dim(V_j)/2); sends tight order-p frames
     to tight order-(p-1) frames."""
-    check_integer("p", p)
-    if p < 2:
-        raise DimensionError("reweight_down needs p >= 2")
+    check_range("p", p, 2)
     return WeightedFrame(
         frame.ambient_dim,
         tuple((s, w * (p - 1 + s.dim / 2.0)) for s, w in frame.entries),
@@ -325,6 +323,22 @@ def frame_to_dict(frame: WeightedFrame) -> dict:
     }
 
 
+def _numbers(item, name: str) -> np.ndarray:
+    """A JSON array of numbers as floats.  Every entry must be an int or a
+    float by its Python type, so strings and booleans are refused; the
+    nesting must be rectangular and every integer must fit a float."""
+    try:
+        a = np.asarray(item)
+        leaves = [item]
+        for _ in range(a.ndim):
+            leaves = list(chain.from_iterable(leaves))
+        if set(map(type, leaves)) <= {int, float}:
+            return a.astype(float)
+    except (ValueError, OverflowError) as exc:
+        raise FrameFormatError(f"{name}: {exc}") from exc
+    raise FrameFormatError(f"{name}: entries must be numbers")
+
+
 def _width_groups(cols: list, d: int):
     """(positions, (m, d, k) float stack) per basis width k, or None if one is malformed."""
     groups = []
@@ -342,11 +356,11 @@ def frame_from_dict(data: dict) -> WeightedFrame:
 
     ``ambient_dim`` must be a JSON integer and each weight a JSON number.
     Types and shapes are checked in bulk, one array per basis width, and
-    member by member in file order only when a bulk check fails; then
-    finiteness over all members; then the members are validated in batches
-    of equal dimension k, smallest k first (dimension range, rank,
-    orthonormality, read correction).  Errors name the first failing member
-    by its position in the file.
+    member by member in file order (``_numbers``) only when a bulk check
+    fails; then finiteness over all members; then the members are validated
+    in batches of equal dimension k, smallest k first (dimension range,
+    rank, orthonormality, read correction).  Errors name the first failing
+    member by its position in the file.
     """
     try:
         d = data["ambient_dim"]
@@ -360,23 +374,21 @@ def frame_from_dict(data: dict) -> WeightedFrame:
     try:
         cols = [ent["basis"] for ent in raw_entries]
         weights = [ent["weight"] for ent in raw_entries]
-        numbers = set(map(type, chain.from_iterable(chain.from_iterable(cols))))
+        numbers = set(map(type, chain(weights, chain.from_iterable(chain.from_iterable(cols)))))
         groups = _width_groups(cols, d)
     except (KeyError, TypeError, ValueError, OverflowError):
         groups = None
-    if groups is None or not numbers <= {float} or not set(map(type, weights)) <= {int, float}:
-        for j, ent in enumerate(raw_entries):   # name the first malformed member
+    if groups is None or not numbers <= {int, float}:
+        for j, ent in enumerate(raw_entries):   # raises at the first malformed member
             try:
-                member = np.asarray(ent["basis"])     # stored as columns
-                weight = ent["weight"]
-            except (KeyError, TypeError, ValueError) as exc:
+                basis, weight = ent["basis"], ent["weight"]
+            except (KeyError, TypeError) as exc:
                 raise FrameFormatError(f"malformed frame entry {j}: {exc}") from exc
-            if (member.dtype.kind not in "fi" or isinstance(weight, bool)
-                    or not isinstance(weight, (int, float))):
+            member = _numbers(basis, f"member {j}")     # stored as columns
+            if _numbers(weight, f"member {j}").ndim:
                 raise FrameFormatError(f"member {j}: basis entries and weight must be numbers")
             if member.ndim != 2 or member.shape[1] != d:
                 raise FrameFormatError(f"member {j}: basis columns must have length {d}")
-        groups = _width_groups(cols, d)     # all valid, with non-float numbers
     try:
         weights = np.array(weights, dtype=float)
     except OverflowError:       # an integer beyond the float range is not finite

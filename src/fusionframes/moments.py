@@ -29,7 +29,7 @@ from math import comb, factorial, lcm, prod
 
 import numpy as np
 
-from .errors import MixedDimensions, ParameterError, check_integer
+from .errors import MixedDimensions, check_range
 from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame
 from .homogeneous import check_size_guard, lie_residual, monomial_count
 
@@ -41,12 +41,10 @@ T_MATRIX_D_MAX = 100
 
 
 def _check_moment_args(k: int, l: int, d: int, p: int) -> None:
-    for name, value in (("k", k), ("l", l), ("d", d), ("p", p)):
-        check_integer(name, value)
-    if not (1 <= k <= d - 1 and 1 <= l <= d - 1):
-        raise ParameterError(f"dimensions ({k},{l}) not in [1, {d - 1}]")
-    if not 1 <= p <= P_MAX:
-        raise ParameterError(f"p={p} not in [1, {P_MAX}]")
+    check_range("d", d, 2)
+    check_range("k", k, 1, d - 1)
+    check_range("l", l, 1, d - 1)
+    check_range("p", p, 1, P_MAX)
 
 
 def _partitions(p: int, max_parts: int, max_part: int | None = None):
@@ -132,8 +130,7 @@ def t_matrix(d: int, p: int, budget=None, rng=None) -> TMatrix:
     int rounds correctly, so each entry is bitwise ``float(t_exact(...))``
     and every error is 0.  ``budget`` and ``rng`` are accepted for
     compatibility and ignored: no entry is sampled."""
-    if not 2 <= d <= T_MATRIX_D_MAX:
-        raise ParameterError(f"d={d} not in [2, {T_MATRIX_D_MAX}]")
+    check_range("d", d, 2, T_MATRIX_D_MAX)
     _check_moment_args(1, 1, d, p)
     kappas, weights, q = _moment_weights(d, p, d - 1)
     u = np.array([[_pochhammer_int(kappa, m) for kappa in kappas] for m in range(1, d)],

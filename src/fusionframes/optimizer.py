@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 
-from .errors import MixedDimensions, ParameterError, check_integer, check_order
+from .errors import MixedDimensions, check_order, check_range
 from .frames import WeightedFrame
 from .moments import t_exact
 from .potential import GRAM_BUDGET, cross_gram
@@ -68,12 +68,10 @@ class OptimizerConfig:
     restarts: int = 16
 
     def __post_init__(self):
-        for field in ("n", "k", "d", "p", "restarts"):
-            check_integer(field, getattr(self, field))
-            if getattr(self, field) < 1:
-                raise ParameterError(f"{field} must be a positive integer")
-        if self.k > self.d - 1:
-            raise ParameterError("need k <= d - 1")
+        for field in ("n", "p", "restarts"):
+            check_range(field, getattr(self, field), 1)
+        check_range("d", self.d, 2)
+        check_range("k", self.k, 1, self.d - 1)
 
 
 @dataclass(frozen=True)
@@ -396,9 +394,7 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     forced constant to high accuracy.
     """
     check_order(p)
-    check_integer("restarts", restarts)
-    if restarts < 1:
-        raise ParameterError("restarts must be a positive integer")
+    check_range("restarts", restarts, 1)
     if rng is None:
         rng = np.random.default_rng(0)
     flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)

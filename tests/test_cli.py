@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fusionframes import (
     save_line_set,
     weyl_a2_group,
 )
+from fusionframes import cli
 from fusionframes.cli import main
 from fusionframes.frames import CERTIFY_TOL
 from fusionframes.potential import EQUIANGULAR_TOL
@@ -392,6 +394,9 @@ def test_error_exit_codes(tmp_path, capsys):
             ("string-dim.json", '"abc"', line),
             ("bool-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": true}'),
             ("string-weight.json", "2", '{"basis": [[1.0, 0.0]], "weight": "1"}'),
+            # a boolean next to a float read as 1.0: a tight frame at p = 1
+            ("bool-basis.json", "2", '{"basis": [[true, 0.0]], "weight": 1.0}, '
+                                     '{"basis": [[0.0, 1.0]], "weight": 1.0}'),
             # an integer weight beyond the float range
             ("overflow-weight.json", "2",
              '{"basis": [[1.0, 0.0]], "weight": 1%s}' % ("0" * 400))):
@@ -407,7 +412,13 @@ def test_error_exit_codes(tmp_path, capsys):
             ("string-gens.json", "orbit", "--generators", '[[["1", "0"], ["0", "-1"]]]'),
             ("bool-gens.json", "orbit", "--generators", "[[[true, false], [false, true]]]"),
             ("string-lines.json", "realify", "--lines", '[["1", "0", "0", "0"]]'),
-            ("bool-lines.json", "realify", "--lines", "[[true, false, false, false]]")):
+            ("bool-lines.json", "realify", "--lines", "[[true, false, false, false]]"),
+            # a boolean next to a float read as 1.0: a group of order 12
+            ("mixed-bool-gens.json", "orbit", "--generators",
+             "[[[true, 0.0], [0.0, -1.0]], [[0.5, 0.8660254037844386], "
+             "[0.8660254037844386, -0.5]]]"),
+            ("mixed-bool-lines.json", "realify", "--lines", "[[true, 0.0, 0.0, 0.0]]"),
+            ("nan-lines.json", "realify", "--lines", "[[NaN, 0.0, 0.0, 0.0]]")):
         path = tmp_path / name
         path.write_text(text)
         code, out, err = run(["gen", kind, flag, str(path), "-o", str(tmp_path / "x.json")],
@@ -444,6 +455,29 @@ def test_error_exit_codes(tmp_path, capsys):
         main(["check", "whatever.json", "--p", "1"])   # --mode is required
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("warnings_action", ["error", "ignore"])
+def test_non_finite_reports_exit_2(tmp_path, capsys, warnings_action):
+    # both printed "ffp": Infinity, which is not JSON, and exited 0
+    mub = str(tmp_path / "mub.json")
+    save_frame(catalog("mub-planes-r4"), mub)
+    heavy = str(tmp_path / "heavy.json")
+    save_frame(catalog("mercedes").rescaled(1e200), heavy)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warnings_action, RuntimeWarning)
+        for path, p in ((mub, "2000"), (heavy, "2")):
+            code, out, err = run(["check", path, "--p", p, "--mode", "bounds"], capsys)
+            assert code == 2 and out == "", (path, p)
+            assert json.loads(err)["error"] == "FloatingPointError"
+
+
+def test_reports_are_json_without_infinities(mercedes_file, capsys, monkeypatch):
+    # a non-finite value that no numpy operation flags still fails the report
+    monkeypatch.setattr(cli, "ffp", lambda frame, p: float("inf"))
+    code, out, err = run(["check", mercedes_file, "--p", "2", "--mode", "bounds"], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_check_reads_the_frame_file_once(mercedes_file, capsys, monkeypatch):

@@ -76,6 +76,8 @@ def test_close_group_errors():
         close_group([rotation(2 * np.pi / 360)], max_order=100)
     with pytest.raises(DimensionError):
         close_group([])
+    with pytest.raises(DimensionError, match="one square shape"):
+        close_group([np.eye(2), np.eye(3)])
 
 
 def test_invariance_check_examples():
@@ -426,6 +428,10 @@ def test_realify_phase_invariance():
 def test_complex_line_set_validation():
     with pytest.raises(FrameFormatError):
         ComplexLineSet(2, (np.array([1.0, 0.0, 1.0, 0.0]),))
+    # a NaN norm passed, and save_line_set then wrote NaN, which is not JSON
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FrameFormatError, match="norm"):
+            ComplexLineSet(2, (np.array([bad, 0.0, 0.0, 0.0]),))
     with pytest.raises(DimensionError):
         ComplexLineSet(2, (np.array([1.0, 0.0]),))
     with pytest.raises(DimensionError):
@@ -586,6 +592,8 @@ def test_catalog_unknown_names():
                 "mercedes(3)", "weyl-a2-orbit(2)", "cross-polytope-lines(1)"):
         with pytest.raises(UnknownName):
             catalog(bad)
+    with pytest.raises(UnknownName, match="cannot parse"):
+        catalog("Mercedes")
 
 
 def test_every_catalog_name_builds_with_its_arity():
@@ -626,7 +634,11 @@ def test_generator_file_round_trip(tmp_path):
     with pytest.raises(FrameFormatError):
         load_generators(empty)
     # strict types, as in frame files: no coercion of strings or booleans
+    # (a boolean next to a float once read as 1.0, and the third file as a
+    # group of order 12)
     for text in ('[[["1", "0"], ["0", "-1"]]]', "[[[true, false], [false, true]]]",
+                 "[[[true, 0.0], [0.0, -1.0]], [[0.5, 0.8660254037844386], "
+                 "[0.8660254037844386, -0.5]]]",
                  "[[[1.0, 0.0], [0.0, 1.0]], [[1.0, [0.0]], [0.0, 1.0]]]"):
         bad.write_text(text)
         with pytest.raises(FrameFormatError, match="generator [01]"):
@@ -643,8 +655,14 @@ def test_line_set_file_round_trip(tmp_path):
     odd.write_text(json.dumps([[1.0, 0.0, 0.0]]))
     with pytest.raises(FrameFormatError):
         load_line_set(odd)
+    odd.write_text("[]")
+    with pytest.raises(FrameFormatError, match="nonempty"):
+        load_line_set(odd)
+    odd.write_text("[[NaN, 0.0, 0.0, 0.0]]")
+    with pytest.raises(FrameFormatError, match="norm"):
+        load_line_set(odd)
     for text in ('[[1.0, 0.0, 0.0, 0.0], ["1", "0", "0", "0"]]',
-                 "[[true, false, false, false]]"):
+                 "[[true, false, false, false]]", "[[true, 0.0, 0.0, 0.0]]"):
         odd.write_text(text)
         with pytest.raises(FrameFormatError, match="line vector [01]"):
             load_line_set(odd)

@@ -44,6 +44,7 @@ from fusionframes import (
     tightness_constant,
     union,
 )
+import fusionframes as ff
 import fusionframes.frames as frames
 from fusionframes import subspaces
 from fusionframes.frames import POWER_FORM_GUARD, READ_CORRECTION_TOL
@@ -80,6 +81,10 @@ def test_frame_invariants():
         WeightedFrame(3, ((s, 1.0),))
     with pytest.raises(LengthMismatch):
         build_frame([s.basis], weights=[1.0, 2.0])
+    with pytest.raises(DimensionError, match="at least one subspace"):
+        build_frame([])
+    with pytest.raises(DimensionError, match="ambient dimension"):
+        build_frame([np.eye(2)[:, :1], np.eye(3)[:, :1]])
 
 
 def test_frame_accessors(mercedes):
@@ -116,6 +121,8 @@ def test_analysis_synthesis(mercedes):
         analysis(f, [1.0, 2.0, 3.0])
     with pytest.raises(LengthMismatch):
         synthesis(mercedes, [np.zeros(2)])
+    with pytest.raises(DimensionError, match="wrong length"):
+        synthesis(mercedes, [np.zeros(2), np.zeros(3), np.zeros(2)])
     x = np.array([0.4, -1.2])
     assert np.allclose(synthesis(mercedes, analysis(mercedes, x)),
                        frame_operator(mercedes) @ x, atol=1e-12)
@@ -280,6 +287,26 @@ def test_certify_refuses_non_integer_orders(mercedes):
     assert certify_tight(mercedes, np.int64(2)).tight
 
 
+def test_out_of_range_integers_share_one_message(mercedes):
+    # six message shapes and two exception classes before
+    group = ff.weyl_a2_group()
+    calls = [(lambda: certify_tight(mercedes, 0), "p=0 not in [1, inf]"),
+             (lambda: reweight_down(mercedes, 1), "p=1 not in [2, inf]"),
+             (lambda: ff.OptimizerConfig(n=0, k=1, d=2, p=1), "n=0 not in [1, inf]"),
+             (lambda: ff.OptimizerConfig(n=3, k=2, d=2, p=1), "k=2 not in [1, 1]"),
+             (lambda: ff.sphere_bounds(mercedes, 2, restarts=0), "restarts=0 not in [1, inf]"),
+             (lambda: ff.close_group(group.generators, max_order=0), "max_order=0 not in [1, inf]"),
+             (lambda: ff.invariance_check(group, 21), "p=21 not in [1, 20]"),
+             (lambda: ff.t_exact(1, 3, 3, 2), "l=3 not in [1, 2]"),
+             (lambda: ff.t_matrix(101, 2), "d=101 not in [2, 100]"),
+             (lambda: catalog("equispaced-lines(1001)"),
+              "equispaced-lines(n)=1001 not in [2, 1000]")]
+    for call, message in calls:
+        with pytest.raises(ParameterError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_verdict_ignores_weight_scale(mercedes):
     # an absolute gap of 1.2e-12 passed a 1e-9 tolerance, and 1.2e-7 failed it
     assert not certify_tight(catalog("cross-polytope-lines(3)").rescaled(1e-12), 2).tight
@@ -347,7 +374,7 @@ def test_reweight_down(mercedes):
     rw = reweight_down(mercedes, 2)
     assert np.allclose(rw.weights, 1.5)          # w * (2 - 1 + 1/2)
     assert certify_tight(rw, 1).tight
-    with pytest.raises(DimensionError):
+    with pytest.raises(ParameterError, match=r"p=1 not in \[2, inf\]"):
         reweight_down(mercedes, 1)
 
 
@@ -464,25 +491,31 @@ def test_frame_format_errors(tmp_path):
     for d in (2.7, 2.0, "abc", "2", True, None):
         with pytest.raises(FrameFormatError, match="ambient_dim"):
             frame_from_dict({"ambient_dim": d, "entries": one_line})
-    for weight in (True, "1", None, [1.0]):
+    for weight in (True, "1", None, [1.0], {}):
         with pytest.raises(FrameFormatError, match="member 1: .*numbers"):
             frame_from_dict({"ambient_dim": 2, "entries": one_line + [
                 {"basis": [[0.0, 1.0]], "weight": weight}]})
-    for basis in ([["1", "0"]], [[True, False]], "ab", [[1.0], [0.0, 1.0]]):
+    # a boolean next to a float once loaded as 1.0
+    for basis in ([["1", "0"]], [[True, False]], [[True, 0.0]], [[1, False]], "ab",
+                  [[1.0], [0.0, 1.0]], [[1.0, 10 ** 400]]):
         with pytest.raises(FrameFormatError, match="entry 0|member 0"):
             frame_from_dict({"ambient_dim": 2,
                              "entries": [{"basis": basis, "weight": 1.0}]})
     with pytest.raises(FrameFormatError, match="entries"):
         frame_from_dict({"ambient_dim": 2, "entries": 3})
+    for entry in ({"basis": [[0.0, 1.0]]}, 3):
+        with pytest.raises(FrameFormatError, match="malformed frame entry 1"):
+            frame_from_dict({"ambient_dim": 2, "entries": one_line + [entry]})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(json.JSONDecodeError):
         load_frame(bad)
 
 
-def test_integer_numbers_load_as_their_float_spelling(assert_same_frame):
-    # JSON integers fail the bulk float check and are validated member by
-    # member; the frame is the one their float spelling gives, bitwise
+def test_integer_numbers_load_as_their_float_spelling(assert_same_frame, monkeypatch):
+    # JSON integers pass the bulk check, so no member is read on its own;
+    # the frame is the one their float spelling gives, bitwise
+    monkeypatch.setattr(frames, "_numbers", lambda *args: pytest.fail("member path"))
     entries = [([[1, 0, 0]], 2), ([[0, 1, 0], [0, 0, -1]], 1), ([[0, 0, 1]], 3)]
     spelled = [{"basis": basis, "weight": weight} for basis, weight in entries]
     floats = [{"basis": [[float(x) for x in col] for col in basis], "weight": float(weight)}

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionframes import (
-    DimensionError,
     ParameterError,
     SingleSubspace,
     WeightedFrame,
@@ -65,11 +64,8 @@ def test_orders_must_be_positive_integers(mercedes, routine, p):
 
 def test_reweight_down_order(mercedes):
     # reweight_down(mercedes, 2.5) returned weights
-    for p in (2.5, 3.0, True):
+    for p in (2.5, 3.0, True, 1, 0, -1):
         with pytest.raises(ParameterError):
-            reweight_down(mercedes, p)
-    for p in (1, 0, -1):
-        with pytest.raises(DimensionError):
             reweight_down(mercedes, p)
 
 
@@ -120,8 +116,9 @@ def test_simplex_bound_examples(mercedes):
     assert max_offdiagonal(ortho) == pytest.approx(0.0, abs=1e-12)
 
     single = build_frame([np.array([[1.0], [0.0]])])
-    with pytest.raises(SingleSubspace):
-        simplex_bound_rhs(single)
+    for routine in (simplex_bound_rhs, lambda f: ffp_lower_bound_p(f, 2), equiangularity):
+        with pytest.raises(SingleSubspace):
+            routine(single)
 
 
 def test_simplex_bound_chordal_translation(rng):

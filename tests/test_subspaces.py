@@ -90,6 +90,9 @@ def test_principal_angle_sum_property(rng):
         assert y.shape == (min(k1, k2),)
         assert np.all((0.0 <= y) & (y <= 1.0))
         assert abs(y.sum() - hs_inner(s1, s2)) < 1e-10
+    for routine in (hs_inner, principal_angles):
+        with pytest.raises(DimensionError, match="ambient dimensions differ"):
+            routine(haar_random(3, 1, rng), haar_random(4, 1, rng))
 
 
 def test_chordal_distance(rng):
@@ -113,6 +116,9 @@ def test_subspaces_equal_ignores_basis_choice(rng):
     s2 = Subspace(5, s.basis @ rot)
     assert subspaces_equal(s, s2)
     assert not subspaces_equal(s, haar_random(5, 2, rng))
+    # a plane is never equal to a line or to a plane of another space
+    assert not subspaces_equal(s, Subspace(5, s.basis[:, :1]))
+    assert not subspaces_equal(s, haar_random(4, 2, rng))
 
 
 def test_haar_first_moment(rng):
@@ -137,6 +143,9 @@ def test_haar_determinism_and_batch_consistency():
     a = haar_random(4, 2, np.random.default_rng(42))
     b = haar_random(4, 2, np.random.default_rng(42))
     assert np.array_equal(a.basis, b.basis)
+    for k in (0, 4):
+        with pytest.raises(DimensionError, match=f"k={k} not in"):
+            haar_random(4, k, np.random.default_rng(42))
     batch = haar_basis_batch(4, 2, 3, np.random.default_rng(7))
     for i in range(3):
         g = batch[i].T @ batch[i]
