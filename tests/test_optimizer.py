@@ -581,6 +581,43 @@ def test_sphere_core_matches_power_form_differences(rng):
                 assert _second_difference(along) == pytest.approx(quad, rel=1e-6, abs=1e-6)
 
 
+def _sphere_hessian_by_formula(frame, weights, p, x, perp):
+    """The sphere Hessian of sum_j w_j s_j^p, s_j = ||B_j^T x||^2, at the
+    unit vector x, member by member: x_perp^T [sum_j 2p w_j s_j^(p-1) P_j +
+    4p(p-1) w_j s_j^(p-2) (P_j x)(P_j x)^T - (x . grad f) I] x_perp."""
+    d = len(x)
+    euclid, grad = np.zeros((d, d)), np.zeros(d)
+    for sub, w in zip(frame.subspaces, weights):
+        pj = sub.basis @ sub.basis.T
+        px = pj @ x
+        s = x @ px
+        euclid += 2 * p * w * s ** (p - 1) * pj
+        grad += 2 * p * w * s ** (p - 1) * px
+        if p > 1:
+            euclid += 4 * p * (p - 1) * w * s ** (p - 2) * np.outer(px, px)
+    return perp.T @ (euclid - (x @ grad) * np.eye(d)) @ perp
+
+
+def test_sphere_hessian_matches_formula(rng):
+    # mixed member dimensions, signed weights and several starts in one
+    # batch; at a coordinate axis s_j = 0 for all but one cross-polytope line
+    cross = catalog("cross-polytope-lines(4)")
+    cases = [(_mixed_frame(rng, d), rng.standard_normal((3, d))) for d in (3, 4, 5, 6)]
+    cases += [(cross, np.concatenate([rng.standard_normal((2, 4)), np.eye(4)[1:3]]))]
+    for frame, xs in cases:
+        xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
+        flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+        signs = np.where(np.arange(len(xs)) % 2, -1.0, 1.0)
+        weights = signs[:, None] * frame.weights
+        for p in (1, 2, 3):
+            hess, perp = _sphere_core(xs[:, None, :, None], flat, frame.dims, weights, p,
+                                      hessian=True)[2:]
+            for r, x in enumerate(xs):
+                ref = _sphere_hessian_by_formula(frame, weights[r], p, x, perp[r, 0])
+                scale = max(np.abs(ref).max(), frame.weights.sum())
+                assert np.abs(hess[r] - ref).max() <= 1e-13 * scale, (frame.dims, p, r)
+
+
 def test_sphere_bounds_scale_exactly_with_the_weights(rng):
     # the gradient stop is relative to the weight sum, so a power-of-two
     # rescaling changes every step by that power exactly
