@@ -242,21 +242,15 @@ def _reflection(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]])
 
 
-def _check_catalog_arg(base: str, letter: str, value: int) -> None:
-    if value < 2:
-        raise UnknownName(f"{base} needs {letter} >= 2")
-    check_range(f"{base}({letter})", value, 2, CATALOG_ARG_MAX)
-
-
 def _equispaced_lines(n: int) -> WeightedFrame:
-    _check_catalog_arg("equispaced-lines", "n", n)
+    check_range("equispaced-lines(n)", n, 2, CATALOG_ARG_MAX)
     cols = [np.array([[np.cos(j * np.pi / n)], [np.sin(j * np.pi / n)]])
             for j in range(n)]
     return build_frame(cols)
 
 
 def _cross_polytope_lines(d: int) -> WeightedFrame:
-    _check_catalog_arg("cross-polytope-lines", "d", d)
+    check_range("cross-polytope-lines(d)", d, 2, CATALOG_ARG_MAX)
     eye = np.eye(d)
     return build_frame([eye[:, [j]] for j in range(d)])
 

@@ -30,7 +30,7 @@ from .errors import (
     check_range,
 )
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import (READ_CORRECTION_TOL, Subspace, _first_bad, check_orthonormal,
+from .subspaces import (RANK_TOL, READ_CORRECTION_TOL, Subspace, _first_bad, check_orthonormal,
                          orthonormal_stack, stack_subspaces)
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
@@ -209,12 +209,12 @@ def synthesis(frame: WeightedFrame, fs) -> np.ndarray:
 
 
 def reconstruct(frame: WeightedFrame, fs) -> np.ndarray:
-    """S^{-1} applied to the synthesis of fs; inverts analysis when the
-    collection actually spans R^d."""
+    """S^{-1} applied to the synthesis of fs; ``NotAFrame`` when the smallest
+    eigenvalue of S is at most ``RANK_TOL`` times its largest."""
     s = frame_operator(frame)
-    eigmin = float(np.linalg.eigvalsh(s)[0])
-    if eigmin <= 1e-10:
-        raise NotAFrame(f"frame operator is singular (smallest eigenvalue {eigmin:.2e})")
+    eig = np.linalg.eigvalsh(s)
+    if eig[0] <= RANK_TOL * eig[-1]:
+        raise NotAFrame(f"frame operator is singular (eigenvalues {eig[0]:.2e} to {eig[-1]:.2e})")
     return np.linalg.solve(s, synthesis(frame, fs))
 
 

@@ -8,6 +8,8 @@ is exact at machine precision.  Both objectives depend only on the spanned
 subspaces, so tangent vectors are horizontal: Delta_a = Y_a_perp Z_a, with
 Y_a_perp an orthonormal basis of the complement of Y_a.  A unit vector x is
 the basis of a line, a point of Gr(1, d), and the power form is even in x.
+Both are one overlap sum, ``_partner_core``: the potential is each member
+against the others, the power form one moving line against the frame.
 
 One loop, ``_newton``, runs every problem: a Levenberg-Marquardt-regularized
 Riemannian Newton method (Absil, Mahony & Sepulchre 2008, ch. 6; More 1978)
@@ -25,7 +27,7 @@ from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
 from .errors import MixedDimensions, check_order, check_range
 from .frames import WeightedFrame
 from .moments import t_exact
-from .potential import GRAM_BUDGET, cross_gram
+from .potential import GRAM_BUDGET
 from .subspaces import _signed_qr, check_orthonormal
 
 EPS = np.finfo(float).eps
@@ -94,7 +96,56 @@ class OptimizerTrace:
 
 
 # ---------------------------------------------------------------------------
-# frame potential over products of Grassmannians
+# one overlap sum: moving subspaces against fixed partners, and the frame
+# potential over products of Grassmannians
+
+def _partner_core(ys: np.ndarray, partners: np.ndarray, dims: np.ndarray, coef: np.ndarray,
+                  p: int, hessian: bool = False) -> tuple:
+    """Values (R,) and horizontal gradients (R, n, d, k) of f = sum_{a,b}
+    coef_ab s_ab^p, s_ab = ||Y_a^T B_b||^2 = tr(P_a P_b), for moving bases ys
+    (R, n, d, k) against fixed partner bases B_b set side by side in partners
+    (R or 1, d, K) as column blocks of widths dims, coef (R or 1, n, m) for m
+    partners.  With ``hessian``, also the diagonal Hessian blocks (R, n, c k,
+    c k), c = d - k, in the coordinates Z_a of Delta_a = Y_a_perp Z_a, the
+    complements Y_perp (R, n, d, c), and the parts of the blocks a != b of a
+    potential: c1 = 2p coef s^(p-1), c2 = 4p(p-1) coef s^(p-2), Y^T B
+    (R, n k, K), Y_perp^T B (R, n, c, K) and g_ab = Y_a_perp^T P_b Y_a
+    (R, n, c k, m); c2 and g are None at p = 1.
+
+    The Euclidean gradient in Y_a is sum_b c1_ab P_b Y_a, projected
+    orthogonally to the column span of Y_a; block (a, a) is sum_b [c1_ab
+    (Y_a_perp^T P_b Y_a_perp) (x) I_k + c2_ab g_ab g_ab^T] minus the Grassmann
+    term Z_a -> Z_a Y_a^T grad_a (Absil, Mahony & Sepulchre 2008, ch. 5).
+    """
+    count, n, d, k = ys.shape
+    starts = np.cumsum(dims) - dims
+    m = np.swapaxes(ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), -1, -2) @ partners
+    s = np.add.reduceat((m * m).reshape(count, n, k, -1).sum(axis=2), starts, axis=-1)
+    value = (coef * s ** p).sum(axis=(1, 2))
+    c1 = (2 * p) * coef * s ** (p - 1)
+    c1_cols = np.repeat(c1, dims, axis=-1)[:, :, None]
+    # column block a of B (C * M)^T is sum_b c1_ab B_b B_b^T Y_a
+    weighted = (c1_cols * m.reshape(count, n, k, -1)).reshape(count, n * k, -1)
+    grad = (partners @ np.swapaxes(weighted, -1, -2)).reshape(count, d, n, k).transpose(0, 2, 1, 3)
+    pull = np.swapaxes(ys, -1, -2) @ grad    # Y_a^T grad_a
+    grad -= ys @ pull
+    if not hessian:
+        return value, grad
+    c = d - k
+    perp = np.linalg.qr(ys, mode="complete")[0][..., k:]
+    a = (np.swapaxes(perp.transpose(0, 2, 1, 3).reshape(count, d, n * c), -1, -2)
+         @ partners).reshape(count, n, c, -1)
+    diag = (((c1_cols * a) @ np.swapaxes(a, -1, -2))[:, :, :, None, :, None] * np.eye(k)[:, None, :]
+            - np.eye(c)[:, None, :, None] * np.swapaxes(pull, -1, -2)[:, :, None, :, None, :]
+            ).reshape(count, n, c * k, c * k)
+    c2 = g = None
+    if p > 1:    # at p = 1 the term vanishes and s^(-1) is inf on orthogonal pairs
+        c2 = (4 * p * (p - 1)) * coef * s ** (p - 2)
+        g = np.add.reduceat(a[:, :, :, None, :] * m.reshape(count, n, 1, k, -1), starts, axis=-1)
+        g = g.reshape(count, n, c * k, -1)
+        diag += (c2[:, :, None, :] * g) @ np.swapaxes(g, -1, -2)
+    return value, grad, diag, perp, (c1, c2, m, a, g)
+
 
 def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False) -> tuple:
     """Potentials (R,) and horizontal gradients (R, n, d, k) of R frames of
@@ -103,63 +154,41 @@ def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False
     in the coordinates z = (Z_1, ..., Z_n) of Delta_a = Y_a_perp Z_a, and
     the complements Y_perp (R, n, d, d-k).
 
-    For pairwise overlaps s_ab = tr(P_a P_b) = ||M_ab||^2, M_ab = Y_a^T Y_b,
-    the Euclidean gradient in Y_a is 4p sum_b w_a w_b s_ab^(p-1) P_b Y_a,
-    excluding b = a (that term is the constant k^p on the manifold); it is
-    then projected orthogonally to the column span of Y_a.  With
-    g_ab = Y_a_perp^T P_b Y_a, the Hessian block (a, b), a != b, is
-    2 w_a w_b [2p s^(p-1) (T1 + T2) + 4p(p-1) s^(p-2) g_ab g_ba^T], where
-    T1 pairs Y_a_perp^T Y_b with Y_b_perp^T Y_a and T2 = (Y_a_perp^T Y_b_perp)
-    (x) M_ab; block (a, a) is sum_b 2 w_a w_b [2p s^(p-1) (Y_a_perp^T P_b
-    Y_a_perp) (x) I_k + 4p(p-1) s^(p-2) g_ab g_ab^T] minus the Grassmann
-    term Z_a -> Z_a Y_a^T grad_a (Absil, Mahony & Sepulchre 2008, ch. 5).
+    Each member moves against the others: ``_partner_core`` with the members
+    as partners and coef_ab = 2 w_a w_b off the diagonal (the terms a = b are
+    the constant w_a^2 k^p) gives the gradient and the blocks (a, a).  With
+    M_ab = Y_a^T Y_b and g_ab = Y_a_perp^T P_b Y_a, block (a, b), a != b, is
+    c1_ab (T1 + T2) + c2_ab g_ab g_ba^T, where T1 pairs Y_a_perp^T Y_b with
+    Y_b_perp^T Y_a and T2 = (Y_a_perp^T Y_b_perp) (x) M_ab.
     """
     count, n, d, k = ys.shape
-    flat = ys.transpose(0, 2, 1, 3).reshape(count, d, n * k)
-    m, s = cross_gram(flat, np.full(n, k))
-    ww = np.outer(weights, weights)
-    off = ~np.eye(n, dtype=bool)
-    c1 = (4 * p) * np.where(off, ww * s ** (p - 1), 0.0)
-    # column block a of flat @ (C * M) is sum_b c_ab Y_b Y_b^T Y_a
-    blocks = c1[:, :, None, :, None] * m.reshape(count, n, k, n, k)
-    grad = flat @ blocks.reshape(count, n * k, n * k)
-    grad = grad.reshape(count, d, n, k).transpose(0, 2, 1, 3)
-    grad -= ys @ (np.swapaxes(ys, -1, -2) @ grad)
-    value = (ww * s ** p).sum(axis=(1, 2))
+    coef = 2 * np.outer(weights, weights)
+    coef.flat[::n + 1] = 0.0
+    out = _partner_core(ys, ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), np.full(n, k),
+                        coef[None], p, hessian)
+    value = out[0] / 2 + weights @ weights * np.float64(k) ** p
     if not hessian:
-        return value, grad
+        return value, out[1]
+    _, grad, diag, perp, (c1, c2, m, a, g) = out
     c = d - k
-    perp = np.linalg.qr(ys, mode="complete")[0][..., k:]
     pflat = perp.transpose(0, 2, 1, 3).reshape(count, d, n * c)
-    a = (np.swapaxes(pflat, -1, -2) @ flat).reshape(count, n, c, n, k)
     b = (np.swapaxes(pflat, -1, -2) @ pflat).reshape(count, n, c, n, c)
-    m = m.reshape(count, n, k, n, k)
+    a, m = a.reshape(count, n, c, n, k), m.reshape(count, n, k, n, k)
+
     def pairs_last(x, axes):    # contiguous, so the products run along the pairs
         return np.ascontiguousarray(x.transpose(axes))
 
-    # off-diagonal blocks with the pairs (r, a, b) on the last axes, then one
-    # transpose to (r, a, i, x, b, j, y): member a, complement row i and
-    # column x of Z_a, then the same (b, j, y) for Z_b;
+    # blocks with the pairs (r, a, b) on the last axes, then one transpose to
+    # (r, a, i, x, b, j, y): member a, complement row i and column x of Z_a,
+    # then the same (b, j, y) for Z_b;
     # ab[i, y, r, a, b] = a[r, a, i, b, y] and ba[x, j, r, a, b] = a[r, b, j, a, x]
     ab, ba = pairs_last(a, (2, 4, 0, 1, 3)), pairs_last(a, (4, 2, 0, 3, 1))
     h = c1 * (ab[:, None, None, :] * ba[None, :, :, None]
               + pairs_last(b, (2, 4, 0, 1, 3))[:, None, :, None]
               * pairs_last(m, (2, 4, 0, 1, 3))[None, :, None, :])
-    # diagonal blocks, each a sum over b of products over the columns of M_ab
-    wa = (c1[:, :, None, :, None] * a).reshape(count, n, c, n * k)
-    wm = (c1[:, :, None, :, None] * m).reshape(count, n, k, n * k)
-    at, mt = (np.swapaxes(x.reshape(count, n, -1, n * k), -1, -2) for x in (a, m))
-    diag = ((wa @ at)[:, :, :, None, :, None] * np.eye(k)[:, None, :]
-            - np.eye(c)[:, None, :, None] * (wm @ mt)[:, :, None, :, None, :])
-    diag = diag.reshape(count, n, c * k, c * k)
-    if p > 1:    # at p = 1 the term vanishes and s^(-1) is inf on orthogonal pairs
-        c2 = (8 * p * (p - 1)) * np.where(off, ww * s ** (p - 2), 0.0)
-        # g[r, a, b] = Y_a_perp^T P_b Y_a, flattened
-        g = (a.transpose(0, 1, 3, 2, 4) @ np.swapaxes(m.transpose(0, 1, 3, 2, 4), -1, -2))
-        g = g.reshape(count, n, n, c * k)
-        h += ((c2 * pairs_last(g, (3, 0, 1, 2)))[:, None]
-              * pairs_last(g, (3, 0, 2, 1))[None]).reshape(h.shape)
-        diag += np.swapaxes(c2[..., None] * g, -1, -2) @ g
+    if p > 1:    # g[r, a, (i, x), b] = (Y_a_perp^T P_b Y_a)[i, x]
+        h += ((c2 * pairs_last(g, (2, 0, 1, 3)))[:, None]
+              * pairs_last(g, (2, 0, 3, 1))[None]).reshape(h.shape)
     h = h.transpose(4, 5, 0, 1, 6, 2, 3).reshape(count, n, c * k, n, c * k)
     h[:, np.arange(n), :, np.arange(n)] += np.swapaxes(diag, 0, 1)
     return value, grad, h.reshape(count, n * c * k, n * c * k), perp
@@ -347,42 +376,6 @@ class SphereBounds:
     stop_reasons: tuple    # the minimizing descents, then the maximizing ones
 
 
-def _sphere_core(xs: np.ndarray, flat: np.ndarray, dims: np.ndarray, weights: np.ndarray,
-                 p: int, hessian: bool = False) -> tuple:
-    """Values (B,) and tangent gradients (B, 1, d, 1) of the power forms
-    f(x) = sum_j w_j s_j^p, s_j = ||B_j^T x||^2, at the unit vectors xs
-    (B, 1, d, 1), with the member bases B_j side by side in flat (d, sum of
-    dims) and one row of weights (B, m) per x (a negated row maximizes f);
-    with ``hessian``, also the sphere Hessians (B, d-1, d-1) in the
-    coordinates of x_perp and the complements x_perp (B, 1, d, d-1), as in
-    ``_ffp_core`` for k = 1.
-
-    With the Euclidean Hessian E = sum_j 2p w_j s_j^(p-1) P_j + 4p(p-1) w_j
-    s_j^(p-2) (P_j x)(P_j x)^T, the sphere Hessian is x_perp^T E x_perp
-    - (x . grad f) I (Absil, Mahony & Sepulchre 2008, ch. 5).
-    """
-    x = xs[:, 0, :, 0]
-    starts = np.cumsum(dims) - dims
-    # row by row products, so that a row's result does not depend on the batch
-    z = (x[:, None, :] @ flat)[:, 0]
-    s = np.add.reduceat(z * z, starts, axis=1)
-    coef = np.repeat((2 * p) * weights * s ** (p - 1), dims, axis=1)
-    grad = ((coef * z)[:, None, :] @ flat.T)[:, 0]
-    radial = (grad * x).sum(axis=1)
-    value = (weights * s ** p).sum(axis=1)
-    tangent = (grad - radial[:, None] * x)[:, None, :, None]
-    if not hessian:
-        return value, tangent
-    euclid = (flat * coef[:, None, :]) @ flat.T
-    if p > 1:    # at p = 1 the term vanishes and s^(-1) is inf where x is orthogonal to a member
-        px = np.add.reduceat(flat * z[:, None, :], starts, axis=2)   # columns P_j x
-        c2 = (4 * p * (p - 1)) * weights * s ** (p - 2)
-        euclid += (px * c2[:, None, :]) @ np.swapaxes(px, -1, -2)
-    perp = np.linalg.qr(xs, mode="complete")[0][..., 1:]
-    hess = np.swapaxes(perp[:, 0], -1, -2) @ euclid @ perp[:, 0]
-    return value, tangent, hess - radial[:, None, None] * np.eye(x.shape[1] - 1), perp
-
-
 def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
                   rng=None) -> SphereBounds:
     """Estimated min and max of the power form over the unit sphere, by
@@ -397,14 +390,15 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     check_range("restarts", restarts, 1)
     if rng is None:
         rng = np.random.default_rng(0)
-    flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+    flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)[None]
     dims, weights = frame.dims, frame.weights
     x = rng.standard_normal((restarts, frame.ambient_dim))
     x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
     sign = np.repeat([1.0, -1.0], restarts)   # descend on sign * f
 
     def evaluate(xs, ids, hessian):
-        return _sphere_core(xs, flat, dims, sign[ids, None] * weights, p, hessian)
+        out = _partner_core(xs, flat, dims, (sign[ids, None] * weights)[:, None], p, hessian)
+        return out if not hessian else (*out[:2], out[2][:, 0], out[3])
 
     _, histories, _, stop = _newton_chunks(np.concatenate([x, x])[:, None, :, None], evaluate,
                                            np.sqrt(EPS) * weights.sum())

@@ -22,27 +22,14 @@ from .subspaces import EQUALITY_TOL, first_occurrences, projector
 EQUIANGULAR_TOL = 1e-8
 
 
-# Largest cross-product table formed at once: (n k)^2 entries for a batch
-# of optimizer restarts, member rows x (sum of dims) for a block of
-# ``gram_matrix``.
+# Largest table formed at once: the Hessians of a chunk of optimizer
+# restarts, member rows x (sum of dims) for a block of ``gram_matrix``.
 GRAM_BUDGET = 2 ** 20
 
 
 def _block_overlaps(m: np.ndarray, row_starts, col_starts) -> np.ndarray:
     """Squares of the cross products M summed per (row block, column block)."""
     return np.add.reduceat(np.add.reduceat(m * m, row_starts, axis=-2), col_starts, axis=-1)
-
-
-def cross_gram(bases: np.ndarray, dims: np.ndarray) -> tuple:
-    """M = bases^T bases for member bases B_i set side by side as column
-    blocks of widths ``dims`` in ``bases`` (..., d, K), and the overlaps
-    S[..., i, j] = ||B_i^T B_j||_F^2 = trace(P_i P_j): squares of M summed
-    per block, with the exact dims on the diagonal."""
-    m = np.swapaxes(bases, -1, -2) @ bases
-    starts = np.cumsum(dims) - dims
-    s = _block_overlaps(m, starts, starts)
-    s[..., np.arange(len(dims)), np.arange(len(dims))] = dims
-    return m, s
 
 
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
@@ -154,7 +141,7 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     predicted = None
     if frame.equal_dims():
         w = frame.weights
-        if np.ptp(w) <= tol * max(w.max(), 1.0):
+        if np.ptp(w) <= tol * w.max():
             k = int(frame.dims[0])
             if certify_tight(frame, 1).tight:
                 predicted = k * (n * k - d) / ((n - 1) * d)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, RankDeficient
+from .errors import DimensionError, RankDeficient, check_range
 
 # Orthonormality of stored bases; looser thresholds derive from this one.
 ORTHO_TOL = 1e-12
@@ -208,8 +208,8 @@ def haar_random(d: int, k: int, rng: np.random.Generator) -> Subspace:
     QR factorization; the sign convention makes the column frame exactly
     Haar-distributed rather than merely Haar up to signs.
     """
-    if not 1 <= k <= d - 1:
-        raise DimensionError(f"k={k} not in [1, {d - 1}]")
+    check_range("d", d, 2)
+    check_range("k", k, 1, d - 1)
     return make_subspace(rng.standard_normal((d, k)))
 
 

@@ -180,6 +180,10 @@ def test_gen_orbit_seed_dim_and_max_order(tmp_path, capsys):
     code, out, _ = run(["gen", "orbit", "--generators", str(gens), "--max-order", "48",
                         "-o", out_path], capsys)
     assert code == 0 and json.loads(out)["parameters"]["group_order"] == 48
+    # a seed dimension must leave a complement
+    code, out, err = run(["gen", "orbit", "--generators", str(gens), "--seed-dim", "3",
+                          "-o", out_path], capsys)
+    assert code == 2 and out == "" and json.loads(err)["error"] == "ParameterError"
 
 
 def test_gen_orbit_seed_options_exclude_each_other(tmp_path, capsys):

@@ -588,9 +588,12 @@ def test_mub_planes_tightness_order(mub_planes):
 
 
 def test_catalog_unknown_names():
-    for bad in ("nope", "equispaced-lines", "equispaced-lines(1)",
-                "mercedes(3)", "weyl-a2-orbit(2)", "cross-polytope-lines(1)"):
+    for bad in ("nope", "equispaced-lines", "mercedes(3)", "weyl-a2-orbit(2)"):
         with pytest.raises(UnknownName):
+            catalog(bad)
+    # an integer out of range is a ParameterError, below 2 as above 1000
+    for bad in ("equispaced-lines(1)", "cross-polytope-lines(1)"):
+        with pytest.raises(ParameterError, match=r"\(\w\)=1 not in \[2, "):
             catalog(bad)
     with pytest.raises(UnknownName, match="cannot parse"):
         catalog("Mercedes")

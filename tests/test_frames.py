@@ -135,9 +135,15 @@ def test_reconstruct(mercedes):
     ortho = build_frame([np.eye(3)[:, [i]] for i in range(3)])
     x3 = np.array([1.0, 2.0, 3.0])
     assert np.allclose(reconstruct(ortho, analysis(ortho, x3)), x3, atol=1e-12)
+    # singularity is relative to the largest eigenvalue, so the weight
+    # scale decides nothing
+    for scale in (1e-11, 1e-6, 1e6):
+        tiny = mercedes.rescaled(scale)
+        assert np.allclose(reconstruct(tiny, analysis(tiny, x)), x, atol=1e-10)
     single = build_frame([np.array([[1.0], [0.0]])])
-    with pytest.raises(NotAFrame):
-        reconstruct(single, analysis(single, np.array([0.0, 1.0])))
+    for scale in (2.0 ** -40, 1.0, 2.0 ** 40):
+        with pytest.raises(NotAFrame):
+            reconstruct(single.rescaled(scale), analysis(single, np.array([0.0, 1.0])))
 
 
 # ---------------------------------------------------------------------------

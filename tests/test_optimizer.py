@@ -28,7 +28,7 @@ from fusionframes import (
     union,
 )
 from fusionframes import optimizer
-from fusionframes.optimizer import STOP_REASONS, _ffp_core, _sphere_core
+from fusionframes.optimizer import STOP_REASONS, _ffp_core, _partner_core
 from fusionframes.subspaces import _signed_qr
 
 
@@ -153,8 +153,9 @@ def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
 
 
 def _hessian_by_blocks(ys, weights, p, perp):
-    """The Hessian of one frame from the block formulas of ``_ffp_core``'s
-    docstring, pair by pair, in the coordinates of the given complements."""
+    """The Hessian of one frame from the block formulas of the docstrings of
+    ``_partner_core`` (blocks a = b) and ``_ffp_core`` (a != b), pair by
+    pair, in the coordinates of the given complements."""
     n, d, k = ys.shape
     c = d - k
     h = np.zeros((n, c, k, n, c, k))
@@ -523,13 +524,13 @@ def test_sphere_restarts_must_be_integers(mercedes):
 def test_starts_within_tol_build_no_hessian(mercedes, monkeypatch):
     # the power form of a tight frame is constant on the sphere
     calls = []
-    core = optimizer._sphere_core
+    core = optimizer._partner_core
 
-    def counting(xs, flat, dims, weights, p, hessian=False):
+    def counting(xs, flat, dims, coef, p, hessian=False):
         calls.append(hessian)
-        return core(xs, flat, dims, weights, p, hessian)
+        return core(xs, flat, dims, coef, p, hessian)
 
-    monkeypatch.setattr(optimizer, "_sphere_core", counting)
+    monkeypatch.setattr(optimizer, "_partner_core", counting)
     bounds = sphere_bounds(mercedes, 2, restarts=4, rng=np.random.default_rng(0))
     assert set(bounds.stop_reasons) == {"gradient"} and calls == [False]
 
@@ -566,8 +567,9 @@ def test_sphere_core_matches_power_form_differences(rng):
         x = x / np.linalg.norm(x)
         flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
         for p in (1, 2, 3):
-            value, grad, hess, perp = _sphere_core(x[None, None, :, None], flat, frame.dims,
-                                                   frame.weights[None], p, hessian=True)
+            value, grad, hess, perp = _partner_core(x[None, None, :, None], flat[None], frame.dims,
+                                                    frame.weights[None, None], p, hessian=True)[:4]
+            hess = hess[:, 0]
             form = evaluate_power_form(frame, p, x)[0]
             assert value[0] == pytest.approx(form, rel=1e-14)
             assert np.abs(hess[0] - hess[0].T).max() <= 1e-13 * max(1.0, np.abs(hess).max())
@@ -610,12 +612,12 @@ def test_sphere_hessian_matches_formula(rng):
         signs = np.where(np.arange(len(xs)) % 2, -1.0, 1.0)
         weights = signs[:, None] * frame.weights
         for p in (1, 2, 3):
-            hess, perp = _sphere_core(xs[:, None, :, None], flat, frame.dims, weights, p,
-                                      hessian=True)[2:]
+            hess, perp = _partner_core(xs[:, None, :, None], flat[None], frame.dims,
+                                       weights[:, None], p, hessian=True)[2:4]
             for r, x in enumerate(xs):
                 ref = _sphere_hessian_by_formula(frame, weights[r], p, x, perp[r, 0])
                 scale = max(np.abs(ref).max(), frame.weights.sum())
-                assert np.abs(hess[r] - ref).max() <= 1e-13 * scale, (frame.dims, p, r)
+                assert np.abs(hess[r, 0] - ref).max() <= 1e-13 * scale, (frame.dims, p, r)
 
 
 def test_sphere_bounds_scale_exactly_with_the_weights(rng):

@@ -28,6 +28,7 @@ from fusionframes import (
     t_exact,
     t_matrix,
     tightness_constant,
+    union,
 )
 from fusionframes import potential
 from fusionframes.potential import GRAM_BUDGET, gram_matrix, max_offdiagonal
@@ -167,6 +168,16 @@ def test_equiangularity_mercedes(mercedes):
     assert rep.gerzon_ok
     # corollary cross-check: k(nk-d)/((n-1)d) = 1/4
     assert rep.predicted_common_value == pytest.approx(0.25, abs=1e-12)
+    # the prediction needs equal weights at every weight scale: these six
+    # lines are tight at p = 1 with weights 1 and 2
+    angles = np.deg2rad([30.0, 90.0, 150.0])
+    lines = build_frame([np.array([[np.cos(t)], [np.sin(t)]]) for t in angles])
+    six = union(mercedes, lines.rescaled(2.0))
+    assert certify_tight(six, 1).tight
+    for scale in (1.0, 1e-12):
+        assert equiangularity(six.rescaled(scale)).predicted_common_value is None
+        assert equiangularity(mercedes.rescaled(scale)).predicted_common_value == pytest.approx(
+            0.25, abs=1e-12)
 
 
 def test_equiangularity_gerzon_and_distinctness(rng):

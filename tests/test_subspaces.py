@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fusionframes import (
     DimensionError,
+    ParameterError,
     RankDeficient,
     Subspace,
     chordal_distance_sq,
@@ -144,7 +145,10 @@ def test_haar_determinism_and_batch_consistency():
     b = haar_random(4, 2, np.random.default_rng(42))
     assert np.array_equal(a.basis, b.basis)
     for k in (0, 4):
-        with pytest.raises(DimensionError, match=f"k={k} not in"):
+        with pytest.raises(ParameterError, match=f"k={k} not in \\[1, 3\\]"):
+            haar_random(4, k, np.random.default_rng(42))
+    for k in (1.5, 2.0, True):
+        with pytest.raises(ParameterError, match="k must be an integer"):
             haar_random(4, k, np.random.default_rng(42))
     batch = haar_basis_batch(4, 2, 3, np.random.default_rng(7))
     for i in range(3):
