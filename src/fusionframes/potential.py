@@ -27,11 +27,6 @@ EQUIANGULAR_TOL = 1e-8
 GRAM_BUDGET = 2 ** 20
 
 
-def _block_overlaps(m: np.ndarray, row_starts, col_starts) -> np.ndarray:
-    """Squares of the cross products M summed per (row block, column block)."""
-    return np.add.reduceat(np.add.reduceat(m * m, row_starts, axis=-2), col_starts, axis=-1)
-
-
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
     """Pairwise table G[i, j] = trace(P_i P_j) = ||B_i^T B_j||_F^2, built in
     blocks of member rows whose cross products hold at most ``GRAM_BUDGET``
@@ -44,7 +39,9 @@ def gram_matrix(frame: WeightedFrame) -> np.ndarray:
     for lo in range(0, n, step):
         block = starts[lo:lo + step]
         rows = bases[:, block[0]:block[-1] + dims[lo + len(block) - 1]]
-        g[lo:lo + step] = _block_overlaps(rows.T @ bases, block - block[0], starts)
+        cross = rows.T @ bases     # squares summed per (row block, column block)
+        g[lo:lo + step] = np.add.reduceat(np.add.reduceat(cross * cross, block - block[0], axis=0),
+                                          starts, axis=1)
     g[np.arange(n), np.arange(n)] = dims
     return g
 
