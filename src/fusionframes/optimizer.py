@@ -6,8 +6,9 @@ Subspaces are carried as Stiefel representatives (orthonormal d x k bases)
 and re-orthonormalized by a sign-fixed QR after every step, so feasibility
 is exact at machine precision.  Both objectives depend only on the spanned
 subspaces, so tangent vectors are horizontal: Delta_a = Y_a_perp Z_a, with
-Y_a_perp an orthonormal basis of the complement of Y_a.  A unit vector x is
-the basis of a line, a point of Gr(1, d), and the power form is even in x.
+Y_a_perp an orthonormal basis of the complement of Y_a, the rest of the
+complete Q of the same QR.  A unit vector x is the basis of a line, a point
+of Gr(1, d), and the power form is even in x.
 Both are one overlap sum, ``_partner_core``: the potential is each member
 against the others, the power form one moving line against the frame.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, solve as _solve
 
 from .errors import MixedDimensions, check_order, check_range
 from .frames import WeightedFrame
@@ -100,17 +101,17 @@ class OptimizerTrace:
 # potential over products of Grassmannians
 
 def _partner_core(ys: np.ndarray, partners: np.ndarray, dims: np.ndarray, coef: np.ndarray,
-                  p: int, hessian: bool = False) -> tuple:
+                  p: int, perp: np.ndarray | None = None) -> tuple:
     """Values (R,) and horizontal gradients (R, n, d, k) of f = sum_{a,b}
     coef_ab s_ab^p, s_ab = ||Y_a^T B_b||^2 = tr(P_a P_b), for moving bases ys
     (R, n, d, k) against fixed partner bases B_b set side by side in partners
     (R or 1, d, K) as column blocks of widths dims, coef (R or 1, n, m) for m
-    partners.  With ``hessian``, also the diagonal Hessian blocks (R, n, c k,
-    c k), c = d - k, in the coordinates Z_a of Delta_a = Y_a_perp Z_a, the
-    complements Y_perp (R, n, d, c), and the parts of the blocks a != b of a
-    potential: c1 = 2p coef s^(p-1), c2 = 4p(p-1) coef s^(p-2), Y^T B
-    (R, n k, K), Y_perp^T B (R, n, c, K) and g_ab = Y_a_perp^T P_b Y_a
-    (R, n, c k, m); c2 and g are None at p = 1.
+    partners; a term with coef_ab = 0 is skipped.  Given the complements
+    perp = Y_perp (R, n, d, c), c = d - k, also the diagonal Hessian blocks
+    (R, n, c k, c k) in the coordinates Z_a of Delta_a = Y_a_perp Z_a and the
+    parts of the blocks a != b of a potential: c1 = 2p coef s^(p-1), c2 =
+    4p(p-1) coef s^(p-2), Y^T B (R, n k, K), Y_perp^T B (R, n, c, K) and g_ab
+    = Y_a_perp^T P_b Y_a (R, n, c k, m); c2 and g are None at p = 1.
 
     The Euclidean gradient in Y_a is sum_b c1_ab P_b Y_a, projected
     orthogonally to the column span of Y_a; block (a, a) is sum_b [c1_ab
@@ -121,6 +122,7 @@ def _partner_core(ys: np.ndarray, partners: np.ndarray, dims: np.ndarray, coef: 
     starts = np.cumsum(dims) - dims
     m = np.swapaxes(ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), -1, -2) @ partners
     s = np.add.reduceat((m * m).reshape(count, n, k, -1).sum(axis=2), starts, axis=-1)
+    s = np.where(coef == 0, 0.0, s)     # s^p of a skipped term may overflow: 0 * inf
     value = (coef * s ** p).sum(axis=(1, 2))
     c1 = (2 * p) * coef * s ** (p - 1)
     c1_cols = np.repeat(c1, dims, axis=-1)[:, :, None]
@@ -129,10 +131,9 @@ def _partner_core(ys: np.ndarray, partners: np.ndarray, dims: np.ndarray, coef: 
     grad = (partners @ np.swapaxes(weighted, -1, -2)).reshape(count, d, n, k).transpose(0, 2, 1, 3)
     pull = np.swapaxes(ys, -1, -2) @ grad    # Y_a^T grad_a
     grad -= ys @ pull
-    if not hessian:
+    if perp is None:
         return value, grad
     c = d - k
-    perp = np.linalg.qr(ys, mode="complete")[0][..., k:]
     a = (np.swapaxes(perp.transpose(0, 2, 1, 3).reshape(count, d, n * c), -1, -2)
          @ partners).reshape(count, n, c, -1)
     diag = (((c1_cols * a) @ np.swapaxes(a, -1, -2))[:, :, :, None, :, None] * np.eye(k)[:, None, :]
@@ -144,15 +145,15 @@ def _partner_core(ys: np.ndarray, partners: np.ndarray, dims: np.ndarray, coef: 
         g = np.add.reduceat(a[:, :, :, None, :] * m.reshape(count, n, 1, k, -1), starts, axis=-1)
         g = g.reshape(count, n, c * k, -1)
         diag += (c2[:, :, None, :] * g) @ np.swapaxes(g, -1, -2)
-    return value, grad, diag, perp, (c1, c2, m, a, g)
+    return value, grad, diag, (c1, c2, m, a, g)
 
 
-def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False) -> tuple:
+def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, perp: np.ndarray | None = None) -> tuple:
     """Potentials (R,) and horizontal gradients (R, n, d, k) of R frames of
     equal-dimension members given as bases ys (R, n, d, k), common weights;
-    with ``hessian``, also the Riemannian Hessians (R, N, N), N = n k (d-k),
-    in the coordinates z = (Z_1, ..., Z_n) of Delta_a = Y_a_perp Z_a, and
-    the complements Y_perp (R, n, d, d-k).
+    given the complements perp = Y_perp (R, n, d, d-k), also the Riemannian
+    Hessians (R, N, N), N = n k (d-k), in the coordinates z = (Z_1, ...,
+    Z_n) of Delta_a = Y_a_perp Z_a.
 
     Each member moves against the others: ``_partner_core`` with the members
     as partners and coef_ab = 2 w_a w_b off the diagonal (the terms a = b are
@@ -165,11 +166,11 @@ def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False
     coef = 2 * np.outer(weights, weights)
     coef.flat[::n + 1] = 0.0
     out = _partner_core(ys, ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), np.full(n, k),
-                        coef[None], p, hessian)
+                        coef[None], p, perp)
     value = out[0] / 2 + weights @ weights * np.float64(k) ** p
-    if not hessian:
+    if perp is None:
         return value, out[1]
-    _, grad, diag, perp, (c1, c2, m, a, g) = out
+    _, grad, diag, (c1, c2, m, a, g) = out
     c = d - k
     pflat = perp.transpose(0, 2, 1, 3).reshape(count, d, n * c)
     b = (np.swapaxes(pflat, -1, -2) @ pflat).reshape(count, n, c, n, c)
@@ -191,7 +192,7 @@ def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, hessian: bool = False
               * pairs_last(g, (2, 0, 3, 1))[None]).reshape(h.shape)
     h = h.transpose(4, 5, 0, 1, 6, 2, 3).reshape(count, n, c * k, n, c * k)
     h[:, np.arange(n), :, np.arange(n)] += np.swapaxes(diag, 0, 1)
-    return value, grad, h.reshape(count, n * c * k, n * c * k), perp
+    return value, grad, h.reshape(count, n * c * k, n * c * k)
 
 
 def ffp_gradient(frame: WeightedFrame, p: int):
@@ -218,35 +219,37 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     """LM-regularized Riemannian Newton on independent problems stacked on
     axis 0 of ys (B, n, d, k), each with its own lambda.
 
-    ``evaluate(ys, ids, hessian)`` gives, for the problems ``ids`` at the
-    bases ys, the values and the horizontal gradients (B, n, d, k); with
-    ``hessian``, also the Hessians H in the coordinates z of Delta_a =
-    Y_a_perp Z_a and the complements Y_perp (B, n, d, d - k), as
-    ``_ffp_core`` does.  Problem r solves (H + lambda I) z = -g for lambda =
-    mu_r ||g||, raising mu_r until Cholesky succeeds, and retracts Y_a +
-    Y_a_perp Z_a by QR.  The step is accepted when the value fell by at least
-    ``LM_ACCEPT`` of the model's decrease -g.z - z.Hz/2 (More 1978), or when
-    it stayed within ``FLAT_ULPS`` ulps and ||g|| at least halved.  A problem
-    stops at the first of the ``STOP_REASONS``: ||g|| at most ``tol``, a
-    relative decrease of at most ``STALL_RTOL`` over its last
-    ``STALL_WINDOW`` accepted steps, mu_r past ``LM_MU_MAX``, or
-    ``max_iters`` accepted steps.
+    ``evaluate(ys, ids, perp)`` gives, for the problems ``ids`` at the
+    bases ys, the values and the horizontal gradients (B, n, d, k); given
+    the complements perp = Y_perp (B, n, d, d - k), also the Hessians H in
+    the coordinates z of Delta_a = Y_a_perp Z_a, as ``_ffp_core`` does.
+    Problem r solves (H + lambda I) z = -g for lambda = mu_r ||g||, raising
+    mu_r until Cholesky succeeds, and retracts Y_a + Y_a_perp Z_a by QR.
+    The step is accepted when the value fell by at least ``LM_ACCEPT`` of
+    the model's decrease -g.z - z.Hz/2 (More 1978), or when it stayed
+    within ``FLAT_ULPS`` ulps and ||g|| at least halved.  A problem stops at
+    the first of the ``STOP_REASONS``: ||g|| at most ``tol``, a relative
+    decrease of at most ``STALL_RTOL`` over its last ``STALL_WINDOW``
+    accepted steps, mu_r past ``LM_MU_MAX``, or ``max_iters`` accepted
+    steps.
 
     The problems advance independently, in rounds: a round raises mu_r on
     every running problem until its H + lambda I factors, then evaluates
     all their trial steps, accepted or not, in one ``evaluate`` call.  So a
     batch makes as many Hessian evaluations as its slowest problem alone,
-    and each problem sees the same operations as alone.  A start that
-    already meets ``tol`` builds no Hessian.  Returns per problem the final
-    bases, the values after each accepted step, the gradient norm and the
-    stop reason index.
+    and each problem sees the same operations as alone.  Every QR is made
+    here: one ``_signed_qr`` gives the starts' complements, and one per
+    round the trial points' bases and complements, so the cores factor
+    nothing.  A start that already meets ``tol`` is not factored and builds
+    no Hessian.  Returns per problem the final bases, the values after each
+    accepted step, the gradient norm and the stop reason index.
     """
     count, n, d, k = ys.shape
 
     def coords(grad, perp):
         return (np.swapaxes(perp, -1, -2) @ grad).reshape(len(grad), -1)
 
-    val, grad = evaluate(ys, ids, False)
+    val, grad = evaluate(ys, ids, None)
     gnorm = np.sqrt((grad * grad).sum(axis=(1, 2, 3)))
     # index into STOP_REASONS, -1 while the problem runs
     stop = np.where(gnorm <= tol, 0, -1)
@@ -255,7 +258,8 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     g, hess = np.zeros((count, size)), np.zeros((count, size, size))
     perp = np.zeros((count, n, d, d - k))
     if active.size:
-        _, grad, hess[active], perp[active] = evaluate(ys[active], ids[active], True)
+        perp[active] = _signed_qr(ys[active], complement=True)[1]
+        _, grad, hess[active] = evaluate(ys[active], ids[active], perp[active])
         g[active] = coords(grad, perp[active])
         gnorm[active] = np.sqrt((g[active] ** 2).sum(axis=1))
     mu = np.ones(count)
@@ -279,10 +283,10 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
         rows = active[stop[active] < 0]
         if not rows.size:
             break
-        z = -np.linalg.solve(shifted[rows], g[rows][..., None])[..., 0]
+        z = -_solve(shifted[rows], g[rows][..., None], signature="dd->d")[..., 0]
         model = -(g[rows] * z).sum(axis=1) - 0.5 * np.einsum("ri,rij,rj->r", z, hess[rows], z)
-        cand = _signed_qr(ys[rows] + perp[rows] @ z.reshape(-1, n, d - k, k))
-        cand_val, cand_grad, cand_hess, cand_perp = evaluate(cand, ids[rows], True)
+        cand, cand_perp = _signed_qr(ys[rows] + perp[rows] @ z.reshape(-1, n, d - k, k), True)
+        cand_val, cand_grad, cand_hess = evaluate(cand, ids[rows], cand_perp)
         cand_g = coords(cand_grad, cand_perp)
         cand_gnorm = np.sqrt((cand_g * cand_g).sum(axis=1))
         fell = val[rows] - cand_val
@@ -335,11 +339,11 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     ys = _signed_qr(np.stack([np.random.default_rng(seed).standard_normal((cfg.n, cfg.d, cfg.k))
                               for seed in seeds]))
     weights = np.full(cfg.n, 1.0 / cfg.n)
-    hessians = []     # the hessian flag of every batched evaluation
+    hessians = []     # whether each batched evaluation built Hessians
 
-    def evaluate(ys, ids, hessian):
-        hessians.append(hessian)
-        return _ffp_core(ys, weights, cfg.p, hessian)
+    def evaluate(ys, ids, perp):
+        hessians.append(perp is not None)
+        return _ffp_core(ys, weights, cfg.p, perp)
 
     bases, histories, gnorm, stop = _newton_chunks(ys, evaluate, TOL_GRAD)
     finals = [h[-1] for h in histories]
@@ -396,9 +400,9 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
     sign = np.repeat([1.0, -1.0], restarts)   # descend on sign * f
 
-    def evaluate(xs, ids, hessian):
-        out = _partner_core(xs, flat, dims, (sign[ids, None] * weights)[:, None], p, hessian)
-        return out if not hessian else (*out[:2], out[2][:, 0], out[3])
+    def evaluate(xs, ids, perp):
+        out = _partner_core(xs, flat, dims, (sign[ids, None] * weights)[:, None], p, perp)
+        return out if perp is None else (*out[:2], out[2][:, 0])
 
     _, histories, _, stop = _newton_chunks(np.concatenate([x, x])[:, None, :, None], evaluate,
                                            np.sqrt(EPS) * weights.sum())

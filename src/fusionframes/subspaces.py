@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_complete as _qr_complete, qr_reduced as _qr_reduced
 
 from .errors import DimensionError, RankDeficient, check_range
 
@@ -96,13 +97,18 @@ def orthonormal_stack(raw, members=None) -> tuple:
     return check_orthonormal(q, members), moved
 
 
-def _signed_qr(a: np.ndarray) -> np.ndarray:
-    """Q of a stacked QR factorization with the diagonal of R forced
-    positive."""
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+def _signed_qr(a: np.ndarray, complement: bool = False):
+    """Q (..., d, k) of a stacked QR with the diagonal of R forced positive;
+    with ``complement``, the first k and the last d - k columns of the
+    complete Q, the basis and one of its complement.  Each is bitwise the Q
+    of ``np.linalg.qr`` in that mode: its kernels on its raw factors."""
+    h, tau = np.linalg.qr(a, mode="raw")    # h: the factored matrices, transposed
+    signs = np.sign(np.diagonal(h, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    q = (_qr_complete if complement else _qr_reduced)(h.swapaxes(-1, -2), tau, signature="dd->d")
+    k = a.shape[-1]
+    basis = q[..., :k] * signs[..., None, :]
+    return (basis, q[..., k:]) if complement else basis
 
 
 def check_orthonormal(bases: np.ndarray, members=None) -> np.ndarray:

@@ -124,7 +124,8 @@ def test_hessian_matches_second_differences(rng):
         weights = rng.uniform(0.5, 2.0, n)
         weights /= weights.sum()
         ys = haar_basis_batch(d, k, n, rng)[None]
-        _, grad, hess, perp = _ffp_core(ys, weights, p, hessian=True)
+        perp = _signed_qr(ys, complement=True)[1]
+        _, grad, hess = _ffp_core(ys, weights, p, perp)
         assert hess.shape == (1, n * k * (d - k), n * k * (d - k))
         scale = max(1.0, np.abs(hess).max())
         assert np.abs(hess - np.swapaxes(hess, -1, -2)).max() <= 1e-13 * scale
@@ -143,8 +144,9 @@ def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
     # s = 0 for the pair: s^(p-2) is inf at p = 1, where its term is skipped
     ys = np.stack([s.basis for s in ortho_lines_r2.subspaces])[None]
     weights = ortho_lines_r2.weights
+    perp = _signed_qr(ys, complement=True)[1]
     for p in (1, 2):
-        _, grad, hess, perp = _ffp_core(ys, weights, p, hessian=True)
+        _, grad, hess = _ffp_core(ys, weights, p, perp)
         assert np.isfinite(hess).all() and np.abs(grad).max() == 0.0
         for z in np.eye(2):
             delta = perp @ z.reshape(1, 2, 1, 1)
@@ -191,7 +193,8 @@ def test_hessian_matches_block_formulas(rng):
         count = 1 + i % 3
         weights = rng.uniform(0.5, 2.0, n)
         ys = np.stack([haar_basis_batch(d, k, n, rng) for _ in range(count)])
-        hess, perp = _ffp_core(ys, weights, p, hessian=True)[2:]
+        perp = _signed_qr(ys, complement=True)[1]
+        hess = _ffp_core(ys, weights, p, perp)[2]
         for r in range(count):
             ref = _hessian_by_blocks(ys[r], weights, p, perp[r])
             assert np.abs(hess[r] - ref).max() <= 1e-13 * np.abs(ref).max(), (n, k, d, p, r)
@@ -270,9 +273,9 @@ def test_positive_definite_factors_a_good_stack_once(rng, monkeypatch):
 def test_trace_counts_hessian_evaluations(monkeypatch):
     calls = []
 
-    def counting(ys, weights, p, hessian=False, core=_ffp_core):
-        calls.append(hessian)
-        return core(ys, weights, p, hessian)
+    def counting(ys, weights, p, perp=None, core=_ffp_core):
+        calls.append(perp is not None)
+        return core(ys, weights, p, perp)
 
     monkeypatch.setattr(optimizer, "_ffp_core", counting)
     for n, k, d, p in ((3, 1, 2, 2), (6, 1, 3, 2), (5, 2, 4, 1)):
@@ -291,9 +294,9 @@ def test_batch_costs_its_slowest_problem(n, k, d, p, seed):
     starts = np.stack([haar_basis_batch(d, k, n, rng) for _ in range(8)])
     calls = []
 
-    def evaluate(ys, ids, hessian):
-        calls.append(hessian)
-        return _ffp_core(ys, weights, p, hessian)
+    def evaluate(ys, ids, perp):
+        calls.append(perp is not None)
+        return _ffp_core(ys, weights, p, perp)
 
     def run(lo, hi, max_iters):
         calls.clear()
@@ -433,9 +436,9 @@ def test_newton_stops_when_no_shift_factors():
     weights = np.full(4, 0.25)
     starts = np.stack([haar_basis_batch(3, 1, 4, rng) for _ in range(3)])
 
-    def evaluate(ys, ids, hessian):
-        out = _ffp_core(ys, weights, 2, hessian)
-        return out[:2] + (np.full_like(out[2], np.nan), out[3]) if hessian else out
+    def evaluate(ys, ids, perp):
+        out = _ffp_core(ys, weights, 2, perp)
+        return out[:2] + (np.full_like(out[2], np.nan),) if perp is not None else out
 
     bases, trails, _, stop = optimizer._newton(starts.copy(), np.arange(3), evaluate,
                                                optimizer.MAX_ITERS, 1e-11)
@@ -526,13 +529,69 @@ def test_starts_within_tol_build_no_hessian(mercedes, monkeypatch):
     calls = []
     core = optimizer._partner_core
 
-    def counting(xs, flat, dims, coef, p, hessian=False):
-        calls.append(hessian)
-        return core(xs, flat, dims, coef, p, hessian)
+    def counting(xs, flat, dims, coef, p, perp=None):
+        calls.append(perp is not None)
+        return core(xs, flat, dims, coef, p, perp)
 
     monkeypatch.setattr(optimizer, "_partner_core", counting)
     bounds = sphere_bounds(mercedes, 2, restarts=4, rng=np.random.default_rng(0))
     assert set(bounds.stop_reasons) == {"gradient"} and calls == [False]
+
+
+def test_newton_factors_the_starts_once_and_each_round_once(monkeypatch):
+    # after the Haar draw, one QR with complements for the starts and one per
+    # round of trial points: each is followed by one Hessian evaluation
+    calls = []
+    signed_qr = optimizer._signed_qr
+
+    def counting(a, complement=False):
+        calls.append(complement)
+        return signed_qr(a, complement)
+
+    monkeypatch.setattr(optimizer, "_signed_qr", counting)
+    for n, k, d, p in ((3, 1, 2, 2), (6, 1, 3, 2), (5, 2, 4, 1)):
+        calls.clear()
+        trace = minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p, restarts=4))
+        assert trace.hessian_evaluations > 1
+        assert calls == [False] + [True] * trace.hessian_evaluations
+
+
+def test_cores_factor_nothing(monkeypatch, rng):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a core factored a matrix")
+
+    ys = np.stack([haar_basis_batch(4, 2, 5, rng) for _ in range(3)])
+    perp = _signed_qr(ys, complement=True)[1]
+    frame = _mixed_frame(rng, 4)
+    flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+    xs = haar_basis_batch(4, 1, 3, rng)[:, None]
+    x_perp = _signed_qr(xs, complement=True)[1]
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(optimizer, "_signed_qr", refuse)
+    for p in (1, 2):
+        assert len(_ffp_core(ys, np.full(5, 0.2), p, perp)) == 3
+        assert len(_partner_core(xs, flat[None], frame.dims, frame.weights[None, None], p,
+                                 x_perp)) == 4
+
+
+def test_tight_starts_factor_nothing(mercedes, monkeypatch):
+    # the batch of test_starts_within_tol_build_no_hessian: every start
+    # meets the gradient stop, so no basis is factored
+    calls = []
+    signed_qr = optimizer._signed_qr
+    monkeypatch.setattr(optimizer, "_signed_qr",
+                        lambda *args, **kwargs: calls.append(args) or signed_qr(*args, **kwargs))
+    bounds = sphere_bounds(mercedes, 2, restarts=4, rng=np.random.default_rng(0))
+    assert set(bounds.stop_reasons) == {"gradient"} and calls == []
+
+
+def test_gradient_finite_where_the_constant_terms_overflow():
+    # the terms a = b, w_a^2 k^p, are skipped: at k = 2, p = 2000 their
+    # s^(p-1) overflows and 0 * inf made the gradient NaN; only the
+    # potential's own value still overflows
+    with np.errstate(over="ignore", invalid="raise"):
+        grads = ffp_gradient(catalog("mub-planes-r4"), 2000)
+    assert all(np.isfinite(g).all() for g in grads)
 
 
 def _mixed_frame(rng, d):
@@ -566,9 +625,10 @@ def test_sphere_core_matches_power_form_differences(rng):
     for frame, x in cases:
         x = x / np.linalg.norm(x)
         flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+        perp = _signed_qr(x[None, None, :, None], complement=True)[1]
         for p in (1, 2, 3):
-            value, grad, hess, perp = _partner_core(x[None, None, :, None], flat[None], frame.dims,
-                                                    frame.weights[None, None], p, hessian=True)[:4]
+            value, grad, hess = _partner_core(x[None, None, :, None], flat[None], frame.dims,
+                                              frame.weights[None, None], p, perp)[:3]
             hess = hess[:, 0]
             form = evaluate_power_form(frame, p, x)[0]
             assert value[0] == pytest.approx(form, rel=1e-14)
@@ -611,9 +671,10 @@ def test_sphere_hessian_matches_formula(rng):
         flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
         signs = np.where(np.arange(len(xs)) % 2, -1.0, 1.0)
         weights = signs[:, None] * frame.weights
+        perp = _signed_qr(xs[:, None, :, None], complement=True)[1]
         for p in (1, 2, 3):
-            hess, perp = _partner_core(xs[:, None, :, None], flat[None], frame.dims,
-                                       weights[:, None], p, hessian=True)[2:4]
+            hess = _partner_core(xs[:, None, :, None], flat[None], frame.dims,
+                                 weights[:, None], p, perp)[2]
             for r, x in enumerate(xs):
                 ref = _sphere_hessian_by_formula(frame, weights[r], p, x, perp[r, 0])
                 scale = max(np.abs(ref).max(), frame.weights.sum())

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionframes import (
@@ -18,7 +18,7 @@ from fusionframes import (
     projector,
     subspaces_equal,
 )
-from fusionframes.subspaces import EQUALITY_TOL, check_orthonormal, first_occurrences
+from fusionframes.subspaces import EQUALITY_TOL, _signed_qr, check_orthonormal, first_occurrences
 
 
 def test_subspace_rejects_bad_shapes():
@@ -190,3 +190,30 @@ def test_first_occurrences_matches_keyed_scan(picks, split):
     tail = first_occurrences(np.concatenate([rows[head], rows[split:]]), len(head), buckets)
     assert head.tolist() + (split + tail).tolist() == want
     assert sorted(i for b in buckets.values() for i in b) == list(range(len(want)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+       st.integers(1, 5), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example((2, 1), 1, True, 0)
+@example((8, 7), 1, False, 1)
+@example((8, 7), 3, True, 2)
+def test_signed_qr_is_numpys_qr_with_signs_fixed(dk, m, orthonormal, seed):
+    # the basis is bitwise the sign-fixed Q of np.linalg.qr in the same mode,
+    # and basis and complement together are one orthogonal matrix
+    d, k = dk
+    rng = np.random.default_rng(seed)
+    if orthonormal:     # signed coordinate vectors: exactly orthonormal
+        a = np.stack([np.eye(d)[:, rng.permutation(d)[:k]] * rng.choice([-1.0, 1.0], k)
+                      for _ in range(m)])
+    else:
+        a = rng.standard_normal((m, d, k))
+    for mode, complement in (("reduced", False), ("complete", True)):
+        q, r = np.linalg.qr(a, mode=mode)
+        signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+        out = _signed_qr(a, complement)
+        basis = out[0] if complement else out
+        assert basis.tobytes() == (q[..., :k] * signs[..., None, :]).tobytes()
+    whole = np.concatenate(out, axis=-1)
+    assert whole.shape == (m, d, d)
+    assert np.abs(np.swapaxes(whole, -1, -2) @ whole - np.eye(d)).max() <= 1e-14
