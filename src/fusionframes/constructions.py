@@ -25,7 +25,7 @@ from .errors import (
     UnknownName,
     check_range,
 )
-from .frames import POWER_FORM_GUARD, WeightedFrame, _check_weights, _numbers, build_frame
+from .frames import POWER_FORM_GUARD, WeightedFrame, _numbers, build_frame
 from .homogeneous import check_size_guard
 from .moments import P_MAX
 from .potential import GRAM_BUDGET
@@ -170,7 +170,6 @@ def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:
         # one product per pair, already orthonormal columns
         images = (outer_bases[:, None] @ bases[None]).reshape(len(pos), outer.ambient_dim, -1)
         groups.append((pos, check_orthonormal(images), weights[pos]))
-    _check_weights(weights)     # a product of weights can underflow to 0
     return WeightedFrame._from_stacks(outer.ambient_dim, groups)
 
 
@@ -219,7 +218,6 @@ def realify(lines: ComplexLineSet) -> WeightedFrame:
     if lines.d_complex < 2:
         raise DimensionError("realification needs d_complex >= 2 for proper subspaces")
     n, v = len(lines.vectors), lines.vectors
-    _check_weights(np.ones(n))      # an empty line set is no frame
     # i z by complex multiplication: negating the real parts instead would
     # turn the zeros it writes into -0.0
     z = v[:, 0::2] + 1j * v[:, 1::2]

@@ -1,5 +1,7 @@
 """Weighted fusion frames: the frame object, its operators, exact tightness
 certificates, and the weight/subspace transformations that preserve tightness.
+A frame is its per-dimension stacks (``groups``): ``_from_stacks`` assembles
+every frame, and every routine reads the stacks, never the ``entries`` view.
 
 Tightness of order p means sum_j w_j ||P_j x||^(2p) = A ||x||^(2p) for every
 x.  Both sides are homogeneous polynomials of degree 2p, so the identity is
@@ -30,8 +32,8 @@ from .errors import (
     check_range,
 )
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import (RANK_TOL, READ_CORRECTION_TOL, Subspace, _first_bad, check_orthonormal,
-                         orthonormal_stack, stack_subspaces)
+from .subspaces import (RANK_TOL, READ_CORRECTION_TOL, Subspace, _first_bad, _signed_qr,
+                         check_orthonormal, orthonormal_stack, stack_subspaces)
 
 # Largest degree-2p monomial count accepted by the certificate expansion.
 POWER_FORM_GUARD = 10 ** 6
@@ -52,21 +54,21 @@ class WeightedFrame:
 
     def __init__(self, ambient_dim: int, entries):
         entries = tuple(entries)
-        subs = [s for s, _ in entries]
-        weights = np.array([float(w) for _, w in entries])
-        if (np.array([s.ambient_dim for s in subs]) != ambient_dim).any():
+        frame = build_frame([s for s, _ in entries], [w for _, w in entries])
+        if frame.ambient_dim != ambient_dim:
             raise DimensionError("subspace ambient dimension differs from frame")
-        _check_weights(weights)
-        groups = [(idx, np.stack([subs[i].basis for i in idx]), weights[idx])
-                  for idx in _positions_by_value(np.array([s.dim for s in subs]))]
-        self.__dict__.update(ambient_dim=ambient_dim, groups=tuple(groups),
-                             entries=tuple(zip(subs, weights.tolist())))
+        self.__dict__.update(vars(frame))
 
     @classmethod
     def _from_stacks(cls, ambient_dim: int, groups) -> "WeightedFrame":
-        """A frame on validated groups: orthonormal bases, positive finite weights."""
+        """The one place a frame is assembled; refuses an empty frame and bad weights."""
         frame = object.__new__(cls)
         frame.__dict__.update(ambient_dim=ambient_dim, groups=tuple(groups))
+        weights = frame.weights
+        if len(weights) < 1:
+            raise DimensionError("a frame needs at least one subspace")
+        _first_bad(~((weights > 0) & np.isfinite(weights)), None, DimensionError,
+                   lambda i: f"weights must be positive and finite, got {weights[i]}")
         return frame
 
     def __len__(self) -> int:
@@ -115,20 +117,12 @@ class WeightedFrame:
         return len(self.groups) == 1
 
     def rescaled(self, factor: float) -> "WeightedFrame":
-        return WeightedFrame(self.ambient_dim,
-                             tuple((s, w * factor) for s, w in self.entries))
+        return self._from_stacks(self.ambient_dim,
+                                 [(idx, bases, w * factor) for idx, bases, w in self.groups])
 
     def normalized(self) -> "WeightedFrame":
         """Same subspaces with weights scaled to sum to 1."""
         return self.rescaled(1.0 / float(self.weights.sum()))
-
-
-def _check_weights(weights: np.ndarray) -> None:
-    """A frame has at least one member and positive, finite weights."""
-    if len(weights) < 1:
-        raise DimensionError("a frame needs at least one subspace")
-    _first_bad(~((weights > 0) & np.isfinite(weights)), None, DimensionError,
-               lambda i: f"weights must be positive and finite, got {weights[i]}")
 
 
 def _positions_by_value(values: np.ndarray) -> list:
@@ -157,26 +151,26 @@ class TightnessCertificate:
 
 
 def build_frame(bases, weights=None) -> WeightedFrame:
-    """Convenience constructor from raw basis matrices or Subspaces; weights
-    default to 1.  Raw matrices are validated by one ``orthonormal_stack``
-    per width k, smallest k first."""
+    """Frame from raw basis matrices or Subspaces, weights 1 by default; per
+    width k, smallest first, one ``orthonormal_stack`` validates the raw ones."""
     bases = list(bases)
-    if weights is None:
-        weights = [1.0] * len(bases)
+    weights = np.ones(len(bases)) if weights is None else np.array([float(w) for w in weights])
     if len(weights) != len(bases):
         raise LengthMismatch("weights and bases differ in length")
     if not bases:
         raise DimensionError("a frame needs at least one subspace")
-    raw = [i for i, b in enumerate(bases) if not isinstance(b, Subspace)]
-    mats = [np.atleast_2d(np.asarray(bases[i], dtype=float)) for i in raw]
+    given = np.array([isinstance(b, Subspace) for b in bases])
+    mats = [b.basis if g else np.atleast_2d(np.asarray(b, dtype=float))
+            for b, g in zip(bases, given.tolist())]
     if len({a.shape[0] for a in mats}) > 1:
         raise DimensionError("bases differ in ambient dimension")
+    groups = []
     for idx in _positions_by_value(np.array([a.shape[1] for a in mats], dtype=int)):
-        members = [raw[i] for i in idx]
-        q, _ = orthonormal_stack(np.stack([mats[i] for i in idx]), members)
-        for i, sub in zip(members, stack_subspaces(q)):
-            bases[i] = sub
-    return WeightedFrame(bases[0].ambient_dim, zip(bases, weights))
+        stack, raw = np.stack([mats[i] for i in idx]), ~given[idx]
+        if raw.any():
+            stack[raw] = orthonormal_stack(stack[raw], idx[raw])[0]
+        groups.append((idx, stack, weights[idx]))
+    return WeightedFrame._from_stacks(len(mats[0]), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +181,23 @@ def frame_operator(frame: WeightedFrame) -> np.ndarray:
     return weighted_gram(frame.stacks)
 
 
+def _side_by_side(frame: WeightedFrame) -> tuple:
+    """The members' bases side by side in frame order, (d, sum of dims), and their first columns."""
+    dims = frame.dims
+    starts = np.cumsum(dims) - dims
+    flat = np.empty((frame.ambient_dim, int(dims.sum())))
+    for idx, bases, _ in frame.groups:
+        flat[:, starts[idx, None] + np.arange(bases.shape[2])] = bases.transpose(1, 0, 2)
+    return flat, starts
+
+
 def analysis(frame: WeightedFrame, x) -> list:
     """Project x onto every member subspace."""
     x = np.asarray(x, dtype=float)
     if x.shape != (frame.ambient_dim,):
         raise DimensionError(f"x must have length {frame.ambient_dim}")
-    return [sub.basis @ (sub.basis.T @ x) for sub, _ in frame.entries]
+    flat, starts = _side_by_side(frame)
+    return list(np.add.reduceat(flat.T * (x @ flat)[:, None], starts))
 
 
 def synthesis(frame: WeightedFrame, fs) -> np.ndarray:
@@ -200,7 +205,7 @@ def synthesis(frame: WeightedFrame, fs) -> np.ndarray:
     if len(fs) != len(frame):
         raise LengthMismatch(f"expected {len(frame)} vectors, got {len(fs)}")
     out = np.zeros(frame.ambient_dim)
-    for (sub, w), f in zip(frame.entries, fs):
+    for w, f in zip(frame.weights.tolist(), fs):
         f = np.asarray(f, dtype=float)
         if f.shape != (frame.ambient_dim,):
             raise DimensionError("component vector has wrong length")
@@ -266,15 +271,16 @@ def certify_tight(frame: WeightedFrame, p: int, tol: float = CERTIFY_TOL) -> Tig
 
 
 def evaluate_power_form(frame: WeightedFrame, p: int, xs: np.ndarray) -> np.ndarray:
-    """sum_j w_j ||P_j x||^(2p) for each row x of xs; sampling route,
-    independent of the polynomial expansion."""
+    """sum_j w_j ||P_j x||^(2p) for each row x of xs, the members added in
+    frame order; sampling route, independent of the polynomial expansion."""
     check_order(p)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    out = np.zeros(xs.shape[0])
-    for sub, w in frame.entries:
-        proj_sq = ((xs @ sub.basis) ** 2).sum(axis=1)
-        out += w * proj_sq ** p
-    return out
+    if xs.shape[1:] != (frame.ambient_dim,):
+        raise DimensionError(f"rows of xs must have length {frame.ambient_dim}")
+    overlaps = np.empty((len(frame), len(xs)))     # ||P_j x||^2
+    for idx, bases, _ in frame.groups:
+        overlaps[idx] = ((xs @ bases) ** 2).sum(axis=-1)
+    return np.cumsum(frame.weights[:, None] * overlaps ** p, axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +290,8 @@ def reweight_down(frame: WeightedFrame, p: int) -> WeightedFrame:
     """Weight map w_j -> w_j (p - 1 + dim(V_j)/2); sends tight order-p frames
     to tight order-(p-1) frames."""
     check_range("p", p, 2)
-    return WeightedFrame(
-        frame.ambient_dim,
-        tuple((s, w * (p - 1 + s.dim / 2.0)) for s, w in frame.entries),
-    )
+    return WeightedFrame._from_stacks(frame.ambient_dim, [
+        (idx, bases, w * (p - 1 + bases.shape[2] / 2.0)) for idx, bases, w in frame.groups])
 
 
 def complement_frame(frame: WeightedFrame) -> WeightedFrame:
@@ -296,9 +300,7 @@ def complement_frame(frame: WeightedFrame) -> WeightedFrame:
     if not frame.equal_dims():
         raise MixedDimensions("complement_frame requires all subspaces of equal dimension")
     (idx, bases, weights), = frame.groups
-    # the unused left-singular directions of each basis, as ``complement``
-    u = np.linalg.svd(bases, full_matrices=True)[0]
-    perp = np.ascontiguousarray(u[:, :, bases.shape[2]:])
+    perp = np.ascontiguousarray(_signed_qr(bases, complement=True)[1])
     return WeightedFrame._from_stacks(frame.ambient_dim, [(idx, check_orthonormal(perp), weights)])
 
 
@@ -307,20 +309,20 @@ def union(f1: WeightedFrame, f2: WeightedFrame) -> WeightedFrame:
     constants adding."""
     if f1.ambient_dim != f2.ambient_dim:
         raise DimensionError("ambient dimensions differ")
-    return WeightedFrame(f1.ambient_dim, f1.entries + f2.entries)
+    groups = f1.groups + tuple((idx + len(f1), bases, w) for idx, bases, w in f2.groups)
+    same_k = _positions_by_value(np.array([bases.shape[2] for _, bases, _ in groups]))
+    return WeightedFrame._from_stacks(f1.ambient_dim, [
+        tuple(map(np.concatenate, zip(*[groups[i] for i in same]))) for same in same_k])
 
 
 # ---------------------------------------------------------------------------
 # frame JSON
 
 def frame_to_dict(frame: WeightedFrame) -> dict:
-    return {
-        "ambient_dim": frame.ambient_dim,
-        "entries": [
-            {"basis": [list(map(float, col)) for col in sub.basis.T], "weight": w}
-            for sub, w in frame.entries
-        ],
-    }
+    flat, starts = _side_by_side(frame)
+    return {"ambient_dim": frame.ambient_dim,
+            "entries": [{"basis": cols.tolist(), "weight": w}
+                        for cols, w in zip(np.split(flat.T, starts[1:]), frame.weights.tolist())]}
 
 
 def _numbers(item, name: str) -> np.ndarray:
@@ -404,7 +406,6 @@ def frame_from_dict(data: dict) -> WeightedFrame:
         _first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
                    lambda i: f"basis needed correction {correction[i]:.2e} > {READ_CORRECTION_TOL}")
         stacks.append((idx, q, weights[idx]))
-    _check_weights(weights)
     return WeightedFrame._from_stacks(d, stacks)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, solve as _solve
 
 from .errors import MixedDimensions, check_order, check_range
-from .frames import WeightedFrame
+from .frames import WeightedFrame, _side_by_side
 from .moments import t_exact
 from .potential import GRAM_BUDGET
 from .subspaces import _signed_qr, check_orthonormal
@@ -201,7 +201,7 @@ def ffp_gradient(frame: WeightedFrame, p: int):
     if not frame.equal_dims():
         raise MixedDimensions("gradient needs equal-dimension subspaces")
     check_order(p)
-    ys = np.stack([s.basis for s in frame.subspaces])
+    (_, ys, _), = frame.groups
     return list(_ffp_core(ys[None], frame.weights, p)[1][0])
 
 
@@ -394,7 +394,7 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     check_range("restarts", restarts, 1)
     if rng is None:
         rng = np.random.default_rng(0)
-    flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)[None]
+    flat = _side_by_side(frame)[0][None]
     dims, weights = frame.dims, frame.weights
     x = rng.standard_normal((restarts, frame.ambient_dim))
     x /= np.sqrt((x * x).sum(axis=1, keepdims=True))

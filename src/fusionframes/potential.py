@@ -15,9 +15,9 @@ from math import comb
 import numpy as np
 
 from .errors import SingleSubspace, check_order
-from .frames import WeightedFrame, certify_tight
+from .frames import WeightedFrame, _side_by_side, certify_tight
 from .moments import _check_moment_args, _moment_weights, _pochhammer_int
-from .subspaces import EQUALITY_TOL, first_occurrences, projector
+from .subspaces import EQUALITY_TOL, first_occurrences
 
 EQUIANGULAR_TOL = 1e-8
 
@@ -31,9 +31,8 @@ def gram_matrix(frame: WeightedFrame) -> np.ndarray:
     """Pairwise table G[i, j] = trace(P_i P_j) = ||B_i^T B_j||_F^2, built in
     blocks of member rows whose cross products hold at most ``GRAM_BUDGET``
     entries (one member at least)."""
-    bases = np.concatenate([s.basis for s in frame.subspaces], axis=1)
-    dims = frame.dims
-    n, starts = len(dims), np.cumsum(dims) - dims
+    bases, starts = _side_by_side(frame)
+    dims, n = frame.dims, len(frame)
     step = max(1, GRAM_BUDGET // (bases.shape[1] * int(dims.max())))
     g = np.empty((n, n))
     for lo in range(0, n, step):
@@ -73,6 +72,8 @@ def simplex_bound_rhs(frame: WeightedFrame) -> float:
 
 
 def max_offdiagonal(frame: WeightedFrame) -> float:
+    if len(frame) < 2:
+        raise SingleSubspace("max_offdiagonal needs n >= 2")
     g = gram_matrix(frame)
     mask = ~np.eye(len(frame), dtype=bool)
     return float(g[mask].max())
@@ -128,7 +129,8 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     is_eq = spread <= tol
     common = float(off.mean()) if is_eq else None
 
-    projs = np.stack([projector(s).ravel() for s in frame.subspaces])
+    flat, starts = _side_by_side(frame)
+    projs = np.add.reduceat(flat.T[:, :, None] * flat.T[:, None, :], starts).reshape(n, -1)
     rows = projs[first_occurrences(projs)]
     kept = np.ones(len(rows), dtype=bool)   # rescan pairwise: near rows may differ in key
     for i in range(1, len(rows)):

@@ -227,9 +227,8 @@ def haar_basis_batch(d: int, k: int, count: int, rng: np.random.Generator) -> np
 
 
 def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement, from the unused left-singular directions."""
-    u = np.linalg.svd(s.basis, full_matrices=True)[0]
-    return Subspace(s.ambient_dim, u[:, s.dim:])
+    """Orthogonal complement: the last d - k columns of ``_signed_qr``'s complete Q."""
+    return Subspace(s.ambient_dim, _signed_qr(s.basis[None], complement=True)[1][0])
 
 
 def subspaces_equal(s1: Subspace, s2: Subspace, tol: float = EQUALITY_TOL) -> bool:

@@ -166,6 +166,10 @@ def test_power_form_examples(mercedes):
     sampled = evaluate_power_form(mercedes, 2, xs)
     for x, v in zip(xs, sampled):
         assert abs(np.prod(x[monomials(2, 4)], axis=-1) @ pf2 - v) < 1e-10
+    # rows of the wrong width raised numpy's matmul ValueError
+    for bad in (np.ones((4, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionError, match="rows of xs must have length 2"):
+            evaluate_power_form(mercedes, 2, bad)
 
 
 def test_tightness_constant(mercedes):
@@ -603,15 +607,23 @@ def test_loaded_bases_match_per_member_reference(tmp_path_factory, assert_same_f
     assert_same_frame(loaded)
 
 
+def _count_subspace_builds(monkeypatch) -> list:
+    """The Subspace objects built from now on: by ``stack_subspaces`` (also
+    the one ``make_subspace`` calls) and by direct construction."""
+    made = []
+    stack_subspaces = subspaces.stack_subspaces
+    for module in (frames, subspaces):
+        monkeypatch.setattr(module, "stack_subspaces",
+                            lambda bases: made.extend(bases) or stack_subspaces(bases))
+    monkeypatch.setattr(Subspace, "__post_init__",
+                        lambda self, init=Subspace.__post_init__: made.append(self) or init(self))
+    return made
+
+
 def test_load_and_certify_build_no_subspace(tmp_path, monkeypatch):
     path = tmp_path / "f.json"
     save_frame(mixed_frame(np.random.default_rng(5), 5, 9), path)
-    made = []
-    stack_subspaces = frames.stack_subspaces
-    monkeypatch.setattr(frames, "stack_subspaces",
-                        lambda bases: made.extend(bases) or stack_subspaces(bases))
-    monkeypatch.setattr(Subspace, "__post_init__",
-                        lambda self, init=Subspace.__post_init__: made.append(self) or init(self))
+    made = _count_subspace_builds(monkeypatch)
     loaded = load_frame(path)
     for p in (1, 2, 3):
         certify_tight(loaded, p)
@@ -622,6 +634,56 @@ def test_load_and_certify_build_no_subspace(tmp_path, monkeypatch):
     assert len(made) == len(subs) == len(stored)
     for sub, ent in zip(subs, stored):
         assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
+
+
+def test_readers_and_builders_build_no_subspace(tmp_path, monkeypatch, mub_planes):
+    path = tmp_path / "f.json"
+    save_frame(mixed_frame(np.random.default_rng(6), 5, 9), path)
+    rng = np.random.default_rng(7)
+    raw = [rng.standard_normal((5, int(k))) for k in (2, 1, 3, 1, 4)]
+    made = _count_subspace_builds(monkeypatch)
+    loaded = load_frame(path)
+    xs = rng.standard_normal((len(loaded), 5))
+    for p in (1, 2):
+        ff.ffp(loaded, p)
+        ff.sphere_bounds(loaded, p, restarts=2)
+        evaluate_power_form(loaded, p, xs)
+    ff.gram_matrix(loaded)
+    ff.max_offdiagonal(loaded)
+    ff.equiangularity(loaded)
+    analysis(loaded, xs[0])
+    synthesis(loaded, xs)
+    reconstruct(loaded, xs)
+    frame_to_dict(loaded)
+    for built in (loaded.rescaled(2.0), loaded.normalized(), reweight_down(loaded, 2),
+                  union(loaded, loaded), complement_frame(mub_planes), build_frame(raw)):
+        certify_tight(built, 2)
+    ff.ffp_gradient(mub_planes, 2)
+    assert made == []
+
+
+def test_builders_match_per_member_construction(assert_same_frame, mercedes, mub_planes):
+    rng = np.random.default_rng(31)
+    frames_in = [mercedes, mub_planes]
+    for _ in range(10):
+        d, n = int(rng.integers(3, 7)), int(rng.integers(1, 8))
+        frames_in.append(mixed_frame(rng, d, n))
+        # raw matrices and Subspaces mixed, of mixed widths, in shuffled order
+        bases = [rng.standard_normal((d, int(k))) for k in rng.integers(1, d, size=n)]
+        given = rng.random(n) < 0.5
+        bases = [make_subspace(b) if g else b for b, g in zip(bases, given)]
+        weights = rng.uniform(0.2, 2.0, size=n)
+        built = build_frame(bases, weights)
+        assert_same_frame(built, WeightedFrame(d, [
+            (b if g else make_subspace(b), float(w)) for b, g, w in zip(bases, given, weights)]))
+    for f in frames_in:
+        d, entries = f.ambient_dim, f.entries
+        assert_same_frame(f.rescaled(1.7), WeightedFrame(d, [(s, w * 1.7) for s, w in entries]))
+        assert_same_frame(reweight_down(f, 3), WeightedFrame(
+            d, [(s, w * (2 + s.dim / 2.0)) for s, w in entries]))
+        for other in (f, f.rescaled(0.5), frames_in[-1]):
+            if other.ambient_dim == d:
+                assert_same_frame(union(f, other), WeightedFrame(d, entries + other.entries))
 
 
 def test_non_finite_raw_bases_are_refused_before_the_svd():

@@ -117,7 +117,9 @@ def test_simplex_bound_examples(mercedes):
     assert max_offdiagonal(ortho) == pytest.approx(0.0, abs=1e-12)
 
     single = build_frame([np.array([[1.0], [0.0]])])
-    for routine in (simplex_bound_rhs, lambda f: ffp_lower_bound_p(f, 2), equiangularity):
+    # max_offdiagonal raised numpy's zero-size reduction ValueError
+    for routine in (simplex_bound_rhs, lambda f: ffp_lower_bound_p(f, 2), equiangularity,
+                    max_offdiagonal):
         with pytest.raises(SingleSubspace):
             routine(single)
 
