@@ -30,12 +30,12 @@ from .constructions import (
     orbit_frame,
     realify,
 )
-from .errors import FusionFrameError, ParameterError, check_order
-from .frames import CERTIFY_TOL, certify_tight, frame_from_dict, load_frame, save_frame
+from .errors import (CERTIFY_TOL, EQUALITY_TOL, TARGET_MARGIN, TOL_GRAD, FusionFrameError,
+                     ParameterError, check_order)
+from .frames import certify_tight, frame_from_dict, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
-from .optimizer import (MAX_ITERS, STOP_REASONS, TARGET_MARGIN, TOL_GRAD, OptimizerConfig,
-                        minimize_ffp, sphere_bounds)
-from .potential import EQUIANGULAR_TOL, equiangularity, ffp
+from .optimizer import MAX_ITERS, STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
+from .potential import equiangularity, ffp
 from .subspaces import haar_random, make_subspace
 
 
@@ -74,7 +74,7 @@ def cmd_check(args) -> int:
         "parameters": {"p": args.p, "mode": args.mode},
     }
     if args.tol is None:    # each mode's library default
-        args.tol = EQUIANGULAR_TOL if args.mode == "equiangular" else CERTIFY_TOL
+        args.tol = EQUALITY_TOL if args.mode == "equiangular" else CERTIFY_TOL
     exit_code = 0
     if args.mode == "tight":
         cert = certify_tight(frame, args.p, tol=args.tol)

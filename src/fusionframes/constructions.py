@@ -17,23 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FrameFormatError,
-    GroupTooLarge,
-    NotOrthogonal,
-    UnknownName,
-    check_range,
-)
-from .frames import POWER_FORM_GUARD, WeightedFrame, _numbers, build_frame
+from .errors import (GRAM_BUDGET, GROUP_ORTHO_TOL, MOLIEN_TOL, ORTHO_TOL, P_MAX, POWER_FORM_GUARD,
+                     DimensionError, FrameFormatError, GroupTooLarge, NotOrthogonal, UnknownName,
+                     check_range)
+from .frames import WeightedFrame, _numbers, build_frame
 from .homogeneous import check_size_guard
-from .moments import P_MAX
-from .potential import GRAM_BUDGET
 from .subspaces import Subspace, check_orthonormal, first_occurrences, make_subspace
 
-GROUP_ORTHO_TOL = 1e-10
-# Largest gap of a Molien mean from the nearest integer.
-MOLIEN_TOL = 1e-6
 DEFAULT_MAX_ORDER = 20_000
 # Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
 CATALOG_ARG_MAX = 1000
@@ -191,7 +181,7 @@ class ComplexLineSet:
             if v.shape != (width,):
                 raise DimensionError(f"interleaved vector must have length {width}")
             norm_sq = float(v @ v)
-            if not abs(norm_sq - 1.0) <= 1e-12:     # NaN fails
+            if not abs(norm_sq - 1.0) <= ORTHO_TOL:     # NaN fails
                 raise FrameFormatError(f"vector has hermitian norm^2 {norm_sq!r} != 1")
         object.__setattr__(self, "vectors", np.array(vecs, dtype=float).reshape(len(vecs), width))
 

@@ -22,23 +22,12 @@ from math import prod
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    FrameFormatError,
-    LengthMismatch,
-    MixedDimensions,
-    NotAFrame,
-    check_order,
-    check_range,
-)
+from .errors import (CERTIFY_TOL, POWER_FORM_GUARD, RANK_TOL, READ_CORRECTION_TOL, DimensionError,
+                     FrameFormatError, LengthMismatch, MixedDimensions, NotAFrame, check_order,
+                     check_range)
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import (RANK_TOL, READ_CORRECTION_TOL, Subspace, _first_bad, _signed_qr,
-                         check_orthonormal, orthonormal_stack, stack_subspaces)
-
-# Largest degree-2p monomial count accepted by the certificate expansion.
-POWER_FORM_GUARD = 10 ** 6
-# Default tolerance on the normalized coefficient residual of a certificate.
-CERTIFY_TOL = 1e-9
+from .subspaces import (Subspace, _first_bad, _signed_qr, check_orthonormal, orthonormal_stack,
+                        stack_subspaces)
 
 
 @dataclass(frozen=True, init=False, eq=False)

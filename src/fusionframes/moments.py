@@ -29,13 +29,10 @@ from math import comb, factorial, lcm, prod
 
 import numpy as np
 
-from .errors import MixedDimensions, check_range
-from .frames import CERTIFY_TOL, POWER_FORM_GUARD, WeightedFrame
+from .errors import CERTIFY_TOL, P_MAX, POWER_FORM_GUARD, MixedDimensions, check_range
+from .frames import WeightedFrame
 from .homogeneous import check_size_guard, lie_residual, monomial_count
 
-# The exact sum runs over the partitions of p, 627 of them at p = 20 (about
-# 10 ms per moment, 1.3 s per d = 100 table); larger powers are refused.
-P_MAX = 20
 # Largest d of a moment table, which has (d - 1)^2 entries.
 T_MATRIX_D_MAX = 100
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, solve as _solve
 
-from .errors import MixedDimensions, check_order, check_range
+from .errors import (GRAM_BUDGET, RESTART_RTOL, STALL_RTOL, TARGET_MARGIN, TOL_GRAD,
+                     MixedDimensions, check_order, check_range)
 from .frames import WeightedFrame, _side_by_side
 from .moments import t_exact
-from .potential import GRAM_BUDGET
 from .subspaces import _signed_qr, check_orthonormal
 
 EPS = np.finfo(float).eps
@@ -36,7 +36,6 @@ EPS = np.finfo(float).eps
 # size over the last STALL_WINDOW accepted steps: about a hundred ulps, the
 # rounding noise of the value itself.
 STALL_WINDOW = 10
-STALL_RTOL = 1e2 * EPS
 # Every descent, of the potential or on the sphere, stops by 'max-iters'
 # after MAX_ITERS accepted steps.
 STOP_REASONS = ("gradient", "stagnation", "step-underflow", "max-iters")
@@ -56,10 +55,6 @@ LM_MU_MAX = 1.0 / EPS
 # Near the floor the value sits at rounding: a step that keeps it within
 # FLAT_ULPS ulps is also accepted when it at least halves ||g||.
 FLAT_ULPS = 4
-# minimize_ffp's gradient stop, low enough that its frames certify as
-# cubatures, and its success margin over the Haar moment, relative.
-TOL_GRAD = 1e-11
-TARGET_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -328,7 +323,8 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     """Best-of-restarts Riemannian Newton (``_newton``), the restarts batched
     in chunks (``_newton_chunks``).  Success means the final potential sits
     within ``TARGET_MARGIN`` (relative) of the Haar moment lower bound;
-    failure is a reported outcome, never an exception.
+    failure is a reported outcome, never an exception.  A later restart
+    replaces the best only when lower by more than ``RESTART_RTOL`` of it.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -349,7 +345,7 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     finals = [h[-1] for h in histories]
     idx = 0
     for r in range(1, cfg.restarts):
-        if finals[r] < finals[idx] - 1e-10:
+        if finals[r] < finals[idx] * (1.0 - RESTART_RTOL):
             idx = r
     values = tuple(float(v) for v in histories[idx])
     frame = WeightedFrame._from_stacks(

@@ -14,17 +14,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import SingleSubspace, check_order
+from .errors import EQUALITY_TOL, GRAM_BUDGET, SingleSubspace, check_order
 from .frames import WeightedFrame, _side_by_side, certify_tight
 from .moments import _check_moment_args, _moment_weights, _pochhammer_int
-from .subspaces import EQUALITY_TOL, first_occurrences
-
-EQUIANGULAR_TOL = 1e-8
-
-
-# Largest table formed at once: the Hessians of a chunk of optimizer
-# restarts, member rows x (sum of dims) for a block of ``gram_matrix``.
-GRAM_BUDGET = 2 ** 20
+from .subspaces import first_occurrences
 
 
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
@@ -109,7 +102,7 @@ class EquiangularityReport:
     predicted_common_value: float | None  # k(nk-d)/((n-1)d) when tight, equal dims/weights
 
 
-def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> EquiangularityReport:
+def equiangularity(frame: WeightedFrame, tol: float = EQUALITY_TOL) -> EquiangularityReport:
     """Detect a constant off-diagonal trace(P_i P_j) and run the counting
     checks that a genuine equiangular system must satisfy.
 
@@ -140,7 +133,7 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUIANGULAR_TOL) -> Equian
     predicted = None
     if frame.equal_dims():
         w = frame.weights
-        if np.ptp(w) <= tol * w.max():
+        if np.ptp(w) <= EQUALITY_TOL * w.max():
             k = int(frame.dims[0])
             if certify_tight(frame, 1).tight:
                 predicted = k * (n * k - d) / ((n - 1) * d)

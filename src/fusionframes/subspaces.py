@@ -12,18 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg._umath_linalg import qr_complete as _qr_complete, qr_reduced as _qr_reduced
 
-from .errors import DimensionError, RankDeficient, check_range
-
-# Orthonormality of stored bases; looser thresholds derive from this one.
-ORTHO_TOL = 1e-12
-# Smallest singular value accepted as "full column rank".
-RANK_TOL = 1e-10
-# A basis its QR moves by at most this much has full rank; frame files must
-# be orthonormal to this much before re-orthonormalization.
-READ_CORRECTION_TOL = 1e-6
-# Two subspaces are considered equal when projectors agree to this max-norm;
-# also the one dedup tolerance of group elements, orbits and equiangularity.
-EQUALITY_TOL = 1e-8
+from .errors import (EQUALITY_TOL, ORTHO_TOL, RANK_TOL, READ_CORRECTION_TOL, DimensionError,
+                     RankDeficient, check_range)
 
 
 @dataclass(frozen=True)
@@ -74,7 +64,7 @@ def orthonormal_stack(raw, members=None) -> tuple:
 
     The checks are, in order: 1 <= k <= d-1 (``DimensionError``), finite
     entries (``RankDeficient``), smallest singular value above ``RANK_TOL``
-    (``RankDeficient``), and the Gram matrix of each result within
+    times the largest (``RankDeficient``), and the Gram matrix of each result within
     ``ORTHO_TOL`` of the identity (``RankDeficient``).  The rank SVD runs
     only when the QR moves some entry by more than ``READ_CORRECTION_TOL``:
     a basis that close to its QR has full rank.  The diagonal of R is forced
@@ -91,9 +81,9 @@ def orthonormal_stack(raw, members=None) -> tuple:
     q = _signed_qr(a)
     moved = np.abs(q - a).max(axis=(1, 2))
     if not (moved <= READ_CORRECTION_TOL).all():
-        smin = np.linalg.svd(a, compute_uv=False)[:, -1]
-        _first_bad(smin <= RANK_TOL, members, RankDeficient,
-                   lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL}")
+        smax, smin = np.linalg.svd(a, compute_uv=False)[:, [0, -1]].T
+        _first_bad(smin <= RANK_TOL * smax, members, RankDeficient,
+                   lambda i: f"smallest singular value {smin[i]:.2e} <= {RANK_TOL} x {smax[i]:.2e}")
     return check_orthonormal(q, members), moved
 
 

@@ -22,8 +22,7 @@ from fusionframes import (
 )
 from fusionframes import cli
 from fusionframes.cli import main
-from fusionframes.frames import CERTIFY_TOL
-from fusionframes.potential import EQUIANGULAR_TOL
+from fusionframes.errors import CERTIFY_TOL, EQUALITY_TOL
 
 
 def run(argv, capsys):
@@ -112,17 +111,17 @@ def test_check_equiangular_and_bounds(mercedes_file, capsys):
 
 def test_check_tolerance_defaults_follow_the_library(tmp_path, capsys):
     # three lines at 0, 60 deg + 2e-9 rad and 120 deg: overlap spread 3.5e-9,
-    # inside EQUIANGULAR_TOL but outside 1e-9
+    # inside EQUALITY_TOL but outside 1e-9
     angles = (0.0, np.pi / 3 + 2e-9, 2 * np.pi / 3)
     frame = build_frame([np.array([[np.cos(a)], [np.sin(a)]]) for a in angles])
     path = str(tmp_path / "lines.json")
     save_frame(frame, path)
     rep = equiangularity(load_frame(path))
-    assert rep.is_equiangular and 1e-9 < rep.spread < EQUIANGULAR_TOL
+    assert rep.is_equiangular and 1e-9 < rep.spread < EQUALITY_TOL
     code, out, _ = run(["check", path, "--p", "1", "--mode", "equiangular"], capsys)
     report = json.loads(out)
     assert (code, report["results"]["verdict"]) == (0, "equiangular")
-    assert report["tolerances"]["tol"] == EQUIANGULAR_TOL
+    assert report["tolerances"]["tol"] == EQUALITY_TOL
     code, out, _ = run(["check", path, "--p", "1", "--mode", "equiangular",
                         "--tol", "1e-9"], capsys)
     report = json.loads(out)

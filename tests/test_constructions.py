@@ -42,8 +42,7 @@ from fusionframes import (
 )
 import fusionframes.constructions as constructions
 from fusionframes.constructions import CATALOG_ARG_MAX, _reflection
-from fusionframes.moments import P_MAX
-from fusionframes.subspaces import EQUALITY_TOL
+from fusionframes.errors import EQUALITY_TOL, P_MAX
 
 
 def rotation(theta):

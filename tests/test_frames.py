@@ -47,7 +47,7 @@ from fusionframes import (
 import fusionframes as ff
 import fusionframes.frames as frames
 from fusionframes import subspaces
-from fusionframes.frames import POWER_FORM_GUARD, READ_CORRECTION_TOL
+from fusionframes.errors import POWER_FORM_GUARD, READ_CORRECTION_TOL
 from fusionframes.homogeneous import monomial_count, sum_of_squares_coeffs
 
 

@@ -32,8 +32,8 @@ from fusionframes import (
     t_matrix,
 )
 
-from fusionframes.moments import (P_MAX, T_MATRIX_D_MAX, _partitions, _pochhammer_int,
-                                  _zonal_scale)
+from fusionframes.errors import P_MAX
+from fusionframes.moments import T_MATRIX_D_MAX, _partitions, _pochhammer_int, _zonal_scale
 from test_frames import _other_representatives, random_frame
 
 

@@ -413,20 +413,22 @@ def test_trace_bookkeeping():
 
 
 def test_best_restart_must_win_by_more_than_1e_10(monkeypatch):
-    # restart 2 ends below restart 1 by 1e-11, within the tie margin, so the
-    # earlier restart is kept
-    finals = (3.0, 1.0, 1.0 - 1e-11, 2.0)
+    # restart 2 ends below restart 1 by 1e-11 of its value, within the
+    # relative tie margin, so the earlier restart is kept at every scale; at
+    # 1e12 an absolute margin of 1e-10 is below one ulp and kept nothing
     newton_chunks = optimizer._newton_chunks
+    for scale in (1.0, 1e12):
+        finals = tuple(scale * v for v in (3.0, 1.0, 1.0 - 1e-11, 2.0))
 
-    def fixed_finals(ys, evaluate, tol):
-        bases, _, gnorm, stop = newton_chunks(ys, evaluate, tol)
-        return bases, [(5.0, v) for v in finals], gnorm, stop
+        def fixed_finals(ys, evaluate, tol):
+            bases, _, gnorm, stop = newton_chunks(ys, evaluate, tol)
+            return bases, [(5.0 * scale, v) for v in finals], gnorm, stop
 
-    monkeypatch.setattr(optimizer, "_newton_chunks", fixed_finals)
-    trace = minimize_ffp(OptimizerConfig(n=3, k=1, d=2, p=2, restarts=4),
-                         rng=np.random.default_rng(0))
-    assert trace.restart_index == 1
-    assert trace.values == (5.0, 1.0) and trace.restart_values == finals
+        monkeypatch.setattr(optimizer, "_newton_chunks", fixed_finals)
+        trace = minimize_ffp(OptimizerConfig(n=3, k=1, d=2, p=2, restarts=4),
+                             rng=np.random.default_rng(0))
+        assert trace.restart_index == 1, scale
+        assert trace.values == (5.0 * scale, scale) and trace.restart_values == finals
 
 
 def test_newton_stops_when_no_shift_factors():

@@ -31,7 +31,8 @@ from fusionframes import (
     union,
 )
 from fusionframes import potential
-from fusionframes.potential import GRAM_BUDGET, gram_matrix, max_offdiagonal
+from fusionframes.errors import GRAM_BUDGET
+from fusionframes.potential import gram_matrix, max_offdiagonal
 
 from test_frames import random_frame
 
@@ -180,6 +181,10 @@ def test_equiangularity_mercedes(mercedes):
         assert equiangularity(six.rescaled(scale)).predicted_common_value is None
         assert equiangularity(mercedes.rescaled(scale)).predicted_common_value == pytest.approx(
             0.25, abs=1e-12)
+    # nor at any spread tolerance, however loose: the weights are compared
+    # at EQUALITY_TOL, not at the caller's tol
+    for tol in (1e-8, 0.5, 1.0):
+        assert equiangularity(six, tol=tol).predicted_common_value is None
 
 
 def test_equiangularity_gerzon_and_distinctness(rng):

@@ -8,6 +8,7 @@ from fusionframes import (
     ParameterError,
     RankDeficient,
     Subspace,
+    build_frame,
     chordal_distance_sq,
     complement,
     haar_basis_batch,
@@ -18,7 +19,8 @@ from fusionframes import (
     projector,
     subspaces_equal,
 )
-from fusionframes.subspaces import EQUALITY_TOL, _signed_qr, check_orthonormal, first_occurrences
+from fusionframes.errors import EQUALITY_TOL
+from fusionframes.subspaces import _signed_qr, check_orthonormal, first_occurrences
 
 
 def test_subspace_rejects_bad_shapes():
@@ -44,12 +46,18 @@ def test_non_finite_bases_are_rejected():
 
 def test_make_subspace_preserves_span():
     raw = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 1.0]])
-    s = make_subspace(raw)
-    # same column space: projector leaves the raw columns fixed
-    p = projector(s)
-    assert np.allclose(p @ raw, raw, atol=1e-12)
-    with pytest.raises(RankDeficient):
-        make_subspace(np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]]))
+    bad = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
+    # the rank test weighs the smallest singular value against the largest,
+    # so neither verdict depends on the scale of the basis
+    for scale in 10.0 ** np.arange(-100, 101, 10):
+        s = make_subspace(scale * raw)
+        # same column space: projector leaves the raw columns fixed
+        p = projector(s)
+        assert np.allclose(p @ raw, raw, atol=1e-12), scale
+        with pytest.raises(RankDeficient, match="smallest singular value"):
+            make_subspace(scale * bad)
+    frame = build_frame([1e-11 * np.eye(3)[:, :1], np.eye(3)[:, 1:]])
+    assert [b.shape[2] for _, b, _ in frame.groups] == [1, 2]
 
 
 def test_projector_properties(rng):
