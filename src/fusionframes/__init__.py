@@ -82,18 +82,7 @@ from .potential import (
     max_offdiagonal,
     simplex_bound_rhs,
 )
-from .subspaces import (
-    Subspace,
-    chordal_distance_sq,
-    complement,
-    haar_basis_batch,
-    haar_random,
-    hs_inner,
-    make_subspace,
-    principal_angles,
-    projector,
-    subspaces_equal,
-)
+from .subspaces import complement, haar_basis_batch, make_subspace, principal_angles
 
 __version__ = "0.1.0"
 

@@ -36,7 +36,7 @@ from .frames import certify_tight, frame_from_dict, load_frame, save_frame
 from .moments import certify_cubature, t_matrix
 from .optimizer import MAX_ITERS, STOP_REASONS, OptimizerConfig, minimize_ffp, sphere_bounds
 from .potential import equiangularity, ffp
-from .subspaces import haar_random, make_subspace
+from .subspaces import haar_basis_batch, make_subspace
 
 
 def _digest(path) -> str:
@@ -65,6 +65,8 @@ def _stop_counts(reasons) -> dict:
 def cmd_check(args) -> int:
     started = time.monotonic()
     check_order(args.p)     # every mode, also those that do not read it
+    if args.tol is not None and not 0 <= args.tol < np.inf:
+        raise ParameterError(f"--tol must be finite and at least 0, got {args.tol!r}")
     with open(args.frame, "rb") as fh:     # once: the digest names the parsed bytes
         data = fh.read()
     frame = frame_from_dict(json.loads(data))
@@ -142,7 +144,7 @@ def _gen_frame(args):
             seed = {"seed_angle": args.seed_angle}
         else:
             dim = 1 if args.seed_dim is None else args.seed_dim
-            seed_sub = haar_random(group.d, dim, np.random.default_rng(args.seed))
+            seed_sub = haar_basis_batch(group.d, dim, 1, np.random.default_rng(args.seed))[0]
             seed = {"seed_dim": dim, "seed": args.seed}
         frame = orbit_frame(group, seed_sub)
         return frame, dict(generators=args.generators, **seed, group_order=len(group),

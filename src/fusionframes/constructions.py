@@ -22,7 +22,7 @@ from .errors import (GRAM_BUDGET, GROUP_ORTHO_TOL, MOLIEN_TOL, ORTHO_TOL, P_MAX,
                      check_range)
 from .frames import WeightedFrame, _numbers, build_frame
 from .homogeneous import check_size_guard
-from .subspaces import Subspace, check_orthonormal, first_occurrences, make_subspace
+from .subspaces import check_orthonormal, first_occurrences, make_subspace
 
 DEFAULT_MAX_ORDER = 20_000
 # Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
@@ -124,12 +124,16 @@ def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
     return InvarianceReport(invariant_dim=count, passes=count == 1)
 
 
-def orbit_frame(group: MatrixGroup, seed: Subspace) -> WeightedFrame:
-    """The orbit {g V} as a frame with unit weights, one entry per distinct
-    image (stabilizer duplicates collapse)."""
-    if seed.ambient_dim != group.d:
-        raise DimensionError("seed ambient dimension differs from the group")
-    images = group.elements @ seed.basis
+def orbit_frame(group: MatrixGroup, seed) -> WeightedFrame:
+    """The orbit {g V} of the subspace V with (d, k) orthonormal basis
+    ``seed`` as a frame with unit weights, one entry per distinct image
+    (stabilizer duplicates collapse).  Only the seed's shape is checked
+    here; the check of the kept images refuses a non-orthonormal seed."""
+    seed = np.asarray(seed, dtype=float)
+    if seed.ndim != 2 or seed.shape[0] != group.d or not 1 <= seed.shape[1] < group.d:
+        raise DimensionError(f"seed basis of shape {seed.shape} is not d x k with "
+                             f"d = {group.d} and 1 <= k < d")
+    images = group.elements @ seed
     projs = images @ images.transpose(0, 2, 1)
     kept = first_occurrences(projs.reshape(len(projs), -1))
     n = len(kept)

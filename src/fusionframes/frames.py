@@ -1,7 +1,7 @@
 """Weighted fusion frames: the frame object, its operators, exact tightness
 certificates, and the weight/subspace transformations that preserve tightness.
 A frame is its per-dimension stacks (``groups``): ``_from_stacks`` assembles
-every frame, and every routine reads the stacks, never the ``entries`` view.
+every frame, and every routine reads the stacks.
 
 Tightness of order p means sum_j w_j ||P_j x||^(2p) = A ||x||^(2p) for every
 x.  Both sides are homogeneous polynomials of degree 2p, so the identity is
@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from math import prod
 
@@ -26,8 +26,7 @@ from .errors import (CERTIFY_TOL, POWER_FORM_GUARD, RANK_TOL, READ_CORRECTION_TO
                      FrameFormatError, LengthMismatch, MixedDimensions, NotAFrame, check_order,
                      check_range)
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import (Subspace, _first_bad, _signed_qr, check_orthonormal, orthonormal_stack,
-                        stack_subspaces)
+from .subspaces import _first_bad, _signed_qr, check_orthonormal, orthonormal_stack
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -36,17 +35,10 @@ class WeightedFrame:
     ambient dimension, stored by dimension: ``groups`` holds, per member
     dimension k, smallest first, the ascending frame positions of the
     dimension-k members, the (m_k, d, k) stack of their orthonormal bases
-    and their (m_k,) weights.  ``entries`` is built on first access."""
+    and their (m_k,) weights.  ``build_frame`` builds one from raw bases."""
 
     ambient_dim: int
     groups: tuple = field(repr=False)   # of (positions, bases, weights)
-
-    def __init__(self, ambient_dim: int, entries):
-        entries = tuple(entries)
-        frame = build_frame([s for s, _ in entries], [w for _, w in entries])
-        if frame.ambient_dim != ambient_dim:
-            raise DimensionError("subspace ambient dimension differs from frame")
-        self.__dict__.update(vars(frame))
 
     @classmethod
     def _from_stacks(cls, ambient_dim: int, groups) -> "WeightedFrame":
@@ -63,18 +55,15 @@ class WeightedFrame:
     def __len__(self) -> int:
         return sum(len(idx) for idx, _, _ in self.groups)
 
-    @cached_property
-    def entries(self) -> tuple:
-        """(Subspace, weight) pairs in frame order."""
-        out = [None] * len(self)
-        for idx, bases, weights in self.groups:
-            for i, s, w in zip(idx.tolist(), stack_subspaces(bases), weights.tolist()):
-                out[i] = (s, w)
-        return tuple(out)
-
     @property
-    def subspaces(self) -> list:
-        return [s for s, _ in self.entries]
+    def bases(self) -> list:
+        """The (d, k) orthonormal basis of every member, in frame order: rows
+        of the stacks, not copies."""
+        out = [None] * len(self)
+        for idx, bases, _ in self.groups:
+            for i, basis in zip(idx.tolist(), bases):
+                out[i] = basis
+        return out
 
     @property
     def weights(self) -> np.ndarray:
@@ -140,25 +129,20 @@ class TightnessCertificate:
 
 
 def build_frame(bases, weights=None) -> WeightedFrame:
-    """Frame from raw basis matrices or Subspaces, weights 1 by default; per
-    width k, smallest first, one ``orthonormal_stack`` validates the raw ones."""
+    """Frame from raw d x k basis matrices, weights 1 by default; per width k,
+    smallest first, one ``orthonormal_stack`` validates and orthonormalizes
+    them (an orthonormal input may move by rounding)."""
     bases = list(bases)
     weights = np.ones(len(bases)) if weights is None else np.array([float(w) for w in weights])
     if len(weights) != len(bases):
         raise LengthMismatch("weights and bases differ in length")
     if not bases:
         raise DimensionError("a frame needs at least one subspace")
-    given = np.array([isinstance(b, Subspace) for b in bases])
-    mats = [b.basis if g else np.atleast_2d(np.asarray(b, dtype=float))
-            for b, g in zip(bases, given.tolist())]
+    mats = [np.atleast_2d(np.asarray(b, dtype=float)) for b in bases]
     if len({a.shape[0] for a in mats}) > 1:
         raise DimensionError("bases differ in ambient dimension")
-    groups = []
-    for idx in _positions_by_value(np.array([a.shape[1] for a in mats], dtype=int)):
-        stack, raw = np.stack([mats[i] for i in idx]), ~given[idx]
-        if raw.any():
-            stack[raw] = orthonormal_stack(stack[raw], idx[raw])[0]
-        groups.append((idx, stack, weights[idx]))
+    groups = [(idx, orthonormal_stack(np.stack([mats[i] for i in idx]), idx)[0], weights[idx])
+              for idx in _positions_by_value(np.array([a.shape[1] for a in mats], dtype=int))]
     return WeightedFrame._from_stacks(len(mats[0]), groups)
 
 

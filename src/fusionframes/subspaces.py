@@ -1,51 +1,18 @@
-"""Linear subspaces of R^d: orthonormal bases, projectors, principal angles,
-Haar-random sampling, and orthogonal complements.
+"""Linear subspaces of R^d: orthonormal bases, principal angles, Haar-random
+sampling, and orthogonal complements.
 
-A subspace is stored by a d x k matrix with orthonormal columns.  Bases are
-not canonical (any rotation of the columns spans the same space), so equality
-is always tested through projectors.
+A k-dimensional subspace is its d x k basis array with orthonormal columns,
+and m of them of one dimension are an (m, d, k) stack.  Bases are not
+canonical (any rotation of the columns spans the same space), so two bases
+are compared through their projectors B B^T.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg._umath_linalg import qr_complete as _qr_complete, qr_reduced as _qr_reduced
 
 from .errors import (EQUALITY_TOL, ORTHO_TOL, RANK_TOL, READ_CORRECTION_TOL, DimensionError,
                      RankDeficient, check_range)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A k-dimensional linear subspace of R^d, 1 <= k <= d-1.
-
-    Attributes
-    ----------
-    ambient_dim : int
-        The dimension d of the surrounding space.
-    basis : ndarray of shape (d, k)
-        Orthonormal columns spanning the subspace.
-    """
-
-    ambient_dim: int
-    basis: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise DimensionError(
-                f"basis shape {b.shape} does not match ambient dim {self.ambient_dim}"
-            )
-        k = b.shape[1]
-        if not 1 <= k <= self.ambient_dim - 1:
-            raise DimensionError(f"subspace dimension {k} not in [1, {self.ambient_dim - 1}]")
-        check_orthonormal(b[None])
-        object.__setattr__(self, "basis", b)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 def _first_bad(bad: np.ndarray, members, exc, message) -> None:
@@ -146,83 +113,44 @@ def first_occurrences(rows: np.ndarray, start: int = 0, buckets=None) -> np.ndar
     return kept
 
 
-def stack_subspaces(bases: np.ndarray) -> list:
-    """Subspaces on the rows of a stack that passed ``check_orthonormal``;
-    the per-member check of direct construction is not repeated."""
-    out = [object.__new__(Subspace) for _ in bases]
-    for s, b in zip(out, bases):
-        s.__dict__.update(ambient_dim=bases.shape[1], basis=b)
-    return out
-
-
-def make_subspace(raw) -> Subspace:
-    """Build a Subspace from any full-column-rank d x k matrix.
-
-    The column space is preserved; the stored basis is the sign-fixed QR
-    orthonormalization of ``raw``.
-    """
+def make_subspace(raw) -> np.ndarray:
+    """The (d, k) orthonormal basis of the column space of any full-column-rank
+    d x k matrix: its sign-fixed QR orthonormalization, checked by
+    ``orthonormal_stack``."""
     a = np.atleast_2d(np.asarray(raw, dtype=float))
-    return stack_subspaces(orthonormal_stack(a[None])[0])[0]
+    return orthonormal_stack(a[None])[0][0]
 
 
-def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projection matrix B B^T onto the subspace."""
-    return s.basis @ s.basis.T
-
-
-def hs_inner(s1: Subspace, s2: Subspace) -> float:
-    """trace(P1 P2), computed as the squared Frobenius norm of B1^T B2."""
-    if s1.ambient_dim != s2.ambient_dim:
+def principal_angles(a, b) -> np.ndarray:
+    """Squared cosines of the principal angles between paired members of an
+    (m, d, k) and an (m, d, l) stack of orthonormal bases, one pass for all
+    pairs: (m, min(k, l)), each row descending and clamped to [0, 1].  They
+    are the squared singular values of A_i^T B_i, equivalently the nonzero
+    eigenvalues of P_i Q_i, and sum to trace(P_i Q_i)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-2] != b.shape[-2]:
         raise DimensionError("ambient dimensions differ")
-    m = s1.basis.T @ s2.basis
-    return float((m * m).sum())
-
-
-def principal_angles(s1: Subspace, s2: Subspace) -> np.ndarray:
-    """Squared cosines of the principal angles, descending, clamped to [0, 1].
-
-    These are the squared singular values of B1^T B2, equivalently the
-    nonzero eigenvalues of P1 P2; their sum equals hs_inner(s1, s2).
-    """
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionError("ambient dimensions differ")
-    sv = np.linalg.svd(s1.basis.T @ s2.basis, compute_uv=False)
+    sv = np.linalg.svd(np.swapaxes(a, -1, -2) @ b, compute_uv=False)
     return np.clip(sv * sv, 0.0, 1.0)
 
 
-def chordal_distance_sq(s1: Subspace, s2: Subspace) -> float:
-    """k - trace(P1 P2) for two subspaces of equal dimension k."""
-    if s1.dim != s2.dim:
-        raise DimensionError("chordal distance requires equal dimensions")
-    return float(s1.dim - hs_inner(s1, s2))
+def haar_basis_batch(d: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, d, k) stack of independent Haar orthonormal bases.
 
-
-def haar_random(d: int, k: int, rng: np.random.Generator) -> Subspace:
-    """Draw a uniformly distributed k-dimensional subspace of R^d.
-
-    A d x k standard Gaussian matrix is orthonormalized with the sign-fixed
-    QR factorization; the sign convention makes the column frame exactly
-    Haar-distributed rather than merely Haar up to signs.
-    """
+    Standard Gaussian d x k matrices are orthonormalized with the sign-fixed
+    QR of ``orthonormal_stack`` without its checks (a Gaussian matrix has
+    full rank with probability 1); the sign convention makes each column
+    frame exactly Haar-distributed rather than merely Haar up to signs."""
     check_range("d", d, 2)
     check_range("k", k, 1, d - 1)
-    return make_subspace(rng.standard_normal((d, k)))
-
-
-def haar_basis_batch(d: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(count, d, k) stack of independent Haar orthonormal bases; bulk sampler
-    for Monte-Carlo estimates.  The sign-fixed QR of ``orthonormal_stack``
-    without its checks: a Gaussian matrix has full rank with probability 1."""
     return _signed_qr(rng.standard_normal((count, d, k)))
 
 
-def complement(s: Subspace) -> Subspace:
-    """Orthogonal complement: the last d - k columns of ``_signed_qr``'s complete Q."""
-    return Subspace(s.ambient_dim, _signed_qr(s.basis[None], complement=True)[1][0])
-
-
-def subspaces_equal(s1: Subspace, s2: Subspace, tol: float = EQUALITY_TOL) -> bool:
-    """Projector comparison in max-norm; basis matrices are not canonical."""
-    if s1.ambient_dim != s2.ambient_dim or s1.dim != s2.dim:
-        return False
-    return bool(np.abs(projector(s1) - projector(s2)).max() <= tol)
+def complement(basis) -> np.ndarray:
+    """A (d, d - k) orthonormal basis of the orthogonal complement of the
+    column space of a (d, k) orthonormal basis, 1 <= k <= d - 1: the last
+    d - k columns of ``_signed_qr``'s complete Q."""
+    a = np.asarray(basis, dtype=float)
+    if a.ndim != 2 or not 1 <= a.shape[1] < a.shape[0]:
+        raise DimensionError(f"basis of shape {a.shape} is not d x k with 1 <= k < d")
+    return _signed_qr(check_orthonormal(a[None]), complement=True)[1][0]

@@ -40,18 +40,38 @@ def mc_moment():
     return estimate
 
 
+def _regroup(bases, weights):
+    """The frame of orthonormal ``bases`` and ``weights`` in frame order:
+    the bases of each width k, smallest first, stacked by ``np.stack`` as
+    given, without a QR."""
+    weights = np.asarray(weights, dtype=float)
+    dims = np.array([b.shape[1] for b in bases])
+    groups = []
+    for k in np.unique(dims):
+        idx = np.flatnonzero(dims == k)
+        groups.append((idx, np.stack([bases[i] for i in idx]), weights[idx]))
+    return WeightedFrame._from_stacks(bases[0].shape[0], groups)
+
+
+@pytest.fixture(scope="session")
+def regroup():
+    """``regroup(bases, weights)``: a frame assembled from frame-order
+    orthonormal bases as they are, without the QR of ``build_frame``."""
+    return _regroup
+
+
 @pytest.fixture(scope="session")
 def assert_same_frame(tmp_path_factory):
-    """A check that a frame agrees bitwise with ``twin``, by default
-    ``WeightedFrame(d, frame.entries)``, the same members built from
-    (Subspace, weight) pairs: length, weights, dims, stacks, masses (also
-    against the frame-order sum), certificates at p = 1..3 and the bytes of
-    ``save_frame``, which tell -0.0 from 0.0."""
+    """A check that a frame agrees bitwise with ``twin``, by default the
+    frame-order ``bases`` and weights regrouped by width (``regroup``):
+    length, weights, dims, stacks, masses (also against the frame-order
+    sum), certificates at p = 1..3 and the bytes of ``save_frame``, which
+    tell -0.0 from 0.0."""
     folder = tmp_path_factory.mktemp("same-frame")
 
     def check(frame, twin=None):
         if twin is None:
-            twin = WeightedFrame(frame.ambient_dim, frame.entries)
+            twin = _regroup(frame.bases, frame.weights)
         assert frame.ambient_dim == twin.ambient_dim and len(frame) == len(twin)
         for a, b in ((frame.weights, twin.weights), (frame.dims, twin.dims)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -59,8 +79,8 @@ def assert_same_frame(tmp_path_factory):
         for (bases, weights), (twin_bases, twin_weights) in zip(frame.stacks, twin.stacks):
             assert np.array_equal(bases, twin_bases) and np.array_equal(weights, twin_weights)
         mass = {}
-        for sub, w in twin.entries:
-            mass[sub.dim] = mass.get(sub.dim, 0.0) + w
+        for basis, w in zip(twin.bases, twin.weights.tolist()):
+            mass[basis.shape[1]] = mass.get(basis.shape[1], 0.0) + w
         assert (list(frame.mass_by_dim().items()) == list(twin.mass_by_dim().items())
                 == list(mass.items()))
         for p in (1, 2, 3):

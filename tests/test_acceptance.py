@@ -27,9 +27,7 @@ from fusionframes import (
     ffp_lower_bound_mixed,
     ffp_lower_bound_p,
     haar_basis_batch,
-    haar_random,
     invariance_check,
-    make_subspace,
     max_offdiagonal,
     minimize_ffp,
     mub_lines_c2,
@@ -75,8 +73,8 @@ def _catalog_instances():
 def _random_mixed_frame(rng, ambient_dims):
     d = int(rng.choice(ambient_dims))
     n = int(rng.integers(2, 6))
-    subs = [haar_random(d, int(rng.integers(1, d)), rng) for _ in range(n)]
-    return build_frame(subs, rng.uniform(0.1, 2.0, size=n))
+    raw = [rng.standard_normal((d, int(rng.integers(1, d)))) for _ in range(n)]
+    return build_frame(raw, rng.uniform(0.1, 2.0, size=n))
 
 
 def test_criterion_01_mercedes_suite(capfd, tmp_path):
@@ -173,14 +171,14 @@ def test_criterion_06_orbit_theorem_equivalence(capfd):
         assert rep.passes and rep.invariant_dim == 1
         rng = np.random.default_rng(6)
         for _ in range(20):
-            orb = orbit_frame(weyl, haar_random(2, 1, rng))
+            orb = orbit_frame(weyl, haar_basis_batch(2, 1, 1, rng)[0])
             assert certify_tight(orb, 2).tight
 
         reflection = close_group([np.diag([1.0, -1.0])])
         assert len(reflection) == 2
         assert not invariance_check(reflection, 2).passes
         failures = sum(
-            not certify_tight(orbit_frame(reflection, haar_random(2, 1, rng)),
+            not certify_tight(orbit_frame(reflection, haar_basis_batch(2, 1, 1, rng)[0]),
                               2).tight
             for _ in range(50))
         assert failures >= 1
@@ -247,7 +245,7 @@ def test_criterion_10_gradient_matches_fd(capfd):
             p = int(rng.integers(1, 4))
             ys = haar_basis_batch(d, k, n, rng)
             weights = rng.uniform(0.2, 2.0, size=n)
-            frame = build_frame([make_subspace(y) for y in ys], weights)
+            frame = build_frame(ys, weights)
             grads = ffp_gradient(frame, p)
             raw = rng.standard_normal((n, d, k))
             dirs = np.stack([e - y @ (y.T @ e) for e, y in zip(raw, ys)])
@@ -255,9 +253,8 @@ def test_criterion_10_gradient_matches_fd(capfd):
             inner = sum(float((g * e).sum()) for g, e in zip(grads, dirs))
 
             def value(t):
-                subs = [make_subspace(np.linalg.qr(y + t * e)[0])
-                        for y, e in zip(ys, dirs)]
-                return ffp(build_frame(subs, weights), p)
+                moved = [np.linalg.qr(y + t * e)[0] for y, e in zip(ys, dirs)]
+                return ffp(build_frame(moved, weights), p)
 
             h = 1e-6
             fd = (value(h) - value(-h)) / (2 * h)
@@ -274,9 +271,8 @@ def test_criterion_11_size_bounds_and_gerzon(capfd):
                 assert bounds["max_equiangular"] == comb(d + 1, 2)
 
         def lines(degrees):
-            subs = [make_subspace(np.array([[np.cos(a)], [np.sin(a)]]))
-                    for a in np.deg2rad(degrees)]
-            return build_frame(subs, np.ones(len(subs)))
+            return build_frame([np.array([[np.cos(a)], [np.sin(a)]])
+                                for a in np.deg2rad(degrees)])
 
         candidates = [
             lines([0, 45, 90, 135]),      # equispaced, angles differ

@@ -132,6 +132,22 @@ def test_check_tolerance_defaults_follow_the_library(tmp_path, capsys):
         assert json.loads(out)["tolerances"]["tol"] == CERTIFY_TOL
 
 
+def test_check_refuses_a_negative_or_non_finite_tol(mercedes_file, capsys):
+    # a tolerance of -1 once read a residual of 3.9e-16 as not tight, and a
+    # NaN or infinite one reached the JSON writer
+    for tol in ("-1", "nan", "inf"):
+        code, out, err = run(["check", mercedes_file, "--p", "2", "--mode", "tight",
+                              f"--tol={tol}"], capsys)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ParameterError" and "--tol" in error["message"]
+    code, out, _ = run(["check", mercedes_file, "--p", "2", "--mode", "tight", "--tol", "0"],
+                       capsys)
+    report = json.loads(out)
+    assert code in (0, 1) and report["results"]["verdict"] in ("tight", "not-tight")
+    assert report["tolerances"]["tol"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # gen
 

@@ -16,33 +16,44 @@ from fusionframes import (
     NotOrthogonal,
     ParameterError,
     SizeGuardExceeded,
-    Subspace,
     UnknownName,
-    WeightedFrame,
     build_frame,
     catalog,
     catalog_names,
     certify_tight,
     close_group,
     extend,
-    haar_random,
+    haar_basis_batch,
     invariance_check,
     load_generators,
     load_line_set,
     make_subspace,
     mub_lines_c2,
     orbit_frame,
-    projector,
     realify,
     save_generators,
     save_line_set,
-    subspaces_equal,
     tightness_constant,
     weyl_a2_group,
 )
 import fusionframes.constructions as constructions
 from fusionframes.constructions import CATALOG_ARG_MAX, _reflection
 from fusionframes.errors import EQUALITY_TOL, P_MAX
+from test_frames import projectors
+
+
+def same_members(a, b):
+    """Whether the members of frames ``a`` and ``b`` of one width span the
+    same subspaces in the same order: projectors within ``EQUALITY_TOL``."""
+    gaps = projectors(np.stack(a.bases)) - projectors(np.stack(b.bases))
+    return bool(np.abs(gaps).max() <= EQUALITY_TOL)
+
+
+def members_among(a, b):
+    """Whether every member of frame ``a`` spans some member of ``b``."""
+    pa, pb = projectors(np.stack(a.bases)), projectors(np.stack(b.bases))
+    gaps = np.abs(pa[:, None] - pb[None]).max(axis=(2, 3))
+    return bool((gaps <= EQUALITY_TOL).any(axis=1).all())
 
 
 def rotation(theta):
@@ -116,26 +127,24 @@ def test_orbit_frame(rng):
     x_axis = make_subspace(np.array([[1.0], [0.0]]))
     orb = orbit_frame(w, x_axis)
     assert len(orb) == 3
-    merc = catalog("mercedes")
-    for s in orb.subspaces:
-        assert any(subspaces_equal(s, t) for t in merc.subspaces)
+    assert members_among(orb, catalog("mercedes"))
 
     refl = close_group([_reflection(0.0)])
     assert len(orbit_frame(refl, x_axis)) == 1   # seed is group-invariant
 
     with pytest.raises(DimensionError):
-        orbit_frame(w, haar_random(3, 1, rng))
+        orbit_frame(w, haar_basis_batch(3, 1, 1, rng)[0])
 
 
 def test_orbit_theorem_round_trip(rng):
     w = weyl_a2_group()
     for _ in range(5):
-        seed = haar_random(2, 1, rng)
+        seed = haar_basis_batch(2, 1, 1, rng)[0]
         assert certify_tight(orbit_frame(w, seed), 2).tight
 
     refl = close_group([_reflection(0.0)])
     failures = sum(
-        not certify_tight(orbit_frame(refl, haar_random(2, 1, rng)), 1).tight
+        not certify_tight(orbit_frame(refl, haar_basis_batch(2, 1, 1, rng)[0]), 1).tight
         for _ in range(50))
     assert failures >= 1
 
@@ -172,8 +181,8 @@ def test_orbit_sizes_follow_orbit_stabilizer(branches, order, sizes, rng):
         first = [i for i in range(order)
                  if not (np.abs(np.abs(images[:i] @ images[i]) - 1)
                          <= EQUALITY_TOL).any()]
-        for i, sub in zip(first, orbit.subspaces):
-            assert np.abs(projector(sub) - np.outer(images[i], images[i])).max() < 1e-12
+        for i, basis in zip(first, orbit.bases):
+            assert np.abs(projectors(basis) - np.outer(images[i], images[i])).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +282,14 @@ def test_orbit_keeps_the_pairwise_first_occurrences(assert_same_frame, name, k, 
         # groups the seed then has a stabilizer
         normal = np.linalg.svd(group.generators[0] - np.eye(d))[2][0]
         raw -= np.outer(normal, normal @ raw)
-    seed_sub = make_subspace(raw)
-    images = group.elements @ seed_sub.basis
+    seed = make_subspace(raw)
+    images = group.elements @ seed
     kept = pairwise_first_occurrences(images @ images.transpose(0, 2, 1))
-    orbit = orbit_frame(group, seed_sub)
+    orbit = orbit_frame(group, seed)
     assert len(orbit) == len(kept)
-    for i, sub in zip(kept, orbit.subspaces):
-        assert np.array_equal(sub.basis, images[i])
-    # the deduplicated stack and the same members built from entries agree
+    for i, basis in zip(kept, orbit.bases):
+        assert np.array_equal(basis, images[i])
+    # the deduplicated stack and its frame-order bases regrouped agree
     assert_same_frame(orbit)
 
 
@@ -352,7 +361,7 @@ def test_h4_pipeline_counts_match_certified_orbit(rng):
     assert len(group) == 14400
     counts = [invariance_check(group, p).invariant_dim for p in range(1, 7)]
     assert counts == [1, 1, 1, 1, 1, 2]
-    orbit = orbit_frame(group, haar_random(4, 1, rng))
+    orbit = orbit_frame(group, haar_basis_batch(4, 1, 1, rng)[0])
     assert len(orbit) == 7200
     for p, count in zip(range(1, 7), counts):
         assert certify_tight(orbit, p).tight == (count == 1), p
@@ -396,8 +405,7 @@ def test_realify_mub(mub_planes):
     f = realify(lines)
     assert f.ambient_dim == 4 and len(f) == 6 and set(f.dims) == {2}
     assert certify_tight(f, 2).tight
-    for a, b in zip(f.subspaces, mub_planes.subspaces):
-        assert subspaces_equal(a, b)
+    assert same_members(f, mub_planes)
 
 
 def test_realify_projection_norm_identity(rng):
@@ -411,16 +419,15 @@ def test_realify_projection_norm_identity(rng):
         kx[0::2], kx[1::2] = x.real, x.imag
         j = int(rng.integers(0, 6))
         h = complex((x.conj() * zs[j]).sum())
-        norm_sq = float(((f.subspaces[j].basis.T @ kx) ** 2).sum())
+        norm_sq = float(((f.bases[j].T @ kx) ** 2).sum())
         assert abs(norm_sq - abs(h) ** 2) < 1e-12
 
 
 def test_realify_phase_invariance():
     z = np.array([0.6, 0.8j])
     for phase in (0.3, 1.1, 2.9):
-        p1 = projector(realify(ComplexLineSet.from_complex([z])).subspaces[0])
-        p2 = projector(realify(
-            ComplexLineSet.from_complex([np.exp(1j * phase) * z])).subspaces[0])
+        p1 = projectors(realify(ComplexLineSet.from_complex([z])).bases[0])
+        p2 = projectors(realify(ComplexLineSet.from_complex([np.exp(1j * phase) * z])).bases[0])
         assert np.abs(p1 - p2).max() < 1e-12
 
 
@@ -483,23 +490,25 @@ def test_construction_arguments_must_be_integers():
 
 
 def _realify_by_member(lines):
-    """Realification one line at a time, through Subspace."""
-    entries = []
+    """Realification one line at a time: the bases, in frame order."""
+    bases = []
     for v in lines.vectors:
         z = v[0::2] + 1j * v[1::2]
         iz = 1j * z
         cols = np.empty((2 * lines.d_complex, 2))
         cols[0::2, 0], cols[1::2, 0] = z.real, z.imag
         cols[0::2, 1], cols[1::2, 1] = iz.real, iz.imag
-        entries.append((Subspace(2 * lines.d_complex, cols), 1.0))
-    return WeightedFrame(2 * lines.d_complex, entries)
+        bases.append(cols)
+    return bases
 
 
 def _extend_by_member(inner, outer):
-    """Extension one pair of members at a time, through Subspace."""
-    return WeightedFrame(outer.ambient_dim, [
-        (Subspace(outer.ambient_dim, w_sub.basis @ v_sub.basis), w_weight * v_weight)
-        for w_sub, w_weight in outer.entries for v_sub, v_weight in inner.entries])
+    """Extension one pair of members at a time: the bases and the weights,
+    in frame order."""
+    pairs = [(w_basis @ v_basis, w_weight * v_weight)
+             for w_basis, w_weight in zip(outer.bases, outer.weights.tolist())
+             for v_basis, v_weight in zip(inner.bases, inner.weights.tolist())]
+    return [b for b, _ in pairs], [w for _, w in pairs]
 
 
 def _line_sets(rng):
@@ -514,20 +523,21 @@ def _line_sets(rng):
         yield ComplexLineSet(dc, v / np.sqrt((v * v).sum(axis=1, keepdims=True)))
 
 
-def test_realify_matches_per_member_construction(assert_same_frame):
+def test_realify_matches_per_member_construction(assert_same_frame, regroup):
     rng = np.random.default_rng(17)
     negative_zeros = 0
     for lines in _line_sets(rng):
         v = np.asarray(lines.vectors)
         negative_zeros += int((np.signbit(v) & (v == 0)).sum())
-        assert_same_frame(realify(lines), _realify_by_member(lines))
+        bases = _realify_by_member(lines)
+        assert_same_frame(realify(lines), regroup(bases, np.ones(len(bases))))
     assert negative_zeros > 0
     with pytest.raises(DimensionError, match="at least one subspace"):
         realify(ComplexLineSet(2, ()))
 
 
-def test_extend_matches_per_member_construction(assert_same_frame, mercedes, mub_planes,
-                                                ortho_lines_r2):
+def test_extend_matches_per_member_construction(assert_same_frame, regroup, mercedes,
+                                                mub_planes, ortho_lines_r2):
     rng = np.random.default_rng(23)
     cases = [(mercedes, mub_planes), (ortho_lines_r2, mub_planes)]
     for _ in range(10):
@@ -539,7 +549,7 @@ def test_extend_matches_per_member_construction(assert_same_frame, mercedes, mub
         outer = build_frame(rng.standard_normal((m, big, ell)), rng.uniform(0.2, 2.0, size=m))
         cases.append((inner, outer))
     for inner, outer in cases:
-        assert_same_frame(extend(inner, outer), _extend_by_member(inner, outer))
+        assert_same_frame(extend(inner, outer), regroup(*_extend_by_member(inner, outer)))
     # the first outer member of a wrong dimension is named; weights that
     # multiply to zero are refused
     eye = np.eye(4)
@@ -559,11 +569,8 @@ def test_catalog_names_and_aliases():
         "cross-polytope-lines", "weyl-a2-orbit"}
     merc = catalog("mercedes")
     three = catalog("equispaced-lines(3)")
-    for a, b in zip(merc.subspaces, three.subspaces):
-        assert subspaces_equal(a, b)
-    orb = catalog("weyl-a2-orbit(1)")
-    for s in orb.subspaces:
-        assert any(subspaces_equal(s, t) for t in merc.subspaces)
+    assert same_members(merc, three)
+    assert members_among(catalog("weyl-a2-orbit(1)"), merc)
 
 
 def test_equispaced_lines_tightness_sweep():

@@ -16,7 +16,6 @@ from fusionframes import (
     ParameterError,
     RankDeficient,
     SizeGuardExceeded,
-    Subspace,
     WeightedFrame,
     analysis,
     build_frame,
@@ -30,7 +29,7 @@ from fusionframes import (
     frame_from_dict,
     frame_operator,
     frame_to_dict,
-    haar_random,
+    haar_basis_batch,
     load_frame,
     make_subspace,
     monomials,
@@ -39,7 +38,6 @@ from fusionframes import (
     reconstruct,
     reweight_down,
     save_frame,
-    subspaces_equal,
     synthesis,
     tightness_constant,
     union,
@@ -47,40 +45,39 @@ from fusionframes import (
 import fusionframes as ff
 import fusionframes.frames as frames
 from fusionframes import subspaces
-from fusionframes.errors import POWER_FORM_GUARD, READ_CORRECTION_TOL
+from fusionframes.errors import EQUALITY_TOL, POWER_FORM_GUARD, READ_CORRECTION_TOL
 from fusionframes.homogeneous import monomial_count, sum_of_squares_coeffs
 
 
-def line(theta):
-    return make_subspace(np.array([[np.cos(theta)], [np.sin(theta)]]))
+def projectors(bases):
+    """B B^T for a (d, k) basis, or for every member of an (m, d, k) stack."""
+    return bases @ np.swapaxes(bases, -1, -2)
 
 
 def random_frame(rng, d=None, mixed=True):
+    """Haar members, each the sign-fixed QR of a Gaussian matrix, with random weights."""
     d = d or int(rng.integers(2, 6))
     n = int(rng.integers(2, 6))
-    entries = []
+    raw, weights = [], []
     for _ in range(n):
         k = int(rng.integers(1, d)) if mixed else 1
-        entries.append((haar_random(d, k, rng), float(rng.uniform(0.2, 2.0))))
-    return WeightedFrame(d, tuple(entries))
+        raw.append(rng.standard_normal((d, k)))
+        weights.append(float(rng.uniform(0.2, 2.0)))
+    return build_frame(raw, weights)
 
 
 # ---------------------------------------------------------------------------
 # construction and invariants
 
 def test_frame_invariants():
+    s = np.array([[1.0], [0.0]])
     with pytest.raises(DimensionError):
-        WeightedFrame(2, ())
-    s = line(0.0)
-    with pytest.raises(DimensionError):
-        WeightedFrame(2, ((s, -1.0),))
+        build_frame([s], weights=[-1.0])
     for bad in (np.inf, np.nan):
         with pytest.raises(DimensionError, match="finite"):
-            WeightedFrame(2, ((s, bad),))
-    with pytest.raises(DimensionError):
-        WeightedFrame(3, ((s, 1.0),))
+            build_frame([s], weights=[bad])
     with pytest.raises(LengthMismatch):
-        build_frame([s.basis], weights=[1.0, 2.0])
+        build_frame([s], weights=[1.0, 2.0])
     with pytest.raises(DimensionError, match="at least one subspace"):
         build_frame([])
     with pytest.raises(DimensionError, match="ambient dimension"):
@@ -101,9 +98,9 @@ def test_frame_operator_examples(mercedes):
     ortho = build_frame([np.eye(2)[:, [0]], np.eye(2)[:, [1]]])
     assert np.allclose(frame_operator(ortho), np.eye(2), atol=1e-12)
     assert np.allclose(frame_operator(mercedes), 1.5 * np.eye(2), atol=1e-12)
-    s = haar_random(4, 2, np.random.default_rng(1))
-    f = WeightedFrame(4, ((s, 0.7),))
-    assert np.allclose(frame_operator(f), 0.7 * s.basis @ s.basis.T, atol=1e-12)
+    s = haar_basis_batch(4, 2, 1, np.random.default_rng(1))[0]
+    f = build_frame([s], [0.7])
+    assert np.allclose(frame_operator(f), 0.7 * s @ s.T, atol=1e-12)
 
 
 def test_frame_operator_trace_identity(rng):
@@ -238,9 +235,9 @@ def test_certifier_soundness_on_catalog():
 def test_power_form_matches_sampling(d, p, n, seed):
     # mixed member dimensions and weights; evaluate_power_form never expands
     rng = np.random.default_rng(seed)
-    frame = WeightedFrame(d, tuple(
-        (haar_random(d, int(rng.integers(1, d)), rng), float(rng.uniform(0.1, 3.0)))
-        for _ in range(n)))
+    raw, weights = zip(*((rng.standard_normal((d, int(rng.integers(1, d)))),
+                          float(rng.uniform(0.1, 3.0))) for _ in range(n)))
+    frame = build_frame(raw, weights)
     coeffs = power_form(frame, p)
     xs = rng.standard_normal((8, d))
     for x, v in zip(xs, evaluate_power_form(frame, p, xs)):
@@ -341,18 +338,34 @@ INVARIANCE_CASES = [
 ]
 
 
-def _rotated_bases(frame, rng):
-    q, _ = np.linalg.qr(rng.standard_normal((frame.ambient_dim,) * 2))
-    return WeightedFrame(frame.ambient_dim, tuple(
-        (Subspace(frame.ambient_dim, q @ s.basis), w) for s, w in frame.entries))
+def _restacked(frame, change):
+    """``frame`` with every (positions, bases, weights) group replaced by
+    ``change`` of it, assembled from the stacks without a QR."""
+    return WeightedFrame._from_stacks(frame.ambient_dim,
+                                      [change(*group) for group in frame.groups])
+
+
+def _rotated_bases(frame, q):
+    """Q B_j for every member, for one orthogonal d x d matrix Q = ``q``."""
+    return _restacked(frame, lambda idx, bases, w: (idx, q @ bases, w))
 
 
 def _other_representatives(frame, rng):
-    out = []
-    for s, w in frame.entries:
-        q, _ = np.linalg.qr(rng.standard_normal((s.dim, s.dim)))
-        out.append((Subspace(frame.ambient_dim, s.basis @ q), w))
-    return WeightedFrame(frame.ambient_dim, tuple(out))
+    """B_j R_j for every member, each R_j a random orthogonal k x k matrix."""
+    def turn(idx, bases, w):
+        k = bases.shape[2]
+        return idx, bases @ np.linalg.qr(rng.standard_normal((len(idx), k, k)))[0], w
+    return _restacked(frame, turn)
+
+
+def _permuted(frame, perm):
+    """Member perm[i] of ``frame`` at position i."""
+    where = np.argsort(perm)       # where[j]: the position member j moves to
+
+    def move(idx, bases, w):
+        order = np.argsort(where[idx])
+        return where[idx][order], bases[order], w[order]
+    return _restacked(frame, move)
 
 
 @settings(max_examples=40, deadline=None)
@@ -364,12 +377,12 @@ def test_verdict_invariances(case, log_scale, seed):
     frame = build()
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(frame))
+    q, _ = np.linalg.qr(rng.standard_normal((frame.ambient_dim,) * 2))
     variants = {
         "scaled": frame.rescaled(10.0 ** log_scale),
-        "rotated": _rotated_bases(frame, rng),
+        "rotated": _rotated_bases(frame, q),
         "representatives": _other_representatives(frame, rng),
-        "permuted": WeightedFrame(frame.ambient_dim,
-                                  tuple(frame.entries[i] for i in perm)),
+        "permuted": _permuted(frame, perm),
     }
     for p, want in zip(orders, (True, False)):
         assert certify_tight(frame, p).tight == want
@@ -393,12 +406,8 @@ def test_reweight_iterated_matches_product_formula(mub_planes):
     assert certify_tight(mub_planes, 3).tight
     step = reweight_down(reweight_down(mub_planes, 3), 2)
     assert certify_tight(step, 1).tight and certify_tight(step, 1).residual < 1e-9
-    prod = WeightedFrame(
-        mub_planes.ambient_dim,
-        tuple((s, w * np.prod([l + s.dim / 2 for l in range(1, 3)]))
-              for s, w in mub_planes.entries),
-    )
-    assert np.allclose(step.weights, prod.weights, atol=1e-12)
+    prod = mub_planes.weights * np.prod([l + mub_planes.dims / 2 for l in range(1, 3)], axis=0)
+    assert np.allclose(step.weights, prod, atol=1e-12)
 
 
 def test_reweight_mixed_dimension_frame(mercedes, mub_planes):
@@ -413,14 +422,13 @@ def test_reweight_mixed_dimension_frame(mercedes, mub_planes):
 def test_complement_frame(mercedes, mub_planes):
     comp = complement_frame(mercedes)
     assert certify_tight(comp, 2).tight
-    for orig, twice in zip(mercedes.subspaces,
-                           complement_frame(comp).subspaces):
-        assert subspaces_equal(orig, twice)
+    (orig, _), = mercedes.stacks
+    (twice, _), = complement_frame(comp).stacks
+    assert np.abs(projectors(orig) - projectors(twice)).max() <= EQUALITY_TOL
     assert certify_tight(complement_frame(mub_planes), 2).tight
-    s1 = make_subspace(np.array([[1.0], [0.0], [0.0]]))
-    s2 = make_subspace(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    mixed = build_frame([np.eye(3)[:, :1], np.eye(3)[:, 1:]])
     with pytest.raises(MixedDimensions):
-        complement_frame(WeightedFrame(3, ((s1, 1.0), (s2, 1.0))))
+        complement_frame(mixed)
 
 
 def test_complement_frame_matches_per_member_construction(assert_same_frame, mub_planes):
@@ -431,8 +439,9 @@ def test_complement_frame_matches_per_member_construction(assert_same_frame, mub
         k, n = int(rng.integers(1, d)), int(rng.integers(1, 6))
         frames_in.append(build_frame(rng.standard_normal((n, d, k)), rng.uniform(0.2, 2.0, size=n)))
     for frame in frames_in:
-        reference = WeightedFrame(frame.ambient_dim,
-                                  [(complement(s), w) for s, w in frame.entries])
+        (idx, bases, weights), = frame.groups
+        reference = WeightedFrame._from_stacks(
+            frame.ambient_dim, [(idx, np.stack([complement(b) for b in bases]), weights)])
         assert_same_frame(complement_frame(frame), reference)
 
 
@@ -457,13 +466,13 @@ def test_json_round_trip(tmp_path, mub_planes):
     save_frame(mub_planes, path)
     loaded = load_frame(path)
     assert loaded.ambient_dim == 4 and len(loaded) == 6
-    for a, b in zip(mub_planes.subspaces, loaded.subspaces):
-        assert np.abs(a.basis - b.basis).max() < 1e-14
+    for a, b in zip(mub_planes.bases, loaded.bases):
+        assert np.abs(a - b).max() < 1e-14
     assert np.allclose(loaded.weights, mub_planes.weights)
     # dict form inverts too, without touching the filesystem
     again = frame_from_dict(frame_to_dict(mub_planes))
-    for a, b in zip(mub_planes.subspaces, again.subspaces):
-        assert np.abs(a.basis - b.basis).max() < 1e-14
+    for a, b in zip(mub_planes.bases, again.bases):
+        assert np.abs(a - b).max() < 1e-14
 
 
 def test_round_trip_correction_is_tiny(tmp_path, mercedes):
@@ -472,7 +481,7 @@ def test_round_trip_correction_is_tiny(tmp_path, mercedes):
     data = json.loads(path.read_text())
     for ent in data["entries"]:
         cols = np.asarray(ent["basis"]).T
-        correction = np.abs(make_subspace(cols).basis - cols).max()
+        correction = np.abs(make_subspace(cols) - cols).max()
         assert correction <= 1e-10
 
 
@@ -547,17 +556,17 @@ def test_mercedes_file_bytes_are_pinned(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.lists(st.floats(5e-324, 1e300), min_size=1, max_size=6),
        st.integers(0, 2 ** 32 - 1))
-def test_save_frame_bytes_equal_json_dump(tmp_path_factory, d, weights, seed):
+def test_save_frame_bytes_equal_json_dump(tmp_path_factory, regroup, d, weights, seed):
     rng = np.random.default_rng(seed)
-    subs = []
+    bases = []
     for _ in weights:
         k = int(rng.integers(1, d))
         if rng.random() < 0.3:
             # signed coordinate columns: every zero is written as -0.0
-            subs.append(Subspace(d, -np.eye(d)[:, rng.permutation(d)[:k]]))
+            bases.append(-np.eye(d)[:, rng.permutation(d)[:k]])
         else:
-            subs.append(make_subspace(rng.standard_normal((d, k))))
-    frame = WeightedFrame(d, tuple(zip(subs, weights)))
+            bases.append(make_subspace(rng.standard_normal((d, k))))
+    frame = regroup(bases, weights)
     folder = tmp_path_factory.mktemp("bytes")
     save_frame(frame, folder / "direct.json")
     with open(folder / "dumped.json", "w") as fh:
@@ -579,8 +588,9 @@ def reference_basis(cols):
 def mixed_frame(rng, d, n):
     """n members of random dimensions in shuffled order, random weights."""
     dims = rng.permutation(np.resize(np.arange(1, d), n))
-    return WeightedFrame(d, tuple((make_subspace(rng.standard_normal((d, int(k)))),
-                                   float(rng.uniform(0.1, 3.0))) for k in dims))
+    raw, weights = zip(*((rng.standard_normal((d, int(k))), float(rng.uniform(0.1, 3.0)))
+                         for k in dims))
+    return build_frame(raw, weights)
 
 
 @settings(max_examples=40, deadline=None)
@@ -594,46 +604,43 @@ def test_loaded_bases_match_per_member_reference(tmp_path_factory, assert_same_f
     loaded = load_frame(path)
     assert loaded.ambient_dim == d and len(loaded) == n
     assert np.array_equal(loaded.weights, frame.weights)
-    assert len(loaded.subspaces) == n
-    for sub, ent in zip(loaded.subspaces, stored):      # file order
-        assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
+    assert len(loaded.bases) == n
+    for basis, ent in zip(loaded.bases, stored):      # file order
+        assert np.array_equal(basis, reference_basis(np.asarray(ent["basis"]).T))
     # the per-dimension stacks hold the same bases and weights
     for bases, weights in loaded.stacks:
         k = bases.shape[2]
-        members = [j for j, sub in enumerate(loaded.subspaces) if sub.dim == k]
-        assert np.array_equal(bases, np.stack([loaded.subspaces[j].basis for j in members]))
+        members = [j for j, basis in enumerate(loaded.bases) if basis.shape[1] == k]
+        assert np.array_equal(bases, np.stack([loaded.bases[j] for j in members]))
         assert np.array_equal(weights, loaded.weights[members])
-    # the loader's stacks and the same members built from entries agree
+    # the loader's stacks and its frame-order bases regrouped agree
     assert_same_frame(loaded)
 
 
-def _count_subspace_builds(monkeypatch) -> list:
-    """The Subspace objects built from now on: by ``stack_subspaces`` (also
-    the one ``make_subspace`` calls) and by direct construction."""
+def _count_member_lists(monkeypatch) -> list:
+    """The frames whose per-member list ``bases`` is built from now on: the
+    library reads the per-dimension stacks, never that list."""
     made = []
-    stack_subspaces = subspaces.stack_subspaces
-    for module in (frames, subspaces):
-        monkeypatch.setattr(module, "stack_subspaces",
-                            lambda bases: made.extend(bases) or stack_subspaces(bases))
-    monkeypatch.setattr(Subspace, "__post_init__",
-                        lambda self, init=Subspace.__post_init__: made.append(self) or init(self))
+    view = WeightedFrame.bases
+    monkeypatch.setattr(WeightedFrame, "bases",
+                        property(lambda self: made.append(self) or view.fget(self)))
     return made
 
 
 def test_load_and_certify_build_no_subspace(tmp_path, monkeypatch):
     path = tmp_path / "f.json"
     save_frame(mixed_frame(np.random.default_rng(5), 5, 9), path)
-    made = _count_subspace_builds(monkeypatch)
+    made = _count_member_lists(monkeypatch)
     loaded = load_frame(path)
     for p in (1, 2, 3):
         certify_tight(loaded, p)
     assert made == []
-    # the first access to .entries builds the members, in file order
+    # reading .bases builds the list, in file order
     stored = json.loads(path.read_text())["entries"]
-    subs = loaded.subspaces
-    assert len(made) == len(subs) == len(stored)
-    for sub, ent in zip(subs, stored):
-        assert np.array_equal(sub.basis, reference_basis(np.asarray(ent["basis"]).T))
+    bases = loaded.bases
+    assert made == [loaded] and len(bases) == len(stored)
+    for basis, ent in zip(bases, stored):
+        assert np.array_equal(basis, reference_basis(np.asarray(ent["basis"]).T))
 
 
 def test_readers_and_builders_build_no_subspace(tmp_path, monkeypatch, mub_planes):
@@ -641,7 +648,7 @@ def test_readers_and_builders_build_no_subspace(tmp_path, monkeypatch, mub_plane
     save_frame(mixed_frame(np.random.default_rng(6), 5, 9), path)
     rng = np.random.default_rng(7)
     raw = [rng.standard_normal((5, int(k))) for k in (2, 1, 3, 1, 4)]
-    made = _count_subspace_builds(monkeypatch)
+    made = _count_member_lists(monkeypatch)
     loaded = load_frame(path)
     xs = rng.standard_normal((len(loaded), 5))
     for p in (1, 2):
@@ -662,28 +669,27 @@ def test_readers_and_builders_build_no_subspace(tmp_path, monkeypatch, mub_plane
     assert made == []
 
 
-def test_builders_match_per_member_construction(assert_same_frame, mercedes, mub_planes):
+def test_builders_match_per_member_construction(assert_same_frame, regroup, mercedes,
+                                                mub_planes):
     rng = np.random.default_rng(31)
     frames_in = [mercedes, mub_planes]
     for _ in range(10):
         d, n = int(rng.integers(3, 7)), int(rng.integers(1, 8))
         frames_in.append(mixed_frame(rng, d, n))
-        # raw matrices and Subspaces mixed, of mixed widths, in shuffled order
-        bases = [rng.standard_normal((d, int(k))) for k in rng.integers(1, d, size=n)]
-        given = rng.random(n) < 0.5
-        bases = [make_subspace(b) if g else b for b, g in zip(bases, given)]
+        # raw matrices of mixed widths in shuffled order, against one
+        # make_subspace per member
+        raw = [rng.standard_normal((d, int(k))) for k in rng.integers(1, d, size=n)]
         weights = rng.uniform(0.2, 2.0, size=n)
-        built = build_frame(bases, weights)
-        assert_same_frame(built, WeightedFrame(d, [
-            (b if g else make_subspace(b), float(w)) for b, g, w in zip(bases, given, weights)]))
+        assert_same_frame(build_frame(raw, weights),
+                          regroup([make_subspace(b) for b in raw], weights))
     for f in frames_in:
-        d, entries = f.ambient_dim, f.entries
-        assert_same_frame(f.rescaled(1.7), WeightedFrame(d, [(s, w * 1.7) for s, w in entries]))
-        assert_same_frame(reweight_down(f, 3), WeightedFrame(
-            d, [(s, w * (2 + s.dim / 2.0)) for s, w in entries]))
+        bases, weights = f.bases, f.weights
+        assert_same_frame(f.rescaled(1.7), regroup(bases, weights * 1.7))
+        assert_same_frame(reweight_down(f, 3), regroup(bases, weights * (2 + f.dims / 2.0)))
         for other in (f, f.rescaled(0.5), frames_in[-1]):
-            if other.ambient_dim == d:
-                assert_same_frame(union(f, other), WeightedFrame(d, entries + other.entries))
+            if other.ambient_dim == f.ambient_dim:
+                assert_same_frame(union(f, other), regroup(
+                    bases + other.bases, np.concatenate([weights, other.weights])))
 
 
 def test_non_finite_raw_bases_are_refused_before_the_svd():

@@ -152,7 +152,7 @@ def test_p1_frame_operator_route_matches_projectors(rng):
     for _ in range(20):
         d = int(rng.integers(2, 9))
         n = int(rng.integers(1, 12))
-        factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d))))).basis
+        factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d)))))
                    for _ in range(n)]
         weights = rng.uniform(0.1, 3.0, n)
         ref = sum(w * quadratic_rows((f @ f.T)[None])[0] for f, w in zip(factors, weights))
@@ -205,7 +205,7 @@ def lie_reference(factors, weights, p):
 def test_lie_residual_matches_per_direction_expansion(rng):
     for d, p in [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]:
         for _ in range(2):
-            factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d))))).basis
+            factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d)))))
                        for _ in range(3)]
             weights = rng.uniform(0.2, 2.0, 3)
             ref = lie_reference(factors, weights, p)

@@ -15,15 +15,12 @@ from fusionframes import potential
 from fusionframes import (
     MixedDimensions,
     ParameterError,
-    Subspace,
-    WeightedFrame,
     build_frame,
     catalog,
     certify_cubature,
     certify_tight,
     close_group,
     ffp,
-    haar_random,
     make_subspace,
     orbit_frame,
     pochhammer_ratio,
@@ -34,7 +31,7 @@ from fusionframes import (
 
 from fusionframes.errors import P_MAX
 from fusionframes.moments import T_MATRIX_D_MAX, _partitions, _pochhammer_int, _zonal_scale
-from test_frames import _other_representatives, random_frame
+from test_frames import _other_representatives, _permuted, _rotated_bases, random_frame
 
 
 def exact_t2(k: int, l: int, d: int) -> Fraction:
@@ -301,8 +298,7 @@ def test_certify_cubature_examples(mercedes, rng):
     assert cert.verdict == "not-cubature"
     assert cert.ffp_value == pytest.approx(0.5, abs=1e-12)
 
-    mixed = WeightedFrame(3, ((haar_random(3, 1, rng), 1.0),
-                              (haar_random(3, 2, rng), 1.0)))
+    mixed = build_frame([rng.standard_normal((3, 1)), rng.standard_normal((3, 2))])
     with pytest.raises(MixedDimensions):
         certify_cubature(mixed, 1)
     for p in (0, 2.0, True, P_MAX + 1):
@@ -357,8 +353,7 @@ def test_cubature_implies_tight(mub_planes):
     # floor, but the Lie residual is linear in the defect
     rng = np.random.default_rng(0)
     for eps in (1e-4, 1e-5, 1e-6):
-        moved = build_frame([s.basis + eps * rng.standard_normal(s.basis.shape)
-                             for s in planes.subspaces])
+        moved = build_frame([b + eps * rng.standard_normal(b.shape) for b in planes.bases])
         cert = certify_cubature(moved, 2)
         assert cert.verdict == "not-cubature", eps
         assert cert.margin < 1e-8
@@ -379,23 +374,23 @@ def test_cubature_implies_tight(mub_planes):
 def test_cubature_residual_invariances(d, p, log_scale, seed):
     rng = np.random.default_rng(seed)
     k, n = int(rng.integers(1, d)), int(rng.integers(1, 6))
-    frame = WeightedFrame(d, tuple((haar_random(d, k, rng), float(rng.uniform(0.2, 2.0)))
-                                   for _ in range(n)))
+    raw, weights = zip(*((rng.standard_normal((d, k)), float(rng.uniform(0.2, 2.0)))
+                         for _ in range(n)))
+    frame = build_frame(raw, weights)
     base = certify_cubature(frame, p).residual
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     perm = rng.permutation(n)
     variants = {
         "scaled": frame.rescaled(10.0 ** log_scale),
         "representatives": _other_representatives(frame, rng),
-        "permuted": WeightedFrame(d, tuple(frame.entries[i] for i in perm)),
+        "permuted": _permuted(frame, perm),
     }
     flip = np.where(np.arange(d) == 0, -1.0, 1.0)
     rotation = q * flip if np.linalg.det(q) < 0 else q
     reflection = flip[:, None] * rotation
     assert np.linalg.det(rotation) > 0 > np.linalg.det(reflection)
     for label, g in (("rotated", rotation), ("reflected", reflection)):
-        variants[label] = WeightedFrame(d, tuple((Subspace(d, g @ s.basis), w)
-                                                 for s, w in frame.entries))
+        variants[label] = _rotated_bases(frame, g)
     for label, variant in variants.items():
         assert certify_cubature(variant, p).residual == pytest.approx(base, rel=1e-12, abs=0), label
 
@@ -407,8 +402,9 @@ def test_cubature_potential_is_the_pairwise_potential(d, p, seed):
     # weight, whatever the weights' spread
     rng = np.random.default_rng(seed)
     k, n = int(rng.integers(1, d)), int(rng.integers(1, 7))
-    frame = WeightedFrame(d, tuple((haar_random(d, k, rng), float(10.0 ** rng.uniform(-6, 6)))
-                                   for _ in range(n)))
+    raw, weights = zip(*((rng.standard_normal((d, k)), float(10.0 ** rng.uniform(-6, 6)))
+                         for _ in range(n)))
+    frame = build_frame(raw, weights)
     want = ffp(frame, p) / frame.weights.sum() ** 2
     assert certify_cubature(frame, p).ffp_value == pytest.approx(want, rel=1e-13, abs=0)
 

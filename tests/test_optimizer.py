@@ -7,8 +7,6 @@ from fusionframes import (
     MixedDimensions,
     OptimizerConfig,
     ParameterError,
-    Subspace,
-    WeightedFrame,
     build_frame,
     catalog,
     certify_cubature,
@@ -19,8 +17,6 @@ from fusionframes import (
     ffp_gradient,
     frame_operator,
     haar_basis_batch,
-    haar_random,
-    make_subspace,
     minimize_ffp,
     sphere_bounds,
     sphere_extrema,
@@ -58,8 +54,7 @@ def test_gradient_zero_at_tight_configs(mercedes, ortho_lines_r2):
 
 
 def test_gradient_orthogonal_lines_exact():
-    f = build_frame([make_subspace(np.eye(2)[:, :1]),
-                     make_subspace(np.eye(2)[:, 1:])], [1.0, 1.0])
+    f = build_frame([np.eye(2)[:, :1], np.eye(2)[:, 1:]], [1.0, 1.0])
     g = ffp_gradient(f, 1)
     for gi in g:
         assert np.abs(gi).max() == 0.0
@@ -70,7 +65,7 @@ def test_gradient_mixed_dims_rejected(mercedes, mub_planes):
     assert mixed.ambient_dim == 2
     with pytest.raises(MixedDimensions):
         ffp_gradient(union(mub_planes,
-                           build_frame([make_subspace(np.eye(4)[:, :1])], [1.0])), 2)
+                           build_frame([np.eye(4)[:, :1]], [1.0])), 2)
     del mixed
 
 
@@ -81,7 +76,7 @@ def test_gradient_matches_finite_differences(rng):
         n = int(rng.integers(2, 5))
         p = int(rng.integers(1, 4))
         ys = haar_basis_batch(d, k, n, rng)
-        frame = build_frame([make_subspace(y) for y in ys], np.ones(n) / n)
+        frame = build_frame(ys, np.ones(n) / n)
         grads = ffp_gradient(frame, p)
         e_raw = rng.standard_normal((n, d, k))
         # move along the horizontal space so the FD quotient sees the
@@ -92,9 +87,8 @@ def test_gradient_matches_finite_differences(rng):
         h = 1e-6
 
         def value(t):
-            subs = [make_subspace(np.linalg.qr(y + t * e)[0])
-                    for y, e in zip(ys, dirs)]
-            return ffp(build_frame(subs, frame.weights), p)
+            moved = [np.linalg.qr(y + t * e)[0] for y, e in zip(ys, dirs)]
+            return ffp(build_frame(moved, frame.weights), p)
 
         fd = (value(h) - value(-h)) / (2 * h)
         assert abs(fd - inner) <= 1e-6 * max(1.0, abs(inner))
@@ -142,7 +136,7 @@ def test_hessian_matches_second_differences(rng):
 
 def test_hessian_finite_on_orthogonal_members(ortho_lines_r2):
     # s = 0 for the pair: s^(p-2) is inf at p = 1, where its term is skipped
-    ys = np.stack([s.basis for s in ortho_lines_r2.subspaces])[None]
+    ys = ortho_lines_r2.stacks[0][0][None]
     weights = ortho_lines_r2.weights
     perp = _signed_qr(ys, complement=True)[1]
     for p in (1, 2):
@@ -390,14 +384,14 @@ def test_minimize_never_beats_moment_floor():
         assert min(trace.values) >= floor
 
 
-def test_optimizer_frame_matches_per_member_construction(assert_same_frame):
+def test_optimizer_frame_matches_per_member_construction(assert_same_frame, regroup):
     for n, k, d, p in ((3, 1, 2, 2), (6, 2, 4, 2)):
         cfg = OptimizerConfig(n=n, k=k, d=d, p=p, restarts=4)
         for seed in range(4):
             frame = minimize_ffp(cfg, rng=np.random.default_rng(seed)).frame
             (bases, weights), = frame.stacks
             assert weights.tolist() == [1.0 / n] * n
-            assert_same_frame(frame, WeightedFrame(d, [(Subspace(d, b), 1.0 / n) for b in bases]))
+            assert_same_frame(frame, regroup(list(bases), [1.0 / n] * n))
 
 
 def test_trace_bookkeeping():
@@ -483,7 +477,7 @@ def test_sphere_extrema_examples(mercedes, ortho_lines_r2):
     lo, hi = sphere_extrema(mercedes, 2, restarts=8, rng=rng)
     assert lo == pytest.approx(9 / 8, abs=1e-8)
     assert hi == pytest.approx(9 / 8, abs=1e-8)
-    single = build_frame([make_subspace(np.eye(2)[:, :1])], [1.0])
+    single = build_frame([np.eye(2)[:, :1]], [1.0])
     lo, hi = sphere_extrema(single, 1, restarts=8, rng=rng)
     assert lo == pytest.approx(0.0, abs=1e-8)
     assert hi == pytest.approx(1.0, abs=1e-8)
@@ -492,8 +486,7 @@ def test_sphere_extrema_examples(mercedes, ortho_lines_r2):
 def test_sphere_extrema_ordered(rng):
     for _ in range(5):
         ys = haar_basis_batch(3, 1, 3, rng)
-        frame = build_frame([make_subspace(y) for y in ys],
-                            rng.uniform(0.5, 1.5, size=3))
+        frame = build_frame(ys, rng.uniform(0.5, 1.5, size=3))
         lo, hi = sphere_extrema(frame, 2, restarts=8, rng=rng)
         assert lo <= hi + 1e-12
 
@@ -565,7 +558,7 @@ def test_cores_factor_nothing(monkeypatch, rng):
     ys = np.stack([haar_basis_batch(4, 2, 5, rng) for _ in range(3)])
     perp = _signed_qr(ys, complement=True)[1]
     frame = _mixed_frame(rng, 4)
-    flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+    flat = np.concatenate(frame.bases, axis=1)
     xs = haar_basis_batch(4, 1, 3, rng)[:, None]
     x_perp = _signed_qr(xs, complement=True)[1]
     monkeypatch.setattr(np.linalg, "qr", refuse)
@@ -598,8 +591,9 @@ def test_gradient_finite_where_the_constant_terms_overflow():
 
 def _mixed_frame(rng, d):
     dims = (1, d - 1, 2, 1)
-    return WeightedFrame(d, tuple((haar_random(d, k, rng), float(rng.uniform(0.5, 2.0)))
-                                  for k in dims))
+    raw, weights = zip(*((rng.standard_normal((d, k)), float(rng.uniform(0.5, 2.0)))
+                         for k in dims))
+    return build_frame(raw, weights)
 
 
 def test_sphere_bounds_at_p1_are_the_frame_operator_extremes(rng):
@@ -626,7 +620,7 @@ def test_sphere_core_matches_power_form_differences(rng):
     cases += [(cross, rng.standard_normal(4)), (cross, np.eye(4)[1])]
     for frame, x in cases:
         x = x / np.linalg.norm(x)
-        flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+        flat = np.concatenate(frame.bases, axis=1)
         perp = _signed_qr(x[None, None, :, None], complement=True)[1]
         for p in (1, 2, 3):
             value, grad, hess = _partner_core(x[None, None, :, None], flat[None], frame.dims,
@@ -651,8 +645,8 @@ def _sphere_hessian_by_formula(frame, weights, p, x, perp):
     4p(p-1) w_j s_j^(p-2) (P_j x)(P_j x)^T - (x . grad f) I] x_perp."""
     d = len(x)
     euclid, grad = np.zeros((d, d)), np.zeros(d)
-    for sub, w in zip(frame.subspaces, weights):
-        pj = sub.basis @ sub.basis.T
+    for basis, w in zip(frame.bases, weights):
+        pj = basis @ basis.T
         px = pj @ x
         s = x @ px
         euclid += 2 * p * w * s ** (p - 1) * pj
@@ -670,7 +664,7 @@ def test_sphere_hessian_matches_formula(rng):
     cases += [(cross, np.concatenate([rng.standard_normal((2, 4)), np.eye(4)[1:3]]))]
     for frame, xs in cases:
         xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-        flat = np.concatenate([s.basis for s in frame.subspaces], axis=1)
+        flat = np.concatenate(frame.bases, axis=1)
         signs = np.where(np.arange(len(xs)) % 2, -1.0, 1.0)
         weights = signs[:, None] * frame.weights
         perp = _signed_qr(xs[:, None, :, None], complement=True)[1]

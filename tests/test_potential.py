@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from fusionframes import (
     ParameterError,
     SingleSubspace,
-    WeightedFrame,
     build_frame,
     catalog,
     certify_tight,
@@ -19,7 +18,7 @@ from fusionframes import (
     ffp_lower_bound_mixed,
     ffp_lower_bound_p,
     frame_operator,
-    haar_random,
+    haar_basis_batch,
     power_form,
     reweight_down,
     simplex_bound_rhs,
@@ -80,10 +79,10 @@ def test_gram_matrix(mercedes):
 
 def _check_rows_against_pairwise_loop(f, g, rows):
     for i in rows:
-        si = f.subspaces[i]
-        for j, sj in enumerate(f.subspaces):
-            m = si.basis.T @ sj.basis
-            want = si.dim if i == j else (m * m).sum()
+        bi = f.bases[i]
+        for j, bj in enumerate(f.bases):
+            m = bi.T @ bj
+            want = bi.shape[1] if i == j else (m * m).sum()
             assert g[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -94,8 +93,7 @@ def test_gram_matrix_matches_pairwise_loop(rng, monkeypatch):
     # mixed dimensions in R^4, enough members that the cross products of
     # all of them exceed the budget: the table is built in several blocks
     n = 600
-    big = WeightedFrame(4, tuple((haar_random(4, int(k), rng), 1.0)
-                                 for k in rng.integers(1, 4, n)))
+    big = build_frame([rng.standard_normal((4, int(k))) for k in rng.integers(1, 4, n)])
     step = GRAM_BUDGET // (int(big.dims.sum()) * int(big.dims.max()))
     assert 0 < step < n / 2     # members per block
     edges = [i for b in range(step, n, step) for i in (b - 1, b)]
@@ -128,7 +126,7 @@ def test_simplex_bound_examples(mercedes):
 def test_simplex_bound_chordal_translation(rng):
     # k - rhs equals k(d-k)/d * n/(n-1) for equal dims and unit weights
     d, k, n = 4, 2, 10
-    f = WeightedFrame(d, tuple((haar_random(d, k, rng), 1.0) for _ in range(n)))
+    f = build_frame(rng.standard_normal((n, d, k)))
     rhs = simplex_bound_rhs(f)
     assert k - rhs == pytest.approx(k * (d - k) / d * n / (n - 1), abs=1e-12)
 
@@ -144,8 +142,7 @@ def test_ffp_lower_bound_examples(mercedes):
 def test_ffp_lower_bound_clamps_negative_numerator(rng):
     # one heavy subspace makes the cross numerator negative; the bound then
     # degrades to the diagonal sum but must stay a valid bound
-    s1, s2 = haar_random(4, 1, rng), haar_random(4, 1, rng)
-    f = WeightedFrame(4, ((s1, 100.0), (s2, 0.01)))
+    f = build_frame(rng.standard_normal((2, 4, 1)), [100.0, 0.01])
     m, = {float(f.weights @ f.dims)}
     assert m * m / 4 - float((f.weights ** 2) @ f.dims) < 0
     for p in (1, 2, 3):
@@ -196,8 +193,8 @@ def test_equiangularity_gerzon_and_distinctness(rng):
     f = random_frame(rng, d=5)
     assert equiangularity(f).spread > 1e-8
 
-    s = haar_random(4, 2, rng)
-    dup = WeightedFrame(4, ((s, 1.0), (s, 1.0)))
+    s = rng.standard_normal((4, 2))
+    dup = build_frame([s, s])
     rep = equiangularity(dup)
     assert not rep.all_distinct and rep.n_distinct == 1
 
@@ -205,15 +202,15 @@ def test_equiangularity_gerzon_and_distinctness(rng):
 def test_equiangularity_counts_distinct_members_like_a_pairwise_scan(rng):
     # repeated members, the same subspace under another basis, and
     # perturbations just inside and far outside the equality tolerance
-    base = [haar_random(4, int(k), rng) for k in rng.integers(1, 4, size=30)]
+    base = [haar_basis_batch(4, int(k), 1, rng)[0] for k in rng.integers(1, 4, size=30)]
     members = []
     for s in base:
-        members.append(s.basis)
-        members.append(s.basis @ np.linalg.qr(rng.standard_normal((s.dim, s.dim)))[0])
-        members.append(s.basis + 1e-10)
-        members.append(s.basis + 1e-3 * rng.standard_normal(s.basis.shape))
+        members.append(s)
+        members.append(s @ np.linalg.qr(rng.standard_normal((s.shape[1],) * 2))[0])
+        members.append(s + 1e-10)
+        members.append(s + 1e-3 * rng.standard_normal(s.shape))
     frame = build_frame([members[i] for i in rng.permutation(len(members))])
-    projs = np.stack([s.basis @ s.basis.T for s in frame.subspaces])
+    projs = np.stack([b @ b.T for b in frame.bases])
     distinct = []
     for p in projs:
         if not any(np.abs(p - q).max() <= 1e-8 for q in distinct):
@@ -229,7 +226,7 @@ def test_equiangularity_sees_near_members_across_a_key_boundary():
     lines = [np.array([[np.sqrt(c)], [np.sqrt(1 - c)]])
              for c in (0.2500005 - 2e-9, 0.2500005 + 2e-9, 0.9)]
     frame = build_frame(lines)
-    projs = np.stack([s.basis @ s.basis.T for s in frame.subspaces])
+    projs = np.stack([b @ b.T for b in frame.bases])
     assert np.abs(projs[0] - projs[1]).max() <= 1e-8
     assert (np.rint(projs[0] * 1e6) != np.rint(projs[1] * 1e6)).any()
     rep = equiangularity(frame)
@@ -246,7 +243,7 @@ def test_mixed_bound(rng, mercedes):
         assert ffp(f, 1) >= bound - 1e-9
 
     t42 = t_matrix(4, 2)
-    f = WeightedFrame(4, tuple((haar_random(4, 2, rng), 1.0) for _ in range(5)))
+    f = build_frame(rng.standard_normal((5, 4, 2)))
     bound = ffp_lower_bound_mixed(f, 2)
     # equal dims: reduces to (sum w)^2 T_{ k,k }
     assert bound == pytest.approx(25 * t42.values[1, 1], abs=1e-10)
@@ -261,9 +258,9 @@ def test_mixed_bound_is_the_rounded_moment_sum(d, n, p, seed):
     # below the potential, equal to the moment table's M T M^T up to the
     # table's roundings, and (sum w)^2 t(k, k, d, p) rounded once at one dimension
     rng = np.random.default_rng(seed)
-    frame = WeightedFrame(d, tuple(
-        (haar_random(d, int(rng.integers(1, d)), rng), float(rng.uniform(0.1, 3.0)))
-        for _ in range(n)))
+    raw, weights = zip(*((rng.standard_normal((d, int(rng.integers(1, d)))),
+                          float(rng.uniform(0.1, 3.0))) for _ in range(n)))
+    frame = build_frame(raw, weights)
     bound = ffp_lower_bound_mixed(frame, p)
     assert bound <= ffp(frame, p)
     m = np.zeros(d - 1)

@@ -7,29 +7,36 @@ from fusionframes import (
     DimensionError,
     ParameterError,
     RankDeficient,
-    Subspace,
     build_frame,
-    chordal_distance_sq,
+    close_group,
     complement,
     haar_basis_batch,
-    haar_random,
-    hs_inner,
     make_subspace,
+    orbit_frame,
     principal_angles,
-    projector,
-    subspaces_equal,
 )
 from fusionframes.errors import EQUALITY_TOL
 from fusionframes.subspaces import _signed_qr, check_orthonormal, first_occurrences
+from test_frames import projectors
+
+
+def same_span(a, b):
+    """Projector comparison in max-norm: a basis is not canonical."""
+    return a.shape == b.shape and np.abs(projectors(a) - projectors(b)).max() <= EQUALITY_TOL
 
 
 def test_subspace_rejects_bad_shapes():
     with pytest.raises(DimensionError):
-        Subspace(3, np.eye(2))
-    with pytest.raises(DimensionError):
-        Subspace(2, np.eye(2))          # k = d is not a proper subspace
+        make_subspace(np.eye(2))        # k = d is not a proper subspace
     with pytest.raises(RankDeficient):
-        Subspace(3, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+        make_subspace(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+    # an orbit seed is taken as given; only its shape is checked
+    group = close_group([np.diag([1.0, -1.0, 1.0])])
+    for seed in (np.eye(2)[:, :1], np.eye(3), np.eye(3)[:, :0], np.ones(3)):
+        with pytest.raises(DimensionError, match="seed basis"):
+            orbit_frame(group, seed)
+    with pytest.raises(RankDeficient):
+        orbit_frame(group, np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
 
 
 def test_non_finite_bases_are_rejected():
@@ -37,7 +44,7 @@ def test_non_finite_bases_are_rejected():
     # it as a pass (a certificate would then report residual NaN)
     for bad in (np.nan, np.inf):
         with pytest.raises(RankDeficient):
-            Subspace(2, np.array([[bad], [0.0]]))
+            make_subspace(np.array([[bad], [0.0]]))
         stack = np.stack([np.eye(3)[:, :2]] * 3)
         stack[1, 2, 0] = bad
         with pytest.raises(RankDeficient, match="member 1:"):
@@ -52,8 +59,7 @@ def test_make_subspace_preserves_span():
     for scale in 10.0 ** np.arange(-100, 101, 10):
         s = make_subspace(scale * raw)
         # same column space: projector leaves the raw columns fixed
-        p = projector(s)
-        assert np.allclose(p @ raw, raw, atol=1e-12), scale
+        assert np.allclose(projectors(s) @ raw, raw, atol=1e-12), scale
         with pytest.raises(RankDeficient, match="smallest singular value"):
             make_subspace(scale * bad)
     frame = build_frame([1e-11 * np.eye(3)[:, :1], np.eye(3)[:, 1:]])
@@ -64,70 +70,75 @@ def test_projector_properties(rng):
     for _ in range(20):
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, d))
-        s = haar_random(d, k, rng)
-        p = projector(s)
+        p = projectors(haar_basis_batch(d, k, 1, rng)[0])
         assert np.abs(p @ p - p).max() < 1e-10
         assert np.abs(p - p.T).max() < 1e-10
         assert abs(np.trace(p) - k) < 1e-10
 
 
 def test_complement_examples():
-    e1 = make_subspace(np.array([[1.0], [0.0], [0.0]]))
-    c = complement(e1)
-    expect = make_subspace(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert subspaces_equal(c, expect)
+    c = complement(np.array([[1.0], [0.0], [0.0]]))
+    assert same_span(c, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    # a basis leaving no complement, or none at all, is refused, and so is
+    # one that is not orthonormal
+    for bad in (np.eye(3), np.eye(3)[:, :0], np.ones(3)):
+        with pytest.raises(DimensionError, match="is not d x k"):
+            complement(bad)
+    with pytest.raises(RankDeficient, match="not orthonormal"):
+        complement(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_complement_involution_and_resolution(rng):
     for _ in range(10):
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, d))
-        s = haar_random(d, k, rng)
+        s = haar_basis_batch(d, k, 1, rng)[0]
         sc = complement(s)
-        assert subspaces_equal(complement(sc), s)
-        assert np.abs(projector(s) + projector(sc) - np.eye(d)).max() < 1e-12
+        assert same_span(complement(sc), s)
+        assert np.abs(projectors(s) + projectors(sc) - np.eye(d)).max() < 1e-12
 
 
-def test_principal_angle_sum_property(rng):
-    # squared cosines sum to the projector inner product
-    for _ in range(1000):
-        d = int(rng.integers(2, 9))
-        k1 = int(rng.integers(1, d))
-        k2 = int(rng.integers(1, d))
-        s1, s2 = haar_random(d, k1, rng), haar_random(d, k2, rng)
-        y = principal_angles(s1, s2)
-        assert y.shape == (min(k1, k2),)
-        assert np.all((0.0 <= y) & (y <= 1.0))
-        assert abs(y.sum() - hs_inner(s1, s2)) < 1e-10
-    for routine in (hs_inner, principal_angles):
-        with pytest.raises(DimensionError, match="ambient dimensions differ"):
-            routine(haar_random(3, 1, rng), haar_random(4, 1, rng))
-
-
-def test_chordal_distance(rng):
-    for _ in range(50):
-        d = int(rng.integers(2, 7))
-        k = int(rng.integers(1, d))
-        s1, s2 = haar_random(d, k, rng), haar_random(d, k, rng)
-        dc = chordal_distance_sq(s1, s2)
-        assert -1e-12 <= dc <= k + 1e-12
-        assert chordal_distance_sq(s1, s1) < 1e-12
-    with pytest.raises(DimensionError):
-        chordal_distance_sq(haar_random(4, 1, rng), haar_random(4, 2, rng))
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1),
+                                                     st.integers(1, d - 1))),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+@example((2, 1, 1), 1, 0)
+@example((8, 7, 3), 2, 1)
+def test_principal_angle_sum_property(dkl, m, seed):
+    # the batched pass equals a per-pair SVD, and the squared cosines of each
+    # pair sum to trace(P_a P_b)
+    d, k, l = dkl
+    rng = np.random.default_rng(seed)
+    a, b = haar_basis_batch(d, k, m, rng), haar_basis_batch(d, l, m, rng)
+    if k == l:      # pair 0: one subspace in two bases
+        b[0] = a[0] @ np.linalg.qr(rng.standard_normal((k, k)))[0]
+    y = principal_angles(a, b)
+    assert y.shape == (m, min(k, l))
+    for ya, ba, bb in zip(y, a, b):
+        sv = np.linalg.svd(ba.T @ bb, compute_uv=False)
+        assert np.abs(ya - np.clip(sv * sv, 0.0, 1.0)).max() <= 1e-14
+        assert np.all((0.0 <= ya) & (ya <= 1.0)) and np.all(np.diff(ya) <= 0)
+        assert abs(ya.sum() - np.trace(projectors(ba) @ projectors(bb))) < 1e-12
+    if k == l:     # the chordal distance k - trace(P_a P_b) lies in [0, k]; 0 on one span
+        chordal = k - y.sum(axis=1)
+        assert np.all((-1e-12 <= chordal) & (chordal <= k + 1e-12))
+        assert abs(chordal[0]) < 1e-12
+    assert np.abs(principal_angles(a[0], b[0]) - y[0]).max() <= 1e-14    # one pair, unstacked
+    with pytest.raises(DimensionError, match="ambient dimensions differ"):
+        principal_angles(a, haar_basis_batch(d + 1, 1, m, rng))
 
 
 def test_subspaces_equal_ignores_basis_choice(rng):
-    s = haar_random(5, 2, rng)
+    s = haar_basis_batch(5, 2, 1, rng)[0]
     # rotate the basis inside the subspace
     theta = 0.3
     rot = np.array([[np.cos(theta), -np.sin(theta)],
                     [np.sin(theta), np.cos(theta)]])
-    s2 = Subspace(5, s.basis @ rot)
-    assert subspaces_equal(s, s2)
-    assert not subspaces_equal(s, haar_random(5, 2, rng))
+    assert same_span(s, s @ rot)
+    assert not same_span(s, haar_basis_batch(5, 2, 1, rng)[0])
     # a plane is never equal to a line or to a plane of another space
-    assert not subspaces_equal(s, Subspace(5, s.basis[:, :1]))
-    assert not subspaces_equal(s, haar_random(4, 2, rng))
+    assert not same_span(s, s[:, :1])
+    assert not same_span(s, haar_basis_batch(4, 2, 1, rng)[0])
 
 
 def test_haar_first_moment(rng):
@@ -149,15 +160,22 @@ def test_haar_pair_moment(rng):
 
 
 def test_haar_determinism_and_batch_consistency():
-    a = haar_random(4, 2, np.random.default_rng(42))
-    b = haar_random(4, 2, np.random.default_rng(42))
-    assert np.array_equal(a.basis, b.basis)
+    a = haar_basis_batch(4, 2, 1, np.random.default_rng(42))
+    b = haar_basis_batch(4, 2, 1, np.random.default_rng(42))
+    assert np.array_equal(a, b)
     for k in (0, 4):
         with pytest.raises(ParameterError, match=f"k={k} not in \\[1, 3\\]"):
-            haar_random(4, k, np.random.default_rng(42))
+            haar_basis_batch(4, k, 1, np.random.default_rng(42))
     for k in (1.5, 2.0, True):
         with pytest.raises(ParameterError, match="k must be an integer"):
-            haar_random(4, k, np.random.default_rng(42))
+            haar_basis_batch(4, k, 1, np.random.default_rng(42))
+    with pytest.raises(ParameterError, match="d=1 not in"):
+        haar_basis_batch(1, 1, 1, np.random.default_rng(42))
+    # one draw is the sign-fixed QR of make_subspace on the same Gaussian matrix
+    for d, k in ((2, 1), (4, 2), (8, 3)):
+        raw = np.random.default_rng(d).standard_normal((d, k))
+        one = haar_basis_batch(d, k, 1, np.random.default_rng(d))[0]
+        assert one.tobytes() == make_subspace(raw).tobytes()
     batch = haar_basis_batch(4, 2, 3, np.random.default_rng(7))
     for i in range(3):
         g = batch[i].T @ batch[i]
