@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GRAM_BUDGET, GROUP_ORTHO_TOL, MOLIEN_TOL, ORTHO_TOL, P_MAX, POWER_FORM_GUARD,
+from .errors import (EQUALITY_TOL, GROUP_ORTHO_TOL, MOLIEN_TOL, ORTHO_TOL, P_MAX, POWER_FORM_GUARD,
                      DimensionError, FrameFormatError, GroupTooLarge, NotOrthogonal, UnknownName,
                      check_range)
 from .frames import WeightedFrame, _numbers, build_frame
 from .homogeneous import check_size_guard
-from .subspaces import check_orthonormal, first_occurrences, make_subspace
+from .subspaces import check_orthonormal, first_occurrences, make_subspace, row_keys
 
 DEFAULT_MAX_ORDER = 20_000
 # Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
@@ -46,13 +46,18 @@ class MatrixGroup:
 
 
 def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
-    """Breadth-first closure of the generators under multiplication.
+    """Closure of the generators under multiplication by Dimino's algorithm
+    (Butler, LNCS 559, 1991).
 
-    A level's products come from batched matmuls in (element, generator)
-    order, at most ``GRAM_BUDGET`` entries at a time, and ``first_occurrences``
-    keeps those new at ``EQUALITY_TOL``.  Raises GroupTooLarge when the
-    closure exceeds max_order, NotOrthogonal for bad or non-finite generators,
-    ParameterError unless max_order is an integer >= 1.
+    The group P of the first i generators grows to that of the first i+1 by
+    whole right cosets P t, one batched product each, identity first and
+    then each coset in the order it was found.  The candidates t = r g, r a
+    coset's first element and g one of the first i+1 generators, are the
+    only products tested for membership: t is new unless an element with the
+    same ``row_keys`` key lies within ``EQUALITY_TOL``.  Raises
+    GroupTooLarge before a coset would take the order past max_order,
+    NotOrthogonal for bad or non-finite generators, ParameterError unless
+    max_order is an integer >= 1.
     """
     check_range("max_order", max_order, 1)
     gens = [np.asarray(g, dtype=float) for g in generators]
@@ -66,26 +71,24 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
             raise NotOrthogonal("generator fails the orthogonality check")
 
     right = np.stack(gens)
-    buf, buckets = np.eye(d).reshape(1, d * d), {}
-    first_occurrences(buf, 0, buckets)      # files the identity
-    chunk = max(1, GRAM_BUDGET // (len(gens) * d * d))
-    lo, n = 0, 1
-    while lo < n:
-        hi = n
-        for start in range(lo, hi, chunk):
-            left = buf[start:min(start + chunk, hi)].reshape(-1, 1, d, d)
-            prods = (left @ right).reshape(-1, d * d)
-            if n + len(prods) > len(buf):   # grow by doubling: no copy per level
-                buf = np.concatenate([buf[:n], np.empty((n + 2 * len(prods), d * d))])
-            buf[n:n + len(prods)] = prods
-            kept = first_occurrences(buf[:n + len(prods)], n, buckets)
-            if len(kept) < len(prods):
-                buf[n:n + len(kept)] = buf[n + kept]
-            n += len(kept)
-            if n > max_order:
-                raise GroupTooLarge(f"closure exceeded max_order={max_order}")
-        lo = hi
-    return MatrixGroup(d=d, elements=buf[:n].reshape(-1, d, d).copy(), generators=tuple(gens))
+    group = np.eye(d)[None]
+    buckets = {row_keys(group.reshape(1, d * d))[0]: [0]}     # key bytes -> positions
+    for i in range(1, len(gens) + 1):
+        m, cosets = len(group), [group]     # element at position j: cosets[j // m][j % m]
+        for coset in cosets:                # grows while it is read
+            cands = coset[0] @ right[:i]
+            for t, name in zip(cands, row_keys(cands.reshape(-1, d * d))):
+                if any(np.abs(cosets[j // m][j % m] - t).max() <= EQUALITY_TOL
+                       for j in buckets.get(name, ())):
+                    continue
+                n = m * len(cosets)
+                if n + m > max_order:
+                    raise GroupTooLarge(f"closure exceeded max_order={max_order}")
+                cosets.append(group @ t)
+                for j, key in enumerate(row_keys(cosets[-1].reshape(m, d * d)), n):
+                    buckets.setdefault(key, []).append(j)
+        group = np.concatenate(cosets)
+    return MatrixGroup(d=d, elements=group, generators=tuple(gens))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ TARGET_MARGIN = 1e-5
 RESTART_RTOL = 1e-10
 
 # Size limits read by more than one module.  Largest table formed at once:
-# optimizer Hessian chunks, gram_matrix blocks, group closure products.
+# optimizer Hessian chunks, gram_matrix blocks.
 GRAM_BUDGET = 2 ** 20
 # Largest monomial count of a certificate or Molien expansion.
 POWER_FORM_GUARD = 10 ** 6

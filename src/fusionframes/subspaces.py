@@ -80,37 +80,33 @@ def check_orthonormal(bases: np.ndarray, members=None) -> np.ndarray:
     return bases
 
 
-def first_occurrences(rows: np.ndarray, start: int = 0, buckets=None) -> np.ndarray:
-    """Positions in ``rows[start:]`` (D columns), ascending, of the rows
-    that a linear scan keeps: a row is dropped when a kept row with the
-    same 6-decimal key rint(1e6 x) lies within ``EQUALITY_TOL`` in
-    max-norm.  A scan over several calls puts the rows kept so far in
-    ``rows[:start]``, filed in ``buckets`` (key bytes -> positions), which
-    the kept rows join at the positions they take when packed after them.
-    Rows with a new key are kept without a comparison; the others are
-    compared with the first row of their key at once, and only rows far
-    from it meet the rest of their bucket in Python."""
-    new = rows[start:]
-    keys = np.rint(new * 1e6).astype(np.int64)      # the cast folds -0.0 into 0
-    names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
-    old, seen = buckets or {}, {}
-    head = [old[k][0] if k in old else seen.setdefault(k, i) for i, k in enumerate(names, start)]
+def row_keys(rows: np.ndarray) -> list:
+    """The 6-decimal key rint(1e6 x) of each row of an (n, D) array, as
+    bytes: the hash under which ``first_occurrences`` and ``close_group``
+    file rows (the cast folds -0.0 into 0)."""
+    keys = np.rint(rows * 1e6).astype(np.int64)
+    return keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+
+
+def first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Positions of the (n, D) rows, ascending, that a linear scan keeps: a
+    row is dropped when a kept row with the same ``row_keys`` key lies
+    within ``EQUALITY_TOL`` in max-norm.  Rows with a new key are kept
+    without a comparison; the others are compared with the first row of
+    their key at once, and only rows far from it meet the rest of their
+    key's rows in Python."""
+    names, seen = row_keys(rows), {}
+    head = [seen.setdefault(k, i) for i, k in enumerate(names)]
     if len(seen) == len(names):                     # every key is new
-        kept = np.arange(len(names))
-    else:
-        head = np.array(head, dtype=np.intp)
-        dup = head != np.arange(start, len(rows))   # an earlier row has the key
-        later = np.flatnonzero(dup)
-        near = np.abs(new[later] - rows[head[later]]).max(axis=1) <= EQUALITY_TOL
-        for i in later[~near]:
-            mine = start + np.flatnonzero((head[:i] == head[i]) & ~dup[:i])
-            same = [*old.get(names[i], ()), *mine]
-            dup[i] = bool((np.abs(rows[same] - new[i]).max(axis=1) <= EQUALITY_TOL).any())
-        kept = np.flatnonzero(~dup)
-    if buckets is not None:
-        for pos, i in enumerate(kept.tolist(), start):
-            buckets.setdefault(names[i], []).append(pos)
-    return kept
+        return np.arange(len(names))
+    head = np.array(head, dtype=np.intp)
+    dup = head != np.arange(len(rows))              # an earlier row has the key
+    later = np.flatnonzero(dup)
+    near = np.abs(rows[later] - rows[head[later]]).max(axis=1) <= EQUALITY_TOL
+    for i in later[~near]:
+        same = np.flatnonzero((head[:i] == head[i]) & ~dup[:i])
+        dup[i] = bool((np.abs(rows[same] - rows[i]).max(axis=1) <= EQUALITY_TOL).any())
+    return np.flatnonzero(~dup)
 
 
 def make_subspace(raw) -> np.ndarray:
@@ -143,6 +139,7 @@ def haar_basis_batch(d: int, k: int, count: int, rng: np.random.Generator) -> np
     frame exactly Haar-distributed rather than merely Haar up to signs."""
     check_range("d", d, 2)
     check_range("k", k, 1, d - 1)
+    check_range("count", count, 1)
     return _signed_qr(rng.standard_normal((count, d, k)))
 
 

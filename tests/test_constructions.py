@@ -188,20 +188,24 @@ def test_orbit_sizes_follow_orbit_stabilizer(branches, order, sizes, rng):
 # ---------------------------------------------------------------------------
 # batched closure and the shared dedup, against per-item references
 
+def rounded_key(x):
+    return tuple(np.round(x, 6).ravel())
+
+
 def reference_closure(gens, max_order=constructions.DEFAULT_MAX_ORDER):
     """Breadth-first closure one product at a time, in (element, generator)
     order: a product is new unless an element with the same 6-decimal key
     lies within EQUALITY_TOL."""
     d = gens[0].shape[0]
     elements = [np.eye(d)]
-    index = {tuple(np.round(elements[0], 6).ravel()): [0]}
+    index = {rounded_key(elements[0]): [0]}
     frontier = [elements[0]]
     while frontier:
         fresh = []
         for left in frontier:
             for g in gens:
                 prod = left @ g
-                bucket = index.setdefault(tuple(np.round(prod, 6).ravel()), [])
+                bucket = index.setdefault(rounded_key(prod), [])
                 if not any(np.abs(prod - elements[i]).max() <= EQUALITY_TOL
                            for i in bucket):
                     bucket.append(len(elements))
@@ -211,6 +215,44 @@ def reference_closure(gens, max_order=constructions.DEFAULT_MAX_ORDER):
                         raise GroupTooLarge(f"closure exceeded max_order={max_order}")
         frontier = fresh
     return np.stack(elements)
+
+
+def dimino_reference(gens):
+    """Dimino's closure one candidate, one membership check and one coset
+    row at a time: the group of the first i generators grows by the right
+    coset of each candidate r g (r a coset's first element, g one of the
+    first i generators) that no element with its 6-decimal key lies within
+    EQUALITY_TOL of."""
+    d = gens[0].shape[0]
+    elements = [np.eye(d)]
+    index = {rounded_key(elements[0]): [0]}
+    for i in range(1, len(gens) + 1):
+        m, start = len(elements), 0
+        while start < len(elements):    # the first element of each coset
+            for g in gens[:i]:
+                cand = elements[start] @ g
+                if any(np.abs(cand - elements[j]).max() <= EQUALITY_TOL
+                       for j in index.get(rounded_key(cand), ())):
+                    continue
+                for row in elements[:m]:
+                    prod = row @ cand
+                    index.setdefault(rounded_key(prod), []).append(len(elements))
+                    elements.append(prod)
+            start += m
+    return np.stack(elements)
+
+
+def assert_same_elements(got, want):
+    """``got`` and ``want`` hold the same number of orthogonal matrices,
+    and each element of ``got`` lies within EQUALITY_TOL of its own element
+    of ``want``: the nearest in Frobenius norm, the largest trace of
+    got_i^T want_j."""
+    assert len(got) == len(want)
+    a, b = got.reshape(len(got), -1), want.reshape(len(want), -1)
+    nearest = np.concatenate([(a[i:i + 1024] @ b.T).argmax(axis=1)
+                              for i in range(0, len(a), 1024)])
+    assert len(np.unique(nearest)) == len(a)
+    assert np.abs(a - b[nearest]).max() <= EQUALITY_TOL
 
 
 def coxeter_generators(branches):
@@ -234,21 +276,46 @@ def closed(name):
 
 
 @pytest.mark.parametrize("name", list(CLOSURE_CASES))
-def test_closure_equals_per_product_reference(name, monkeypatch):
+def test_closure_equals_per_product_reference(name):
     gens = CLOSURE_CASES[name]()
-    want = reference_closure(gens)
+    want = dimino_reference(gens)
     group = closed(name)
     assert group.elements.tobytes() == want.tobytes()
-    assert all(np.array_equal(e, w) for e, w in zip(group.elements, want))
     assert np.array_equal(group.elements[0], np.eye(group.d))
     # the order bound is inclusive
     with pytest.raises(GroupTooLarge, match=f"max_order={len(want) - 1}"):
         close_group(gens, max_order=len(want) - 1)
     assert len(close_group(gens, max_order=len(want))) == len(want)
-    # products in chunks of one or a few frontier elements: the same group
-    for budget in (1, 7 * len(gens) * group.d ** 2):
-        monkeypatch.setattr(constructions, "GRAM_BUDGET", budget)
-        assert close_group(gens).elements.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", [*CLOSURE_CASES, "H4"])
+def test_closure_is_the_breadth_first_group(name):
+    group = h4() if name == "H4" else closed(name)
+    want = reference_closure(list(group.generators))
+    assert_same_elements(group.elements, want)
+    assert np.array_equal(group.elements[0], np.eye(group.d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A2", "H3", "B4", "C"]), st.integers(1, 12), st.data())
+def test_closure_ignores_generator_order_repeats_and_identity(name, n, data):
+    # C is the cyclic group of order n
+    gens = [rotation(2 * np.pi / n)] if name == "C" else CLOSURE_CASES[name]()
+    want = close_group(gens).elements
+    assert len(want) == {"A2": 6, "H3": 120, "B4": 384, "C": n}[name]
+    order = data.draw(st.permutations(range(len(gens))))
+    assert_same_elements(close_group([gens[i] for i in order]).elements, want)
+    repeated = list(gens)
+    repeated.insert(data.draw(st.integers(0, len(gens))),
+                    gens[data.draw(st.integers(0, len(gens) - 1))])
+    assert_same_elements(close_group(repeated).elements, want)
+    assert_same_elements(close_group([*gens, np.eye(len(gens[0]))]).elements, want)
+    # conjugating the generators by a Haar orthogonal Q conjugates the group
+    q, r = np.linalg.qr(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+                        .standard_normal((len(gens[0]),) * 2))
+    q *= np.sign(np.diag(r))
+    conj = close_group([q @ g @ q.T for g in gens])
+    assert_same_elements(conj.elements, q @ want @ q.T)
 
 
 def test_non_finite_generators_are_not_orthogonal():

@@ -171,6 +171,12 @@ def test_haar_determinism_and_batch_consistency():
             haar_basis_batch(4, k, 1, np.random.default_rng(42))
     with pytest.raises(ParameterError, match="d=1 not in"):
         haar_basis_batch(1, 1, 1, np.random.default_rng(42))
+    for count in (0, -1):
+        with pytest.raises(ParameterError, match=f"count={count} not in \\[1, inf\\]"):
+            haar_basis_batch(4, 2, count, np.random.default_rng(42))
+    for count in (2.5, True):
+        with pytest.raises(ParameterError, match="count must be an integer"):
+            haar_basis_batch(4, 2, count, np.random.default_rng(42))
     # one draw is the sign-fixed QR of make_subspace on the same Gaussian matrix
     for d, k in ((2, 1), (4, 2), (8, 3)):
         raw = np.random.default_rng(d).standard_normal((d, k))
@@ -201,21 +207,12 @@ OFFSETS = (0.0, -0.0, 3e-9, 4e-7, -4e-7, 4e-7 + 3e-9, 2e-6)
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(OFFSETS),
-                          st.integers(0, 2)), min_size=1, max_size=40),
-       st.integers(0, 40))
-def test_first_occurrences_matches_keyed_scan(picks, split):
+                          st.integers(0, 2)), min_size=1, max_size=40))
+def test_first_occurrences_matches_keyed_scan(picks):
     centres = np.array([[0.0, 0.5, -0.25], [1.0, 0.0, 0.0], [0.125, 0.125, 0.0],
                         [-0.5, 0.0, 1.0]])
     rows = np.array([centres[c] + np.eye(3)[axis] * off for c, off, axis in picks])
-    want = keyed_scan(rows)
-    assert first_occurrences(rows).tolist() == want
-    # the same scan in two calls, the second one against the rows kept so far
-    split = min(split, len(rows))
-    buckets = {}
-    head = first_occurrences(rows[:split], 0, buckets)
-    tail = first_occurrences(np.concatenate([rows[head], rows[split:]]), len(head), buckets)
-    assert head.tolist() + (split + tail).tolist() == want
-    assert sorted(i for b in buckets.values() for i in b) == list(range(len(want)))
+    assert first_occurrences(rows).tolist() == keyed_scan(rows)
 
 
 @settings(max_examples=150, deadline=None)
