@@ -43,7 +43,7 @@ GRAM_BUDGET = 2 ** 20
 # Largest monomial count of a certificate or Molien expansion.
 POWER_FORM_GUARD = 10 ** 6
 # Largest order p of a moment or invariant count: 627 partitions at p = 20
-# (about 10 ms per moment, 1.3 s per d = 100 table).
+# (about 10 ms per moment, 0.1 s per d = 100 table).
 P_MAX = 20
 
 

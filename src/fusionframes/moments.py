@@ -11,10 +11,10 @@ gives
                         C_kappa(I_k) C_kappa(I_l) / C_kappa(I_d),
 
 with C_kappa(I_m) in closed form (Muirhead 1982, Thm 7.2.7): a factor of
-kappa alone times the integer N_kappa(m) = 2^p (m/2)_kappa.  So ``t_exact``
-(one moment, a ``Fraction``) and ``t_matrix`` (the table of floats) sum
-integers over partitions.  Haar sampling is an independent oracle in the
-tests, not a route here.
+kappa alone times the integer N_kappa(m) = 2^p (m/2)_kappa, a monic degree-p
+polynomial in m.  ``t_exact`` (one moment, a ``Fraction``) sums integers over
+partitions; ``t_matrix`` (the table of floats) is V C V^T / q, V[m - 1, j] =
+m^j and C a (p + 1) x (p + 1) integer core.  Haar sampling is a test oracle.
 
 Also here: the exact strength-2p cubature certificate (the Lie
 derivatives of the frame's power form over Sym^2, ``homogeneous.lie_residual``)
@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 import numpy as np
 
@@ -46,13 +45,13 @@ def _check_moment_args(k: int, l: int, d: int, p: int) -> None:
 
 def _partitions(p: int, max_parts: int, max_part: int | None = None):
     """Partitions of p into at most ``max_parts`` parts, each at most
-    ``max_part``, as non-increasing tuples."""
+    ``max_part``, as non-increasing tuples; the first is >= p / max_parts."""
     if p == 0:
         yield ()
         return
     if max_parts == 0:
         return
-    for first in range(min(p, max_part or p), 0, -1):
+    for first in range(min(p, max_part or p), (p - 1) // max_parts, -1):
         for rest in _partitions(p - first, max_parts - 1, first):
             yield (first,) + rest
 
@@ -60,33 +59,45 @@ def _partitions(p: int, max_parts: int, max_part: int | None = None):
 def _pochhammer_int(kappa: tuple, m: int) -> int:
     """N_kappa(m) = 2^p (m/2)_kappa = prod_i prod_{s < kappa_i} (m - i + 2s),
     rows i counted from 0: an integer, 0 when kappa has more than m parts."""
-    return prod(m - i + 2 * s for i, part in enumerate(kappa) for s in range(part))
+    n = 1
+    for i, part in enumerate(kappa):
+        n *= prod(range(m - i, m - i + 2 * part, 2))
+    return n
 
 
-def _zonal_scale(kappa: tuple) -> Fraction:
-    """The factor of C_kappa(I_m) = _zonal_scale(kappa) N_kappa(m) that does
-    not depend on m, for kappa |- p with ell parts:
-
-        2^p p! prod_{i<j} (2 kappa_i - 2 kappa_j - i + j)
-        / prod_i (2 kappa_i + ell - i - 1)!
-    """
+def _zonal_scale(kappa: tuple, n: int) -> tuple:
+    """C_kappa(I_m) / (n N_kappa(m)) in lowest terms (num, den), for kappa |- p with ell parts:
+    2^p p! prod_{i<j} (2 kappa_i - 2 kappa_j - i + j) / (n prod_i (2 kappa_i + ell - i - 1)!)."""
     p, ell = sum(kappa), len(kappa)
-    num = prod(2 * a - 2 * b - i + j
-               for (i, a), (j, b) in combinations(enumerate(kappa), 2))
-    den = prod(factorial(2 * part + ell - i - 1) for i, part in enumerate(kappa))
-    return Fraction(2 ** p * factorial(p) * num, den)
+    num, den = 2 ** p * factorial(p), n
+    for i, part in enumerate(kappa):
+        den *= factorial(2 * part + ell - i - 1)
+        for j in range(i + 1, ell):
+            num *= 2 * part - 2 * kappa[j] - i + j
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _pochhammer_coefficients(kappas: list) -> np.ndarray:
+    """A[kappa, j], the coefficient of m^j in N_kappa(m): one cell per step, all kappa at once."""
+    cells = [[2 * s - i for i, part in enumerate(kappa) for s in range(part)] for kappa in kappas]
+    zero, coeffs = [0] * len(kappas), [[0] * len(kappas), [1] * len(kappas)]  # coeffs[j]: m^j
+    for shift in list(zip(*cells))[1:]:        # the first cell, (0, 0), is the factor m
+        coeffs = [[lo + c * hi for lo, c, hi in zip(below, shift, above)]
+                  for below, above in zip([zero] + coeffs, coeffs + [zero])]
+    return np.array(coeffs, dtype=object).T
 
 
 def _moment_weights(d: int, p: int, max_parts: int) -> tuple:
     """The partitions kappa of p into at most ``max_parts`` (< d) parts,
     integer weights w_kappa = q _zonal_scale(kappa) / N_kappa(d) and their
-    denominator q, so that for k, l <= max_parts
+    least denominator q, so that for k, l <= max_parts
 
         t(k, l, d, p) = sum_kappa w_kappa N_kappa(k) N_kappa(l) / q."""
     kappas = list(_partitions(p, max_parts))
-    ratios = [_zonal_scale(kappa) / _pochhammer_int(kappa, d) for kappa in kappas]
-    q = lcm(*(r.denominator for r in ratios))
-    return kappas, [r.numerator * (q // r.denominator) for r in ratios], q
+    ratios = [_zonal_scale(kappa, _pochhammer_int(kappa, d)) for kappa in kappas]
+    q = lcm(*(den for _, den in ratios))
+    return kappas, [num * (q // den) for num, den in ratios], q
 
 
 def t_exact(k: int, l: int, d: int, p: int) -> Fraction:
@@ -117,23 +128,22 @@ class TMatrix:
 
     def rows(self) -> list:
         """(k, l, p, value, error, method) for k <= l; CSV-ready."""
-        return [(k, l, self.p, float(self.values[k - 1, l - 1]), 0.0, "closed-form")
-                for k in range(1, self.d) for l in range(k, self.d)]
+        return [(k, l, self.p, value, 0.0, "closed-form") for k, row in
+                enumerate(self.values.tolist(), 1) for l, value in enumerate(row[k - 1:], k)]
 
 
 def t_matrix(d: int, p: int, budget=None, rng=None) -> TMatrix:
-    """The full moment table U diag(w) U^T / q over Python integers, with
-    U[k - 1, kappa] = N_kappa(k) and (w, q) from ``_moment_weights``; int /
-    int rounds correctly, so each entry is bitwise ``float(t_exact(...))``
-    and every error is 0.  ``budget`` and ``rng`` are accepted for
-    compatibility and ignored: no entry is sampled."""
+    """The full moment table V C V^T / q over Python integers, V[m - 1, j] = m^j and
+    C = A^T diag(w) A (``_pochhammer_coefficients``, ``_moment_weights``): O(K p^2 +
+    d^2 p) work for K partitions.  int / int rounds correctly, so each entry is bitwise
+    ``float(t_exact(...))``; every error is 0, and ``budget`` and ``rng`` are ignored."""
     check_range("d", d, 2, T_MATRIX_D_MAX)
     _check_moment_args(1, 1, d, p)
     kappas, weights, q = _moment_weights(d, p, d - 1)
-    u = np.array([[_pochhammer_int(kappa, m) for kappa in kappas] for m in range(1, d)],
-                 dtype=object)
-    values = ((u * np.array(weights, dtype=object)) @ u.T / q).astype(float)
-    return TMatrix(d=d, p=p, values=values)
+    coeffs = _pochhammer_coefficients(kappas)
+    powers = np.array([[m ** j for j in range(p + 1)] for m in range(1, d)], dtype=object)
+    core = (coeffs.T * np.array(weights, dtype=object)) @ coeffs
+    return TMatrix(d=d, p=p, values=(powers @ core @ powers.T / q).astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
+import hashlib
 import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
@@ -30,7 +31,13 @@ from fusionframes import (
 )
 
 from fusionframes.errors import P_MAX
-from fusionframes.moments import T_MATRIX_D_MAX, _partitions, _pochhammer_int, _zonal_scale
+from fusionframes.moments import (
+    T_MATRIX_D_MAX,
+    _partitions,
+    _pochhammer_coefficients,
+    _pochhammer_int,
+    _zonal_scale,
+)
 from test_frames import _other_representatives, _permuted, _rotated_bases, random_frame
 
 
@@ -203,10 +210,16 @@ def zonal_reference(kappa: tuple, m: int) -> Fraction:
 def test_zonal_factorization_matches_the_fraction_product():
     for p in range(1, 11):
         for kappa in _partitions(p, p):
+            num, den = _zonal_scale(kappa, 1)
+            assert type(num) is int and type(den) is int and num > 0 and den > 0
+            # in lowest terms, and over n as the weights take it
+            scaled = Fraction(num, 7 * den)
+            assert gcd(num, den) == 1
+            assert _zonal_scale(kappa, 7) == (scaled.numerator, scaled.denominator)
             for m in range(1, 13):
                 n = _pochhammer_int(kappa, m)
                 assert type(n) is int and (n == 0) == (len(kappa) > m)
-                assert _zonal_scale(kappa) * n == zonal_reference(kappa, m), (kappa, m)
+                assert Fraction(num, den) * n == zonal_reference(kappa, m), (kappa, m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,10 +227,37 @@ def test_zonal_factorization_matches_the_fraction_product():
 def test_zonal_polynomials_sum_to_trace_power(m, p):
     # (tr I_m)^p = sum over all partitions of p, vanishing beyond m parts
     def zonal(kappa):
-        return _zonal_scale(kappa) * _pochhammer_int(kappa, m)
+        return Fraction(*_zonal_scale(kappa, 1)) * _pochhammer_int(kappa, m)
 
     assert sum(zonal(kappa) for kappa in _partitions(p, p)) == m ** p
     assert all(zonal(kappa) == 0 for kappa in _partitions(p, p) if len(kappa) > m)
+
+
+def test_partitions_are_every_bounded_partition_once():
+    def reference(p, max_parts, max_part):
+        if p == 0:
+            return [()]
+        return [(first,) + rest for first in range(min(p, max_part), 0, -1) if max_parts
+                for rest in reference(p - first, max_parts - 1, first)]
+
+    assert len(list(_partitions(P_MAX, P_MAX))) == 627
+    for p in range(1, 16):
+        for max_parts in range(1, p + 2):
+            assert list(_partitions(p, max_parts)) == reference(p, max_parts, p), (p, max_parts)
+
+
+def test_pochhammer_coefficients_are_monic_and_evaluate_to_n_kappa():
+    # one row per partition, the coefficients of m^0..m^p of N_kappa(m); a
+    # degree-p polynomial that agrees at p + 1 points is N_kappa itself
+    for p in range(1, P_MAX + 1):
+        kappas = list(_partitions(p, p))
+        coeffs = _pochhammer_coefficients(kappas)
+        assert coeffs.shape == (len(kappas), p + 1)
+        assert all(type(c) is int for c in coeffs.flat)
+        assert (coeffs[:, p] == 1).all() and (coeffs[:, 0] == 0).all()
+        for m in (*range(p + 1), 57, T_MATRIX_D_MAX):
+            powers = np.array([m ** j for j in range(p + 1)], dtype=object)
+            assert list(coeffs @ powers) == [_pochhammer_int(kappa, m) for kappa in kappas], (p, m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,6 +267,40 @@ def test_t_matrix_entries_are_bitwise_t_exact(d, p):
     for k in range(1, d):
         for l in range(1, d):
             assert values[k - 1, l - 1] == float(t_exact(k, l, d, p)), (k, l)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_t_matrix_sampled_entries_are_bitwise_t_exact_up_to_p_max(data):
+    # both corners and up to three drawn entries of tables up to d = 30 at
+    # every power, and the table's symmetry: the range the full check above
+    # would take too long for
+    d = data.draw(st.integers(2, 30), label="d")
+    p = data.draw(st.integers(1, P_MAX), label="p")
+    values = t_matrix(d, p).values
+    assert np.array_equal(values, values.T)
+    dims = st.integers(1, d - 1)
+    entries = [(1, d - 1), (d - 1, d - 1)] + data.draw(
+        st.lists(st.tuples(dims, dims), min_size=1, max_size=3), label="entries")
+    for k, l in entries:
+        assert values[k - 1, l - 1] == float(t_exact(k, l, d, p)), (k, l)
+
+
+def test_moments_pinned_at_paper_scale():
+    # sha256 of the float64 tables, and exact moments at P_MAX, as the direct
+    # sums U diag(w) U^T / q with U[k, kappa] = N_kappa(k) computed them
+    for (d, p), digest in (
+            ((100, 20), "02d8a5a88a7aa79a9af1d743e9c9b8e9efb67a0f4c951344976dd8f3ffc310ba"),
+            ((57, 13), "abfcb72a8984489326e91fe20dfaf4c985aca2e495fd5127632cb3b826ba852e")):
+        values = t_matrix(d, p).values
+        assert values.dtype == np.float64 and values.shape == (d - 1, d - 1)
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest, (d, p)
+    assert t_exact(3, 5, 12, P_MAX) == Fraction(28750926701875478319179, 786543889266769920)
+    assert t_exact(7, 7, 40, P_MAX) == Fraction(
+        1033086492636956029875650828754065174353, 311440684230500077768411298901524480)
+    assert t_exact(19, 23, 57, P_MAX) == Fraction(
+        55349474681484770471445946410003933183969695473569964057,
+        80816438331795926075569814189488421835)
 
 
 def test_import_loads_no_scipy():

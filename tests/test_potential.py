@@ -271,3 +271,16 @@ def test_mixed_bound_is_the_rounded_moment_sum(d, n, p, seed):
         k = int(frame.dims[0])
         assert bound == float(Fraction(m[k - 1]) ** 2 * t_exact(k, k, d, p))
 
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_mixed_bound_is_the_exact_moment_sum(d, extra, p, seed):
+    # sum_{k, l} m_k m_l t(k, l, d, p) over the rationals, rounded once; a
+    # line and a hyperplane make every frame mixed
+    rng = np.random.default_rng(seed)
+    dims = [1, d - 1] + [int(k) for k in rng.integers(1, d, extra)]
+    frame = build_frame([rng.standard_normal((d, k)) for k in dims],
+                        [float(w) for w in rng.uniform(0.1, 3.0, len(dims))])
+    mass = {k: Fraction(m) for k, m in frame.mass_by_dim().items()}
+    exact = sum(mass[k] * mass[l] * t_exact(k, l, d, p) for k in mass for l in mass)
+    assert ffp_lower_bound_mixed(frame, p) == float(exact)
