@@ -85,7 +85,8 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
                 if n + m > max_order:
                     raise GroupTooLarge(f"closure exceeded max_order={max_order}")
                 cosets.append(group @ t)
-                for j, key in enumerate(row_keys(cosets[-1].reshape(m, d * d)), n):
+                keys = [name] if m == 1 else row_keys(cosets[-1].reshape(m, d * d))
+                for j, key in enumerate(keys, n):    # the coset of {1} is t, keyed as t
                     buckets.setdefault(key, []).append(j)
         group = np.concatenate(cosets)
     return MatrixGroup(d=d, elements=group, generators=tuple(gens))

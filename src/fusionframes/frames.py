@@ -26,7 +26,8 @@ from .errors import (CERTIFY_TOL, POWER_FORM_GUARD, RANK_TOL, READ_CORRECTION_TO
                      FrameFormatError, LengthMismatch, MixedDimensions, NotAFrame, check_order,
                      check_range)
 from .homogeneous import check_size_guard, sum_of_squares_coeffs, weighted_gram, weighted_power_sum
-from .subspaces import _first_bad, _signed_qr, check_orthonormal, orthonormal_stack
+from .subspaces import (_first_bad, _orthonormalized, _signed_qr, check_orthonormal,
+                        orthonormal_stack)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -314,28 +315,19 @@ def _numbers(item, name: str) -> np.ndarray:
     raise FrameFormatError(f"{name}: entries must be numbers")
 
 
-def _width_groups(cols: list, d: int):
-    """(positions, (m, d, k) float stack) per basis width k, or None if one is malformed."""
-    groups = []
-    for idx in _positions_by_value(np.array([len(c) for c in cols], dtype=int)):
-        raw = np.array([cols[i] for i in idx], dtype=float)
-        if raw.ndim != 3 or raw.shape[2] != d:
-            return None
-        groups.append((idx, np.swapaxes(raw, 1, 2)))
-    return groups
-
-
 def frame_from_dict(data: dict) -> WeightedFrame:
     """Parse the frame JSON structure; bases are lists of k columns of length
     d and are re-orthonormalized on read.
 
     ``ambient_dim`` must be a JSON integer and each weight a JSON number.
-    Types and shapes are checked in bulk, one array per basis width, and
-    member by member in file order (``_numbers``) only when a bulk check
-    fails; then finiteness over all members; then the members are validated
-    in batches of equal dimension k, smallest k first (dimension range,
-    rank, orthonormality, read correction).  Errors name the first failing
-    member by its position in the file.
+    Types and shapes are checked in one flat pass over the basis columns of
+    all members (each a list of length d, each entry and weight a number):
+    one ``np.array`` converts every entry, and the stack of each basis width
+    is cut out of it.  Only when the pass fails are the members checked one
+    by one in file order (``_numbers``); then finiteness, once; then the
+    members are validated in batches of equal dimension k, smallest k first
+    (dimension range, rank, orthonormality, read correction).  Errors name
+    the first failing member by its position in the file.
     """
     try:
         d = data["ambient_dim"]
@@ -349,11 +341,16 @@ def frame_from_dict(data: dict) -> WeightedFrame:
     try:
         cols = [ent["basis"] for ent in raw_entries]
         weights = [ent["weight"] for ent in raw_entries]
-        numbers = set(map(type, chain(weights, chain.from_iterable(chain.from_iterable(cols)))))
-        groups = _width_groups(cols, d)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        groups = None
-    if groups is None or not numbers <= {int, float}:
+        widths = [len(c) for c in cols]
+        columns = list(chain.from_iterable(cols))   # lists: a "" column has no entry to check
+        flat = list(chain.from_iterable(columns))
+        bulk = (0 not in widths and set(map(type, columns)) <= {list, tuple}
+                and set(map(len, columns)) <= {d}
+                and set(map(type, chain(weights, flat))) <= {int, float})
+        values = np.array(flat, dtype=float) if bulk else None
+    except (KeyError, TypeError, OverflowError):
+        values = None
+    if values is None:
         for j, ent in enumerate(raw_entries):   # raises at the first malformed member
             try:
                 basis, weight = ent["basis"], ent["weight"]
@@ -364,10 +361,23 @@ def frame_from_dict(data: dict) -> WeightedFrame:
                 raise FrameFormatError(f"member {j}: basis entries and weight must be numbers")
             if member.ndim != 2 or member.shape[1] != d:
                 raise FrameFormatError(f"member {j}: basis columns must have length {d}")
+        else:   # each member reads as numbers, but a column is not a list
+            raise FrameFormatError("basis columns must be lists")
     try:
         weights = np.array(weights, dtype=float)
     except OverflowError:       # an integer beyond the float range is not finite
         weights = np.array([w if abs(w) <= sys.float_info.max else np.inf for w in weights])
+    if len(set(widths)) == 1:       # one width: the stack is the values reshaped
+        n, k = len(widths), widths[0]
+        groups = [(np.arange(n), values.reshape(n, k, d).swapaxes(1, 2))]
+    else:                           # else the rows of each width are gathered
+        widths = np.array(widths, dtype=int)
+        starts = (np.cumsum(widths) - widths) * d       # each member's first entry
+        groups = []
+        for idx in _positions_by_value(widths):
+            k = int(widths[idx[0]])
+            raw = values[starts[idx, None] + np.arange(k * d)].reshape(len(idx), k, d)
+            groups.append((idx, raw.swapaxes(1, 2)))
     finite = np.isfinite(weights)
     for idx, raw in groups:
         finite[idx] &= np.isfinite(raw).all(axis=(1, 2))
@@ -375,7 +385,7 @@ def frame_from_dict(data: dict) -> WeightedFrame:
                lambda i: "basis entries and weights must be finite")
     stacks = []
     for idx, raw in groups:
-        q, correction = orthonormal_stack(raw, idx)
+        q, correction = _orthonormalized(raw, idx)
         _first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
                    lambda i: f"basis needed correction {correction[i]:.2e} > {READ_CORRECTION_TOL}")
         stacks.append((idx, q, weights[idx]))

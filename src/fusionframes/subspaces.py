@@ -9,6 +9,7 @@ are compared through their projectors B B^T.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.linalg._umath_linalg import qr_complete as _qr_complete, qr_reduced as _qr_reduced
 
 from .errors import (EQUALITY_TOL, ORTHO_TOL, RANK_TOL, READ_CORRECTION_TOL, DimensionError,
@@ -39,12 +40,18 @@ def orthonormal_stack(raw, members=None) -> tuple:
     ``members`` (one label per row) names the failing member in messages.
     """
     a = np.asarray(raw, dtype=float)
+    if 1 <= a.shape[2] < a.shape[1]:    # else the core reports the dimension first
+        _first_bad(~np.isfinite(a).all(axis=(1, 2)), members, RankDeficient,
+                   lambda i: "basis entries must be finite")
+    return _orthonormalized(a, members)
+
+
+def _orthonormalized(a: np.ndarray, members) -> tuple:
+    """``orthonormal_stack`` after its finiteness check, which the frame loader makes itself."""
     _, d, k = a.shape
     if not 1 <= k <= d - 1:
         where = "" if members is None else f"member {members[0]}: "
         raise DimensionError(f"{where}subspace dimension {k} not in [1, {d - 1}]")
-    _first_bad(~np.isfinite(a).all(axis=(1, 2)), members, RankDeficient,
-               lambda i: "basis entries must be finite")
     q = _signed_qr(a)
     moved = np.abs(q - a).max(axis=(1, 2))
     if not (moved <= READ_CORRECTION_TOL).all():
@@ -54,16 +61,23 @@ def orthonormal_stack(raw, members=None) -> tuple:
     return check_orthonormal(q, members), moved
 
 
+# np.linalg.qr's raw Householder kernel; numpy 1.x has one per shape, rows <= columns or not
+_QR_R_RAW = ((_umath_linalg.qr_r_raw,) * 2 if hasattr(_umath_linalg, "qr_r_raw")
+             else (_umath_linalg.qr_r_raw_m, _umath_linalg.qr_r_raw_n))
+
+
 def _signed_qr(a: np.ndarray, complement: bool = False):
     """Q (..., d, k) of a stacked QR with the diagonal of R forced positive;
     with ``complement``, the first k and the last d - k columns of the
     complete Q, the basis and one of its complement.  Each is bitwise the Q
-    of ``np.linalg.qr`` in that mode: its kernels on its raw factors."""
-    h, tau = np.linalg.qr(a, mode="raw")    # h: the factored matrices, transposed
+    of ``np.linalg.qr`` in that mode: its kernels, called directly on a
+    float copy of ``a``, which the raw kernel overwrites with its factors."""
+    h = np.array(a, dtype=float)
+    d, k = h.shape[-2:]
+    tau = _QR_R_RAW[d > k](h, signature="d->d")
     signs = np.sign(np.diagonal(h, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    q = (_qr_complete if complement else _qr_reduced)(h.swapaxes(-1, -2), tau, signature="dd->d")
-    k = a.shape[-1]
+    q = (_qr_complete if complement else _qr_reduced)(h, tau, signature="dd->d")
     basis = q[..., :k] * signs[..., None, :]
     return (basis, q[..., k:]) if complement else basis
 

@@ -1,10 +1,12 @@
+import copy
 import hashlib
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionframes import (
@@ -522,6 +524,9 @@ def test_frame_format_errors(tmp_path):
                              "entries": [{"basis": basis, "weight": 1.0}]})
     with pytest.raises(FrameFormatError, match="entries"):
         frame_from_dict({"ambient_dim": 2, "entries": 3})
+    # a column must be a list (or tuple), even one numpy reads as numbers
+    with pytest.raises(FrameFormatError, match="basis columns must be lists"):
+        frame_from_dict({"ambient_dim": 2, "entries": [{"basis": [range(2)], "weight": 1.0}]})
     for entry in ({"basis": [[0.0, 1.0]]}, 3):
         with pytest.raises(FrameFormatError, match="malformed frame entry 1"):
             frame_from_dict({"ambient_dim": 2, "entries": one_line + [entry]})
@@ -542,6 +547,163 @@ def test_integer_numbers_load_as_their_float_spelling(assert_same_frame, monkeyp
     loaded = frame_from_dict({"ambient_dim": 3, "entries": spelled})
     assert_same_frame(loaded, frame_from_dict({"ambient_dim": 3, "entries": floats}))
     assert loaded.weights.tolist() == [2.0, 1.0, 3.0]
+    # a well-formed file of float entries and mixed widths stays on the bulk path too
+    data = frame_to_dict(mixed_frame(np.random.default_rng(8), 6, 11))
+    assert_same_frame(frame_from_dict(data), two_pass_frame_from_dict(data))
+
+
+def two_pass_frame_from_dict(data: dict) -> WeightedFrame:
+    """The reference loader: the previous bulk check, a type walk over the
+    whole tree, then one nested ``np.array`` per basis width, and the
+    validation through ``orthonormal_stack``, which checks finiteness again.
+    The member-by-member reporter is the loader's own ``_numbers``."""
+    try:
+        d = data["ambient_dim"]
+        raw_entries = data["entries"]
+    except (KeyError, TypeError) as exc:
+        raise FrameFormatError(f"malformed frame data: {exc}") from exc
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise FrameFormatError(f"ambient_dim must be an integer, got {d!r}")
+    if not isinstance(raw_entries, list):
+        raise FrameFormatError("entries must be a list")
+    try:
+        cols = [ent["basis"] for ent in raw_entries]
+        weights = [ent["weight"] for ent in raw_entries]
+        leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(cols))
+        numbers = set(map(type, itertools.chain(weights, leaves)))
+        groups = []
+        for idx in frames._positions_by_value(np.array([len(c) for c in cols], dtype=int)):
+            raw = np.array([cols[i] for i in idx], dtype=float)
+            if raw.ndim != 3 or raw.shape[2] != d:
+                groups = None
+                break
+            groups.append((idx, np.swapaxes(raw, 1, 2)))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        groups = None
+    if groups is None or not numbers <= {int, float}:
+        for j, ent in enumerate(raw_entries):
+            try:
+                basis, weight = ent["basis"], ent["weight"]
+            except (KeyError, TypeError) as exc:
+                raise FrameFormatError(f"malformed frame entry {j}: {exc}") from exc
+            member = frames._numbers(basis, f"member {j}")
+            if frames._numbers(weight, f"member {j}").ndim:
+                raise FrameFormatError(f"member {j}: basis entries and weight must be numbers")
+            if member.ndim != 2 or member.shape[1] != d:
+                raise FrameFormatError(f"member {j}: basis columns must have length {d}")
+    try:
+        weights = np.array(weights, dtype=float)
+    except OverflowError:
+        weights = np.array([w if abs(w) <= sys.float_info.max else np.inf for w in weights])
+    finite = np.isfinite(weights)
+    for idx, raw in groups:
+        finite[idx] &= np.isfinite(raw).all(axis=(1, 2))
+    subspaces._first_bad(~finite, range(len(finite)), FrameFormatError,
+                         lambda i: "basis entries and weights must be finite")
+    stacks = []
+    for idx, raw in groups:
+        q, correction = subspaces.orthonormal_stack(raw, idx)
+        subspaces._first_bad(correction > READ_CORRECTION_TOL, idx, FrameFormatError,
+                             lambda i: f"basis needed correction {correction[i]:.2e} > "
+                                       f"{READ_CORRECTION_TOL}")
+        stacks.append((idx, q, weights[idx]))
+    return WeightedFrame._from_stacks(d, stacks)
+
+
+def _outcome(load, data):
+    """The exception class and message of a load, or its groups as bytes."""
+    try:
+        frame = load(copy.deepcopy(data))
+    except Exception as exc:    # every class and message is compared
+        return type(exc), str(exc)
+    return frame.ambient_dim, [(idx.tolist(), bases.shape, bases.tobytes(), weights.tobytes())
+                               for idx, bases, weights in frame.groups]
+
+
+LEAVES = (True, False, "1", None, [1.0], 10 ** 400, -(10 ** 400), float("nan"), float("inf"),
+          0, 1, -1, -0.5, 2 ** 60)
+BASES = ([], "", "ab", 1.5, 2, None, True, {}, {"a": 1.0}, {"": 1.0}, [[]], [""], [{}], [1.0])
+COLUMNS = ("", "ab", 1.0, None, {}, {"": 1.0}, [], [[1.0]])
+
+
+@st.composite
+def mutated_frame_dicts(draw):
+    """A frame dict of mixed widths, some members in integer spelling, with
+    up to four defects in its leaves, columns, bases, entries or header."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, d - 1))
+        if draw(st.booleans()):     # signed coordinate columns, spelled as integers
+            cols = (np.eye(d)[rng.permutation(d)[:k]] * rng.choice([-1, 1], (k, 1))).astype(int)
+        else:
+            cols = make_subspace(rng.standard_normal((d, k))).T
+        weight = draw(st.sampled_from((1, 2, 0.5, float(rng.uniform(0.1, 3.0)))))
+        entries.append({"basis": cols.tolist(), "weight": weight})
+    data = {"ambient_dim": d, "entries": entries}
+    for kind in draw(st.lists(st.sampled_from(
+            ("leaf", "leaf", "short", "long", "column", "repeat", "scale", "basis", "weight",
+             "missing", "entry", "ambient_dim", "empty", "header")), max_size=4)):
+        entries = data.get("entries")
+        if kind == "ambient_dim":
+            data["ambient_dim"] = draw(st.sampled_from((-1, 0, 1, d - 1, d + 1, 2.0, True, "3")))
+            continue
+        if kind == "empty":
+            data["entries"] = []
+            continue
+        if kind == "header":
+            data.pop(draw(st.sampled_from(("ambient_dim", "entries"))), None)
+            continue
+        if not isinstance(entries, list) or not entries:
+            continue
+        j = draw(st.integers(0, len(entries) - 1))
+        ent = entries[j]
+        if kind == "entry":
+            entries[j] = draw(st.sampled_from((3, None, "e", [])))
+        elif not isinstance(ent, dict):
+            continue
+        elif kind == "missing":
+            ent.pop(draw(st.sampled_from(("basis", "weight"))), None)
+        elif kind == "weight":
+            ent["weight"] = draw(st.sampled_from(LEAVES))
+        elif kind == "basis":
+            ent["basis"] = copy.deepcopy(draw(st.sampled_from(BASES)))
+        elif isinstance(ent.get("basis"), list) and ent["basis"]:
+            basis = ent["basis"]
+            c = draw(st.integers(0, len(basis) - 1))
+            col = basis[c]
+            if kind == "column":
+                basis[c] = copy.deepcopy(draw(st.sampled_from(COLUMNS)))
+            elif not isinstance(col, list):
+                continue
+            elif kind == "repeat":      # rank deficient, or k = d
+                basis.append(list(col))
+            elif kind == "scale":       # beyond the read correction
+                basis[c] = [2 * x if type(x) in (int, float) else x for x in col]
+            elif kind == "long":
+                col.append(0.0)
+            elif col and kind == "short":
+                col.pop()
+            elif col:
+                leaf = copy.deepcopy(draw(st.sampled_from(LEAVES)))
+                col[draw(st.integers(0, len(col) - 1))] = leaf
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_frame_dicts())
+@example({"ambient_dim": -1, "entries": []})
+@example({"ambient_dim": 0, "entries": []})
+@example({"ambient_dim": 0, "entries": [{"basis": [[]], "weight": 1.0}]})
+@example({"ambient_dim": 0, "entries": [{"basis": [""], "weight": 1.0}]})
+@example({"ambient_dim": 0, "entries": [{"basis": [{}], "weight": 1.0}]})
+@example({"ambient_dim": 2, "entries": [{"basis": [[1, 0]], "weight": 1},
+                                        {"basis": [[0.0, 1.0]], "weight": 10 ** 400}]})
+@example({"ambient_dim": 2, "entries": [{"basis": [[1.0, 10 ** 400]], "weight": 1.0}]})
+def test_flat_loader_matches_two_pass_reference(data):
+    # the same exception class and message, or bitwise the same stacks and weights
+    assert _outcome(frame_from_dict, data) == _outcome(two_pass_frame_from_dict, data)
 
 
 def test_mercedes_file_bytes_are_pinned(tmp_path):

@@ -231,12 +231,40 @@ def test_signed_qr_is_numpys_qr_with_signs_fixed(dk, m, orthonormal, seed):
                       for _ in range(m)])
     else:
         a = rng.standard_normal((m, d, k))
+    assert_qr_is_numpys(a)
+    # non-contiguous inputs: the loader's view of stored columns, and a
+    # strided slice of a larger stack
+    assert_qr_is_numpys(np.ascontiguousarray(np.swapaxes(a, 1, 2)).swapaxes(1, 2))
+    assert_qr_is_numpys(np.repeat(a, 2, axis=0)[::2])
+    out = _signed_qr(a, complement=True)
+    whole = np.concatenate(out, axis=-1)
+    assert whole.shape == (m, d, d)
+    assert np.abs(np.swapaxes(whole, -1, -2) @ whole - np.eye(d)).max() <= 1e-14
+
+
+def assert_qr_is_numpys(a):
+    """``_signed_qr`` of a is bitwise the sign-fixed Q of np.linalg.qr, in
+    both modes."""
+    k = a.shape[-1]
     for mode, complement in (("reduced", False), ("complete", True)):
         q, r = np.linalg.qr(a, mode=mode)
         signs = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
         out = _signed_qr(a, complement)
         basis = out[0] if complement else out
         assert basis.tobytes() == (q[..., :k] * signs[..., None, :]).tobytes()
-    whole = np.concatenate(out, axis=-1)
-    assert whole.shape == (m, d, d)
-    assert np.abs(np.swapaxes(whole, -1, -2) @ whole - np.eye(d)).max() <= 1e-14
+        if complement:
+            assert out[1].tobytes() == q[..., k:].tobytes()
+
+
+def test_signed_qr_raises_no_floating_point_error():
+    # the kernels run without np.linalg.qr's errstate, and the CLI raises on
+    # overflow, division and invalid results: tiny and huge columns and an
+    # exact zero column give numpy's Q and no error
+    a = np.random.default_rng(3).standard_normal((3, 5, 3))
+    a[0] *= 1e-300
+    a[1] *= 1e300
+    a[2, :, 1] = 0.0
+    with np.errstate(all="raise"):
+        outs = [_signed_qr(a), _signed_qr(a, complement=True)]
+    assert outs[0].tobytes() == outs[1][0].tobytes()
+    assert_qr_is_numpys(a)
