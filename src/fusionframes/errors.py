@@ -42,6 +42,10 @@ RESTART_RTOL = 1e-10
 GRAM_BUDGET = 2 ** 20
 # Largest monomial count of a certificate or Molien expansion.
 POWER_FORM_GUARD = 10 ** 6
+# Largest table of a Newton problem, in entries: one restart's Hessian N^2
+# or differentials N d^2, a batch of starts, a frame's projector rows on the
+# sphere.  (n, k, d) = (400, 1, 10) has N^2 = 1.3e7.
+NEWTON_GUARD = 2 ** 24
 # Largest order p of a moment or invariant count: 627 partitions at p = 20
 # (about 10 ms per moment, 0.1 s per d = 100 table).
 P_MAX = 20
@@ -68,7 +72,7 @@ class NotAFrame(FusionFrameError):
 
 
 class SizeGuardExceeded(FusionFrameError):
-    """A monomial-count guard was hit; the requested expansion is too large."""
+    """A size guard was hit; the requested table is too large."""
 
 
 class MixedDimensions(FusionFrameError):
@@ -111,3 +115,10 @@ def check_range(name: str, value, lo: int, hi: int | None = None) -> None:
 def check_order(p) -> None:
     """Refuse an order p that is not an integer >= 1."""
     check_range("p", p, 1)
+
+
+def check_newton_size(**entries) -> None:
+    """Refuse a Newton problem whose tables would exceed NEWTON_GUARD entries."""
+    for name, size in entries.items():
+        if size > NEWTON_GUARD:
+            raise SizeGuardExceeded(f"{name}: {size} entries > limit {NEWTON_GUARD}")

@@ -9,8 +9,12 @@ subspaces, so tangent vectors are horizontal: Delta_a = Y_a_perp Z_a, with
 Y_a_perp an orthonormal basis of the complement of Y_a, the rest of the
 complete Q of the same QR.  A unit vector x is the basis of a line, a point
 of Gr(1, d), and the power form is even in x.
-Both are one overlap sum, ``_partner_core``: the potential is each member
-against the others, the power form one moving line against the frame.
+Both depend on the projectors alone and are one overlap sum in projector
+coordinates, ``_partner_core``: s_ab = l_a . l_b over flattened projectors
+l = vec(Y Y^T), each member against the others for the potential, one
+moving line against the frame's rows for the power form.  The potential's
+Hessian blocks between members are one Gram matrix of the projectors'
+differentials J_a, ``_ffp_core``.
 
 One loop, ``_newton``, runs every problem: a Levenberg-Marquardt-regularized
 Riemannian Newton method (Absil, Mahony & Sepulchre 2008, ch. 6; More 1978)
@@ -26,8 +30,8 @@ import numpy as np
 from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo, solve as _solve
 
 from .errors import (GRAM_BUDGET, RESTART_RTOL, STALL_RTOL, TARGET_MARGIN, TOL_GRAD,
-                     MixedDimensions, check_order, check_range)
-from .frames import WeightedFrame, _side_by_side
+                     MixedDimensions, check_newton_size, check_order, check_range)
+from .frames import WeightedFrame
 from .moments import t_exact
 from .subspaces import _signed_qr, check_orthonormal
 
@@ -70,6 +74,9 @@ class OptimizerConfig:
             check_range(field, getattr(self, field), 1)
         check_range("d", self.d, 2)
         check_range("k", self.k, 1, self.d - 1)
+        size = self.n * self.k * (self.d - self.k)
+        check_newton_size(restart_tables=size * max(size, self.d ** 2),
+                          starts=self.restarts * self.n * self.d * self.k)
 
 
 @dataclass(frozen=True)
@@ -92,107 +99,99 @@ class OptimizerTrace:
 
 
 # ---------------------------------------------------------------------------
-# one overlap sum: moving subspaces against fixed partners, and the frame
-# potential over products of Grassmannians
+# one overlap sum in projector coordinates: moving subspaces against fixed
+# partners, and the frame potential over products of Grassmannians
 
-def _partner_core(ys: np.ndarray, partners: np.ndarray, dims: np.ndarray, coef: np.ndarray,
-                  p: int, perp: np.ndarray | None = None) -> tuple:
-    """Values (R,) and horizontal gradients (R, n, d, k) of f = sum_{a,b}
-    coef_ab s_ab^p, s_ab = ||Y_a^T B_b||^2 = tr(P_a P_b), for moving bases ys
-    (R, n, d, k) against fixed partner bases B_b set side by side in partners
-    (R or 1, d, K) as column blocks of widths dims, coef (R or 1, n, m) for m
-    partners; a term with coef_ab = 0 is skipped.  Given the complements
-    perp = Y_perp (R, n, d, c), c = d - k, also the diagonal Hessian blocks
-    (R, n, c k, c k) in the coordinates Z_a of Delta_a = Y_a_perp Z_a and the
-    parts of the blocks a != b of a potential: c1 = 2p coef s^(p-1), c2 =
-    4p(p-1) coef s^(p-2), Y^T B (R, n k, K), Y_perp^T B (R, n, c, K) and g_ab
-    = Y_a_perp^T P_b Y_a (R, n, c k, m); c2 and g are None at p = 1.
-
-    The Euclidean gradient in Y_a is sum_b c1_ab P_b Y_a, projected
-    orthogonally to the column span of Y_a; block (a, a) is sum_b [c1_ab
-    (Y_a_perp^T P_b Y_a_perp) (x) I_k + c2_ab g_ab g_ab^T] minus the Grassmann
-    term Z_a -> Z_a Y_a^T grad_a (Absil, Mahony & Sepulchre 2008, ch. 5).
+def _partner_core(ys: np.ndarray, rows: np.ndarray | None, coef: np.ndarray, p: int,
+                  perp: np.ndarray | None = None) -> tuple:
+    """Values (R,) and gradients of f = sum_{a,b} coef_ab s_ab^p, s_ab =
+    l_a . l_b = tr(P_a P_b), for moving bases ys (R, n, d, k), l_a the
+    flattened P_a = Y_a Y_a^T, against fixed partner projectors given as
+    flat rows l_b (R or 1, m, d^2), or the moving ones when rows is None,
+    coef (R or 1, n, m); a term with coef_ab = 0 is skipped.  With G_a =
+    sum_b c1_ab P_b, c1 = 2p coef s^(p-1), the gradient is the horizontal
+    G_a Y_a - Y_a (Y_a^T G_a Y_a) (R, n, d, k).
+    Given the complements perp = Y_perp (R, n, d, c), c = d - k, it is
+    Y_a_perp^T G_a Y_a (R, n c k) instead, in the coordinates Z_a of
+    Delta_a = Y_a_perp Z_a, and also the diagonal Hessian blocks (R, n, c k,
+    c k), (Y_a_perp^T G_a Y_a_perp) (x) I_k - I_c (x) (Y_a^T G_a Y_a) + sum_b
+    c2_ab u_ab u_ab^T (Absil, Mahony & Sepulchre 2008, ch. 5), and (c1, c2,
+    u) for the blocks a != b of a potential: c2 = p(p-1) coef s^(p-2) and
+    u_ab = J_a^T l_b = 2 Y_a_perp^T P_b Y_a (R, n, m, c k), the
+    differential of s_ab; c2 and u are None at p = 1.
     """
     count, n, d, k = ys.shape
-    starts = np.cumsum(dims) - dims
-    m = np.swapaxes(ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), -1, -2) @ partners
-    s = np.add.reduceat((m * m).reshape(count, n, k, -1).sum(axis=2), starts, axis=-1)
+    ells = (ys @ ys.swapaxes(-1, -2)).reshape(count, n, d * d)
+    rows = ells if rows is None else rows
+    s = ells @ rows.swapaxes(-1, -2)
     s = np.where(coef == 0, 0.0, s)     # s^p of a skipped term may overflow: 0 * inf
     value = (coef * s ** p).sum(axis=(1, 2))
     c1 = (2 * p) * coef * s ** (p - 1)
-    c1_cols = np.repeat(c1, dims, axis=-1)[:, :, None]
-    # column block a of B (C * M)^T is sum_b c1_ab B_b B_b^T Y_a
-    weighted = (c1_cols * m.reshape(count, n, k, -1)).reshape(count, n * k, -1)
-    grad = (partners @ np.swapaxes(weighted, -1, -2)).reshape(count, d, n, k).transpose(0, 2, 1, 3)
-    pull = np.swapaxes(ys, -1, -2) @ grad    # Y_a^T grad_a
-    grad -= ys @ pull
+    g = (c1 @ rows).reshape(count, n, d, d)
+    gy = g @ ys
+    pull = ys.swapaxes(-1, -2) @ gy     # Y_a^T G_a Y_a
     if perp is None:
-        return value, grad
-    c = d - k
-    a = (np.swapaxes(perp.transpose(0, 2, 1, 3).reshape(count, d, n * c), -1, -2)
-         @ partners).reshape(count, n, c, -1)
-    diag = (((c1_cols * a) @ np.swapaxes(a, -1, -2))[:, :, :, None, :, None] * np.eye(k)[:, None, :]
-            - np.eye(c)[:, None, :, None] * np.swapaxes(pull, -1, -2)[:, :, None, :, None, :]
-            ).reshape(count, n, c * k, c * k)
-    c2 = g = None
+        return value, gy - ys @ pull
+    c, m = d - k, rows.shape[-2]
+    perp_t = perp.swapaxes(-1, -2)
+    # the Kronecker products written along their diagonals: x = y, then i = j
+    diag = np.zeros((count, n, c, k, c, k))
+    np.einsum("rnixjx->rnijx", diag)[...] = (perp_t @ g @ perp)[..., None]
+    np.einsum("rnixiy->rnixy", diag)[...] -= pull.swapaxes(-1, -2)[:, :, None]
+    diag = diag.reshape(count, n, c * k, c * k)
+    c2 = u = None
     if p > 1:    # at p = 1 the term vanishes and s^(-1) is inf on orthogonal pairs
-        c2 = (4 * p * (p - 1)) * coef * s ** (p - 2)
-        g = np.add.reduceat(a[:, :, :, None, :] * m.reshape(count, n, 1, k, -1), starts, axis=-1)
-        g = g.reshape(count, n, c * k, -1)
-        diag += (c2[:, :, None, :] * g) @ np.swapaxes(g, -1, -2)
-    return value, grad, diag, (c1, c2, m, a, g)
+        c2 = (p * (p - 1)) * coef * s ** (p - 2)
+        # P_b Y_a of every pair in one product, then Y_a_perp^T per member
+        py = rows.reshape(-1, m * d, d) @ ys.transpose(0, 2, 1, 3).reshape(count, d, n * k)
+        py = py.reshape(count, m, d, n, k).transpose(0, 3, 2, 1, 4).reshape(count, n, d, m * k)
+        u = 2 * (perp_t @ py).reshape(count, n, c, m, k).transpose(0, 1, 3, 2, 4)
+        u = u.reshape(count, n, m, c * k)
+        diag += (u.swapaxes(-1, -2) * c2[:, :, None, :]) @ u
+    return value, (perp_t @ gy).reshape(count, -1), diag, (c1, c2, u)
 
 
 def _ffp_core(ys: np.ndarray, weights: np.ndarray, p: int, perp: np.ndarray | None = None) -> tuple:
     """Potentials (R,) and horizontal gradients (R, n, d, k) of R frames of
     equal-dimension members given as bases ys (R, n, d, k), common weights;
-    given the complements perp = Y_perp (R, n, d, d-k), also the Riemannian
-    Hessians (R, N, N), N = n k (d-k), in the coordinates z = (Z_1, ...,
-    Z_n) of Delta_a = Y_a_perp Z_a.
+    given the complements perp = Y_perp (R, n, d, d-k), the gradients in
+    the coordinates z = (Z_1, ..., Z_n) of Delta_a = Y_a_perp Z_a (R, N)
+    instead, N = n k (d-k), and the Riemannian Hessians (R, N, N).
 
-    Each member moves against the others: ``_partner_core`` with the members
-    as partners and coef_ab = 2 w_a w_b off the diagonal (the terms a = b are
-    the constant w_a^2 k^p) gives the gradient and the blocks (a, a).  With
-    M_ab = Y_a^T Y_b and g_ab = Y_a_perp^T P_b Y_a, block (a, b), a != b, is
-    c1_ab (T1 + T2) + c2_ab g_ab g_ba^T, where T1 pairs Y_a_perp^T Y_b with
-    Y_b_perp^T Y_a and T2 = (Y_a_perp^T Y_b_perp) (x) M_ab.
+    Each member moves against the others: ``_partner_core`` with the
+    members' projector rows as partners and coef_ab = 2 w_a w_b off the
+    diagonal (the terms a = b are the constant w_a^2 k^p) gives the gradient
+    and the blocks (a, a).  Block (a, b), a != b, is (c1_ab / 2) J_a^T J_b +
+    c2_ab u_ab u_ba^T, with J_a (d^2, c k) the differential of l_a, whose
+    columns are vec(y_perp_i y_x^T + y_x y_perp_i^T): one Gram matrix of
+    the J_a of all members gives every block.
     """
     count, n, d, k = ys.shape
-    coef = 2 * np.outer(weights, weights)
+    coef = 2 * weights[:, None] * weights
     coef.flat[::n + 1] = 0.0
-    out = _partner_core(ys, ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), np.full(n, k),
-                        coef[None], p, perp)
+    out = _partner_core(ys, None, coef[None], p, perp)
     value = out[0] / 2 + weights @ weights * np.float64(k) ** p
     if perp is None:
         return value, out[1]
-    _, grad, diag, (c1, c2, m, a, g) = out
-    c = d - k
-    pflat = perp.transpose(0, 2, 1, 3).reshape(count, d, n * c)
-    b = (np.swapaxes(pflat, -1, -2) @ pflat).reshape(count, n, c, n, c)
-    a, m = a.reshape(count, n, c, n, k), m.reshape(count, n, k, n, k)
-
-    def pairs_last(x, axes):    # contiguous, so the products run along the pairs
-        return np.ascontiguousarray(x.transpose(axes))
-
-    # blocks with the pairs (r, a, b) on the last axes, then one transpose to
-    # (r, a, i, x, b, j, y): member a, complement row i and column x of Z_a,
-    # then the same (b, j, y) for Z_b;
-    # ab[i, y, r, a, b] = a[r, a, i, b, y] and ba[x, j, r, a, b] = a[r, b, j, a, x]
-    ab, ba = pairs_last(a, (2, 4, 0, 1, 3)), pairs_last(a, (4, 2, 0, 3, 1))
-    h = c1 * (ab[:, None, None, :] * ba[None, :, :, None]
-              + pairs_last(b, (2, 4, 0, 1, 3))[:, None, :, None]
-              * pairs_last(m, (2, 4, 0, 1, 3))[None, :, None, :])
-    if p > 1:    # g[r, a, (i, x), b] = (Y_a_perp^T P_b Y_a)[i, x]
-        h += ((c2 * pairs_last(g, (2, 0, 1, 3)))[:, None]
-              * pairs_last(g, (2, 0, 3, 1))[None]).reshape(h.shape)
-    h = h.transpose(4, 5, 0, 1, 6, 2, 3).reshape(count, n, c * k, n, c * k)
-    h[:, np.arange(n), :, np.arange(n)] += np.swapaxes(diag, 0, 1)
-    return value, grad, h.reshape(count, n * c * k, n * c * k)
+    _, grad, diag, (c1, c2, u) = out
+    size = (d - k) * k
+    # jac[r, (s, t), a, (i, x)] = perp[a, s, i] ys[a, t, x] + ys[a, s, x] perp[a, t, i]
+    jac = (perp.transpose(0, 2, 1, 3)[:, :, None, :, :, None]
+           * ys.transpose(0, 2, 1, 3)[:, None, :, :, None, :])
+    jac = (jac + jac.swapaxes(1, 2)).reshape(count, d * d, n * size)
+    h = (jac.swapaxes(-1, -2) @ jac).reshape(count, n, size, n, size)
+    h *= (c1 / 2)[:, :, None, :, None]
+    if p > 1:    # c2_ab u_ab at (a, i x, b) times u_ba at (a, b, j y)
+        h += ((c2[..., None] * u).transpose(0, 1, 3, 2)[..., None]
+              * u.transpose(0, 2, 1, 3)[:, :, None])
+    np.einsum("raiaj->raij", h)[...] += diag      # a view of the blocks (a, a)
+    return value, grad, h.reshape(count, n * size, n * size)
 
 
 def ffp_gradient(frame: WeightedFrame, p: int):
-    """Horizontal gradient of the potential with respect to each basis; see
-    ``_ffp_core``, which the optimizer runs on all restarts at once."""
+    """Horizontal gradient of the potential with respect to each basis,
+    G_a Y_a - Y_a (Y_a^T G_a Y_a); see ``_ffp_core``, which the optimizer
+    runs on all restarts at once."""
     if not frame.equal_dims():
         raise MixedDimensions("gradient needs equal-dimension subspaces")
     check_order(p)
@@ -216,8 +215,9 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
 
     ``evaluate(ys, ids, perp)`` gives, for the problems ``ids`` at the
     bases ys, the values and the horizontal gradients (B, n, d, k); given
-    the complements perp = Y_perp (B, n, d, d - k), also the Hessians H in
-    the coordinates z of Delta_a = Y_a_perp Z_a, as ``_ffp_core`` does.
+    the complements perp = Y_perp (B, n, d, d - k), the gradients g in the
+    coordinates z of Delta_a = Y_a_perp Z_a (B, N) instead, with the
+    Hessians H (B, N, N), as ``_ffp_core`` does.
     Problem r solves (H + lambda I) z = -g for lambda = mu_r ||g||, raising
     mu_r until Cholesky succeeds, and retracts Y_a + Y_a_perp Z_a by QR.
     The step is accepted when the value fell by at least ``LM_ACCEPT`` of
@@ -240,10 +240,6 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     accepted step, the gradient norm and the stop reason index.
     """
     count, n, d, k = ys.shape
-
-    def coords(grad, perp):
-        return (np.swapaxes(perp, -1, -2) @ grad).reshape(len(grad), -1)
-
     val, grad = evaluate(ys, ids, None)
     gnorm = np.sqrt((grad * grad).sum(axis=(1, 2, 3)))
     # index into STOP_REASONS, -1 while the problem runs
@@ -254,11 +250,9 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
     perp = np.zeros((count, n, d, d - k))
     if active.size:
         perp[active] = _signed_qr(ys[active], complement=True)[1]
-        _, grad, hess[active] = evaluate(ys[active], ids[active], perp[active])
-        g[active] = coords(grad, perp[active])
+        _, g[active], hess[active] = evaluate(ys[active], ids[active], perp[active])
         gnorm[active] = np.sqrt((g[active] ** 2).sum(axis=1))
     mu = np.ones(count)
-    eye = np.eye(size)
     shifted = np.empty_like(hess)     # H + lambda I of the round, once it factors
     iters = np.zeros(count, dtype=int)
     trails = [[v] for v in val]     # the values after each accepted step
@@ -269,10 +263,10 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
 
     while active.size:
         pending = active
-        while pending.size:
-            trial = hess[pending] + (mu[pending] * gnorm[pending])[:, None, None] * eye
-            factored = _positive_definite(trial)
-            shifted[pending[factored]] = trial[factored]
+        while pending.size:     # the diagonal of each matrix is a stride of size + 1
+            shifted[pending] = hess[pending]
+            shifted.reshape(count, -1)[pending, ::size + 1] += (mu * gnorm)[pending, None]
+            factored = _positive_definite(shifted[pending])
             raise_mu(pending[~factored])
             pending = pending[~factored & (stop[pending] < 0)]
         rows = active[stop[active] < 0]
@@ -281,8 +275,7 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
         z = -_solve(shifted[rows], g[rows][..., None], signature="dd->d")[..., 0]
         model = -(g[rows] * z).sum(axis=1) - 0.5 * np.einsum("ri,rij,rj->r", z, hess[rows], z)
         cand, cand_perp = _signed_qr(ys[rows] + perp[rows] @ z.reshape(-1, n, d - k, k), True)
-        cand_val, cand_grad, cand_hess = evaluate(cand, ids[rows], cand_perp)
-        cand_g = coords(cand_grad, cand_perp)
+        cand_val, cand_g, cand_hess = evaluate(cand, ids[rows], cand_perp)
         cand_gnorm = np.sqrt((cand_g * cand_g).sum(axis=1))
         fell = val[rows] - cand_val
         flat = ((np.abs(fell) <= FLAT_ULPS * EPS * np.abs(val[rows]))
@@ -308,11 +301,12 @@ def _newton(ys, ids, evaluate, max_iters, tol) -> tuple:
 
 def _newton_chunks(ys, evaluate, tol) -> tuple:
     """``_newton`` on the problems of ys (R, n, d, k), at most ``MAX_ITERS``
-    steps each, in chunks whose Hessians hold at most ``GRAM_BUDGET``
-    entries (one problem at least); the outputs of the chunks joined in
-    problem order."""
+    steps each, in chunks whose Hessians (N^2 entries a problem) and
+    differentials (N d^2) hold at most ``GRAM_BUDGET`` entries (one problem
+    at least); the outputs of the chunks joined in problem order."""
     count, n, d, k = ys.shape
-    chunk = max(1, GRAM_BUDGET // (n * k * (d - k)) ** 2)
+    size = n * k * (d - k)
+    chunk = max(1, GRAM_BUDGET // (size * max(size, d * d)))
     bases, histories, gnorm, stop = zip(*(
         _newton(ys[lo:lo + chunk], np.arange(lo, min(lo + chunk, count)), evaluate, MAX_ITERS, tol)
         for lo in range(0, count, chunk)))
@@ -390,14 +384,17 @@ def sphere_bounds(frame: WeightedFrame, p: int, restarts: int = 32,
     check_range("restarts", restarts, 1)
     if rng is None:
         rng = np.random.default_rng(0)
-    flat = _side_by_side(frame)[0][None]
-    dims, weights = frame.dims, frame.weights
-    x = rng.standard_normal((restarts, frame.ambient_dim))
+    d, weights = frame.ambient_dim, frame.weights
+    check_newton_size(starts=2 * restarts * d, projector_rows=len(frame) * d * d)
+    rows = np.empty((1, len(frame), d * d))
+    for idx, bases, _ in frame.groups:
+        rows[0, idx] = (bases @ bases.swapaxes(-1, -2)).reshape(len(idx), -1)
+    x = rng.standard_normal((restarts, d))
     x /= np.sqrt((x * x).sum(axis=1, keepdims=True))
     sign = np.repeat([1.0, -1.0], restarts)   # descend on sign * f
 
     def evaluate(xs, ids, perp):
-        out = _partner_core(xs, flat, dims, (sign[ids, None] * weights)[:, None], p, perp)
+        out = _partner_core(xs, rows, (sign[ids, None] * weights)[:, None], p, perp)
         return out if perp is None else (*out[:2], out[2][:, 0])
 
     _, histories, _, stop = _newton_chunks(np.concatenate([x, x])[:, None, :, None], evaluate,

@@ -524,3 +524,24 @@ def test_skew_frame_rejected_on_load(tmp_path, capsys):
                        capsys)
     assert code == 2
     assert json.loads(err)["error"] == "FrameFormatError"
+
+
+def test_newton_size_guard_exits_2_before_allocating(mercedes_file, capsys, monkeypatch):
+    # a 51 GB Hessian, 10^8 restart generators and a (2 x 10^9, 2) start
+    # array: each is refused by NEWTON_GUARD before numpy allocates anything
+    # larger than a seed array
+    allocate = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10 ** 6, shape
+        return allocate(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    for argv in (["optimize", "--d", "40", "--k", "20", "--n", "200", "--p", "2"],
+                 ["optimize", "--d", "2", "--k", "1", "--n", "3", "--p", "2",
+                  "--restarts", "100000000"],
+                 ["check", mercedes_file, "--p", "2", "--mode", "bounds",
+                  "--restarts", "1000000000"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"] == "SizeGuardExceeded", argv

@@ -7,6 +7,7 @@ from fusionframes import (
     MixedDimensions,
     OptimizerConfig,
     ParameterError,
+    SizeGuardExceeded,
     build_frame,
     catalog,
     certify_cubature,
@@ -44,6 +45,19 @@ def test_config_refuses_non_integers():
             with pytest.raises(ParameterError, match="must be an integer"):
                 OptimizerConfig(**{**base, field: bad})
     OptimizerConfig(**{field: np.int64(value) for field, value in base.items()})
+
+
+def test_newton_size_guard(mercedes):
+    # the largest problem the README times passes; a 51 GB Hessian, 10^8
+    # restarts, 2 x 10^9 sphere starts and 2.7 x 10^7 projector entries do not
+    OptimizerConfig(n=400, k=1, d=10, p=2)
+    for bad in (dict(n=200, k=20, d=40, p=2), dict(n=3, k=1, d=2, p=2, restarts=10 ** 8)):
+        with pytest.raises(SizeGuardExceeded):
+            OptimizerConfig(**bad)
+    with pytest.raises(SizeGuardExceeded):
+        sphere_bounds(mercedes, 2, restarts=10 ** 9)
+    with pytest.raises(SizeGuardExceeded):
+        sphere_bounds(catalog("cross-polytope-lines(300)"), 2, restarts=1)
 
 
 def test_gradient_zero_at_tight_configs(mercedes, ortho_lines_r2):
@@ -119,12 +133,13 @@ def test_hessian_matches_second_differences(rng):
         weights /= weights.sum()
         ys = haar_basis_batch(d, k, n, rng)[None]
         perp = _signed_qr(ys, complement=True)[1]
-        _, grad, hess = _ffp_core(ys, weights, p, perp)
+        _, coords, hess = _ffp_core(ys, weights, p, perp)
+        grad = _ffp_core(ys, weights, p)[1]
         assert hess.shape == (1, n * k * (d - k), n * k * (d - k))
         scale = max(1.0, np.abs(hess).max())
         assert np.abs(hess - np.swapaxes(hess, -1, -2)).max() <= 1e-13 * scale
         # the coordinates of the gradient carry all of it
-        coords = np.swapaxes(perp, -1, -2) @ grad
+        coords = coords.reshape(1, n, d - k, k)
         assert np.abs(perp @ coords - grad).max() <= 1e-13 * max(1.0, np.abs(grad).max())
         z = rng.standard_normal(hess.shape[-1])
         z /= np.sqrt(z @ z)
@@ -524,9 +539,9 @@ def test_starts_within_tol_build_no_hessian(mercedes, monkeypatch):
     calls = []
     core = optimizer._partner_core
 
-    def counting(xs, flat, dims, coef, p, perp=None):
+    def counting(xs, rows, coef, p, perp=None):
         calls.append(perp is not None)
-        return core(xs, flat, dims, coef, p, perp)
+        return core(xs, rows, coef, p, perp)
 
     monkeypatch.setattr(optimizer, "_partner_core", counting)
     bounds = sphere_bounds(mercedes, 2, restarts=4, rng=np.random.default_rng(0))
@@ -558,15 +573,14 @@ def test_cores_factor_nothing(monkeypatch, rng):
     ys = np.stack([haar_basis_batch(4, 2, 5, rng) for _ in range(3)])
     perp = _signed_qr(ys, complement=True)[1]
     frame = _mixed_frame(rng, 4)
-    flat = np.concatenate(frame.bases, axis=1)
+    rows = _projector_rows(frame)
     xs = haar_basis_batch(4, 1, 3, rng)[:, None]
     x_perp = _signed_qr(xs, complement=True)[1]
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(optimizer, "_signed_qr", refuse)
     for p in (1, 2):
         assert len(_ffp_core(ys, np.full(5, 0.2), p, perp)) == 3
-        assert len(_partner_core(xs, flat[None], frame.dims, frame.weights[None, None], p,
-                                 x_perp)) == 4
+        assert len(_partner_core(xs, rows[None], frame.weights[None, None], p, x_perp)) == 4
 
 
 def test_tight_starts_factor_nothing(mercedes, monkeypatch):
@@ -596,6 +610,11 @@ def _mixed_frame(rng, d):
     return build_frame(raw, weights)
 
 
+def _projector_rows(frame):
+    """The members' flattened projectors P_j = B_j B_j^T, in frame order."""
+    return np.stack([(b @ b.T).ravel() for b in frame.bases])
+
+
 def test_sphere_bounds_at_p1_are_the_frame_operator_extremes(rng):
     # at p = 1 the form is x^T S x, so its extremes are those of S
     for _ in range(20):
@@ -620,10 +639,10 @@ def test_sphere_core_matches_power_form_differences(rng):
     cases += [(cross, rng.standard_normal(4)), (cross, np.eye(4)[1])]
     for frame, x in cases:
         x = x / np.linalg.norm(x)
-        flat = np.concatenate(frame.bases, axis=1)
+        rows = _projector_rows(frame)
         perp = _signed_qr(x[None, None, :, None], complement=True)[1]
         for p in (1, 2, 3):
-            value, grad, hess = _partner_core(x[None, None, :, None], flat[None], frame.dims,
+            value, grad, hess = _partner_core(x[None, None, :, None], rows[None],
                                               frame.weights[None, None], p, perp)[:3]
             hess = hess[:, 0]
             form = evaluate_power_form(frame, p, x)[0]
@@ -634,7 +653,8 @@ def test_sphere_core_matches_power_form_differences(rng):
                 along = _sphere_along(frame, p, x, v)
                 h = 1e-6
                 fd = (along(h) - along(-h)) / (2 * h)
-                assert fd == pytest.approx(float(grad[0, 0, :, 0] @ v), rel=1e-6, abs=1e-8)
+                assert fd == pytest.approx(float(grad[0] @ (z / np.linalg.norm(z))),
+                                           rel=1e-6, abs=1e-8)
                 quad = float(v @ perp[0, 0] @ hess[0] @ perp[0, 0].T @ v)
                 assert _second_difference(along) == pytest.approx(quad, rel=1e-6, abs=1e-6)
 
@@ -664,13 +684,12 @@ def test_sphere_hessian_matches_formula(rng):
     cases += [(cross, np.concatenate([rng.standard_normal((2, 4)), np.eye(4)[1:3]]))]
     for frame, xs in cases:
         xs = xs / np.linalg.norm(xs, axis=1, keepdims=True)
-        flat = np.concatenate(frame.bases, axis=1)
+        rows = _projector_rows(frame)
         signs = np.where(np.arange(len(xs)) % 2, -1.0, 1.0)
         weights = signs[:, None] * frame.weights
         perp = _signed_qr(xs[:, None, :, None], complement=True)[1]
         for p in (1, 2, 3):
-            hess = _partner_core(xs[:, None, :, None], flat[None], frame.dims,
-                                 weights[:, None], p, perp)[2]
+            hess = _partner_core(xs[:, None, :, None], rows[None], weights[:, None], p, perp)[2]
             for r, x in enumerate(xs):
                 ref = _sphere_hessian_by_formula(frame, weights[r], p, x, perp[r, 0])
                 scale = max(np.abs(ref).max(), frame.weights.sum())
@@ -700,3 +719,112 @@ def test_sphere_bounds_stop_by_gradient_on_frames_that_are_not_tight():
             bounds = sphere_bounds(frame, p, restarts=4, rng=rng)
             assert set(bounds.stop_reasons) == {"gradient"}, (p, seed)
             assert bounds.lo < bounds.hi
+
+
+# ---------------------------------------------------------------------------
+# reference cores: the overlap sum on bases set side by side, with the
+# Hessian blocks a != b assembled from the k x k, c x k and c x c overlaps
+
+def _reference_partner_core(ys, partners, dims, coef, p, perp=None):
+    count, n, d, k = ys.shape
+    starts = np.cumsum(dims) - dims
+    m = np.swapaxes(ys.transpose(0, 2, 1, 3).reshape(count, d, n * k), -1, -2) @ partners
+    s = np.add.reduceat((m * m).reshape(count, n, k, -1).sum(axis=2), starts, axis=-1)
+    s = np.where(coef == 0, 0.0, s)
+    value = (coef * s ** p).sum(axis=(1, 2))
+    c1 = (2 * p) * coef * s ** (p - 1)
+    c1_cols = np.repeat(c1, dims, axis=-1)[:, :, None]
+    weighted = (c1_cols * m.reshape(count, n, k, -1)).reshape(count, n * k, -1)
+    grad = (partners @ np.swapaxes(weighted, -1, -2)).reshape(count, d, n, k).transpose(0, 2, 1, 3)
+    pull = np.swapaxes(ys, -1, -2) @ grad
+    grad -= ys @ pull
+    if perp is None:
+        return value, grad
+    c = d - k
+    a = (np.swapaxes(perp.transpose(0, 2, 1, 3).reshape(count, d, n * c), -1, -2)
+         @ partners).reshape(count, n, c, -1)
+    diag = (((c1_cols * a) @ np.swapaxes(a, -1, -2))[:, :, :, None, :, None] * np.eye(k)[:, None, :]
+            - np.eye(c)[:, None, :, None] * np.swapaxes(pull, -1, -2)[:, :, None, :, None, :]
+            ).reshape(count, n, c * k, c * k)
+    c2 = g = None
+    if p > 1:
+        c2 = (4 * p * (p - 1)) * coef * s ** (p - 2)
+        g = np.add.reduceat(a[:, :, :, None, :] * m.reshape(count, n, 1, k, -1), starts, axis=-1)
+        g = g.reshape(count, n, c * k, -1)
+        diag += (c2[:, :, None, :] * g) @ np.swapaxes(g, -1, -2)
+    return value, grad, diag, (c1, c2, m, a, g)
+
+
+def _reference_ffp_core(ys, weights, p, perp=None):
+    count, n, d, k = ys.shape
+    coef = 2 * np.outer(weights, weights)
+    coef.flat[::n + 1] = 0.0
+    out = _reference_partner_core(ys, ys.transpose(0, 2, 1, 3).reshape(count, d, n * k),
+                                  np.full(n, k), coef[None], p, perp)
+    value = out[0] / 2 + weights @ weights * np.float64(k) ** p
+    if perp is None:
+        return value, out[1]
+    _, grad, diag, (c1, c2, m, a, g) = out
+    c = d - k
+    pflat = perp.transpose(0, 2, 1, 3).reshape(count, d, n * c)
+    b = (np.swapaxes(pflat, -1, -2) @ pflat).reshape(count, n, c, n, c)
+    a, m = a.reshape(count, n, c, n, k), m.reshape(count, n, k, n, k)
+
+    def pairs_last(x, axes):
+        return np.ascontiguousarray(x.transpose(axes))
+
+    ab, ba = pairs_last(a, (2, 4, 0, 1, 3)), pairs_last(a, (4, 2, 0, 3, 1))
+    h = c1 * (ab[:, None, None, :] * ba[None, :, :, None]
+              + pairs_last(b, (2, 4, 0, 1, 3))[:, None, :, None]
+              * pairs_last(m, (2, 4, 0, 1, 3))[None, :, None, :])
+    if p > 1:
+        h += ((c2 * pairs_last(g, (2, 0, 1, 3)))[:, None]
+              * pairs_last(g, (2, 0, 3, 1))[None]).reshape(h.shape)
+    h = h.transpose(4, 5, 0, 1, 6, 2, 3).reshape(count, n, c * k, n, c * k)
+    h[:, np.arange(n), :, np.arange(n)] += np.swapaxes(diag, 0, 1)
+    return value, grad, h.reshape(count, n * c * k, n * c * k)
+
+
+def _close(got, ref, rtol=1e-12):
+    return np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(2, 6), st.integers(1, 4),
+       st.data(), st.integers(0, 2 ** 32 - 1))
+def test_ffp_core_matches_the_overlap_reference(count, n, d, p, data, seed):
+    # value, tangent gradient and Hessian in projector coordinates against
+    # the side-by-side overlap assembly, weights spread over 1e-3..1e3
+    k = data.draw(st.integers(1, d - 1))
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-3, 3, n)
+    ys = np.stack([haar_basis_batch(d, k, n, rng) for _ in range(count)])
+    perp = _signed_qr(ys, complement=True)[1]
+    value, coords, hess = _ffp_core(ys, weights, p, perp)
+    ref_value, ref_grad, ref_hess = _reference_ffp_core(ys, weights, p, perp)
+    assert _close(value, ref_value)
+    assert _close(coords, (np.swapaxes(perp, -1, -2) @ ref_grad).reshape(count, -1))
+    assert _close(hess, ref_hess)
+    value, grad = _ffp_core(ys, weights, p)
+    assert _close(value, ref_value) and _close(grad, ref_grad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(3, 6), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_sphere_core_matches_the_overlap_reference(count, d, p, seed):
+    # one moving line per start against a mixed-dimension frame, signed
+    # weights spread over 1e-3..1e3
+    rng = np.random.default_rng(seed)
+    frame = _mixed_frame(rng, d)
+    weights = rng.choice([-1.0, 1.0], (count, 1, len(frame))) * 10.0 ** rng.uniform(-3, 3, len(frame))
+    xs = haar_basis_batch(d, 1, count, rng)[:, None]
+    perp = _signed_qr(xs, complement=True)[1]
+    flat = np.concatenate(frame.bases, axis=1)[None]
+    rows = _projector_rows(frame)[None]
+    value, coords, diag = _partner_core(xs, rows, weights, p, perp)[:3]
+    ref_value, ref_grad, ref_diag = _reference_partner_core(xs, flat, frame.dims, weights, p, perp)[:3]
+    assert _close(value, ref_value)
+    assert _close(coords, (np.swapaxes(perp, -1, -2) @ ref_grad).reshape(count, -1))
+    assert _close(diag, ref_diag)
+    value, grad = _partner_core(xs, rows, weights, p)
+    assert _close(value, ref_value) and _close(grad, ref_grad)
