@@ -131,18 +131,18 @@ def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
 def orbit_frame(group: MatrixGroup, seed) -> WeightedFrame:
     """The orbit {g V} of the subspace V with (d, k) orthonormal basis
     ``seed`` as a frame with unit weights, one entry per distinct image
-    (stabilizer duplicates collapse).  Only the seed's shape is checked
-    here; the check of the kept images refuses a non-orthonormal seed."""
+    (stabilizer duplicates collapse).  The seed is checked to ``ORTHO_TOL``,
+    the images are not: elements orthogonal only to ``GROUP_ORTHO_TOL`` move
+    an image's Gram matrix by as much."""
     seed = np.asarray(seed, dtype=float)
     if seed.ndim != 2 or seed.shape[0] != group.d or not 1 <= seed.shape[1] < group.d:
         raise DimensionError(f"seed basis of shape {seed.shape} is not d x k with "
                              f"d = {group.d} and 1 <= k < d")
-    images = group.elements @ seed
+    images = group.elements @ check_orthonormal(seed[None])[0]
     projs = images @ images.transpose(0, 2, 1)
     kept = first_occurrences(projs.reshape(len(projs), -1))
     n = len(kept)
-    return WeightedFrame._from_stacks(
-        group.d, [(np.arange(n), check_orthonormal(images[kept]), np.ones(n))])
+    return WeightedFrame._from_stacks(group.d, [(np.arange(n), images[kept], np.ones(n))])
 
 
 def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:

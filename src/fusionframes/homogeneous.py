@@ -20,8 +20,8 @@ into monomials by ``np.bincount``, and the last step is a single matrix
 product summed over the members.  At p = 1 the sum is the quadratic form of
 sum_j w_j F_j F_j^T, one product over each whole stack.  ``lie_residual``
 runs on the same tables in the d(d+1)/2 variables of a symmetric matrix,
-for the cubature certificate.  Tables are built lazily and cached per
-(d, degree); members are processed in chunks of a fixed element budget.
+one dense commutator per monomial, for the cubature certificate.  Tables
+are cached per (d, degree); members and monomials go in fixed-size chunks.
 """
 from __future__ import annotations
 
@@ -204,10 +204,10 @@ def lie_residual(stacks, p: int) -> tuple:
     then sqrt(2) times the upper entries), so l_j . y = tr(P_j Y).  With
     H(y) = sum_j w_j (l_j . y)^(p-1) P_j, summed over the members first,
     g = tr(YH) and D_E g = p tr(E K), K = YH - HY.  At each degree-p
-    monomial a, R_a = (YH)_a has two nonzero rows per distinct variable,
-    and ||K_a||_F^2 is summed entry by entry from them.  At p = 1, H = S,
-    the frame operator, ||g||^2 = ||S||_F^2 and sum_E ||[S, E]||^2 =
-    d ||S - (tr S / d) I||^2."""
+    monomial a, R_a = (YH)_a = sum_v Y_v H_(a - e_v) over the distinct
+    variables v of a, built dense, gives K_a = R_a - R_a^T and g_a = tr R_a.
+    At p = 1, H = S, the frame operator, ||g||^2 = ||S||_F^2 and
+    sum_E ||[S, E]||^2 = d ||S - (tr S / d) I||^2."""
     d = stacks[0][0].shape[1]
     total = sum(weights.sum() for _, weights in stacks)
     if p == 1:
@@ -232,22 +232,15 @@ def lie_residual(stacks, p: int) -> tuple:
 
     mons, rest = factor_table(big, p)
     apolar = 1.0 / multinomials(big, p)
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * p * d))
+    chunk = max(1, _CHUNK_ELEMENTS // (d * d))
     lie_sq = g_sq = 0.0
     for lo in range(0, len(mons), chunk):
         v, m = mons[lo:lo + chunk], rest[lo:lo + chunk]
         s = (half[v] * (np.diff(v, axis=1, prepend=-1) != 0))[..., None]   # repeats once
-        # Y_v H has row a_v = half_v H[b_v] and row b_v = half_v H[a_v]
-        rows = np.concatenate([s * h[m, b[v]], s * h[m, a[v]]], axis=1)    # (c, 2p, d)
-        labels = np.concatenate([a[v], b[v]], axis=1)
-        same = labels[:, :, None] == labels[:, None, :]
-        lead = ~np.tril(same, -1).any(axis=2)           # first row of each label
-        r = np.where(same & lead[:, :, None], 1.0, 0.0) @ rows     # the rows of R_a
-        block = np.take_along_axis(r, labels[:, None, :], axis=2)  # R_a on labels^2
-        k_block = (block - np.swapaxes(block, 1, 2)) * (lead[:, :, None] & lead[:, None, :])
-        off = (labels[:, :, None] != np.arange(d)).all(axis=1)    # columns off the labels
-        # there K = R_a in the label rows and -R_a^T in the label columns
-        k_sq = 2 * ((r * off[:, None, :]) ** 2).sum(axis=(1, 2)) + (k_block ** 2).sum(axis=(1, 2))
-        lie_sq += k_sq @ apolar[lo:lo + chunk]
-        g_sq += np.trace(block, axis1=1, axis2=2) ** 2 @ apolar[lo:lo + chunk]
+        r, c = np.zeros((len(v), d, d)), np.arange(len(v))
+        for i in range(p):      # Y_v H has row a_v = half_v H[b_v] and row b_v = half_v H[a_v]
+            r[c, a[v[:, i]]] += s[:, i] * h[m[:, i], b[v[:, i]]]
+            r[c, b[v[:, i]]] += s[:, i] * h[m[:, i], a[v[:, i]]]
+        lie_sq += ((r - np.swapaxes(r, 1, 2)) ** 2).sum(axis=(1, 2)) @ apolar[lo:lo + chunk]
+        g_sq += np.trace(r, axis1=1, axis2=2) ** 2 @ apolar[lo:lo + chunk]
     return float(np.sqrt(lie_sq / g_sq)), float(g_sq)

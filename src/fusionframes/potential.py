@@ -14,10 +14,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import EQUALITY_TOL, GRAM_BUDGET, SingleSubspace, check_order
+from .errors import EQUALITY_TOL, GRAM_BUDGET, ORTHO_TOL, SingleSubspace, check_order
 from .frames import WeightedFrame, _side_by_side, certify_tight
 from .moments import _check_moment_args, _moment_weights, _pochhammer_int
-from .subspaces import first_occurrences
 
 
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
@@ -67,9 +66,7 @@ def simplex_bound_rhs(frame: WeightedFrame) -> float:
 def max_offdiagonal(frame: WeightedFrame) -> float:
     if len(frame) < 2:
         raise SingleSubspace("max_offdiagonal needs n >= 2")
-    g = gram_matrix(frame)
-    mask = ~np.eye(len(frame), dtype=bool)
-    return float(g[mask].max())
+    return float(gram_matrix(frame).max(where=~np.eye(len(frame), dtype=bool), initial=-np.inf))
 
 
 def ffp_lower_bound_p(frame: WeightedFrame, p: int) -> float:
@@ -106,29 +103,38 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUALITY_TOL) -> Equiangul
     """Detect a constant off-diagonal trace(P_i P_j) and run the counting
     checks that a genuine equiangular system must satisfy.
 
-    ``n_distinct`` counts distinct subspaces: the ``first_occurrences`` scan
-    of their projectors, whose survivors are then scanned pairwise, so
-    ``all_distinct`` means that no two projectors agree to ``EQUALITY_TOL``
-    in max-norm; the counting bound C(d+1,2) applies only to distinct members,
-    so a valid equiangular system needs is_equiangular, all_distinct, and
-    gerzon_ok simultaneously.
+    ``n_distinct`` counts distinct subspaces: a scan in frame order drops a
+    member within ``EQUALITY_TOL`` in max-norm of a kept one's projector, so
+    ``all_distinct`` means that no two projectors agree to that tolerance;
+    the counting bound C(d+1,2) applies only to distinct members, so a valid
+    equiangular system needs is_equiangular, all_distinct, and gerzon_ok
+    simultaneously.
     """
     if len(frame) < 2:
         raise SingleSubspace("equiangularity needs n >= 2")
-    n, d = len(frame), frame.ambient_dim
+    n, d, dims = len(frame), frame.ambient_dim, frame.dims
     g = gram_matrix(frame)
-    off = g[~np.eye(n, dtype=bool)]
-    spread = float(off.max() - off.min())
+    np.fill_diagonal(g, g[0, 1])    # so g's extremes are those off the diagonal
+    spread = float(g.max() - g.min())
     is_eq = spread <= tol
-    common = float(off.mean()) if is_eq else None
+    common = float(g[~np.eye(n, dtype=bool)].mean()) if is_eq else None
 
-    flat, starts = _side_by_side(frame)
-    projs = np.add.reduceat(flat.T[:, :, None] * flat.T[:, None, :], starts).reshape(n, -1)
-    rows = projs[first_occurrences(projs)]
-    kept = np.ones(len(rows), dtype=bool)   # rescan pairwise: near rows may differ in key
-    for i in range(1, len(rows)):
-        kept[i] = not kept[:i][np.abs(rows[:i] - rows[i]).max(axis=1) <= EQUALITY_TOL].any()
-    n_distinct = int(kept.sum())
+    # such a pair has equal k and 2k - 2 G_ij <= d^2 EQUALITY_TOL^2 if exact; bases
+    # orthonormal to ORTHO_TOL move tr(P^2) by 3k ORTHO_TOL, 4k covers G's rounding too
+    floor = dims - d * d * EQUALITY_TOL ** 2 / 2 - 4 * dims * ORTHO_TOL
+    lo, hi = np.divmod(np.flatnonzero(g >= floor), n)
+    lo, hi = np.compress((lo < hi) & (dims[lo] == dims[hi]), [lo, hi], axis=1)
+    state, step = np.zeros(n, dtype=int), max(1, GRAM_BUDGET // (d * d))    # 1 kept, -1 dropped
+    while not state.all():      # the first undecided member is decided each round
+        test = np.flatnonzero((state[lo] == 1) & (state[hi] == 0))
+        for idx, bases, _ in frame.groups:      # projector pairs, GRAM_BUDGET entries at once
+            pairs = test[np.isin(lo[test], idx)]
+            for part in np.split(pairs, range(step, len(pairs), step)):
+                a, b = (bases[np.searchsorted(idx, x[part])] for x in (lo, hi))
+                gap = a @ np.swapaxes(a, 1, 2) - b @ np.swapaxes(b, 1, 2)
+                state[hi[part[np.abs(gap).max(axis=(1, 2)) <= EQUALITY_TOL]]] = -1
+        state[(state == 0) & (np.bincount(hi[state[lo] == 0], minlength=n) == 0)] = 1
+    n_distinct = int((state == 1).sum())
 
     predicted = None
     if frame.equal_dims():

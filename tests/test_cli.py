@@ -230,6 +230,25 @@ def test_gen_orbit_report_names_the_seed(tmp_path, capsys):
             {"kind": "orbit", "generators": gens}, **seed, group_order=6, orbit_size=6)
 
 
+def test_gen_orbit_accepts_generators_orthogonal_to_the_group_tolerance(tmp_path, capsys):
+    # the H3 simple reflections rounded to 10 decimals: orthogonal to
+    # 2.5e-11, inside GROUP_ORTHO_TOL, so their orbits are frames
+    gram = np.eye(3)
+    gram[0, 1] = gram[1, 0] = -np.cos(np.pi / 5)
+    gram[1, 2] = gram[2, 1] = -0.5
+    gens = tmp_path / "h3.json"
+    gens.write_text(json.dumps([np.round(np.eye(3) - 2 * np.outer(r, r), 10).tolist()
+                                for r in np.linalg.cholesky(gram)]))
+    out_path = str(tmp_path / "orbit.json")
+    for dim in ("1", "2"):
+        code, out, err = run(["--seed", "0", "gen", "orbit", "--generators", str(gens),
+                              "--seed-dim", dim, "-o", out_path], capsys)
+        assert code == 0, err
+        assert json.loads(out)["results"]["n_entries"] == 60
+        for p, expected in (("2", 0), ("3", 1)):
+            assert run(["check", out_path, "--p", p, "--mode", "cubature"], capsys)[0] == expected
+
+
 def test_non_finite_generators_exit_2(tmp_path, capsys):
     # a NaN or inf generator is not orthogonal: no closure of NaN elements
     # ending in a misleading GroupTooLarge

@@ -15,6 +15,7 @@ from fusionframes import (
     MatrixGroup,
     NotOrthogonal,
     ParameterError,
+    RankDeficient,
     SizeGuardExceeded,
     UnknownName,
     build_frame,
@@ -183,6 +184,24 @@ def test_orbit_sizes_follow_orbit_stabilizer(branches, order, sizes, rng):
                          <= EQUALITY_TOL).any()]
         for i, basis in zip(first, orbit.bases):
             assert np.abs(projectors(basis) - np.outer(images[i], images[i])).max() < 1e-12
+
+
+def test_orbit_checks_the_seed_not_the_images(rng):
+    # H3 reflections rounded to 10 decimals pass the group check (defect
+    # 2.5e-11 <= GROUP_ORTHO_TOL), and move the images' Gram matrices by up
+    # to 1.5e-11 > ORTHO_TOL; the orbits are still the tight 60-member ones
+    gens = [np.round(g, 10) for g in coxeter_generators((5, 3))]
+    group = close_group(gens)
+    assert len(group) == 120
+    for k in (1, 2):
+        seed = haar_basis_batch(3, k, 1, rng)[0]
+        orbit = orbit_frame(group, seed)
+        assert len(orbit) == 60
+        assert np.array_equal(orbit.bases[0], seed)       # the identity's image
+        assert [certify_tight(orbit, p).tight for p in (1, 2, 3)] == [True, True, False]
+    # a seed off orthonormal by more than ORTHO_TOL is refused as before
+    with pytest.raises(RankDeficient, match="not orthonormal"):
+        orbit_frame(group, np.array([[1.0 + 1e-9], [0.0], [0.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from math import comb, factorial, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionframes import SizeGuardExceeded, make_subspace, monomial_count, monomials
 from fusionframes import homogeneous
@@ -215,6 +217,42 @@ def test_lie_residual_matches_per_direction_expansion(rng):
             pairs = sum(wi * wj * np.trace(fi @ fi.T @ fj @ fj.T) ** p
                         for fi, wi in zip(factors, weights) for fj, wj in zip(factors, weights))
             assert potential == pytest.approx(pairs / weights.sum() ** 2, rel=1e-13), (d, p)
+
+
+def pair_form(factors, weights, p):
+    """The residual and ||g||^2 from the pairs alone: with unit total weight,
+    sum_E ||D_E g||^2 = p sum_{i,j} w_i w_j [pi_1^(p-1) (d pi_1 - k_i k_j)
+    - 2 (p-1) pi_1^(p-2) (pi_1 - pi_2)] and ||g||^2 = sum_{i,j} w_i w_j pi_1^p,
+    pi_m = tr((P_i P_j)^m)."""
+    d = factors[0].shape[0]
+    w = np.asarray(weights) / np.sum(weights)
+    projs = np.stack([f @ f.T for f in factors])
+    dims = np.array([f.shape[1] for f in factors])
+    prods = np.einsum("iab,jbc->ijac", projs, projs)
+    pi1 = np.einsum("ijaa->ij", prods)
+    pi2 = np.einsum("ijab,ijba->ij", prods, prods)
+    pairs = pi1 ** (p - 1) * (d * pi1 - np.outer(dims, dims))
+    if p > 1:
+        pairs -= 2 * (p - 1) * pi1 ** (p - 2) * (pi1 - pi2)
+    g_sq = w @ pi1 ** p @ w
+    return np.sqrt(max(p * (w @ pairs @ w), 0.0) / (p * p * g_sq)), g_sq
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_lie_residual_matches_the_pair_form(d, p, n, seed):
+    # an oracle that never forms a polynomial: mixed k, weights over 1e+-3.
+    # The pair form cancels near a cubature, so the residual is compared
+    # only where it exceeds 1e-4
+    rng = np.random.default_rng(seed)
+    factors = [make_subspace(rng.standard_normal((d, int(rng.integers(1, d)))))
+               for _ in range(n)]
+    weights = 10.0 ** rng.uniform(-3, 3, n)
+    got, g_sq = lie_residual(stacks_of(factors, weights), p)
+    ref, ref_g_sq = pair_form(factors, weights, p)
+    assert g_sq == pytest.approx(ref_g_sq, rel=1e-12, abs=0)
+    if ref > 1e-4:
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_weighted_power_sum_chunking(rng, monkeypatch):

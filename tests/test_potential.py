@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -232,6 +233,29 @@ def test_equiangularity_sees_near_members_across_a_key_boundary():
     rep = equiangularity(frame)
     assert rep.n_distinct == 2
     assert not rep.all_distinct
+
+
+def test_equiangularity_scan_keeps_a_member_near_only_a_dropped_one():
+    # lines at 0, t and 2t: neighbours agree to sin(t) cos(t) < 1e-8 in
+    # max-norm, the ends do not, so the scan in frame order drops the middle
+    # line and keeps both ends
+    t = 0.7e-8
+    frame = build_frame([np.array([[np.cos(a)], [np.sin(a)]]) for a in (0.0, t, 2 * t)])
+    projs = np.stack([b @ b.T for b in frame.bases])
+    assert np.abs(projs[0] - projs[1]).max() <= 1e-8 < np.abs(projs[0] - projs[2]).max()
+    assert equiangularity(frame).n_distinct == 2
+
+
+def test_equiangularity_forms_no_projector_per_member():
+    # 300 coordinate lines in R^300: a (300, 300, 300) stack of projectors
+    # would be 216 MB; the distinct count works from the Gram table
+    frame = catalog("cross-polytope-lines(300)")
+    tracemalloc.start()
+    rep = equiangularity(frame)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rep.n_distinct == 300 and rep.all_distinct and rep.is_equiangular
+    assert peak < 20e6
 
 
 def test_mixed_bound(rng, mercedes):
