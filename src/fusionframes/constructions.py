@@ -32,7 +32,8 @@ CATALOG_ARG_MAX = 1000
 @dataclass(frozen=True)
 class MatrixGroup:
     """A finite subgroup of the orthogonal group: its elements as one
-    (|G|, d, d) array, identity first."""
+    (|G|, d, d) array, identity first.  Non-finite elements are refused
+    (NotOrthogonal)."""
 
     d: int
     elements: np.ndarray
@@ -40,6 +41,8 @@ class MatrixGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", np.asarray(self.elements, dtype=float))
+        if not np.isfinite(self.elements).all():
+            raise NotOrthogonal("group elements are not finite")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -131,9 +134,10 @@ def invariance_check(group: MatrixGroup, p: int) -> InvarianceReport:
 def orbit_frame(group: MatrixGroup, seed) -> WeightedFrame:
     """The orbit {g V} of the subspace V with (d, k) orthonormal basis
     ``seed`` as a frame with unit weights, one entry per distinct image
-    (stabilizer duplicates collapse).  The seed is checked to ``ORTHO_TOL``,
-    the images are not: elements orthogonal only to ``GROUP_ORTHO_TOL`` move
-    an image's Gram matrix by as much."""
+    (stabilizer duplicates collapse).  The seed is checked to ``ORTHO_TOL``
+    and the kept images to ``GROUP_ORTHO_TOL``, the orthogonality that
+    ``close_group`` asks of a generator, so the image under an element that
+    is not orthogonal is refused with RankDeficient."""
     seed = np.asarray(seed, dtype=float)
     if seed.ndim != 2 or seed.shape[0] != group.d or not 1 <= seed.shape[1] < group.d:
         raise DimensionError(f"seed basis of shape {seed.shape} is not d x k with "
@@ -142,7 +146,8 @@ def orbit_frame(group: MatrixGroup, seed) -> WeightedFrame:
     projs = images @ images.transpose(0, 2, 1)
     kept = first_occurrences(projs.reshape(len(projs), -1))
     n = len(kept)
-    return WeightedFrame._from_stacks(group.d, [(np.arange(n), images[kept], np.ones(n))])
+    return WeightedFrame._from_stacks(
+        group.d, [(np.arange(n), check_orthonormal(images[kept], tol=GROUP_ORTHO_TOL), np.ones(n))])
 
 
 def extend(inner: WeightedFrame, outer: WeightedFrame) -> WeightedFrame:

@@ -20,8 +20,9 @@ into monomials by ``np.bincount``, and the last step is a single matrix
 product summed over the members.  At p = 1 the sum is the quadratic form of
 sum_j w_j F_j F_j^T, one product over each whole stack.  ``lie_residual``
 runs on the same tables in the d(d+1)/2 variables of a symmetric matrix,
-one dense commutator per monomial, for the cubature certificate.  Tables
-are cached per (d, degree); members and monomials go in fixed-size chunks.
+for the cubature certificate: each monomial's commutator norm comes from
+the 2p rows of its coefficient matrix.  Tables are cached per (d, degree);
+members and monomials go in chunks of a fixed element budget.
 """
 from __future__ import annotations
 
@@ -205,7 +206,11 @@ def lie_residual(stacks, p: int) -> tuple:
     H(y) = sum_j w_j (l_j . y)^(p-1) P_j, summed over the members first,
     g = tr(YH) and D_E g = p tr(E K), K = YH - HY.  At each degree-p
     monomial a, R_a = (YH)_a = sum_v Y_v H_(a - e_v) over the distinct
-    variables v of a, built dense, gives K_a = R_a - R_a^T and g_a = tr R_a.
+    variables v of a, and g_a = tr R_a.  R_a is zero off its rows a_v, b_v
+    (the ends): added into a zeroed d x d buffer, which sums the rows of an
+    end met twice, those rows split into the ends x ends block B and the
+    rest X, and ||K_a||_F^2 = 2 ||X||^2 + ||B - B^T||^2, each entry squared
+    once (no difference of large sums, which would cancel at a cubature).
     At p = 1, H = S, the frame operator, ||g||^2 = ||S||_F^2 and
     sum_E ||[S, E]||^2 = d ||S - (tr S / d) I||^2."""
     d = stacks[0][0].shape[1]
@@ -232,15 +237,25 @@ def lie_residual(stacks, p: int) -> tuple:
 
     mons, rest = factor_table(big, p)
     apolar = 1.0 / multinomials(big, p)
-    chunk = max(1, _CHUNK_ELEMENTS // (d * d))
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * p * d))
+    r = np.zeros((chunk, d, d))         # R_a per monomial; zero between chunks
     lie_sq = g_sq = 0.0
     for lo in range(0, len(mons), chunk):
         v, m = mons[lo:lo + chunk], rest[lo:lo + chunk]
-        s = (half[v] * (np.diff(v, axis=1, prepend=-1) != 0))[..., None]   # repeats once
-        r, c = np.zeros((len(v), d, d)), np.arange(len(v))
+        s = half[v] * (np.diff(v, axis=1, prepend=-1) != 0)     # repeats once
+        c = np.arange(len(v))
         for i in range(p):      # Y_v H has row a_v = half_v H[b_v] and row b_v = half_v H[a_v]
-            r[c, a[v[:, i]]] += s[:, i] * h[m[:, i], b[v[:, i]]]
-            r[c, b[v[:, i]]] += s[:, i] * h[m[:, i], a[v[:, i]]]
-        lie_sq += ((r - np.swapaxes(r, 1, 2)) ** 2).sum(axis=(1, 2)) @ apolar[lo:lo + chunk]
-        g_sq += np.trace(r, axis1=1, axis2=2) ** 2 @ apolar[lo:lo + chunk]
+            r[c, a[v[:, i]]] += s[:, i, None] * h[m[:, i], b[v[:, i]]]
+            r[c, b[v[:, i]]] += s[:, i, None] * h[m[:, i], a[v[:, i]]]
+        ends = np.sort(np.concatenate([a[v], b[v]], axis=1), axis=1)
+        once = np.diff(ends, axis=1, prepend=-1) != 0       # repeated ends once
+        rows = r[c[:, None], ends]
+        r[c[:, None], ends] = 0
+        square = (c[:, None, None], np.arange(2 * p)[:, None], ends[:, None, :])
+        block = rows[square]        # R_a on ends x ends; the rows keep the rest
+        rows[square] = 0
+        k_ends = (block - np.swapaxes(block, 1, 2)) * once[:, None, :]     # K_a there
+        k_sq = 2 * (rows ** 2).sum(axis=2) + (k_ends ** 2).sum(axis=2)
+        lie_sq += (k_sq * once).sum(axis=1) @ apolar[lo:lo + chunk]
+        g_sq += (2 * s * h[m, a[v], b[v]]).sum(axis=1) ** 2 @ apolar[lo:lo + chunk]   # tr R_a
     return float(np.sqrt(lie_sq / g_sq)), float(g_sq)

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import EQUALITY_TOL, GRAM_BUDGET, ORTHO_TOL, SingleSubspace, check_order
+from .errors import EQUALITY_TOL, GRAM_BUDGET, GROUP_ORTHO_TOL, SingleSubspace, check_order
 from .frames import WeightedFrame, _side_by_side, certify_tight
 from .moments import _check_moment_args, _moment_weights, _pochhammer_int
 
@@ -66,7 +66,9 @@ def simplex_bound_rhs(frame: WeightedFrame) -> float:
 def max_offdiagonal(frame: WeightedFrame) -> float:
     if len(frame) < 2:
         raise SingleSubspace("max_offdiagonal needs n >= 2")
-    return float(gram_matrix(frame).max(where=~np.eye(len(frame), dtype=bool), initial=-np.inf))
+    g = gram_matrix(frame)
+    mask = ~np.eye(len(frame), dtype=bool)
+    return float(g[mask].max())
 
 
 def ffp_lower_bound_p(frame: WeightedFrame, p: int) -> float:
@@ -119,9 +121,10 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUALITY_TOL) -> Equiangul
     is_eq = spread <= tol
     common = float(g[~np.eye(n, dtype=bool)].mean()) if is_eq else None
 
-    # such a pair has equal k and 2k - 2 G_ij <= d^2 EQUALITY_TOL^2 if exact; bases
-    # orthonormal to ORTHO_TOL move tr(P^2) by 3k ORTHO_TOL, 4k covers G's rounding too
-    floor = dims - d * d * EQUALITY_TOL ** 2 / 2 - 4 * dims * ORTHO_TOL
+    # such a pair has equal k and 2k - 2 G_ij <= d^2 EQUALITY_TOL^2 if exact. A basis
+    # orthonormal to GROUP_ORTHO_TOL (an orbit image; every other stored basis is to
+    # ORTHO_TOL) moves tr(P^2) by 2k GROUP_ORTHO_TOL; 4k covers G's rounding too
+    floor = dims - d * d * EQUALITY_TOL ** 2 / 2 - 4 * dims * GROUP_ORTHO_TOL
     lo, hi = np.divmod(np.flatnonzero(g >= floor), n)
     lo, hi = np.compress((lo < hi) & (dims[lo] == dims[hi]), [lo, hi], axis=1)
     state, step = np.zeros(n, dtype=int), max(1, GRAM_BUDGET // (d * d))    # 1 kept, -1 dropped

@@ -82,14 +82,14 @@ def _signed_qr(a: np.ndarray, complement: bool = False):
     return (basis, q[..., k:]) if complement else basis
 
 
-def check_orthonormal(bases: np.ndarray, members=None) -> np.ndarray:
+def check_orthonormal(bases: np.ndarray, members=None, tol: float = ORTHO_TOL) -> np.ndarray:
     """Return an (m, d, k) stack unchanged after checking that every Gram
-    matrix B^T B is within ``ORTHO_TOL`` of the identity (a non-finite
-    entry fails)."""
+    matrix B^T B is within ``tol`` of the identity (a non-finite entry
+    fails)."""
     k = bases.shape[-1]
     with np.errstate(invalid="ignore"):     # inf * 0 in the Gram matrix
         err = np.abs(np.swapaxes(bases, -1, -2) @ bases - np.eye(k)).max(axis=(-2, -1))
-    _first_bad(~(err <= ORTHO_TOL), members, RankDeficient,
+    _first_bad(~(err <= tol), members, RankDeficient,
                lambda i: f"basis columns not orthonormal (deviation {err[i]:.2e})")
     return bases
 

@@ -23,6 +23,7 @@ from fusionframes import (
     catalog_names,
     certify_tight,
     close_group,
+    equiangularity,
     extend,
     haar_basis_batch,
     invariance_check,
@@ -35,6 +36,7 @@ from fusionframes import (
     save_generators,
     save_line_set,
     tightness_constant,
+    union,
     weyl_a2_group,
 )
 import fusionframes.constructions as constructions
@@ -186,7 +188,7 @@ def test_orbit_sizes_follow_orbit_stabilizer(branches, order, sizes, rng):
             assert np.abs(projectors(basis) - np.outer(images[i], images[i])).max() < 1e-12
 
 
-def test_orbit_checks_the_seed_not_the_images(rng):
+def test_orbit_checks_images_to_the_group_tolerance(rng):
     # H3 reflections rounded to 10 decimals pass the group check (defect
     # 2.5e-11 <= GROUP_ORTHO_TOL), and move the images' Gram matrices by up
     # to 1.5e-11 > ORTHO_TOL; the orbits are still the tight 60-member ones
@@ -199,9 +201,21 @@ def test_orbit_checks_the_seed_not_the_images(rng):
         assert len(orbit) == 60
         assert np.array_equal(orbit.bases[0], seed)       # the identity's image
         assert [certify_tight(orbit, p).tight for p in (1, 2, 3)] == [True, True, False]
-    # a seed off orthonormal by more than ORTHO_TOL is refused as before
+        # the pairs of copies of one image sit within the equiangularity
+        # scan's floor, so the union's distinct count is the orbit's
+        assert equiangularity(union(orbit, orbit)).n_distinct == 60
+    # a seed off orthonormal by more than ORTHO_TOL is refused
     with pytest.raises(RankDeficient, match="not orthonormal"):
         orbit_frame(group, np.array([[1.0 + 1e-9], [0.0], [0.0]]))
+    # so is a hand-built group with an element that is not orthogonal: its
+    # kept image fails the check at GROUP_ORTHO_TOL; a non-finite element
+    # is refused when the group is built
+    seed = np.array([[0.0], [1.0]])
+    for bad in (2 * np.eye(2), np.diag([1.0, 1.0 + 1e-6])):
+        with pytest.raises(RankDeficient, match="not orthonormal"):
+            orbit_frame(MatrixGroup(2, (np.eye(2), bad), (bad,)), seed)
+    with pytest.raises(NotOrthogonal, match="not finite"):
+        MatrixGroup(2, (np.eye(2), np.full((2, 2), np.nan)), ())
 
 
 # ---------------------------------------------------------------------------

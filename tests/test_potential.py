@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionframes import (
+    MatrixGroup,
     ParameterError,
     SingleSubspace,
     build_frame,
@@ -20,6 +21,7 @@ from fusionframes import (
     ffp_lower_bound_p,
     frame_operator,
     haar_basis_batch,
+    orbit_frame,
     power_form,
     reweight_down,
     simplex_bound_rhs,
@@ -244,6 +246,16 @@ def test_equiangularity_scan_keeps_a_member_near_only_a_dropped_one():
     projs = np.stack([b @ b.T for b in frame.bases])
     assert np.abs(projs[0] - projs[1]).max() <= 1e-8 < np.abs(projs[0] - projs[2]).max()
     assert equiangularity(frame).n_distinct == 2
+
+
+def test_equiangularity_floor_covers_images_short_of_orthonormal():
+    # an element that shrinks by 4e-11 (its Gram defect 8e-11 is inside
+    # GROUP_ORTHO_TOL) maps the seed to a line whose tr(P^2) = (1 - 4e-11)^4:
+    # the two copies of it in the union still pass the floor, and count once
+    shrunk = (1 - 4e-11) * np.array([[0.6, -0.8], [0.8, 0.6]])
+    orbit = orbit_frame(MatrixGroup(2, (np.eye(2), shrunk), (shrunk,)), np.array([[1.0], [0.0]]))
+    assert np.trace(orbit.bases[1].T @ orbit.bases[1]) < 1 - 5e-11
+    assert equiangularity(union(orbit, orbit)).n_distinct == 2
 
 
 def test_equiangularity_forms_no_projector_per_member():
