@@ -53,7 +53,7 @@ MAX_ITERS = 5000
 # rounding of the bases (||z|| <= ||g|| / lambda < EPS).
 LM_ACCEPT = 1e-4
 LM_GOOD = 0.75
-LM_FACTOR = 4.0
+LM_FACTOR = 2.0
 LM_MU_MIN = 1e-8
 LM_MU_MAX = 1.0 / EPS
 # Near the floor the value sits at rounding: a step that keeps it within
@@ -323,11 +323,9 @@ def minimize_ffp(cfg: OptimizerConfig, rng=None) -> OptimizerTrace:
     if rng is None:
         rng = np.random.default_rng(0)
     t_value = float(t_exact(cfg.k, cfg.k, cfg.d, cfg.p))
-    # pre-drawn child seeds keep restarts independent and order-insensitive
-    seeds = rng.integers(0, 2 ** 63 - 1, size=cfg.restarts)
-    # each restart's Haar starts (``haar_basis_batch``), in one sign-fixed QR
-    ys = _signed_qr(np.stack([np.random.default_rng(seed).standard_normal((cfg.n, cfg.d, cfg.k))
-                              for seed in seeds]))
+    # the starts of all restarts in one Haar draw, ``haar_basis_batch(d, k, R n,
+    # rng)``: restart r gets its r-th block, so added restarts change no other
+    ys = _signed_qr(rng.standard_normal((cfg.restarts, cfg.n, cfg.d, cfg.k)))
     weights = np.full(cfg.n, 1.0 / cfg.n)
     hessians = []     # whether each batched evaluation built Hessians
 

@@ -30,9 +30,10 @@ def gram_matrix(frame: WeightedFrame) -> np.ndarray:
     for lo in range(0, n, step):
         block = starts[lo:lo + step]
         rows = bases[:, block[0]:block[-1] + dims[lo + len(block) - 1]]
-        cross = rows.T @ bases     # squares summed per (row block, column block)
-        g[lo:lo + step] = np.add.reduceat(np.add.reduceat(cross * cross, block - block[0], axis=0),
-                                          starts, axis=1)
+        cross = np.square(rows.T @ bases)     # the table block when every member is a line
+        if bases.shape[1] > n:     # else squares summed per (row block, column block)
+            cross = np.add.reduceat(np.add.reduceat(cross, block - block[0]), starts, axis=1)
+        g[lo:lo + step] = cross
     g[np.arange(n), np.arange(n)] = dims
     return g
 

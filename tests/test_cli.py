@@ -365,7 +365,7 @@ def test_optimize_success(tmp_path, capsys):
 
 def test_optimize_reports_hessian_evaluations(capsys):
     # the defaults at seed 0: one batched evaluation per Newton round
-    for d, n, expected in (("2", "3", 11), ("3", "6", 17)):
+    for d, n, expected in (("2", "3", 10), ("3", "6", 13)):
         code, out, _ = run(["optimize", "--d", d, "--k", "1", "--n", n, "--p", "2"], capsys)
         assert code == 0 and json.loads(out)["results"]["hessian_evaluations"] == expected
 

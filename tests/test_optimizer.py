@@ -466,7 +466,7 @@ COUPLING_CASES = ((3, 1, 2, 2), (4, 1, 3, 1), (4, 2, 4, 2), (5, 1, 3, 3))
 @given(st.sampled_from(COUPLING_CASES), st.integers(1, 4), st.integers(1, 4),
        st.integers(0, 2 ** 32 - 1))
 def test_restarts_do_not_couple(case, restarts, more, seed):
-    # the first child seeds agree, so a restart must not see the others
+    # the first blocks of the one draw agree, so a restart must not see the others
     n, k, d, p = case
     runs = [minimize_ffp(OptimizerConfig(n=n, k=k, d=d, p=p, restarts=r),
                          rng=np.random.default_rng(seed))

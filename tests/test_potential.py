@@ -108,6 +108,11 @@ def test_gram_matrix_matches_pairwise_loop(rng, monkeypatch):
     monkeypatch.setattr(potential, "GRAM_BUDGET", 8)
     for f in frames[:10]:
         _check_rows_against_pairwise_loop(f, gram_matrix(f), range(len(f)))
+    # all lines, in blocks of 7 member rows and a short last one: each
+    # squared cross block is a block of the table
+    lines = build_frame(list(haar_basis_batch(3, 1, 60, rng)))
+    monkeypatch.setattr(potential, "GRAM_BUDGET", 7 * 60)
+    _check_rows_against_pairwise_loop(lines, gram_matrix(lines), range(len(lines)))
 
 
 def test_simplex_bound_examples(mercedes):
