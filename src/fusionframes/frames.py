@@ -394,14 +394,24 @@ def frame_from_dict(data: dict) -> WeightedFrame:
 
 def save_frame(frame: WeightedFrame, path) -> None:
     """Write the frame JSON: the bytes of ``json.dump(frame_to_dict(frame),
-    indent=2)`` and a newline, spelled from the stacks by one %r template
-    per dimension (json writes a float as its ``repr``)."""
+    indent=2)`` and a newline, spelled from the stacks by one template per
+    dimension (json writes a float as its ``repr``).  Where at most half of a
+    dimension's numbers are distinct bit patterns (orbits, root systems), the
+    repr of each pattern is taken once and filled in by %s, else by %r."""
     members = [None] * len(frame)
     for idx, bases, weights in frame.groups:
-        col = "[\n          " + ",\n          ".join(["%r"] * bases.shape[1]) + "\n        ]"
-        template = ('{\n      "basis": [\n        ' + ",\n        ".join([col] * bases.shape[2])
-                    + '\n      ],\n      "weight": %r\n    }')
         rows = np.column_stack([np.swapaxes(bases, 1, 2).reshape(len(idx), -1), weights])
+        # bit patterns, so 0.0 and -0.0 stay apart as their reprs do
+        bits = rows.view(np.int64).ravel()
+        keys = np.sort(bits)
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        fill = "%s" if 2 * len(keys) <= rows.size else "%r"
+        if fill == "%s":
+            spelled = np.array([repr(x) for x in keys.view(np.float64).tolist()], dtype=object)
+            rows = spelled[np.searchsorted(keys, bits)].reshape(rows.shape)
+        col = "[\n          " + ",\n          ".join([fill] * bases.shape[1]) + "\n        ]"
+        template = ('{\n      "basis": [\n        ' + ",\n        ".join([col] * bases.shape[2])
+                    + '\n      ],\n      "weight": ' + fill + '\n    }')
         for i, row in zip(idx.tolist(), rows.tolist()):
             members[i] = template % tuple(row)
     with open(path, "w") as fh:

@@ -708,11 +708,14 @@ def test_flat_loader_matches_two_pass_reference(data):
 
 def test_mercedes_file_bytes_are_pinned(tmp_path):
     # `check` and `gen` report the file's sha256, so the writer's bytes are
-    # part of the interface
-    path = tmp_path / "mercedes.json"
-    save_frame(catalog("mercedes"), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "5af9e4c6bf1e87553257878a4ae63280d7be35db8239155dca732984f6149c69")
+    # part of the interface; mercedes (5 of 9 numbers distinct) is spelled by
+    # the %r fill, mub-planes-r4 (5 of 54) once per distinct number
+    for name, digest in (
+            ("mercedes", "5af9e4c6bf1e87553257878a4ae63280d7be35db8239155dca732984f6149c69"),
+            ("mub-planes-r4", "417066d687e5f9a2b1deefd8d2ac6cdb38b22fe829ba6301acbdb4a285587b15")):
+        path = tmp_path / f"{name}.json"
+        save_frame(catalog(name), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, name
 
 
 @settings(max_examples=60, deadline=None)
@@ -723,9 +726,14 @@ def test_save_frame_bytes_equal_json_dump(tmp_path_factory, regroup, d, weights,
     bases = []
     for _ in weights:
         k = int(rng.integers(1, d))
-        if rng.random() < 0.3:
-            # signed coordinate columns: every zero is written as -0.0
-            bases.append(-np.eye(d)[:, rng.permutation(d)[:k]])
+        draw = rng.random()
+        if bases and draw < 0.2:
+            # an earlier member again, so few numbers are distinct
+            bases.append(bases[int(rng.integers(len(bases)))])
+        elif draw < 0.6:
+            # signed coordinate columns, the sign drawn per member: the zeros
+            # of -I are written as -0.0, those of I as 0.0
+            bases.append(rng.choice([-1.0, 1.0]) * np.eye(d)[:, rng.permutation(d)[:k]])
         else:
             bases.append(make_subspace(rng.standard_normal((d, k))))
     frame = regroup(bases, weights)
