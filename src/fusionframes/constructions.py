@@ -22,7 +22,7 @@ from .errors import (EQUALITY_TOL, GROUP_ORTHO_TOL, MOLIEN_TOL, ORTHO_TOL, P_MAX
                      check_range)
 from .frames import WeightedFrame, _numbers, build_frame
 from .homogeneous import check_size_guard
-from .subspaces import check_orthonormal, first_occurrences, make_subspace, row_keys
+from .subspaces import check_orthonormal, distinct_rows, make_subspace, score_vector
 
 DEFAULT_MAX_ORDER = 20_000
 # Largest n of equispaced-lines(n) and d of cross-polytope-lines(d).
@@ -56,8 +56,8 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
     whole right cosets P t, one batched product each, identity first and
     then each coset in the order it was found.  The candidates t = r g, r a
     coset's first element and g one of the first i+1 generators, are the
-    only products tested for membership: t is new unless an element with the
-    same ``row_keys`` key lies within ``EQUALITY_TOL``.  Raises
+    only products tested for membership: t is new unless an element lies within
+    ``EQUALITY_TOL``, looked up in two buckets of ``score_vector`` scores.  Raises
     GroupTooLarge before a coset would take the order past max_order,
     NotOrthogonal for bad or non-finite generators, ParameterError unless
     max_order is an integer >= 1.
@@ -75,22 +75,26 @@ def close_group(generators, max_order: int = DEFAULT_MAX_ORDER) -> MatrixGroup:
 
     right = np.stack(gens)
     group = np.eye(d)[None]
-    buckets = {row_keys(group.reshape(1, d * d))[0]: [0]}     # key bytes -> positions
+    # filed under floor(score / (4 slack)), an element within EQUALITY_TOL of t
+    # is in the bucket of t's score minus or plus 2 slack (entries below 2)
+    r, slack = score_vector(d * d)
+    r, half = r / (4 * slack), np.array([[-0.5], [0.5]])
+    bucket = lambda block, shift=0.0: np.floor(block.reshape(len(block), -1) @ r + shift)
+    buckets = {int(bucket(group)[0]): [0]}      # bucket -> positions
     for i in range(1, len(gens) + 1):
         m, cosets = len(group), [group]     # element at position j: cosets[j // m][j % m]
         for coset in cosets:                # grows while it is read
             cands = coset[0] @ right[:i]
-            for t, name in zip(cands, row_keys(cands.reshape(-1, d * d))):
+            for t, *near in zip(cands, *bucket(cands, half).tolist()):
                 if any(np.abs(cosets[j // m][j % m] - t).max() <= EQUALITY_TOL
-                       for j in buckets.get(name, ())):
+                       for b in near for j in buckets.get(b, ())):
                     continue
                 n = m * len(cosets)
                 if n + m > max_order:
                     raise GroupTooLarge(f"closure exceeded max_order={max_order}")
                 cosets.append(group @ t)
-                keys = [name] if m == 1 else row_keys(cosets[-1].reshape(m, d * d))
-                for j, key in enumerate(keys, n):    # the coset of {1} is t, keyed as t
-                    buckets.setdefault(key, []).append(j)
+                for j, b in enumerate(bucket(cosets[-1]).tolist(), n):
+                    buckets.setdefault(b, []).append(j)
         group = np.concatenate(cosets)
     return MatrixGroup(d=d, elements=group, generators=tuple(gens))
 
@@ -137,14 +141,14 @@ def orbit_frame(group: MatrixGroup, seed) -> WeightedFrame:
     (stabilizer duplicates collapse).  The seed is checked to ``ORTHO_TOL``
     and the kept images to ``GROUP_ORTHO_TOL``, the orthogonality that
     ``close_group`` asks of a generator, so the image under an element that
-    is not orthogonal is refused with RankDeficient."""
+    is not orthogonal is refused with RankDeficient.  Images are the same
+    within ``EQUALITY_TOL``: the kept ones are those of ``distinct_rows``."""
     seed = np.asarray(seed, dtype=float)
     if seed.ndim != 2 or seed.shape[0] != group.d or not 1 <= seed.shape[1] < group.d:
         raise DimensionError(f"seed basis of shape {seed.shape} is not d x k with "
                              f"d = {group.d} and 1 <= k < d")
     images = group.elements @ check_orthonormal(seed[None])[0]
-    projs = images @ images.transpose(0, 2, 1)
-    kept = first_occurrences(projs.reshape(len(projs), -1))
+    kept = distinct_rows((images @ images.transpose(0, 2, 1)).reshape(len(images), -1))
     n = len(kept)
     return WeightedFrame._from_stacks(
         group.d, [(np.arange(n), check_orthonormal(images[kept], tol=GROUP_ORTHO_TOL), np.ones(n))])

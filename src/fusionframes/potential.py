@@ -17,6 +17,7 @@ import numpy as np
 from .errors import EQUALITY_TOL, GRAM_BUDGET, GROUP_ORTHO_TOL, SingleSubspace, check_order
 from .frames import WeightedFrame, _side_by_side, certify_tight
 from .moments import _check_moment_args, _moment_weights, _pochhammer_int
+from .subspaces import first_occurrences
 
 
 def gram_matrix(frame: WeightedFrame) -> np.ndarray:
@@ -43,7 +44,8 @@ def ffp(frame: WeightedFrame, p: int) -> float:
     check_order(p)
     w = frame.weights
     g = gram_matrix(frame)
-    return float(np.einsum("i,j,ij->", w, w, g ** p))
+    g **= p     # in place: the table is the largest array
+    return float(np.einsum("i,j,ij->", w, w, g))
 
 
 def _simplex_pieces(frame: WeightedFrame):
@@ -68,8 +70,8 @@ def max_offdiagonal(frame: WeightedFrame) -> float:
     if len(frame) < 2:
         raise SingleSubspace("max_offdiagonal needs n >= 2")
     g = gram_matrix(frame)
-    mask = ~np.eye(len(frame), dtype=bool)
-    return float(g[mask].max())
+    np.fill_diagonal(g, -np.inf)
+    return float(g.max())
 
 
 def ffp_lower_bound_p(frame: WeightedFrame, p: int) -> float:
@@ -106,12 +108,12 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUALITY_TOL) -> Equiangul
     """Detect a constant off-diagonal trace(P_i P_j) and run the counting
     checks that a genuine equiangular system must satisfy.
 
-    ``n_distinct`` counts distinct subspaces: a scan in frame order drops a
-    member within ``EQUALITY_TOL`` in max-norm of a kept one's projector, so
-    ``all_distinct`` means that no two projectors agree to that tolerance;
-    the counting bound C(d+1,2) applies only to distinct members, so a valid
-    equiangular system needs is_equiangular, all_distinct, and gerzon_ok
-    simultaneously.
+    ``n_distinct`` counts the members that ``subspaces.first_occurrences``
+    keeps, a member dropped within ``EQUALITY_TOL`` in max-norm of a kept
+    one's projector, so ``all_distinct`` means that no two projectors agree
+    to that tolerance; the counting bound C(d+1,2) applies only to distinct
+    members, so a valid equiangular system needs is_equiangular,
+    all_distinct, and gerzon_ok simultaneously.
     """
     if len(frame) < 2:
         raise SingleSubspace("equiangularity needs n >= 2")
@@ -128,17 +130,24 @@ def equiangularity(frame: WeightedFrame, tol: float = EQUALITY_TOL) -> Equiangul
     floor = dims - d * d * EQUALITY_TOL ** 2 / 2 - 4 * dims * GROUP_ORTHO_TOL
     lo, hi = np.divmod(np.flatnonzero(g >= floor), n)
     lo, hi = np.compress((lo < hi) & (dims[lo] == dims[hi]), [lo, hi], axis=1)
-    state, step = np.zeros(n, dtype=int), max(1, GRAM_BUDGET // (d * d))    # 1 kept, -1 dropped
-    while not state.all():      # the first undecided member is decided each round
-        test = np.flatnonzero((state[lo] == 1) & (state[hi] == 0))
-        for idx, bases, _ in frame.groups:      # projector pairs, GRAM_BUDGET entries at once
-            pairs = test[np.isin(lo[test], idx)]
+    group = np.arange(n)    # ends as one member's label per connected component of the pairs
+    while True:
+        low = group.copy()
+        np.minimum.at(low, np.append(hi, lo), group[np.append(lo, hi)])
+        if (low == group).all():
+            break
+        group = low[low]
+
+    def same(lo, hi):       # projector pairs of one k, GRAM_BUDGET entries at once
+        out, step = np.zeros(len(lo), dtype=bool), max(1, GRAM_BUDGET // (d * d))
+        for idx, bases, _ in frame.groups:
+            pairs = np.flatnonzero(np.isin(lo, idx))
             for part in np.split(pairs, range(step, len(pairs), step)):
                 a, b = (bases[np.searchsorted(idx, x[part])] for x in (lo, hi))
                 gap = a @ np.swapaxes(a, 1, 2) - b @ np.swapaxes(b, 1, 2)
-                state[hi[part[np.abs(gap).max(axis=(1, 2)) <= EQUALITY_TOL]]] = -1
-        state[(state == 0) & (np.bincount(hi[state[lo] == 0], minlength=n) == 0)] = 1
-    n_distinct = int((state == 1).sum())
+                out[part] = np.abs(gap).max(axis=(1, 2)) <= EQUALITY_TOL
+        return out
+    n_distinct = len(first_occurrences(group, same))
 
     predicted = None
     if frame.equal_dims():

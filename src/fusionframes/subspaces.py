@@ -94,33 +94,50 @@ def check_orthonormal(bases: np.ndarray, members=None, tol: float = ORTHO_TOL) -
     return bases
 
 
-def row_keys(rows: np.ndarray) -> list:
-    """The 6-decimal key rint(1e6 x) of each row of an (n, D) array, as
-    bytes: the hash under which ``first_occurrences`` and ``close_group``
-    file rows (the cast folds -0.0 into 0)."""
-    keys = np.rint(rows * 1e6).astype(np.int64)
-    return keys.view(f"V{keys.itemsize * keys.shape[1]}").ravel().tolist()
+_SCORE_VECTORS = {}     # D -> (r, slack)
 
 
-def first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Positions of the (n, D) rows, ascending, that a linear scan keeps: a
-    row is dropped when a kept row with the same ``row_keys`` key lies
-    within ``EQUALITY_TOL`` in max-norm.  Rows with a new key are kept
-    without a comparison; the others are compared with the first row of
-    their key at once, and only rows far from it meet the rest of their
-    key's rows in Python."""
-    names, seen = row_keys(rows), {}
-    head = [seen.setdefault(k, i) for i, k in enumerate(names)]
-    if len(seen) == len(names):                     # every key is new
-        return np.arange(len(names))
-    head = np.array(head, dtype=np.intp)
-    dup = head != np.arange(len(rows))              # an earlier row has the key
-    later = np.flatnonzero(dup)
-    near = np.abs(rows[later] - rows[head[later]]).max(axis=1) <= EQUALITY_TOL
-    for i in later[~near]:
-        same = np.flatnonzero((head[:i] == head[i]) & ~dup[:i])
-        dup[i] = bool((np.abs(rows[same] - rows[i]).max(axis=1) <= EQUALITY_TOL).any())
-    return np.flatnonzero(~dup)
+def score_vector(length: int) -> tuple:
+    """A fixed generic r in R^D (Gaussian, seeded by D, ||r||_1 = 1) and the
+    slack: the computed scores r . x of two rows with entries below 2 that
+    lie within ``EQUALITY_TOL`` in max-norm differ by at most the tolerance
+    plus the rounding of two D-term sums and a comparison.  So r changes how
+    much work a dedup does, never its answer."""
+    if length not in _SCORE_VECTORS:
+        r = np.random.default_rng(length).standard_normal(length)
+        _SCORE_VECTORS[length] = r / np.abs(r).sum(), EQUALITY_TOL + (length + 2) * 2.0 ** -50
+    return _SCORE_VECTORS[length]
+
+
+def first_occurrences(group: np.ndarray, same) -> np.ndarray:
+    """Positions, ascending, of the members that a scan in order keeps, one
+    dropped when ``same`` confirms it for a kept earlier one; ``group``
+    labels the members, and only two of one group can be the same.  Each
+    round keeps the first undecided member of every group and asks
+    ``same(firsts, others)``, a boolean per pair, about the group's others."""
+    order, kept = np.argsort(group, kind="stable"), []     # by group, then position
+    while len(order):
+        first = np.append(True, group[order[1:]] != group[order[:-1]])
+        kept.append(order[first])
+        rest = ~first
+        rest[rest] = ~same(order[first][np.cumsum(first) - 1][rest], order[rest])
+        order = order[rest]
+    return np.sort(np.concatenate(kept))
+
+
+def distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """``first_occurrences`` of (n, D) rows, the same within ``EQUALITY_TOL`` in
+    max-norm, grouped by runs of sorted scores whose steps are within the slack."""
+    r, slack = score_vector(rows.shape[1])
+    s = rows @ r
+    order = np.argsort(s, kind="stable")
+    breaks = np.diff(s[order]) > slack
+    if breaks.all():        # every row its own run
+        return np.arange(len(s))
+    run = np.empty(len(s), dtype=int)
+    run[order] = np.cumsum(np.append(False, breaks))
+    return first_occurrences(
+        run, lambda i, j: np.abs(rows[i] - rows[j]).max(axis=1) <= EQUALITY_TOL)
 
 
 def make_subspace(raw) -> np.ndarray:

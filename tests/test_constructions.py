@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusionframes import (
@@ -368,29 +368,63 @@ def pairwise_first_occurrences(projs):
     return kept
 
 
+def merges_are_uniform(projs):
+    """Whether no two images have a Frobenius gap in [EQUALITY_TOL / 2,
+    2 d EQUALITY_TOL].  Then the max-norm gap is within EQUALITY_TOL exactly
+    when the Frobenius gap is below EQUALITY_TOL / 2, a relation that is
+    transitive and, the Frobenius norm being invariant under conjugation,
+    G-invariant: the images fall into classes of one size, and the orbit
+    keeps one image of each, a number that divides |G|."""
+    rows = projs.reshape(len(projs), -1)
+    band = (EQUALITY_TOL / 2, 2 * projs.shape[1] * EQUALITY_TOL)
+    for lo in range(0, len(rows), 128):
+        gaps = np.sqrt(((rows[lo:lo + 128, None] - rows[None]) ** 2).sum(axis=-1))
+        if ((band[0] <= gaps) & (gaps <= band[1])).any():
+            return False
+    return True
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["A2", "C7", "H3", "A4", "B4", "F4"]), st.integers(1, 3),
-       st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_orbit_keeps_the_pairwise_first_occurrences(assert_same_frame, name, k, on_mirror,
-                                                     seed):
+       st.sampled_from(["generic", "on the mirror", "near the mirror"]), st.floats(6, 14),
+       st.integers(0, 2 ** 32 - 1))
+@example("H3", 1, "near the mirror", 8.5, 1)
+def test_orbit_keeps_the_pairwise_first_occurrences(assert_same_frame, name, k, kind, s, seed):
     group = closed(name)
     d = group.d
     k = min(k, d - 1)
-    raw = np.random.default_rng(seed).standard_normal((d, k))
-    if on_mirror:
-        # inside the mirror of the first generator; in the reflection
-        # groups the seed then has a stabilizer
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((d, k))
+    if kind != "generic":
+        # inside the mirror of the first generator, or 10^-s off it; in the
+        # reflection groups the seed on the mirror has a stabilizer
         normal = np.linalg.svd(group.generators[0] - np.eye(d))[2][0]
         raw -= np.outer(normal, normal @ raw)
+        if kind == "near the mirror":
+            raw += 10.0 ** -s * np.outer(normal, rng.standard_normal(k))
     seed = make_subspace(raw)
     images = group.elements @ seed
-    kept = pairwise_first_occurrences(images @ images.transpose(0, 2, 1))
+    projs = images @ images.transpose(0, 2, 1)
+    kept = pairwise_first_occurrences(projs)
     orbit = orbit_frame(group, seed)
     assert len(orbit) == len(kept)
     for i, basis in zip(kept, orbit.bases):
         assert np.array_equal(basis, images[i])
+    if merges_are_uniform(projs):
+        assert len(group) % len(orbit) == 0
     # the deduplicated stack and its frame-order bases regrouped agree
     assert_same_frame(orbit)
+
+
+def test_closure_merges_elements_whose_keys_straddle():
+    # reflections with cos 2 theta = 0.5e-6 -+ 1e-10 are 2e-10 apart, but
+    # their entries round to different 6 decimals; they are one element
+    refl = [np.array([[c, np.sqrt(1 - c * c)], [np.sqrt(1 - c * c), -c]])
+            for c in (0.5e-6 - 1e-10, 0.5e-6 + 1e-10)]
+    assert np.abs(refl[0] - refl[1]).max() <= EQUALITY_TOL
+    group = close_group(refl)
+    assert len(group) == 2
+    assert np.array_equal(group.elements[1], refl[0])
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,28 @@ def test_simplex_bound_examples(mercedes):
             routine(single)
 
 
+def test_max_offdiagonal_and_ffp_do_not_copy_the_table(rng):
+    # 2000 Haar lines in R^6: the table is 32 MB; a mask, a gather or g ** p
+    # would be a second table
+    frame = build_frame(haar_basis_batch(6, 1, 2000, rng), rng.uniform(0.5, 2.0, 2000))
+
+    def peak(call):
+        tracemalloc.start()
+        call()
+        top = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return top
+
+    table = peak(lambda: gram_matrix(frame))
+    assert peak(lambda: max_offdiagonal(frame)) <= 1.02 * table
+    assert peak(lambda: ffp(frame, 3)) <= 1.02 * table
+    # the values are bitwise those of the formulas that copied it
+    g, w = gram_matrix(frame), frame.weights
+    assert max_offdiagonal(frame) == float(g[~np.eye(len(g), dtype=bool)].max())
+    for p in range(1, 6):
+        assert ffp(frame, p) == float(np.einsum("i,j,ij->", w, w, g ** p))
+
+
 def test_simplex_bound_chordal_translation(rng):
     # k - rhs equals k(d-k)/d * n/(n-1) for equal dims and unit weights
     d, k, n = 4, 2, 10

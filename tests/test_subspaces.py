@@ -16,7 +16,8 @@ from fusionframes import (
     principal_angles,
 )
 from fusionframes.errors import EQUALITY_TOL
-from fusionframes.subspaces import _signed_qr, check_orthonormal, first_occurrences
+from fusionframes.subspaces import (_signed_qr, check_orthonormal, distinct_rows,
+                                   first_occurrences)
 from test_frames import projectors
 
 
@@ -188,31 +189,35 @@ def test_haar_determinism_and_batch_consistency():
         assert np.abs(g - np.eye(2)).max() < 1e-12
 
 
-def keyed_scan(rows):
-    """One row at a time: a row is new unless a kept row with the same
-    6-decimal key lies within EQUALITY_TOL."""
-    buckets, kept = {}, []
+def pairwise_scan(rows):
+    """One row at a time: a row is new unless a kept row lies within
+    EQUALITY_TOL."""
+    kept = []
     for i, r in enumerate(rows):
-        bucket = buckets.setdefault(tuple(np.round(r, 6)), [])
-        if not any(np.abs(r - rows[j]).max() <= EQUALITY_TOL for j in bucket):
-            bucket.append(i)
+        if not any(np.abs(r - rows[j]).max() <= EQUALITY_TOL for j in kept):
             kept.append(i)
     return kept
 
 
-# offsets that stay inside a key but leave the tolerance, cross a key
-# boundary, or stay within the tolerance
+# offsets that stay inside a 6-decimal key but leave the tolerance, cross a
+# key boundary, or stay within the tolerance
 OFFSETS = (0.0, -0.0, 3e-9, 4e-7, -4e-7, 4e-7 + 3e-9, 2e-6)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(OFFSETS),
                           st.integers(0, 2)), min_size=1, max_size=40))
-def test_first_occurrences_matches_keyed_scan(picks):
+def test_first_occurrences_matches_the_pairwise_scan(picks):
     centres = np.array([[0.0, 0.5, -0.25], [1.0, 0.0, 0.0], [0.125, 0.125, 0.0],
                         [-0.5, 0.0, 1.0]])
     rows = np.array([centres[c] + np.eye(3)[axis] * off for c, off, axis in picks])
-    assert first_occurrences(rows).tolist() == keyed_scan(rows)
+    want = pairwise_scan(rows)
+    assert distinct_rows(rows).tolist() == want
+    # any labels that put every two rows within the tolerance in one group:
+    # one group, or one per centre (the rows of two centres are far apart)
+    same = lambda i, j: np.abs(rows[i] - rows[j]).max(axis=1) <= EQUALITY_TOL
+    assert first_occurrences(np.zeros(len(rows), dtype=int), same).tolist() == want
+    assert first_occurrences(np.array([c for c, _, _ in picks]), same).tolist() == want
 
 
 @settings(max_examples=150, deadline=None)
